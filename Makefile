@@ -104,9 +104,10 @@ bench-engine:         ## throughput smoke: regenerates BENCH_engine.json
 profile-engine:       ## cProfile hotspot report + ref/batch wall-clock A/B
 	$(PY) tools/profile_engine.py
 
-docs-check:           ## markdown link check + doctests in trace/graph modules
+docs-check:           ## markdown link check + doctests in store/trace/graph modules
 	python tools/check_links.py README.md DESIGN.md EXPERIMENTS.md docs/*.md
-	$(PY) -m doctest src/repro/trace/record.py src/repro/trace/kernels.py \
+	$(PY) -m doctest src/repro/store.py \
+	  src/repro/trace/record.py src/repro/trace/kernels.py \
 	  src/repro/trace/store.py src/repro/trace/synthetic.py \
 	  src/repro/graphs/io.py src/repro/graphs/csr.py \
 	  src/repro/graphs/ingest.py

@@ -92,9 +92,13 @@ class LPConfig:
         return self.entries // self.ways
 
     @property
+    def entry_bits(self) -> int:
+        """Table IV: tag + address + stride + valid."""
+        return self.tag_bits + self.addr_bits + self.stride_bits + 1
+
+    @property
     def storage_bits(self) -> int:
-        per_entry = self.tag_bits + self.addr_bits + self.stride_bits + 1
-        return per_entry * self.entries
+        return self.entry_bits * self.entries
 
 
 #: Tag-less table growth factor: the ~47% of the tagged entry spent on
@@ -283,19 +287,28 @@ class SystemConfig:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def _cache_block_bits() -> int:
+def cache_block_bits() -> int:
     """Bits per cache block under the Table IV convention: data + a
     full-block-address tag (no set-index subtraction) + valid + dirty."""
     return BLOCK_SIZE * 8 + (PHYS_ADDR_BITS - BLOCK_BITS) + 1 + 1
+
+
+def sdcdir_entry_bits(cfg: SystemConfig) -> int:
+    """Bits per SDCDir entry (Table IV): tag + state + one sharer bit
+    per core."""
+    return (cfg.sdcdir.tag_bits + cfg.sdcdir.state_bits
+            + max(1, cfg.num_cores))
 
 
 def storage_overhead_bits(cfg: SystemConfig,
                           variant: str = "sdc_lp") -> int:
     """Per-core storage a variant adds over the baseline, in bits.
 
-    The Table IV accounting (SDC data+tag+valid+dirty, LP
-    tag+address+stride+valid, SDCDir tag+state+sharers), extended to
-    every design variant so a Pareto search can use one cost axis:
+    The Table IV accounting (:func:`cache_block_bits`,
+    ``LPConfig.entry_bits``, :func:`sdcdir_entry_bits` — the same
+    per-structure formulas :func:`repro.core.budget.hardware_budget`
+    tabulates), extended to every design variant so a Pareto search
+    can use one cost axis:
 
     * ``baseline``/``topt``/``distill`` reuse existing structures — 0;
     * ``sdc_lp`` adds SDC + LP + SDCDir (the paper's Table IV total);
@@ -307,16 +320,14 @@ def storage_overhead_bits(cfg: SystemConfig,
     * ``lp_bypass`` adds only the LP;
     * ``l1iso`` adds 2 L1D ways (+25% capacity), ``llc2x`` doubles the
       LLC, ``victim`` adds an SDC-sized victim cache — all accounted at
-      :func:`_cache_block_bits` per extra block.
+      :func:`cache_block_bits` per extra block.
 
     SRAM for replacement-policy metadata (SRRIP/SHiP counters) is not
     counted: it is common to all LLC variants and orders of magnitude
     below the block storage that dominates this axis.
     """
-    sdc = cfg.sdc.num_blocks * _cache_block_bits()
-    sdcdir = cfg.sdcdir.entries_per_core * (
-        cfg.sdcdir.tag_bits + cfg.sdcdir.state_bits
-        + max(1, cfg.num_cores))
+    sdc = cfg.sdc.num_blocks * cache_block_bits()
+    sdcdir = cfg.sdcdir.entries_per_core * sdcdir_entry_bits(cfg)
     if variant in ("baseline", "topt", "distill"):
         return 0
     if variant == "sdc_lp":
@@ -332,11 +343,11 @@ def storage_overhead_bits(cfg: SystemConfig,
     if variant == "l1iso":
         # +2 ways on an 8-way L1D: num_blocks * 10//8 - num_blocks.
         extra = cfg.l1d.num_blocks * 10 // 8 - cfg.l1d.num_blocks
-        return extra * _cache_block_bits()
+        return extra * cache_block_bits()
     if variant == "llc2x":
-        return cfg.llc.num_blocks * _cache_block_bits()
+        return cfg.llc.num_blocks * cache_block_bits()
     if variant == "victim":
-        return cfg.sdc.num_blocks * _cache_block_bits()
+        return cfg.sdc.num_blocks * cache_block_bits()
     raise ValueError(f"unknown variant {variant!r} for storage "
                      f"accounting")
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import (BLOCK_BITS, BLOCK_SIZE, PHYS_ADDR_BITS,
-                          SystemConfig)
+                          SystemConfig, cache_block_bits,
+                          sdcdir_entry_bits)
 
 
 @dataclass(frozen=True)
@@ -38,34 +39,24 @@ SDC_READ_NJ, SDC_WRITE_NJ = 0.026, 0.034
 
 
 def hardware_budget(config: SystemConfig | None = None) -> list[BudgetRow]:
-    """Per-core storage of SDC, LP and SDCDir (Table IV)."""
+    """Per-core storage of SDC, LP and SDCDir (Table IV), from the
+    per-structure formulas the DSE cost axis
+    (:func:`repro.config.storage_overhead_bits`) sums."""
     cfg = config or SystemConfig()
-
-    # SDC: data + tag + valid + dirty per block.  The paper's Table IV
-    # stores the full block address as the tag (48 - 6 = 42 bits),
-    # without subtracting set-index bits.
-    sdc_blocks = cfg.sdc.num_blocks
-    sdc_tag = PHYS_ADDR_BITS - BLOCK_BITS
-    sdc_bits = BLOCK_SIZE * 8 + sdc_tag + 1 + 1
-    rows = [BudgetRow("SDC", sdc_blocks, sdc_bits,
-                      f"{BLOCK_SIZE * 8} data + {sdc_tag} tag + 1 valid "
-                      f"+ 1 dirty")]
-
-    # LP: tag + address + stride + valid (field widths from LPConfig,
-    # matching Table IV's 65 + 58 + 14 + 1).
-    lp = cfg.lp
-    lp_bits = lp.tag_bits + lp.addr_bits + lp.stride_bits + 1
-    rows.append(BudgetRow("LP", lp.entries, lp_bits,
-                          f"{lp.tag_bits} tag + {lp.addr_bits} address + "
-                          f"{lp.stride_bits} stride + 1 valid"))
-
-    # SDCDir: tag + state + one sharer bit per core.
-    sd = cfg.sdcdir
-    sd_bits = sd.tag_bits + sd.state_bits + max(1, cfg.num_cores)
-    rows.append(BudgetRow("SDCDir", sd.entries_per_core, sd_bits,
-                          f"{sd.tag_bits} tag + {sd.state_bits} state + "
-                          f"{max(1, cfg.num_cores)} sharer per core"))
-    return rows
+    lp, sd = cfg.lp, cfg.sdcdir
+    # The paper's Table IV stores the full block address as the SDC tag
+    # (48 - 6 = 42 bits), without subtracting set-index bits.
+    return [
+        BudgetRow("SDC", cfg.sdc.num_blocks, cache_block_bits(),
+                  f"{BLOCK_SIZE * 8} data + {PHYS_ADDR_BITS - BLOCK_BITS} "
+                  f"tag + 1 valid + 1 dirty"),
+        BudgetRow("LP", lp.entries, lp.entry_bits,
+                  f"{lp.tag_bits} tag + {lp.addr_bits} address + "
+                  f"{lp.stride_bits} stride + 1 valid"),
+        BudgetRow("SDCDir", sd.entries_per_core, sdcdir_entry_bits(cfg),
+                  f"{sd.tag_bits} tag + {sd.state_bits} state + "
+                  f"{max(1, cfg.num_cores)} sharer per core"),
+    ]
 
 
 def total_budget_kb(config: SystemConfig | None = None) -> float:

@@ -17,10 +17,10 @@ resolving ordinary sweeps.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.experiments.manifest import runs_dir
+from repro.store import atomic_write
 
 STUDY_VERSION = 1
 
@@ -114,11 +114,5 @@ class StudyManifest:
     def save(self) -> None:
         """Atomic write (temp file + rename), crash-safe at any point."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, indent=1)
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_write(self.path) as fh:
+            fh.write(json.dumps(self.data, indent=1).encode("utf-8"))

@@ -18,12 +18,12 @@ workflow.
 from __future__ import annotations
 
 import json
-import os
 import time
 import uuid
 from pathlib import Path
 
 from repro.experiments.workloads import cache_dir
+from repro.store import atomic_write
 
 MANIFEST_VERSION = 1
 
@@ -282,11 +282,5 @@ class RunManifest:
         """Atomic write (temp file + rename), crash-safe at any point."""
         self.data["total_cells"] = len(self.cells)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, indent=1)
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_write(self.path) as fh:
+            fh.write(json.dumps(self.data, indent=1).encode("utf-8"))

@@ -14,37 +14,36 @@ multi-core result), keyed by everything that determines it:
   change to the model automatically invalidates every cached result.
 
 Entries live under ``REPRO_CACHE_DIR`` (default ``.repro_cache/``) in
-``results/<first-2-hex>/<key>.json``.  Writes are atomic (temp file +
-rename), so concurrent ``run_grid`` workers can share one cache
-directory safely.  Set the ``REPRO_CACHE_DIR`` environment variable to
-relocate the whole cache (traces and results) — see docs/PERFORMANCE.md.
+``results/<first-2-hex>/<key>.json`` (the suffix predates the binary
+container).  Writes are atomic (temp file + rename), so concurrent
+``run_grid`` workers can share one cache directory safely.  Set the
+``REPRO_CACHE_DIR`` environment variable to relocate the whole cache
+(traces and results) — see docs/PERFORMANCE.md.
 
-Entries are stored inside a checksummed **envelope**
-(``{"v": 2, "sha": <sha256 of canonical payload JSON>, "payload": …}``)
-and validated on every read.  A file that fails to parse, does not
-match the envelope schema, or fails its checksum is **quarantined** —
+Each entry is a :mod:`repro.store` container of kind :data:`RESULT`
+whose metadata block is the canonical payload JSON, so its
+``payload_sha`` is :func:`payload_checksum` of the payload and a read
+hashes the stored bytes instead of re-serialising them
+(docs/TRACES.md).  A file that fails validation is **quarantined** —
 moved to ``results/quarantine/<name>.bad`` and counted in ``corrupt``
 (absent entries count in ``misses``) — so one flipped bit costs one
-recompute instead of poisoning a figure or re-missing forever.  A
-well-formed entry from an *older envelope version* is not corrupt,
-just outdated (v1 predates ``SystemStats.timeline``): it is unlinked
-and counted in ``stale``, then served as a miss.  Construction also
-sweeps stale ``*.tmp.<pid>`` droppings left by writers that crashed
-mid-``put``.  See docs/RESILIENCE.md.
+recompute instead of poisoning a figure or re-missing forever.  An
+intact entry from an *older format version* is not corrupt, just
+outdated: it is unlinked and counted in ``stale``, then served as a
+miss.  Construction also sweeps stale ``*.tmp.<pid>`` droppings left
+by writers that crashed mid-``put``.  See docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import time
 from pathlib import Path
 
-from repro import faults
+from repro import store
 from repro.experiments.workloads import TRACE_FORMAT_VERSION, cache_dir
-from repro.trace import store
 
 # Sources whose content defines the simulation model.  A change to any
 # of these files must invalidate cached results; experiment-layer files
@@ -53,10 +52,10 @@ _REPRO_ROOT = Path(__file__).resolve().parents[1]
 _FINGERPRINT_SOURCES = ("config.py", "mem", "core", "trace", "graphs",
                         "kernels")
 
-ENVELOPE_VERSION = 2
-"""v2 (telemetry): payloads may carry ``timeline`` (windowed metric
-series, :mod:`repro.telemetry.probes`).  v1 entries are treated as
-stale — unlinked and recomputed, never quarantined as corrupt."""
+#: v3 moved entries from a checksummed JSON envelope (v1, v2) into the
+#: container; v2 payloads gained ``timeline`` (windowed metric series,
+#: :mod:`repro.telemetry.probes`).
+RESULT = store.Kind(b"REPRORES", 3, "", "result_store")
 
 #: A ``*.tmp.<pid>`` file older than this is presumed orphaned by a
 #: crashed writer (live writers hold theirs for milliseconds).
@@ -119,8 +118,7 @@ def result_key(trace_fp: str, variant: str, config_digest: str,
 
 def payload_checksum(payload: dict) -> str:
     """sha256 over the canonical JSON form of a payload."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(store.encode_meta(payload)).hexdigest()
 
 
 class ResultsCache:
@@ -128,8 +126,8 @@ class ResultsCache:
 
     Counters: ``hits`` (valid entry served), ``misses`` (entry absent),
     ``corrupt`` (entry present but unreadable — quarantined, served as
-    a miss), ``stale`` (well-formed entry from an older envelope
-    version — unlinked, served as a miss), ``stores`` (entries
+    a miss), ``stale`` (intact entry from an older format version —
+    unlinked, served as a miss), ``stores`` (entries
     written), ``quarantined`` (files moved to ``quarantine/``),
     ``swept`` (stale temp files removed at construction).
     """
@@ -188,105 +186,50 @@ class ResultsCache:
                 pass        # raced with the writer's own rename/cleanup
         return removed
 
-    def _quarantine(self, path: Path) -> None:
-        """Move an unreadable entry aside (``.bad`` suffix keeps it out
-        of entry globs) so it is recomputed once, not re-missed forever.
-        Shares :func:`repro.trace.store.quarantine_file` with the trace
-        store, so every corrupt on-disk artifact lands in one place."""
-        store.quarantine_file(path, self.quarantine_dir)
-        self.quarantined += 1
-
     def get(self, key: str) -> dict | None:
         """Load a cached payload.
 
         Returns ``None`` both when the entry is absent (counted in
-        ``misses``) and when it is present but unreadable — bad JSON,
-        wrong envelope schema, checksum mismatch — in which case it is
-        quarantined and counted in ``corrupt`` instead.
+        ``misses``) and when it is present but fails validation, in
+        which case it is unlinked when stale or quarantined and counted
+        in ``corrupt`` otherwise.
         """
         path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
+            payload = store.read(RESULT, path)[0]
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError):
-            self.corrupt += 1
-            self._quarantine(path)
-            return None
-        if self._is_stale(entry):
-            self.stale += 1
-            self.misses += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass    # raced with a concurrent reader's unlink
-            return None
-        payload = self._validate(entry)
-        if payload is None:
-            self.corrupt += 1
-            self._quarantine(path)
+        except (OSError, store.ArtifactError) as exc:
+            if store.discard(RESULT, path, exc, self.quarantine_dir):
+                self.stale += 1
+                self.misses += 1
+            else:
+                self.corrupt += 1
+                self.quarantined += 1
             return None
         self.hits += 1
         return payload
 
-    @staticmethod
-    def _is_stale(entry) -> bool:
-        """A structurally sound envelope whose version predates ours —
-        written by older code, not damaged, so it is dropped silently
-        rather than quarantined as corrupt."""
-        return (isinstance(entry, dict)
-                and isinstance(entry.get("v"), int)
-                and not isinstance(entry.get("v"), bool)
-                and entry["v"] < ENVELOPE_VERSION
-                and isinstance(entry.get("payload"), dict)
-                and isinstance(entry.get("sha"), str))
-
-    @staticmethod
-    def _validate(entry) -> dict | None:
-        """Envelope schema + checksum validation; None when invalid."""
-        if (not isinstance(entry, dict)
-                or entry.get("v") != ENVELOPE_VERSION
-                or not isinstance(entry.get("payload"), dict)
-                or not isinstance(entry.get("sha"), str)):
-            return None
-        payload = entry["payload"]
-        if payload_checksum(payload) != entry["sha"]:
-            return None
-        return payload
-
     def put(self, key: str, payload: dict) -> None:
-        """Store a payload atomically (temp file + rename) inside a
-        checksummed envelope.  A concurrent supervisor ``clear()``-ing
-        the store can rmtree the entry directory between the mkdir and
-        the write/rename — transient by construction, so the write is
-        retried on a freshly recreated directory."""
+        """Store a payload atomically.  A concurrent supervisor
+        ``clear()``-ing the store can rmtree the entry directory between
+        the mkdir and the write/rename — transient by construction, so
+        the write is retried on a freshly recreated directory."""
         path = self._path(key)
-        entry = {"v": ENVELOPE_VERSION, "sha": payload_checksum(payload),
-                 "payload": payload}
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         for attempt in range(5):
             try:
                 # Inside the retry: recursive mkdir itself raises
                 # FileNotFoundError when a concurrent rmtree removes
                 # the just-created ancestor mid-recursion.
                 path.parent.mkdir(parents=True, exist_ok=True)
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh, separators=(",", ":"))
-                os.replace(tmp, path)
+                store.write(RESULT, path, payload)
                 break
             except FileNotFoundError:
-                tmp.unlink(missing_ok=True)
                 if attempt == 4:
                     raise
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
         self.stores += 1
-        if faults.active_plan() is not None:
-            seq = self._write_seq[key] = self._write_seq.get(key, 0) + 1
-            faults.mangle_cache_entry(path, key, seq)
+        store.fault_hook(path, key, self._write_seq)
 
     def clear(self) -> int:
         """Delete the whole store — committed entries, stray temp files

@@ -50,7 +50,7 @@ manifests for one run id and validates, before stitching anything:
   misconfigured hosts are caught here);
 * **coverage** — all shards saw the same grid (same full key set);
 * **results** — every cell's payload is present in the shared results
-  cache and passes its checksummed-envelope validation.
+  cache and passes its checksummed-container validation.
 
 Only then is the merged manifest (``runs/<run_id>.json``, status
 ``complete``) written, after which a figure rerun against the same
@@ -189,7 +189,7 @@ def merge_shards(run_id: str, directory: Path | None = None,
     Raises :class:`FileNotFoundError` when no shard manifests exist,
     :class:`ShardMergeError` (with the full problem list) when the
     shard set is inconsistent, incomplete, overlapping, or any cell's
-    cached result fails envelope validation.  On success, writes the
+    cached result fails container validation.  On success, writes the
     merged ``runs/<run_id>.json`` manifest and — when
     ``telemetry_dir`` is given — folds per-shard event logs into the
     main ``events-<run_id>.jsonl``, appending one ``shard_merged``

@@ -8,12 +8,9 @@ on disk under ``REPRO_CACHE_DIR`` (default ``.repro_cache/`` in the
 working directory) in the v8 memory-mapped store format
 (:mod:`repro.trace.store`, docs/TRACES.md): the supervisor and every
 ``run_grid`` worker open the same file through ``np.memmap`` and share
-one page-cache copy instead of each deserializing a private clone.
-v7-era compressed ``.npz`` entries are migrated in place the first
-time they are requested (loaded once, rewritten as a v8 store file,
-counted in the store's ``migrations``/``stale`` counters); corrupt or
-truncated store files are quarantined to ``results/quarantine/`` and
-regenerated exactly once.
+one page-cache copy instead of each deserializing a private clone.  A
+store file that fails validation is dropped (stale) or quarantined to
+``results/quarantine/`` (corrupt) and regenerated exactly once.
 
 Each workload's trace is a *mid-stream window* of the full
 instrumented run — the SimPoint-flavoured choice that avoids measuring
@@ -30,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import faults
+from repro import store as artifact
 from repro.graphs.suite import GRAPH_SUITE, load_graph
 from repro.kernels.common import kernel_info, pick_source
 from repro.trace import store
@@ -46,7 +43,6 @@ GRAPHS = tuple(GRAPH_SUITE)
 DEFAULT_TIER = "medium"        # ~10^5 vertices; pairs with scaled_config(16)
 DEFAULT_TRACE_LEN = 400_000
 TRACE_FORMAT_VERSION = 8       # bump to invalidate cached traces
-LEGACY_TRACE_FORMAT_VERSION = 7  # newest .npz-era version we migrate
 
 # The generator over-produces this many windows' worth of accesses; the
 # measurement window is the *tail* of what was generated, which lands
@@ -81,7 +77,9 @@ ALL_WORKLOADS: tuple[Workload, ...] = WORKLOADS + EXTRA_WORKLOADS
 
 
 def cache_dir() -> Path:
-    d = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
+    """``$REPRO_CACHE_DIR``, or ``.repro_cache`` when it is unset or
+    empty (an empty value would otherwise mean the working directory)."""
+    d = Path(os.environ.get("REPRO_CACHE_DIR") or ".repro_cache")
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -89,12 +87,6 @@ def cache_dir() -> Path:
 def _trace_path(wl: Workload, tier: str, length: int) -> Path:
     return cache_dir() / (f"{wl.name}.{tier}.{length}."
                           f"v{TRACE_FORMAT_VERSION}.trace")
-
-
-def _legacy_trace_path(wl: Workload, tier: str, length: int) -> Path:
-    """Pre-store (compressed ``.npz``) cache entry for the same spec."""
-    return cache_dir() / (f"{wl.name}.{tier}.{length}."
-                          f"v{LEGACY_TRACE_FORMAT_VERSION}.npz")
 
 
 def trace_quarantine_dir() -> Path:
@@ -151,9 +143,7 @@ def _generate(wl: Workload, tier: str, length: int) -> Trace:
 
 
 #: Per-process count of store writes per path, feeding the fault
-#: injector's ``write_seq`` (mirrors ``ResultsCache._write_seq``): with
-#: the default ``max_attempt=1`` only the *first* write of a trace file
-#: is damaged, so the regeneration after a quarantine lands clean.
+#: injector's ``write_seq`` (see :func:`repro.store.fault_hook`).
 _store_write_seq: dict[str, int] = {}
 
 
@@ -167,40 +157,7 @@ def _store_trace(trace: Trace, path: Path) -> None:
     identical file.
     """
     store.write_trace(trace, path)
-    if faults.active_plan() is not None:
-        site = f"trace:{path.name}"
-        seq = _store_write_seq[site] = _store_write_seq.get(site, 0) + 1
-        faults.mangle_trace_file(path, site, seq)
-
-
-def _quarantine_trace(path: Path) -> None:
-    store.COUNTERS["corrupt"].inc()
-    store.quarantine_file(path, trace_quarantine_dir())
-
-
-def _migrate_legacy(wl: Workload, tier: str, length: int,
-                    path: Path) -> bool:
-    """Convert a v7 ``.npz`` entry to a v8 store file, once.
-
-    Returns True when a migration happened.  The record bytes are
-    identical after migration (the npz holds the same ``ACCESS_DTYPE``
-    array), so migrated and freshly generated traces simulate
-    bit-identically.  An unreadable legacy file is quarantined and the
-    trace regenerated instead.
-    """
-    legacy = _legacy_trace_path(wl, tier, length)
-    if not legacy.exists():
-        return False
-    try:
-        trace = Trace.load(legacy)
-    except Exception:
-        _quarantine_trace(legacy)
-        return False
-    _store_trace(trace, path)
-    legacy.unlink(missing_ok=True)
-    store.COUNTERS["migrations"].inc()
-    store.COUNTERS["stale"].inc()
-    return True
+    artifact.fault_hook(path, f"trace:{path.name}", _store_write_seq)
 
 
 def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
@@ -213,9 +170,8 @@ def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
     cache file (``mapped=False`` forces a private in-RAM copy; without
     a cache the freshly generated in-memory trace is returned as-is).
     A store file that fails validation — bad magic, checksum mismatch,
-    truncation — is quarantined to ``results/quarantine/`` and the
-    trace regenerated exactly once; a v7-era ``.npz`` entry for the
-    same spec is transparently migrated to the store format first.
+    truncation — is quarantined to ``results/quarantine/`` (or deleted
+    when merely stale) and the trace regenerated exactly once.
     """
     if isinstance(wl, str):
         kernel, graph = wl.split(".", 1)
@@ -223,8 +179,6 @@ def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
     if not use_cache:
         return _generate(wl, tier, length)
     path = _trace_path(wl, tier, length)
-    if not path.exists():
-        _migrate_legacy(wl, tier, length, path)
     # Two rounds: a file that fails validation is quarantined and
     # regenerated once; a second consecutive failure (e.g. a fault plan
     # damaging every write) falls back to the in-memory trace rather
@@ -233,8 +187,9 @@ def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
         if path.exists():
             try:
                 return store.open_trace(path, mapped=mapped)
-            except store.TraceStoreError:
-                _quarantine_trace(path)
+            except store.TraceStoreError as exc:
+                artifact.discard(store.TRACE, path, exc,
+                                 trace_quarantine_dir())
                 store.COUNTERS["regenerated"].inc()
         trace = _generate(wl, tier, length)
         _store_trace(trace, path)

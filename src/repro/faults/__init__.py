@@ -27,13 +27,12 @@ Fault kinds
     The cell raises :class:`FaultInjected` — a transient error that a
     retry (``attempt > max_attempt``) survives.
 ``corrupt``
-    A just-written on-disk artifact — a results-cache entry or a
-    trace-store file — has bytes scribbled over it, so the next read
-    fails checksum validation and must quarantine it.
+    A just-written on-disk artifact — a results-cache entry, a
+    trace-store or a graph-store file — has bytes scribbled over it,
+    so the next read fails checksum validation and must quarantine it.
 ``truncate``
-    A just-written results-cache entry or trace-store file is
-    truncated, simulating a writer that died mid-write (detected by
-    the trace store's header/size validation).
+    A just-written artifact is truncated, simulating a writer that
+    died mid-write (detected by the container's size equation).
 ``shard_loss``
     A sharded ``run_grid`` supervisor aborts right after checkpointing
     its shard manifest (status ``running``), simulating a host that
@@ -108,10 +107,9 @@ KINDS = ("crash", "hang", "slow", "exc", "corrupt", "truncate",
          "worker_vanish", "lease_loss", "orchestrator_crash")
 
 #: Fault kinds applied at cell-execution time (by the engine) versus at
-#: artifact-write time — results-cache entries
-#: (:class:`repro.experiments.results_cache.ResultsCache`) and
-#: trace-store files (:func:`repro.experiments.workloads.workload_trace`)
-#: — versus at shard-supervision time
+#: artifact-write time (:func:`repro.store.fault_hook`: results-cache
+#: entries, trace-store and graph-store files) — versus at
+#: shard-supervision time
 #: (:func:`repro.experiments.parallel.run_grid` with ``shard=``).
 EXECUTION_KINDS = ("crash", "hang", "slow", "exc")
 CACHE_KINDS = ("corrupt", "truncate")
@@ -347,8 +345,18 @@ def shard_duplicates(site: str, attempt: int = 1) -> bool:
             and plan.fires("duplicate_shard", site, attempt))
 
 
-def _mangle_file(path, site: str, write_seq: int) -> bool:
-    """Shared corrupt/truncate application for on-disk artifacts."""
+def mangle_artifact(path, site: str, write_seq: int = 1) -> bool:
+    """Apply corrupt/truncate faults to a just-written on-disk artifact.
+
+    ``site`` names the artifact (``trace:<file>``, ``graph:<file>`` or
+    a results-cache key) and ``write_seq`` is the caller's write count
+    for it, playing the role ``attempt`` plays for execution faults
+    (see :func:`repro.store.fault_hook`).  A mid-file scribble fails
+    the container's checksums and a truncation its size equation, so
+    the next read discards the file and the caller regenerates it.
+    Returns True when the file was damaged.  No-op without an active
+    plan.
+    """
     plan = active_plan()
     if plan is None:
         return False
@@ -363,41 +371,3 @@ def _mangle_file(path, site: str, write_seq: int) -> bool:
         path.write_bytes(data[:max(1, int(len(data) * 0.6))])
         damaged = True
     return damaged
-
-
-def mangle_cache_entry(path, site: str, write_seq: int = 1) -> bool:
-    """Apply cache-write faults to a just-committed entry file.
-
-    ``write_seq`` is the per-process write count for this key, playing
-    the role ``attempt`` plays for execution faults: with the default
-    ``max_attempt=1``, only the first write of an entry is damaged, so
-    the recompute after a quarantine lands a clean copy.  Returns True
-    when the file was damaged.  No-op without an active plan.
-    """
-    return _mangle_file(path, site, write_seq)
-
-
-def mangle_trace_file(path, site: str, write_seq: int = 1) -> bool:
-    """Apply corrupt/truncate faults to a just-written trace-store file.
-
-    Same decision semantics as :func:`mangle_cache_entry` (``site`` is
-    ``trace:<filename>``, ``write_seq`` the per-process write count for
-    that file).  A mid-file scribble lands in the record block and is
-    caught by the store's payload checksum; truncation is caught by its
-    header/size validation — either way the reader quarantines the file
-    and regenerates the trace once.
-    """
-    return _mangle_file(path, site, write_seq)
-
-
-def mangle_graph_file(path, site: str, write_seq: int = 1) -> bool:
-    """Apply corrupt/truncate faults to a just-ingested graph-store file.
-
-    Same decision semantics as :func:`mangle_trace_file` (``site`` is
-    ``graph:<filename>``, ``write_seq`` the per-process write count for
-    that file).  The graph store's payload/header checksums catch the
-    damage on the next open; the reader quarantines the file and
-    rebuilds it from the recorded source edge list once
-    (``repro.graphs.ingest.load_ingested``).
-    """
-    return _mangle_file(path, site, write_seq)

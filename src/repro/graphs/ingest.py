@@ -36,15 +36,16 @@ truncated (a ``.el`` row with three fields raises, matching
    ``np.unique(key, return_index=True)`` + lexsort).
 4. *CSC pass* — stream the finished out-CSR to build the in-adjacency
    (skipped for symmetrized graphs, which share arrays).
-5. *Store write* — assemble the single-file v1 envelope atomically.
+5. *Store write* — stream the sections into one store file atomically.
 
-**Store format** (v1, mirrors the v8 trace store — docs/TRACES.md)::
+**Store format** (v1): a :mod:`repro.store` container of kind
+:data:`GRAPH` (docs/TRACES.md)::
 
     offset  size  field
     ------  ----  --------------------------------------------------
     0       8     magic                 b"REPROGRF"
     8       4     version               u32, == STORE_VERSION (1)
-    12      4     header_size           u32, == HEADER_SIZE (112)
+    12      4     header_size           u32, == 112
     16      8     meta_len              u64, metadata block length
     24      8     num_vertices          u64
     32      8     num_edges             u64, directed arcs in the CSR
@@ -58,15 +59,14 @@ truncated (a ``.el`` row with three fields raises, matching
     ...     ...   out_w   e × i32       (weighted only)
     ...     ...   in_oa / in_na / in_w  (directed graphs only)
 
-Writes are atomic (temp file + ``os.replace``); :func:`open_graph`
-verifies both checksums and every size equation before handing out
-read-only ``np.memmap`` views, so all ``run_grid`` workers share one
-page-cache copy of each graph exactly like traces.  A file that fails
-validation is quarantined to ``results/quarantine/`` and rebuilt from
-its recorded source file exactly once
-(:func:`load_ingested`).  Armed ``corrupt``/``truncate`` fault plans
-damage the first write of a store file (site ``graph:<filename>``),
-exercising that path in CI.
+:func:`open_graph` hands out read-only ``np.memmap`` views of a
+validated file, so all ``run_grid`` workers share one page-cache copy
+of each graph exactly like traces.  A file that fails validation is
+discarded (stale files deleted, corrupt ones quarantined to
+``results/quarantine/``) and rebuilt from its recorded source file
+exactly once (:func:`load_ingested`).  Armed ``corrupt``/``truncate``
+fault plans damage the first write of a store file (site
+``graph:<filename>``), exercising that path in CI.
 
 See docs/WORKLOADS.md for the end-to-end walkthrough.
 """
@@ -74,36 +74,22 @@ See docs/WORKLOADS.md for the end-to-end walkthrough.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import itertools
-import json
 import os
 import shutil
-import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro import faults
+from repro import store as artifact
 from repro.graphs.csr import (CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE,
                               WEIGHT_DTYPE)
-from repro.telemetry.metrics import Counter
-from repro.trace.store import quarantine_file
 
 STORE_VERSION = 1
 
 MAGIC = b"REPROGRF"
-
-#: magic, version, header_size, meta_len, num_vertices, num_edges,
-#: flags, reserved, payload_sha, header_sha.
-_HEADER = struct.Struct("<8sIIQQQII32s32s")
-HEADER_SIZE = _HEADER.size                      # 112
-assert HEADER_SIZE == 112
-
-#: Byte offset where ``header_sha`` starts (it covers [0:_SHA_OFFSET)).
-_SHA_OFFSET = HEADER_SIZE - 32
 
 FLAG_SYMMETRIC = 1
 FLAG_WEIGHTED = 2
@@ -112,33 +98,30 @@ FLAG_WEIGHTED = 2
 #: ingest RAM is a few arrays of this length, never the whole file.
 DEFAULT_CHUNK_EDGES = 1 << 20
 
-_CHUNK_BYTES = 1 << 20                          # checksum/copy read size
-
 #: Extensions the parser understands (´.gz´ composes with each).
 _FORMATS = {".el": False, ".wel": True, ".txt": False}
 
 
-class GraphStoreError(ValueError):
+class GraphStoreError(artifact.ArtifactError):
     """A graph-store file failed validation (corrupt, truncated, or
     wrong version).  The file is *not* trusted; callers should
-    quarantine it and rebuild from the source edge list."""
+    discard it and rebuild from the source edge list."""
 
 
-COUNTERS: dict[str, Counter] = {
-    name: Counter(f"graph_store_{name}")
-    for name in ("ingests", "opens", "maps", "writes", "corrupt",
-                 "rebuilt")
-}
+def _sections(n: int, e: int, flags: int, _reserved: int) -> list:
+    """``(dtype, length)`` of every array section, in file order."""
+    csr = [(OFFSET_DTYPE, n + 1), (VERTEX_DTYPE, e)]
+    if flags & FLAG_WEIGHTED:
+        csr.append((WEIGHT_DTYPE, e))
+    return csr if flags & FLAG_SYMMETRIC else csr + csr
 
 
-def counters_snapshot() -> dict[str, int]:
-    """Current value of every graph-store counter (name -> count)."""
-    return {name: c.value for name, c in COUNTERS.items()}
-
-
-def reset_counters() -> None:
-    for c in COUNTERS.values():
-        c.value = 0
+#: num_vertices, num_edges, flags, reserved.
+GRAPH = artifact.Kind(MAGIC, STORE_VERSION, "QQII", "graph_store",
+                      _sections, GraphStoreError, ("ingests", "rebuilt"))
+COUNTERS = GRAPH.counters
+counters_snapshot = GRAPH.counters_snapshot
+reset_counters = GRAPH.reset_counters
 
 
 def graphs_dir() -> Path:
@@ -364,17 +347,12 @@ def ingest_graph(path: str | os.PathLike, name: str | None = None,
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     COUNTERS["ingests"].inc()
-    if faults.active_plan() is not None:
-        site = f"graph:{dest.name}"
-        seq = _store_write_seq[site] = _store_write_seq.get(site, 0) + 1
-        faults.mangle_graph_file(dest, site, seq)
+    artifact.fault_hook(dest, f"graph:{dest.name}", _store_write_seq)
     return report
 
 
 #: Per-process count of store writes per path, feeding the fault
-#: injector's ``write_seq`` (mirrors the trace store's): with the
-#: default ``max_attempt=1`` only the *first* write of a graph file is
-#: damaged, so the rebuild after a quarantine lands clean.
+#: injector's ``write_seq`` (see :func:`repro.store.fault_hook`).
 _store_write_seq: dict[str, int] = {}
 
 
@@ -427,38 +405,36 @@ def _build_and_write(path, dest, scratch, name, n, deg, raw_m, raw_rows,
     out_oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
     np.cumsum(final_deg, out=out_oa[1:])
     e = int(out_oa[-1])
+    out_na = _scratch_memmap(out_na_path, VERTEX_DTYPE, e, "r")
+    out_w = (_scratch_memmap(out_w_path, WEIGHT_DTYPE, e, "r")
+             if weighted else None)
+    sections = [out_oa, out_na] + ([out_w] if weighted else [])
 
     # Pass 4: CSC from the finished out-CSR (directed graphs only).
-    in_paths = None
     if not symmetrize:
-        in_paths = _build_csc(scratch, out_oa, out_na_path,
-                              out_w_path if weighted else None,
-                              n, e, chunk_edges)
+        in_oa, in_na, in_w = _build_csc(scratch, out_oa, out_na, out_w,
+                                        n, e, chunk_edges)
+        sections += [in_oa, in_na] + ([in_w] if weighted else [])
 
-    _write_store(dest, name, path, n, e, out_oa, out_na_path,
-                 out_w_path if weighted else None, in_paths,
-                 symmetrize, weighted, num_vertices)
+    meta = {"name": name, "source": str(path), "num_vertices": n,
+            "num_edges": e, "symmetric": symmetrize, "weighted": weighted,
+            "requested_vertices": num_vertices}
+    flags = (FLAG_SYMMETRIC if symmetrize else 0) | \
+        (FLAG_WEIGHTED if weighted else 0)
+    artifact.write(GRAPH, dest, meta, (n, e, flags, 0), sections)
     return IngestReport(name, dest, n, e, raw_rows, symmetrize,
                         weighted)
 
 
-def _scratch_memmap(path: Path, dtype, length: int) -> np.ndarray:
+def _scratch_memmap(path: Path, dtype, length: int,
+                    mode: str = "w+") -> np.ndarray:
     if length == 0:
         return np.zeros(0, dtype=dtype)
-    return np.memmap(path, dtype=dtype, mode="w+", shape=(length,))
+    return np.memmap(path, dtype=dtype, mode=mode, shape=(length,))
 
 
-def _build_csc(scratch, out_oa, out_na_path, out_w_path, n, e,
-               chunk_edges):
+def _build_csc(scratch, out_oa, out_na, out_w, n, e, chunk_edges):
     """Stream the compacted out-CSR into in-adjacency arrays."""
-    out_na = (np.memmap(out_na_path, dtype=VERTEX_DTYPE, mode="r",
-                        shape=(e,)) if e else
-              np.zeros(0, dtype=VERTEX_DTYPE))
-    out_w = None
-    if out_w_path is not None:
-        out_w = (np.memmap(out_w_path, dtype=WEIGHT_DTYPE, mode="r",
-                           shape=(e,)) if e else
-                 np.zeros(0, dtype=WEIGHT_DTYPE))
     in_deg = np.zeros(n, dtype=np.int64)
     for v0, v1 in _vertex_ranges(out_oa, chunk_edges):
         lo, hi = int(out_oa[v0]), int(out_oa[v1])
@@ -479,124 +455,10 @@ def _build_csc(scratch, out_oa, out_na_path, out_w_path, n, e,
         dsts = np.asarray(out_na[lo:hi], dtype=np.int64)
         w = (np.asarray(out_w[lo:hi]) if in_w is not None else None)
         _scatter_chunk(cursor, dsts, srcs, w, in_na, in_w)
-    if e:
-        in_na.flush()
-        if in_w is not None:
-            in_w.flush()
-    return in_oa, scratch / "in_na.bin", (scratch / "in_w.bin"
-                                          if in_w is not None else None)
-
-
-def _meta_bytes(name, source, n, e, symmetric, weighted,
-                num_vertices) -> bytes:
-    meta = {
-        "name": name,
-        "source": str(source),
-        "num_vertices": n,
-        "num_edges": e,
-        "symmetric": symmetric,
-        "weighted": weighted,
-        "requested_vertices": num_vertices,
-    }
-    return json.dumps(meta, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def _stream_file(fh, src_path: Path, nbytes: int, sha) -> None:
-    if nbytes == 0 or not src_path.exists():
-        return
-    with open(src_path, "rb") as src:
-        while True:
-            chunk = src.read(_CHUNK_BYTES)
-            if not chunk:
-                break
-            sha.update(chunk)
-            fh.write(chunk)
-
-
-def _write_array(fh, arr: np.ndarray, sha) -> None:
-    data = np.ascontiguousarray(arr).tobytes()
-    sha.update(data)
-    fh.write(data)
-
-
-def _write_store(dest, name, source, n, e, out_oa, out_na_path,
-                 out_w_path, in_paths, symmetric, weighted,
-                 num_vertices) -> None:
-    meta = _meta_bytes(name, source, n, e, symmetric, weighted,
-                       num_vertices)
-    flags = (FLAG_SYMMETRIC if symmetric else 0) | \
-        (FLAG_WEIGHTED if weighted else 0)
-    tmp = dest.with_name(f"{dest.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"\0" * HEADER_SIZE)
-            sha = hashlib.sha256(meta)
-            fh.write(meta)
-            _write_array(fh, out_oa, sha)
-            _stream_file(fh, out_na_path,
-                         e * np.dtype(VERTEX_DTYPE).itemsize, sha)
-            if weighted:
-                _stream_file(fh, out_w_path,
-                             e * np.dtype(WEIGHT_DTYPE).itemsize, sha)
-            if not symmetric:
-                in_oa, in_na_path, in_w_path = in_paths
-                _write_array(fh, in_oa, sha)
-                _stream_file(fh, in_na_path,
-                             e * np.dtype(VERTEX_DTYPE).itemsize, sha)
-                if weighted:
-                    _stream_file(fh, in_w_path,
-                                 e * np.dtype(WEIGHT_DTYPE).itemsize,
-                                 sha)
-            head = _HEADER.pack(MAGIC, STORE_VERSION, HEADER_SIZE,
-                                len(meta), n, e, flags, 0,
-                                sha.digest(), b"\0" * 32)
-            header_sha = hashlib.sha256(head[:_SHA_OFFSET]).digest()
-            fh.seek(0)
-            fh.write(head[:_SHA_OFFSET] + header_sha)
-        os.replace(tmp, dest)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    COUNTERS["writes"].inc()
+    return in_oa, in_na, in_w
 
 
 # -- read -------------------------------------------------------------------
-
-def _section_sizes(n: int, e: int, flags: int) -> list[int]:
-    """Byte length of every array section, in file order."""
-    oa = (n + 1) * np.dtype(OFFSET_DTYPE).itemsize
-    na = e * np.dtype(VERTEX_DTYPE).itemsize
-    w = e * np.dtype(WEIGHT_DTYPE).itemsize
-    sizes = [oa, na]
-    if flags & FLAG_WEIGHTED:
-        sizes.append(w)
-    if not flags & FLAG_SYMMETRIC:
-        sizes.extend([oa, na])
-        if flags & FLAG_WEIGHTED:
-            sizes.append(w)
-    return sizes
-
-
-def _read_header(fh) -> tuple:
-    head = fh.read(HEADER_SIZE)
-    if len(head) < HEADER_SIZE:
-        raise GraphStoreError(f"truncated header ({len(head)} of "
-                              f"{HEADER_SIZE} bytes)")
-    (magic, version, header_size, meta_len, n, e, flags, _reserved,
-     payload_sha, header_sha) = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise GraphStoreError(f"bad magic {magic!r}")
-    if hashlib.sha256(head[:_SHA_OFFSET]).digest() != header_sha:
-        raise GraphStoreError("header checksum mismatch")
-    if version != STORE_VERSION:
-        raise GraphStoreError(f"unsupported graph-store version "
-                              f"{version} (this build reads "
-                              f"v{STORE_VERSION})")
-    if header_size != HEADER_SIZE:
-        raise GraphStoreError(f"bad header size {header_size}")
-    return meta_len, n, e, flags, payload_sha
-
 
 def read_header(path: str | os.PathLike) -> dict:
     """Validate and return the header of a graph-store file.
@@ -604,20 +466,13 @@ def read_header(path: str | os.PathLike) -> dict:
     Raises :class:`GraphStoreError` on any header-level problem,
     including a file-size/section mismatch (truncation).
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        meta_len, n, e, flags, payload_sha = _read_header(fh)
-    expected = HEADER_SIZE + meta_len + sum(_section_sizes(n, e, flags))
-    actual = path.stat().st_size
-    if actual != expected:
-        raise GraphStoreError(f"file size {actual} != expected "
-                              f"{expected} (truncated or padded)")
+    meta_len, (n, e, flags, _), payload_sha = artifact.read_header(
+        GRAPH, path)
     return {"meta_len": meta_len, "num_vertices": n, "num_edges": e,
             "flags": flags, "payload_sha": payload_sha.hex()}
 
 
-def open_graph(path: str | os.PathLike, mapped: bool = True,
-               verify_payload: bool = True) -> CSRGraph:
+def open_graph(path: str | os.PathLike, mapped: bool = True) -> CSRGraph:
     """Open a v1 graph-store file as a :class:`CSRGraph`.
 
     With ``mapped=True`` (the default) every array is a *read-only*
@@ -625,136 +480,56 @@ def open_graph(path: str | os.PathLike, mapped: bool = True,
     across all worker processes.  ``mapped=False`` materializes
     private in-RAM copies (the in-memory half of the byte-equality
     tests).  Any validation failure raises :class:`GraphStoreError`;
-    callers should quarantine the file (see :func:`load_ingested`).
+    callers should discard the file (see :func:`load_ingested`).
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        meta_len, n, e, flags, payload_sha = _read_header(fh)
-        sizes = _section_sizes(n, e, flags)
-        expected = HEADER_SIZE + meta_len + sum(sizes)
-        actual = path.stat().st_size
-        if actual != expected:
-            raise GraphStoreError(f"file size {actual} != expected "
-                                  f"{expected} (truncated or padded)")
-        meta_raw = fh.read(meta_len)
-        if len(meta_raw) != meta_len:
-            raise GraphStoreError("truncated metadata block")
-        if verify_payload:
-            h = hashlib.sha256(meta_raw)
-            while True:
-                chunk = fh.read(_CHUNK_BYTES)
-                if not chunk:
-                    break
-                h.update(chunk)
-            if h.digest() != payload_sha:
-                raise GraphStoreError("payload checksum mismatch")
-    try:
-        meta = json.loads(meta_raw.decode("utf-8"))
-    except ValueError as exc:
-        raise GraphStoreError(f"bad metadata block: {exc}") from None
-
-    weighted = bool(flags & FLAG_WEIGHTED)
-    symmetric = bool(flags & FLAG_SYMMETRIC)
-    offset = HEADER_SIZE + meta_len
-    arrays = []
-    specs = [(OFFSET_DTYPE, n + 1), (VERTEX_DTYPE, e)]
-    if weighted:
-        specs.append((WEIGHT_DTYPE, e))
-    if not symmetric:
-        specs.extend([(OFFSET_DTYPE, n + 1), (VERTEX_DTYPE, e)])
-        if weighted:
-            specs.append((WEIGHT_DTYPE, e))
-    for dtype, length in specs:
-        if mapped and length:
-            arrays.append(np.memmap(path, dtype=dtype, mode="r",
-                                    offset=offset, shape=(length,)))
-        else:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                arrays.append(np.fromfile(fh, dtype=dtype,
-                                          count=length))
-        offset += length * np.dtype(dtype).itemsize
-    if mapped:
-        COUNTERS["maps"].inc()
-    COUNTERS["opens"].inc()
-
-    it = iter(arrays)
-    out_oa, out_na = next(it), next(it)
-    out_w = next(it) if weighted else None
-    if symmetric:
-        in_oa, in_na, in_w = out_oa, out_na, out_w
-    else:
-        in_oa, in_na = next(it), next(it)
-        in_w = next(it) if weighted else None
+    meta, (_, _, flags, _), arrays = artifact.read(GRAPH, path, mapped)
+    # The out-CSR leads and the in-CSR trails; a symmetric graph stores
+    # one CSR that serves as both.
+    k = 3 if flags & FLAG_WEIGHTED else 2
+    out_oa, out_na, out_w = (arrays[:k] + [None])[:3]
+    in_oa, in_na, in_w = (arrays[-k:] + [None])[:3]
     graph = CSRGraph(out_oa=out_oa, out_na=out_na, in_oa=in_oa,
                      in_na=in_na, out_weights=out_w, in_weights=in_w,
-                     symmetric=symmetric,
-                     name=str(meta.get("name", path.stem)))
+                     symmetric=bool(flags & FLAG_SYMMETRIC),
+                     name=str(meta.get("name", Path(path).stem)))
     graph.validate()
     return graph
 
 
-def _salvage_source(path: Path) -> dict | None:
-    """Best-effort metadata read from a possibly-damaged store file.
-
-    A ``corrupt`` scribble usually lands in the (large) array sections
-    and a ``truncate`` keeps the small header+meta prefix, so the
-    source path needed for a rebuild generally survives.  Returns the
-    parsed metadata dict, or ``None`` when even that is gone.
-    """
-    try:
-        with open(path, "rb") as fh:
-            meta_len, *_ = _read_header(fh)
-            meta_raw = fh.read(meta_len)
-        if len(meta_raw) != meta_len:
-            return None
-        meta = json.loads(meta_raw.decode("utf-8"))
-        return meta if isinstance(meta, dict) else None
-    except (OSError, ValueError, GraphStoreError):
-        return None
-
-
 def load_ingested(name: str, mapped: bool = True) -> CSRGraph:
-    """Open an ingested graph by name, with quarantine + rebuild.
+    """Open an ingested graph by name, with discard + rebuild.
 
-    A store file that fails validation is quarantined to the shared
-    ``results/quarantine/`` directory and rebuilt from its recorded
-    source edge-list file exactly once (two-round loop, mirroring
+    A store file that fails validation is discarded (a corrupt one
+    quarantined to the shared ``results/quarantine/`` directory) and
+    rebuilt from its recorded source edge-list file exactly once
+    (two-round loop, mirroring
     :func:`repro.experiments.workloads.workload_trace`); a second
     consecutive failure, or a vanished source file, raises
     :class:`GraphStoreError`.
     """
     from repro.experiments.workloads import trace_quarantine_dir
     path = store_path(name)
-    last: GraphStoreError | None = None
     for round_ in range(2):
-        if path.exists():
-            try:
-                return open_graph(path, mapped=mapped)
-            except GraphStoreError as exc:
-                last = exc
-                COUNTERS["corrupt"].inc()
-                meta = _salvage_source(path)
-                quarantine_file(path, trace_quarantine_dir())
-                if round_ == 0 and meta and \
-                        Path(str(meta.get("source", ""))).exists():
-                    ingest_graph(meta["source"], name=name,
-                                 symmetrize=bool(meta.get("symmetric")),
-                                 num_vertices=meta.get(
-                                     "requested_vertices"),
-                                 force=True)
-                    COUNTERS["rebuilt"].inc()
-                    continue
+        if not path.exists():
+            raise GraphStoreError(
+                f"no ingested graph {name!r} (looked for {path}); "
+                f"ingest one with: repro ingest <edges.el[.gz]> "
+                f"--name {name}")
+        try:
+            return open_graph(path, mapped=mapped)
+        except GraphStoreError as exc:
+            meta = artifact.read_meta(GRAPH, path) or {}
+            artifact.discard(GRAPH, path, exc, trace_quarantine_dir())
+            source = str(meta.get("source") or "")
+            if round_ or not source or not Path(source).exists():
                 raise GraphStoreError(
                     f"graph store {path.name}: {exc} (quarantined; "
                     f"no readable source to rebuild from)") from exc
-        else:
-            break
-    if last is not None:
-        raise last
-    raise GraphStoreError(
-        f"no ingested graph {name!r} (looked for {path}); "
-        f"ingest one with: repro ingest <edges.el[.gz]> --name {name}")
+            ingest_graph(source, name=name,
+                         symmetrize=bool(meta.get("symmetric")),
+                         num_vertices=meta.get("requested_vertices"),
+                         force=True)
+            COUNTERS["rebuilt"].inc()
 
 
 # -- synthetic weights for weighted kernels on unweighted inputs ------------

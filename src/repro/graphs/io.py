@@ -8,7 +8,7 @@ Formats (``.gz`` composes with every text format)::
     .wel[.gz]     src dst w      GAP weighted edge list
     .txt[.gz]     src dst        SNAP dump (# comments ignored)
     .npz          CSR arrays     this package's compressed container
-    .graph        CSR arrays     ingest store (v1 envelope, mappable)
+    .graph        CSR arrays     ingest store (v1, mappable)
 
 ``load_edgelist`` streams the file in bounded chunks through
 :func:`repro.graphs.ingest.iter_edge_chunks`, so the raw rows never
@@ -113,17 +113,16 @@ def save_binary(graph: CSRGraph, path) -> Path:
 def load_binary(path, mapped: bool = False) -> CSRGraph:
     """Reload a graph saved by :func:`save_binary` or ``ingest``.
 
-    Dispatches on file content: the v1 graph-store envelope (magic
+    Dispatches on file content: a v1 graph-store file (magic
     ``REPROGRF``) opens through :func:`repro.graphs.ingest.open_graph`
     — pass ``mapped=True`` for zero-copy read-only ``np.memmap``
     views — while an ``.npz`` container loads eagerly (``mapped`` is
     ignored; npz is compressed and cannot be mapped).
     """
+    from repro import store
     from repro.graphs import ingest
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(ingest.MAGIC))
-    if magic == ingest.MAGIC:
+    if store.sniff(ingest.GRAPH, path):
         return ingest.open_graph(path, mapped=mapped)
     with np.load(path, allow_pickle=False) as z:
         graph = CSRGraph(

@@ -56,6 +56,7 @@ from repro.service.queue import (CANCELLED, DONE, FAILED, LEASED,
                                  PENDING, Journal, LeaseQueue)
 from repro.service.schemas import (CellResult, Health, JobProgress,
                                    JobRequest, JobStatus, SubmitResponse)
+from repro.store import atomic_write
 from repro.telemetry import events as tele_events
 
 #: Telemetry run id of the service's event log: one ``events-service
@@ -191,15 +192,8 @@ class Orchestrator:
                 "cells_total": len(job.keys)}
         if job.progress_snapshot is not None:
             data["progress"] = job.progress_snapshot.to_dict()
-        path = self._job_path(job.id)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_write(self._job_path(job.id)) as fh:
+            fh.write(json.dumps(data, indent=1).encode("utf-8"))
 
     def _feed(self, job: _Job, result: CellResult) -> None:
         import json
@@ -457,8 +451,6 @@ class Orchestrator:
             # Fold worker shards a dead predecessor never merged.
             self.events.merge_worker_shards()
         for path in sorted(self._jobs_dir.glob("*.json")):
-            if ".tmp." in path.name:
-                continue
             try:
                 with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)

@@ -251,7 +251,7 @@ class CellResult:
     source: str | None = None           # run | cache
     attempts: int = 0
     seconds: float | None = None
-    payload_sha: str | None = None      # results-cache envelope hash
+    payload_sha: str | None = None      # results-cache payload hash
     error: str | None = None
 
     def to_dict(self) -> dict:

@@ -28,6 +28,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.store import atomic_write
+
 #: Every event name the schema admits (see telemetry.schema).
 EVENT_NAMES = (
     "grid_started", "grid_finished",
@@ -112,62 +114,36 @@ class EventLog:
 
     def merge_worker_shards(self) -> int:
         """Fold worker shard files into the main log, globally sorted
-        by timestamp; returns the number of events merged.
-
-        Unparseable shard lines (a worker killed mid-write) are
-        dropped — the main log must stay schema-valid.
-        """
-        records = []
-        shards = sorted(self.directory.glob(
-            f"events-{file_run_id(self.run_id, self.shard)}.w*.jsonl"))
-        for shard in shards:
-            try:
-                text = shard.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            for line in text.splitlines():
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    continue
-        if records:
-            self.close()
-            try:
-                main = [json.loads(line) for line in
-                        self.path.read_text(encoding="utf-8")
-                        .splitlines()]
-            except (OSError, ValueError):
-                main = []
-            main.extend(records)
-            main.sort(key=lambda r: r.get("ts", 0.0))
-            tmp = self.path.with_name(
-                f"{self.path.name}.tmp.{os.getpid()}")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for r in main:
-                    fh.write(json.dumps(r, separators=(",", ":")) + "\n")
-            os.replace(tmp, self.path)
-        for shard in shards:
-            try:
-                shard.unlink()
-            except OSError:
-                pass
-        return len(records)
+        by timestamp; returns the number of events merged."""
+        self.close()
+        return _fold(self.path, sorted(self.directory.glob(
+            f"events-{file_run_id(self.run_id, self.shard)}.w*.jsonl")))
 
 
 def merge_shard_logs(directory, run_id: str) -> int:
     """Fold per-grid-shard event logs (``events-<run_id>.shard-*-of-*
     .jsonl``) into the main ``events-<run_id>.jsonl``, globally sorted
-    by timestamp; returns the number of records folded in.  Folded
-    shard logs are removed so a re-merge never duplicates records.
-    Called by ``repro merge`` after a sharded sweep's manifests are
-    validated and stitched (docs/RESILIENCE.md § Sharded sweeps)."""
+    by timestamp; returns the number of records folded in.  Called by
+    ``repro merge`` after a sharded sweep's manifests are validated and
+    stitched (docs/RESILIENCE.md § Sharded sweeps)."""
     directory = Path(directory)
-    main_path = events_path(directory, run_id)
-    shard_logs = [p for p in
-                  sorted(directory.glob(f"events-{run_id}.shard-*.jsonl"))
-                  if ".w" not in p.name[len(f"events-{run_id}"):]]
+    logs = [p for p in
+            sorted(directory.glob(f"events-{run_id}.shard-*.jsonl"))
+            if ".w" not in p.name[len(f"events-{run_id}"):]]
+    return _fold(events_path(directory, run_id), logs)
+
+
+def _fold(main_path: Path, logs: list[Path]) -> int:
+    """Merge JSONL ``logs`` into ``main_path`` sorted by timestamp, then
+    remove them (so a re-merge never duplicates records); returns the
+    number of records folded in.
+
+    Unparseable lines (a writer killed mid-line) are dropped — the main
+    log must stay schema-valid.  The rewrite is atomic: if it fails, the
+    main log and the logs are left as they were.
+    """
     records = []
-    for log in shard_logs:
+    for log in logs:
         try:
             text = log.read_text(encoding="utf-8")
         except OSError:
@@ -176,7 +152,7 @@ def merge_shard_logs(directory, run_id: str) -> int:
             try:
                 records.append(json.loads(line))
             except ValueError:
-                continue        # torn line from a killed supervisor
+                continue
     if records:
         try:
             main = [json.loads(line) for line in
@@ -185,12 +161,10 @@ def merge_shard_logs(directory, run_id: str) -> int:
             main = []
         main.extend(records)
         main.sort(key=lambda r: r.get("ts", 0.0))
-        tmp = main_path.with_name(f"{main_path.name}.tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for r in main:
-                fh.write(json.dumps(r, separators=(",", ":")) + "\n")
-        os.replace(tmp, main_path)
-    for log in shard_logs:
+        with atomic_write(main_path) as fh:
+            fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n"
+                             for r in main).encode("utf-8"))
+    for log in logs:
         try:
             log.unlink()
         except OSError:

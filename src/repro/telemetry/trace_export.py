@@ -28,6 +28,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.store import atomic_write
 from repro.telemetry.events import events_path, read_events
 
 #: Synthetic tid for supervisor-lane instant markers.
@@ -223,12 +224,6 @@ def write_trace(trace: dict, out_path) -> Path:
     """Atomic write of a trace document; returns the final path."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_name(f"{out_path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh, separators=(",", ":"))
-        os.replace(tmp, out_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(out_path) as fh:
+        fh.write(json.dumps(trace, separators=(",", ":")).encode("utf-8"))
     return out_path

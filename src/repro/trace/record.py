@@ -31,10 +31,11 @@ be scattered with NumPy fancy indexing (DESIGN.md substitution #1
 keeps trace generation tractable).
 
 **Serialization.** :meth:`Trace.save`/:meth:`Trace.load` round-trip
-the legacy compressed ``.npz`` form (format v7) and remain only as the
-migration source.  Cached workload traces live in the versioned,
-checksummed, memory-mappable v8 store (:mod:`repro.trace.store`,
-docs/TRACES.md), whose record block is this dtype byte-for-byte.
+the legacy compressed ``.npz`` form (format v7), which the engine
+benchmark compares with the store.  Cached workload traces live in
+the versioned, checksummed, memory-mappable v8 store
+(:mod:`repro.trace.store`, docs/TRACES.md), whose record block is
+this dtype byte-for-byte.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
-        """Read a legacy v7 ``.npz`` trace (the store's migration source)."""
+        """Read a legacy v7 ``.npz`` trace."""
         with np.load(path, allow_pickle=False) as z:
             space = AddressSpace()
             # Re-register regions preserving their original bases.

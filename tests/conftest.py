@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 # Keep disk trace caching inside the repo workspace, versioned per run.
-os.environ.setdefault("REPRO_CACHE_DIR", ".repro_cache")
+# An empty value counts as unset (it would mean the working directory).
+if not os.environ.get("REPRO_CACHE_DIR"):
+    os.environ["REPRO_CACHE_DIR"] = ".repro_cache"
 
 from repro.config import SystemConfig, paper_config, scaled_config
 from repro.graphs import (grid_road_graph, kronecker_graph,

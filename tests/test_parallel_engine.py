@@ -105,17 +105,6 @@ class TestResultsCache:
         cache.put(key, {"x": 1})
         assert cache.get(key) == {"x": 1}
 
-    def test_checksum_mismatch_is_corrupt(self, cache):
-        import json
-        key = "ce" + "3" * 62
-        cache.put(key, {"x": 1.5})
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
-        entry["payload"]["x"] = 2.5        # valid JSON, wrong checksum
-        path.write_text(json.dumps(entry))
-        assert cache.get(key) is None
-        assert cache.corrupt == 1 and cache.hits == 0
-
     def test_clear(self, cache):
         for i in range(3):
             cache.put(f"{i:02d}" + "2" * 62, {"i": i})

@@ -224,7 +224,7 @@ class TestMergeValidation:
         key = next(k for k, c in m.cells.items()
                    if c["status"] == "done")
         path = cache._path(key)
-        path.write_text(path.read_text()[:40])   # torn write
+        path.write_bytes(path.read_bytes()[:40])  # torn write
         fresh = rc.ResultsCache(tmp_path / "results")
         with pytest.raises(ShardMergeError) as ei:
             merge_shards("v", runs, cache=fresh)

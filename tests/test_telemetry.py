@@ -5,6 +5,7 @@ the run_grid integration."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -292,6 +293,34 @@ class TestEventLog:
             '{"ts": 2.0, "run_id": "run1", "pi', encoding="utf-8")
         assert log.merge_worker_shards() == 1
         log.close()
+
+    @pytest.mark.parametrize("grid_shard", [False, True])
+    def test_failed_merge_write_keeps_main_log(self, tmp_path,
+                                               monkeypatch, grid_shard):
+        log = tele_events.EventLog(tmp_path, "run1")
+        log.emit("grid_started", total_cells=1)
+        log.close()
+        main = tele_events.events_path(tmp_path, "run1")
+        before = main.read_bytes()
+        part = (tele_events.events_path(tmp_path, "run1", shard=(0, 2))
+                if grid_shard else
+                tele_events.shard_path(tmp_path, "run1", 7))
+        part.write_text('{"ts": 1.0, "run_id": "run1", "pid": 7, '
+                        '"event": "cell_exec_started", "key": "k", '
+                        '"attempt": 1}\n', encoding="utf-8")
+
+        def disk_full(*a, **k):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            if grid_shard:
+                tele_events.merge_shard_logs(tmp_path, "run1")
+            else:
+                log.merge_worker_shards()
+        assert main.read_bytes() == before
+        assert part.exists()                # nothing folded, nothing lost
+        assert not list(tmp_path.glob("*.tmp.*"))
 
     def test_latest_run_id_ignores_shards(self, tmp_path):
         assert tele_events.latest_run_id(tmp_path) is None
@@ -592,23 +621,6 @@ class TestRunGridTelemetry:
 
 
 class TestStaleEnvelopes:
-    def test_v1_entry_is_stale_not_corrupt(self, tmp_path):
-        cache = rc.ResultsCache(tmp_path)
-        key = "ab" + "0" * 62
-        payload = {"x": 1}
-        cache.put(key, payload)
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
-        entry["v"] = 1
-        path.write_text(json.dumps(entry), encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.stale == 1 and cache.corrupt == 0
-        assert not path.exists()                    # unlinked, not moved
-        assert not cache.quarantine_dir.exists()
-        # Absent now: plain miss, no second stale count.
-        assert cache.get(key) is None
-        assert cache.stale == 1 and cache.misses == 2
-
     def test_corrupt_entry_still_quarantined(self, tmp_path):
         cache = rc.ResultsCache(tmp_path)
         key = "cd" + "0" * 62
@@ -617,19 +629,6 @@ class TestStaleEnvelopes:
         assert cache.get(key) is None
         assert cache.corrupt == 1 and cache.stale == 0
         assert cache.quarantined == 1
-
-    def test_future_version_is_corrupt(self, tmp_path):
-        # An envelope from *newer* code is unreadable by us: quarantine
-        # rather than deleting what a newer process may still want.
-        cache = rc.ResultsCache(tmp_path)
-        key = "ef" + "0" * 62
-        cache.put(key, {"x": 1})
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
-        entry["v"] = rc.ENVELOPE_VERSION + 1
-        path.write_text(json.dumps(entry), encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.corrupt == 1 and cache.stale == 0
 
 
 class TestProgressPrinter:

@@ -1,7 +1,8 @@
 """Tests for the v8 memory-mapped trace store (repro.trace.store) and
 its integration with the workload trace cache: round trips, corruption
-and truncation quarantine, v7 migration, concurrent multi-process
-mapping, and mapped-vs-in-memory simulation equivalence."""
+and truncation quarantine, concurrent multi-process mapping, and
+mapped-vs-in-memory simulation equivalence.  Format damage is covered
+for every artifact kind by tests/test_store.py."""
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
@@ -76,39 +77,6 @@ class TestStoreFormat:
         assert store.is_store_file(path)
         assert not store.is_store_file(tmp_path / "absent")
 
-    @pytest.mark.parametrize("damage", [
-        ("magic", lambda b: b"XXXXXXXX" + b[8:]),
-        ("header-byte", lambda b: b[:20] + bytes([b[20] ^ 0xFF]) + b[21:]),
-        ("truncated-header", lambda b: b[:40]),
-        ("truncated-records", lambda b: b[:-10]),
-        ("record-byte", lambda b: b[:-10] + bytes([b[-10] ^ 0xFF])
-                                  + b[-9:]),
-        ("meta-byte", lambda b: b[:110] + bytes([b[110] ^ 0xFF])
-                                + b[111:]),
-    ])
-    def test_damage_detected(self, tmp_path, damage):
-        label, mangle = damage
-        t = _toy_trace()
-        path = tmp_path / "t.trace"
-        store.write_trace(t, path)
-        path.write_bytes(mangle(path.read_bytes()))
-        with pytest.raises(store.TraceStoreError):
-            store.open_trace(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        t = _toy_trace()
-        path = tmp_path / "t.trace"
-        store.write_trace(t, path)
-        # Patch the version field and re-sign the header: a structurally
-        # valid file from a *different* format version must be refused,
-        # not misread.
-        data = bytearray(path.read_bytes())
-        data[8:12] = (99).to_bytes(4, "little")
-        data[72:104] = hashlib.sha256(bytes(data[:72])).digest()
-        path.write_bytes(bytes(data))
-        with pytest.raises(store.TraceStoreError, match="version"):
-            store.open_trace(path)
-
     def test_store_version_matches_cache_key_version(self):
         # The on-disk format version and the trace-cache key version are
         # one contract; bumping one without the other silently serves
@@ -162,39 +130,6 @@ class TestWorkloadCacheIntegration:
         assert len(list(workloads.trace_quarantine_dir()
                         .glob("*.bad"))) == 1
         assert store.counters_snapshot()["corrupt"] >= 1
-
-    def test_v7_npz_migrates_to_store(self, cache, monkeypatch):
-        # Build the trace once, save it in the legacy v7 .npz format at
-        # the legacy path, and drop the v8 entry.
-        wl = workloads.Workload("pr", "urand")
-        t = workload_trace("pr.urand", **MICRO)
-        legacy = workloads._legacy_trace_path(wl, **MICRO)
-        with open(legacy, "wb") as fh:
-            t.save(fh)
-        v8 = workloads._trace_path(wl, **MICRO)
-        v8.unlink()
-        store.reset_counters()
-
-        # Migration must not regenerate.
-        monkeypatch.setattr(
-            workloads, "_generate",
-            lambda *a, **kw: pytest.fail("migration must not regenerate"))
-        u = workload_trace("pr.urand", **MICRO)
-        assert np.array_equal(u.accesses, t.accesses)
-        assert isinstance(u.accesses, np.memmap)
-        assert v8.exists() and not legacy.exists()
-        snap = store.counters_snapshot()
-        assert snap["migrations"] == 1 and snap["stale"] == 1
-
-    def test_unreadable_v7_is_quarantined(self, cache):
-        wl = workloads.Workload("cc", "urand")
-        legacy = workloads._legacy_trace_path(wl, **MICRO)
-        legacy.write_bytes(b"not an npz at all")
-        t = workload_trace("cc.urand", **MICRO)   # regenerates
-        assert len(t) > 0
-        assert not legacy.exists()
-        assert len(list(workloads.trace_quarantine_dir()
-                        .glob("*.bad"))) == 1
 
     def test_no_cache_returns_in_memory_trace(self, cache):
         t = workload_trace("pr.urand", use_cache=False, **MICRO)
