@@ -154,6 +154,12 @@ def main(argv=None) -> int:
                       default=None,
                       help="simulation engine (default: $REPRO_BACKEND "
                            "or ref)")
+    pdse.add_argument("--telemetry", nargs="?", const="", default=None,
+                      metavar="DIR",
+                      help="record windowed metrics and a JSONL event "
+                           "log per rung grid (DIR defaults to "
+                           "<cache>/telemetry; see "
+                           "docs/OBSERVABILITY.md)")
 
     ptl = sub.add_parser(
         "timeline",
@@ -906,6 +912,7 @@ def _dse(args) -> int:
     policy = RunPolicy(timeout=args.timeout, retries=args.retries)
     progress = ProgressPrinter() \
         if (args.progress or args.jobs > 1) else None
+    tdir = _activate_telemetry(args)
     try:
         result = run_study(
             seed=seed, n=candidates, rungs=rungs,
@@ -929,6 +936,10 @@ def _dse(args) -> int:
         print(f"Completed cells are checkpointed; the same command "
               f"retries only the rest.")
         return 1
+    finally:
+        if tdir is not None:
+            from repro import telemetry as tele
+            tele.deactivate()
     print(render_frontier(result))
     print()
     print(f"  cells: {result.cells_simulated} simulated, "

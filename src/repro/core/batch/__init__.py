@@ -5,7 +5,10 @@ The public seam is small on purpose:
 * :func:`resolve_backend` — name resolution (``arg`` > ``REPRO_BACKEND``
   env var > ``"ref"``);
 * :func:`try_run_batch` — run a trace through the compiled SoA kernel,
-  or return ``None`` to signal "fall back to the reference loop";
+  or return ``None`` to signal "fall back to the reference loop"
+  (a kernel error raises :class:`KernelError`);
+* :func:`fallback_counts` — this process's refusals so far, keyed by
+  :func:`unsupported_reason`;
 * :func:`kernel_available` — can this host compile/load the kernel?
 
 See docs/PERFORMANCE.md ("Backends") for the design and A/B recipe.
@@ -15,7 +18,10 @@ from __future__ import annotations
 
 import os
 
-from repro.core.batch.backend import try_run_batch, unsupported_reason
+from repro.core.batch.backend import (KernelError, fallback_counts,
+                                      record_fallback,
+                                      reset_fallback_counts, try_run_batch,
+                                      unsupported_reason)
 from repro.core.batch.build import (compile_kernel, kernel_available,
                                     load_kernel, source_digest)
 
@@ -32,5 +38,6 @@ def resolve_backend(backend: str | None = None) -> str:
 
 
 __all__ = ["BACKENDS", "resolve_backend", "try_run_batch",
-           "unsupported_reason", "kernel_available", "compile_kernel",
-           "load_kernel", "source_digest"]
+           "unsupported_reason", "KernelError", "fallback_counts",
+           "record_fallback", "reset_fallback_counts", "kernel_available",
+           "compile_kernel", "load_kernel", "source_digest"]

@@ -5,16 +5,21 @@ seam in ``SingleCoreSystem.run``.  It either simulates the whole trace
 through the compiled structure-of-arrays kernel (``kernel.c``) and
 returns a ``SystemStats`` that is bit-identical to what the reference
 Python loop would have produced — including post-run cache/predictor/
-TLB/DRAM state written back into the live Python objects — or returns
-``None``, in which case the caller falls back to the reference path.
+TLB/DRAM/replacement-policy state written back into the live Python
+objects — or returns ``None``, in which case the caller falls back to
+the reference path.  Every refusal is counted per process by its
+:func:`unsupported_reason` (see :func:`fallback_counts`), and a kernel
+that returns an error raises :class:`KernelError` instead of falling
+back.
 
-Fallback rules (any one triggers ``None``):
+Refusal rules (any one triggers ``None``):
 
 * the kernel could not be compiled/loaded (no C compiler, load error);
 * invariant checking is armed (``check_every != 0`` — the per-access
   hooks need the Python loop);
 * a structure uses a policy/prefetcher outside the supported set
-  (inlined LRU, T-OPT Belady, distill LOC+WOC; next-line and SPP
+  (inlined LRU everywhere but the LLC, which may also run T-OPT Belady,
+  distill LOC+WOC, SRRIP, DRRIP or SHiP; next-line and SPP
   prefetchers) — notably the generic-LRU differential twin
   (``_lru is None``) falls back, keeping that twin meaningful;
 * the system is not fresh (non-empty caches or non-zero counters):
@@ -24,26 +29,84 @@ Fallback rules (any one triggers ``None``):
 from __future__ import annotations
 
 import ctypes
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 
 from repro.config import BLOCK_BITS
 from repro.core.batch.build import load_kernel
+from repro.core.clp import LEVEL_WEIGHTS, CLPEntry
 from repro.core.lp import LPEntry, LPStats
 from repro.core.sdcdir import SDCDirStats
-from repro.mem.cache import CacheStats, SetAssocCache
+from repro.mem.cache import (CacheStats, SetAssocCache, group_sets,
+                             ordered_slots)
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMStats
 from repro.mem.prefetch import NextLinePrefetcher, SPPPrefetcher
-from repro.mem.replacement import BeladyOPT
+from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, SHiPPolicy,
+                                   SRRIPPolicy)
 from repro.mem.tlb import TLBStats
 from repro.telemetry.probes import WindowProbe, _Snapshot
 
-NBUF = 87
-ICFG_LEN = 80
+NBUF = 91
+ICFG_LEN = 88
 
 _I64 = np.int64
 _U8 = np.uint8
+
+# Codes shared with kernel.c, which refuses any other value.
+PATH_PLAIN, PATH_SDC, PATH_VICTIM, PATH_BYPASS = range(4)
+(LLC_LRU, LLC_BELADY, LLC_DISTILL, LLC_SRRIP, LLC_DRRIP,
+ LLC_SHIP) = range(6)
+PRED_NONE, PRED_LP, PRED_EXPERT, PRED_CLP = range(4)
+
+#: Access path per variant; also the variant allowlist, the second
+#: guard behind the kernel's own code check.
+_PATHS = {
+    "baseline": PATH_PLAIN, "topt": PATH_PLAIN, "distill": PATH_PLAIN,
+    "l1iso": PATH_PLAIN, "llc2x": PATH_PLAIN,
+    "sdc_lp": PATH_SDC, "expert": PATH_SDC, "sdc_clp": PATH_SDC,
+    "sdc_lp_tagless": PATH_SDC,
+    "victim": PATH_VICTIM, "lp_bypass": PATH_BYPASS,
+}
+_KERNEL_VARIANTS = frozenset(_PATHS)
+
+_RRIP_KINDS = {SRRIPPolicy: LLC_SRRIP, DRRIPPolicy: LLC_DRRIP,
+               SHiPPolicy: LLC_SHIP}
+
+#: Nonzero returns of ``repro_batch_run``.
+KERNEL_ERRORS = {
+    1: "timer buffer allocation failed",
+    2: "telemetry buffer overflow",
+    3: "unknown path code",
+    4: "unknown LLC kind",
+    5: "unknown predictor code",
+}
+
+
+class KernelError(RuntimeError):
+    """The kernel returned an error code for a run it was handed."""
+
+
+#: backend="batch" refusals in this process, by unsupported_reason.
+_fallbacks: Counter = Counter()
+
+
+def fallback_counts() -> dict[str, int]:
+    """Refusals of the batch backend so far in this process, keyed by
+    the :func:`unsupported_reason` string (empty when every requested
+    batch run took the kernel)."""
+    return dict(_fallbacks)
+
+
+def reset_fallback_counts() -> None:
+    _fallbacks.clear()
+
+
+def record_fallback(reason: str) -> None:
+    """Count one batch request that ran on the reference loop."""
+    _fallbacks[reason] += 1
 
 
 def _zeros(n, dtype=_I64):
@@ -84,13 +147,38 @@ class _CacheSoA:
         return [self.tags, self.prio, self.seq, self.dirty, self.pf,
                 self.occ, self.stats]
 
-    def writeback(self, order: str, clock: int) -> None:
+    def writeback(self, order: str, clock: int) -> np.ndarray:
         cache = self.cache
-        cache.import_soa(
+        slots = cache.import_soa(
             {"tags": self.tags, "prio": self.prio, "seq": self.seq,
              "dirty": self.dirty, "pf": self.pf},
             order=order, clock=clock)
-        cache.stats = CacheStats(*(int(v) for v in self.stats))
+        cache.stats = CacheStats(*self.stats.tolist())
+        return slots
+
+
+class _Table:
+    """Flat arrays for one fresh set-associative index table (LP/CLP,
+    SDCDir, a TLB level): a key column (-1 = empty), value columns, a
+    dict-order column, per-set occupancy."""
+
+    def __init__(self, sets: int, ways: int, values: int):
+        n = sets * ways
+        self.sets, self.ways = sets, ways
+        self.keys = _full(n, -1)
+        self.cols = [_zeros(n) for _ in range(values)]
+        self.order = _zeros(n)
+        self.occ = _zeros(sets)
+
+    def rebuild(self, make=None, order=None) -> list[dict]:
+        """Per-set dicts ``key -> make(*cols)`` (``cols[0]`` alone when
+        ``make`` is None), in ``order`` (default: the order column)."""
+        slots, set_ids = ordered_slots(
+            self.keys, self.order if order is None else order, self.ways)
+        cols = [c[slots].tolist() for c in self.cols]
+        values = cols[0] if make is None else list(map(make, *cols))
+        return group_sets(self.sets, set_ids, self.keys[slots].tolist(),
+                          values)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +186,7 @@ class _CacheSoA:
 # ---------------------------------------------------------------------------
 
 def _cache_fresh(cache: SetAssocCache) -> bool:
-    return (all(len(s) == 0 for s in cache.sets)
+    return (not any(cache.sets)
             and cache.stats == CacheStats()
             and getattr(cache.policy, "_clock", 0) == 0)
 
@@ -108,19 +196,30 @@ def _plain_lru_ok(cache: SetAssocCache) -> bool:
             and cache._policy_miss is None)
 
 
-_KERNEL_VARIANTS = frozenset({
-    "baseline", "sdc_lp", "topt", "distill", "l1iso", "llc2x",
-    "expert", "victim", "lp_bypass",
-})
+def _llc_kind(llc) -> int | None:
+    """The kernel's code for an LLC, None when it has no model of it."""
+    if isinstance(llc, DistillCache):
+        return LLC_DISTILL
+    if llc._lru is not None:
+        return LLC_LRU
+    pol = llc.policy
+    if type(pol) is BeladyOPT:
+        return LLC_BELADY if pol.irregular_only else None
+    return _RRIP_KINDS.get(type(pol))
+
+
+def _predictor(system) -> int:
+    if system.variant == "expert":
+        return PRED_EXPERT
+    if system.clp is not None:
+        return PRED_CLP
+    return PRED_LP if system.lp is not None else PRED_NONE
 
 
 def unsupported_reason(system, trace) -> str | None:
     """Why this run cannot take the batch kernel (None = it can)."""
     if load_kernel() is None:
         return "kernel unavailable"
-    # Explicit allowlist: the kernel dispatches unknown variants to the
-    # baseline path, so anything it was not written for (sdc_clp,
-    # sdc_lp_tagless, future variants) must be refused, not mis-run.
     if system.variant not in _KERNEL_VARIANTS:
         return f"variant {system.variant!r} not implemented by the kernel"
     if system._check_every:
@@ -134,7 +233,8 @@ def unsupported_reason(system, trace) -> str | None:
             return f"{name} not fresh"
 
     llc = h.llc
-    if isinstance(llc, DistillCache):
+    kind = _llc_kind(llc)
+    if kind == LLC_DISTILL:
         if not _plain_lru_ok(llc.loc):
             return "distill LOC policy not inlined LRU"
         if not _cache_fresh(llc.loc):
@@ -142,17 +242,10 @@ def unsupported_reason(system, trace) -> str | None:
         if (llc._clock or llc.woc_hits or llc.usage
                 or any(llc.woc) or llc.stats != CacheStats()):
             return "distill WOC not fresh"
-    elif isinstance(llc, SetAssocCache):
-        if llc._policy_bind is not None or llc._policy_miss is not None:
-            return "llc policy needs set binding"
-        if llc._lru is None:
-            pol = llc.policy
-            if not (isinstance(pol, BeladyOPT) and pol.irregular_only):
-                return "llc policy unsupported"
-        if not _cache_fresh(llc):
-            return "llc not fresh"
-    else:
-        return "unknown llc type"
+    elif kind is None:
+        return "llc policy unsupported"
+    elif not _cache_fresh(llc):
+        return "llc not fresh"
 
     for name, extra in (("sdc", system.sdc), ("victim", system.victim)):
         if extra is not None:
@@ -175,14 +268,10 @@ def unsupported_reason(system, trace) -> str | None:
     if h.dram.stats != DRAMStats() or any(r != -1 for r in h.dram.open_rows):
         return "dram not fresh"
 
-    lp = system.lp
-    if lp is not None and lp.config.tagless:
-        # A tagless LPConfig can be hand-attached to any LP-bearing
-        # variant; the kernel only models the tagged lookup.
-        return "tagless lp unsupported by the kernel"
-    if lp is not None and (lp._clock or lp.stats != LPStats()
-                           or any(lp.sets)):
-        return "lp not fresh"
+    for name, pred in (("lp", system.lp), ("clp", system.clp)):
+        if pred is not None and (pred._clock or pred.stats != LPStats()
+                                 or any(pred.sets)):
+            return f"{name} not fresh"
     d = system.sdcdir
     if d is not None and (d._clock or d.stats != SDCDirStats()
                           or any(d.sets)):
@@ -195,8 +284,7 @@ def unsupported_reason(system, trace) -> str | None:
 
     acc = trace.accesses
     if len(acc):
-        blocks = (acc["addr"] >> BLOCK_BITS).astype(np.int64)
-        if int(blocks.min()) < 0:
+        if int(acc["addr"].min()) >> BLOCK_BITS < 0:
             return "negative block address"
         deps = acc["dep"]
         if int(deps.max(initial=-1)) >= len(acc):
@@ -209,7 +297,11 @@ def unsupported_reason(system, trace) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _aux_arrays(system, trace, blocks):
-    """(aux_mode, aux_next, aux_irr, aux_word) for the kernel."""
+    """(aux_mode, aux_next, aux_irr, aux_word) for the kernel.
+
+    Mode 3 marks a SHiP LLC, whose aux is the access PC: the kernel
+    reads it from the PC column it already has.
+    """
     from repro.core.system import distill_aux_words, topt_aux_arrays
     if system.variant == "topt":
         nxt, irr = topt_aux_arrays(trace, blocks)
@@ -219,6 +311,8 @@ def _aux_arrays(system, trace, blocks):
         words = distill_aux_words(trace)
         return 2, _zeros(1), _zeros(1, _U8), \
             np.ascontiguousarray(words, dtype=_I64)
+    if system.config.llc.replacement == "ship":
+        return 3, _zeros(1), _zeros(1, _U8), _zeros(1)
     return 0, _zeros(1), _zeros(1, _U8), _zeros(1)
 
 
@@ -228,8 +322,14 @@ def _aux_arrays(system, trace, blocks):
 
 def try_run_batch(system, trace, record_levels=False, warmup=0,
                   flush_sdc_every=None):
-    """Run the trace through the C kernel; None when unsupported."""
-    if unsupported_reason(system, trace) is not None:
+    """Run the trace through the C kernel; None when unsupported.
+
+    Raises :class:`KernelError` when the kernel returns an error code;
+    the Python objects are untouched then.
+    """
+    reason = unsupported_reason(system, trace)
+    if reason is not None:
+        record_fallback(reason)
         return None
     lib = load_kernel()
     h = system.hierarchy
@@ -248,8 +348,8 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
 
     aux_mode, aux_next, aux_irr, aux_word = _aux_arrays(
         system, trace, blocks)
-    expert = system.variant == "expert"
-    if expert:
+    pred = _predictor(system)
+    if pred == PRED_EXPERT:
         from repro.core.system import expert_block_mask
         expert_irr = np.ascontiguousarray(
             expert_block_mask(trace, system.expert_regions), dtype=_U8)
@@ -257,21 +357,16 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         expert_irr = _zeros(1, _U8)
 
     llc = h.llc
-    distill = isinstance(llc, DistillCache)
-    if distill:
-        llc_kind = 2
-    elif llc._lru is not None:
-        llc_kind = 0
-    else:
-        llc_kind = 1
-    path = {"sdc_lp": 1, "expert": 1, "victim": 2, "lp_bypass": 3}.get(
-        system.variant, 0)
+    llc_kind = _llc_kind(llc)
+    distill = llc_kind == LLC_DISTILL
+    policy = None if distill else llc.policy
 
     c_l1 = _CacheSoA(h.l1d)
     c_l2 = _CacheSoA(h.l2c)
     c_l3 = _CacheSoA(llc.loc if distill else llc)
     c_sd = _CacheSoA(system.sdc)
     c_vc = _CacheSoA(system.victim)
+    l3_n = c_l3.sets * c_l3.ways
 
     # Distill WOC (dummy-sized when the LLC is not a distill cache).
     woc_cap = llc.woc_capacity if distill else 1
@@ -283,46 +378,43 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     woc_len = _zeros(c_l3.sets if distill else 1)
     dstats = _zeros(9)
 
+    # RRIP-family LLC state: DRRIP's leader role per set, SHiP's SHCT
+    # and per-slot signature/reuse bits (dummies for other kinds).
+    llc_role = _zeros(c_l3.sets if llc_kind == LLC_DRRIP else 1, _U8)
+    if llc_kind == LLC_DRRIP:
+        for role, leaders in ((1, policy._srrip_leaders),
+                              (2, policy._brrip_leaders)):
+            llc_role[[s for s in leaders if s < c_l3.sets]] = role
+    ship = llc_kind == LLC_SHIP
+    shct = np.array(policy.shct, dtype=_I64) if ship else _zeros(1)
+    ship_sig = _zeros(l3_n if ship else 1)
+    ship_reused = _zeros(l3_n if ship else 1, _U8)
+
     dram = h.dram
     dram_rows = _full(dram._banks, -1)
     dram_stats = _zeros(5)
 
-    lp = system.lp
-    lp_sets = lp.num_sets if lp is not None else 1
-    lp_ways = lp.ways if lp is not None else 1
-    lp_n = lp_sets * lp_ways
-    lp_tag = _full(lp_n, -1)
-    lp_addr = _zeros(lp_n)
-    lp_sacc = _zeros(lp_n)
-    lp_stamp = _zeros(lp_n)
-    lp_ord = _zeros(lp_n)
-    lp_occ = _zeros(lp_sets)
-    lp_stats = _zeros(5)
+    # One predictor table: the LP (addr, s_acc, stamp) or the CLP
+    # (its counter in the s_acc column, addr unused).
+    lp, clp = system.lp, system.clp
+    pt = lp if lp is not None else clp
+    ptab = _Table(pt.num_sets if pt is not None else 1,
+                  pt.ways if pt is not None else 1, 3)
+    pt_max = (lp._s_acc_max if lp is not None
+              else clp._ctr_max if clp is not None else 0)
+    pt_stats = _zeros(5)
 
     sdcdir = system.sdcdir
     dir_sets = sdcdir.num_sets if sdcdir is not None else 1
     dir_ways = sdcdir.ways if sdcdir is not None else 1
-    dir_n = dir_sets * dir_ways
-    dir_block = _full(dir_n, -1)
-    dir_shar = _zeros(dir_n)
-    dir_dirtyc = _zeros(dir_n)
-    dir_stamp = _zeros(dir_n)
-    dir_occ = _zeros(dir_sets)
+    dtab = _Table(dir_sets, dir_ways, 3)      # sharers, dirty core, stamp
     dir_stats = _zeros(4)
 
     tlb = system.tlb
-    t1_sets = tlb.l1.num_sets if tlb_on else 1
-    t1_ways = tlb.l1.ways if tlb_on else 1
-    t2_sets = tlb.l2.num_sets if tlb_on else 1
-    t2_ways = tlb.l2.ways if tlb_on else 1
-    t1_page = _full(t1_sets * t1_ways, -1)
-    t1_stamp = _zeros(t1_sets * t1_ways)
-    t1_ord = _zeros(t1_sets * t1_ways)
-    t1_occ = _zeros(t1_sets)
-    t2_page = _full(t2_sets * t2_ways, -1)
-    t2_stamp = _zeros(t2_sets * t2_ways)
-    t2_ord = _zeros(t2_sets * t2_ways)
-    t2_occ = _zeros(t2_sets)
+    t1 = _Table(tlb.l1.num_sets if tlb_on else 1,
+                tlb.l1.ways if tlb_on else 1, 1)
+    t2 = _Table(tlb.l2.num_sets if tlb_on else 1,
+                tlb.l2.ways if tlb_on else 1, 1)
     tlb_stats = _zeros(4)
 
     l2_spp = h.l2_prefetcher is not None
@@ -337,7 +429,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     tele_every = system._telemetry_every
     tele_capacity = (n // tele_every + 2) if tele_every else 1
     tele = _zeros(tele_capacity * 11)
-    misc = _zeros(24)
+    misc = _zeros(32)
     dmisc = _zeros(4, np.float64)
     levels = _zeros(n if record_levels else 1, _U8)
     completions = _zeros(n, np.float64)
@@ -345,7 +437,8 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     core = config.core
     icfg_vals = [0] * ICFG_LEN
     icfg_vals[0:16] = [
-        n, path, llc_kind, 1 if lp is not None else 0, 1 if expert else 0,
+        n, _PATHS[system.variant], llc_kind, pred,
+        1 if lp is not None and lp.config.tagless else 0,
         min(warmup, n), 1 if warmup else 0, flush_sdc_every or 0,
         tele_every, 1 if record_levels else 0, 1 if tlb_on else 0,
         1 if h.l1_prefetcher is not None else 0, 1 if l2_spp else 0,
@@ -365,17 +458,17 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         sdcdir.latency if sdcdir is not None else 0,
     ]
     icfg_vals[47:53] = [
-        lp_sets, lp_ways,
-        lp._set_bits if lp is not None else 0,
-        lp._set_mask if lp is not None else 0,
-        lp.tau if lp is not None else 0,
-        lp._s_acc_max if lp is not None else 0,
+        ptab.sets, ptab.ways,
+        pt._set_bits if pt is not None else 0,
+        pt._set_mask if pt is not None else 0,
+        pt.tau if pt is not None else 0,
+        pt_max,
     ]
     icfg_vals[53:58] = [dram._banks, dram._row_bits, dram._lat_hit,
                         dram._lat_miss, dram._lat_conflict]
-    icfg_vals[58:61] = [t1_sets, t1_ways,
+    icfg_vals[58:61] = [t1.sets, t1.ways,
                         tlb.l1._set_mask if tlb_on else 0]
-    icfg_vals[61:64] = [t2_sets, t2_ways,
+    icfg_vals[61:64] = [t2.sets, t2.ways,
                         tlb.l2._set_mask if tlb_on else 0]
     icfg_vals[64] = tlb.l2.config.latency if tlb_on else 0
     icfg_vals[65] = tlb.walk_latency if tlb_on else 0
@@ -386,43 +479,53 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     icfg_vals[70] = config.l1d.latency
     icfg_vals[71] = tele_capacity
     icfg_vals[72] = llc.latency
+    if llc_kind == LLC_DRRIP:
+        icfg_vals[73:77] = [policy.psel, policy._psel_max,
+                            policy._brrip_tick, policy.BRRIP_EPSILON]
+    if ship:
+        icfg_vals[77:79] = [policy.TABLE_SIZE, policy.COUNTER_MAX]
+    icfg_vals[79:84] = LEVEL_WEIGHTS[:5]
 
-    usage = _zeros(c_l3.sets * c_l3.ways, _U8)
+    usage = _zeros(l3_n, _U8)
     buffers = (
         c_l1.buffers() + c_l2.buffers() + c_l3.buffers()
         + c_sd.buffers() + c_vc.buffers()
         + [usage]
         + [woc_block, woc_word, woc_stamp, woc_len, dstats,
            dram_rows, dram_stats,
-           lp_tag, lp_addr, lp_sacc, lp_stamp, lp_ord, lp_occ, lp_stats,
-           dir_block, dir_shar, dir_dirtyc, dir_stamp, dir_occ, dir_stats,
-           t1_page, t1_stamp, t1_ord, t1_occ,
-           t2_page, t2_stamp, t2_ord, t2_occ, tlb_stats,
+           ptab.keys, *ptab.cols, ptab.order, ptab.occ, pt_stats,
+           dtab.keys, *dtab.cols, dtab.occ, dir_stats,
+           t1.keys, *t1.cols, t1.order, t1.occ,
+           t2.keys, *t2.cols, t2.order, t2.occ, tlb_stats,
            sp_deltas, sp_counts, sp_len, sp_tot,
            tk_page, tk_off, tk_sig,
            tele, misc, dmisc,
            blocks, pcs, writes, gaps, deps, pages,
            aux_next, aux_irr, aux_word, expert_irr,
-           levels, completions]
+           levels, completions,
+           llc_role, shct, ship_sig, ship_reused]
     )
     assert len(buffers) == NBUF
 
-    icfg_c = (ctypes.c_int64 * ICFG_LEN)(*[int(v) for v in icfg_vals])
+    icfg_c = (ctypes.c_int64 * ICFG_LEN)(*icfg_vals)
     bufs_c = (ctypes.c_void_p * NBUF)(
-        *[b.ctypes.data_as(ctypes.c_void_p).value for b in buffers])
+        *[b.__array_interface__["data"][0] for b in buffers])
     rc = lib.repro_batch_run(icfg_c, bufs_c)
     if rc != 0:
-        return None          # caller reruns through the reference path
+        raise KernelError(f"batch kernel returned error {rc} "
+                          f"({KERNEL_ERRORS.get(rc, 'unknown error')}) "
+                          f"for variant {system.variant!r}")
 
     # ---- write state and stats back into the Python objects ----------
-    c_l1.writeback("prio", int(misc[3]))
-    c_l2.writeback("prio", int(misc[4]))
+    misc_l = misc.tolist()
+    c_l1.writeback("prio", misc_l[3])
+    c_l2.writeback("prio", misc_l[4])
     if distill:
         c_l3.cache = llc.loc
-        c_l3.writeback("prio", int(misc[5]))
-        llc.stats = CacheStats(*(int(v) for v in dstats))
-        llc._clock = int(misc[7])
-        llc.woc_hits = int(misc[15])
+        c_l3.writeback("prio", misc_l[5])
+        llc.stats = CacheStats(*dstats.tolist())
+        llc._clock = misc_l[7]
+        llc.woc_hits = misc_l[15]
         for si in range(llc.num_sets):
             base = si * woc_slots
             llc.woc[si] = {
@@ -438,96 +541,85 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
                     llc.usage[loc._join(si, int(c_l3.tags[j]))] = \
                         int(usage[j])
     else:
-        c_l3.writeback("prio" if llc_kind == 0 else "seq", int(misc[5]))
-        if llc_kind == 1:
-            llc.policy._clock = int(misc[6])
+        # Non-LRU sets keep install order (no move-to-end).
+        slots = c_l3.writeback("prio" if llc_kind == LLC_LRU else "seq",
+                               misc_l[5])
+        if llc_kind == LLC_BELADY:
+            policy._clock = misc_l[6]
+        elif llc_kind == LLC_DRRIP:
+            policy.psel, policy._brrip_tick, policy._set_idx = \
+                misc_l[22:25]
+        elif ship:
+            policy.shct = shct.tolist()
+            keys = [id(line) for lines in llc.sets
+                    for line in lines.values()]
+            policy._sig = dict(zip(keys, ship_sig[slots].tolist()))
+            policy._reused = dict(zip(
+                keys, (ship_reused[slots] != 0).tolist()))
     if system.sdc is not None:
-        c_sd.writeback("prio", int(misc[8]))
+        c_sd.writeback("prio", misc_l[8])
     if system.victim is not None:
-        c_vc.writeback("prio", int(misc[9]))
+        c_vc.writeback("prio", misc_l[9])
 
-    dram.stats = DRAMStats(*(int(v) for v in dram_stats))
-    dram.open_rows = [int(v) for v in dram_rows]
+    dram.stats = DRAMStats(*dram_stats.tolist())
+    dram.open_rows = dram_rows.tolist()
 
-    if lp is not None:
-        lp.stats = LPStats(*(int(v) for v in lp_stats))
-        lp._clock = int(misc[10])
-        for si in range(lp_sets):
-            base = si * lp_ways
-            slots = sorted(
-                (w for w in range(lp_ways) if lp_tag[base + w] >= 0),
-                key=lambda w: lp_ord[base + w])
-            lp.sets[si] = {
-                int(lp_tag[base + w]): LPEntry(
-                    int(lp_addr[base + w]), int(lp_sacc[base + w]),
-                    int(lp_stamp[base + w]))
-                for w in slots}
+    if pt is not None:
+        pt.stats = LPStats(*pt_stats.tolist())
+        pt._clock = misc_l[10]
+        pt.sets[:] = ptab.rebuild(
+            LPEntry if lp is not None
+            else lambda _, ctr, stamp: CLPEntry(ctr, stamp))
     if sdcdir is not None:
         st = sdcdir.stats
-        st.lookups, st.hits, st.inserts, st.evictions = (
-            int(v) for v in dir_stats)
-        sdcdir._clock = int(misc[12])
-        for si in range(dir_sets):
-            base = si * dir_ways
-            slots = sorted(
-                (w for w in range(dir_ways) if dir_block[base + w] >= 0),
-                key=lambda w: dir_stamp[base + w])
-            sdcdir.sets[si] = {
-                int(dir_block[base + w]): [
-                    int(dir_shar[base + w]), int(dir_dirtyc[base + w]),
-                    int(dir_stamp[base + w])]
-                for w in slots}
+        st.lookups, st.hits, st.inserts, st.evictions = dir_stats.tolist()
+        sdcdir._clock = misc_l[12]
+        # SDCDir sets stay in stamp (recency) order.
+        sdcdir.sets[:] = dtab.rebuild(lambda *e: list(e),
+                                      order=dtab.cols[2])
     if tlb_on:
-        tlb.stats = TLBStats(*(int(v) for v in tlb_stats))
-        for level, pg, stmp, order, sets, ways, clock in (
-                (tlb.l1, t1_page, t1_stamp, t1_ord, t1_sets, t1_ways,
-                 int(misc[13])),
-                (tlb.l2, t2_page, t2_stamp, t2_ord, t2_sets, t2_ways,
-                 int(misc[14]))):
-            level._clock = clock
-            for si in range(sets):
-                base = si * ways
-                slots = sorted(
-                    (w for w in range(ways) if pg[base + w] >= 0),
-                    key=lambda w: order[base + w])
-                level.sets[si] = {int(pg[base + w]): int(stmp[base + w])
-                                  for w in slots}
+        tlb.stats = TLBStats(*tlb_stats.tolist())
+        tlb.l1._clock, tlb.l2._clock = misc_l[13], misc_l[14]
+        tlb.l1.sets[:] = t1.rebuild()
+        tlb.l2.sets[:] = t2.rebuild()
     if l2_spp:
         pf2 = h.l2_prefetcher
-        pf2.trackers = {int(tk_page[j]): [int(tk_off[j]), int(tk_sig[j])]
-                        for j in range(len(tk_page))
-                        if tk_page[j] != -1}
-        pf2.patterns, pf2.totals = {}, {}
-        for sig in range(4096):
-            m = int(sp_len[sig])
-            if m or sp_tot[sig]:
-                base = sig * 127
-                pf2.patterns[sig] = {
-                    int(sp_deltas[base + k]): int(sp_counts[base + k])
-                    for k in range(m)}
-                pf2.totals[sig] = int(sp_tot[sig])
+        live = np.flatnonzero(tk_page != -1)
+        pf2.trackers = dict(zip(
+            tk_page[live].tolist(),
+            map(list, zip(tk_off[live].tolist(), tk_sig[live].tolist()))))
+        # Each live signature's first len entries of its 127-slot row,
+        # gathered into one flat run, then cut back into per-row dicts.
+        sigs = np.flatnonzero(sp_len | sp_tot)
+        lens = sp_len[sigs]
+        flat = (np.repeat(sigs * 127 - (np.cumsum(lens) - lens), lens)
+                + np.arange(int(lens.sum())))
+        entries = zip(sp_deltas[flat].tolist(), sp_counts[flat].tolist())
+        sig_l = sigs.tolist()
+        pf2.patterns = {sig: dict(islice(entries, m))
+                        for sig, m in zip(sig_l, lens.tolist())}
+        pf2.totals = dict(zip(sig_l, sp_tot[sigs].tolist()))
 
     # ---- assemble the result (mirrors the reference run()'s tail) ----
     from repro.core.system import SystemStats
     timeline = None
     if tele_every:
         probe = WindowProbe(tele_every, lambda: None)
-        nrows = int(misc[1])
-        for r in range(nrows):
-            snap = _Snapshot(*(int(v) for v in tele[r * 11:(r + 1) * 11]))
+        for row in tele[:misc_l[1] * 11].reshape(-1, 11).tolist():
+            snap = _Snapshot(*row)
             probe._snap_fn = (lambda s=snap: s)
             probe.sample()
         timeline = probe.timeline()
     return SystemStats(
         variant=system.variant,
-        instructions=int(misc[0]),
+        instructions=misc_l[0],
         cycles=max(float(dmisc[0]), float(dmisc[1])),
         l1d=h.l1d.stats,
         l2c=h.l2c.stats,
         llc=h.llc.stats,
         sdc=system.sdc.stats if system.sdc else None,
         dram=dram.stats,
-        lp=lp.stats if lp else None,
+        lp=pt.stats if pt is not None else None,
         levels=levels if record_levels else None,
         tlb=tlb.stats if tlb else None,
         timeline=timeline)

@@ -13,15 +13,22 @@
  *   - Belady victim (first maximal in dict order) == max prio with
  *     min install-sequence tie-break (non-LRU sets never reorder);
  *   - min(d, key=d.get) == min-stamp scan (stamps unique);
+ *   - RRIP victim (age the set one step at a time until a line reaches
+ *     MAX_RRPV, then the first such line in dict order) == age every
+ *     line by MAX_RRPV - max RRPV once, then the min-seq line at
+ *     MAX_RRPV (non-LRU sets keep install order, as for Belady);
  *   - heapq pop order is determined by the value multiset alone;
  *   - C IEEE-754 doubles replicate CPython float arithmetic.
+ *
+ * The run refuses, with a nonzero return before touching any buffer,
+ * every path, LLC-kind or predictor code it does not implement.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI_VERSION 1
+#define ABI_VERSION 2
 
 /* CacheStats slots (field order of repro.mem.cache.CacheStats). */
 enum { ACC = 0, HIT, MISS, PFF, PFH, WB, EV, FILL, INV };
@@ -29,6 +36,14 @@ enum { ACC = 0, HIT, MISS, PFF, PFH, WB, EV, FILL, INV };
 enum { DREADS = 0, DWRITES, DROWH, DROWM, DROWC };
 /* Level codes (repro.mem.hierarchy). */
 enum { L1D_LV = 0, L2C_LV, LLC_LV, DRAM_LV, SDC_LV };
+/* Access paths, LLC kinds and predictors (repro.core.batch.backend). */
+enum { PATH_PLAIN = 0, PATH_SDC, PATH_VICTIM, PATH_BYPASS, N_PATHS };
+enum { LLC_LRU = 0, LLC_BELADY, LLC_DISTILL, LLC_SRRIP, LLC_DRRIP,
+       LLC_SHIP, N_LLC_KINDS };
+enum { PRED_NONE = 0, PRED_LP, PRED_EXPERT, PRED_CLP, N_PREDICTORS };
+/* Nonzero returns of repro_batch_run. */
+enum { ERR_ALLOC = 1, ERR_TELEMETRY, ERR_PATH, ERR_LLC_KIND,
+       ERR_PREDICTOR };
 
 static const int64_t NEVER = (int64_t)1 << 62;
 
@@ -44,7 +59,7 @@ static Cache L1, L2, L3, SD, VC;
 static const int64_t *g_icfg;
 static void **g_bufs;
 
-static int64_t g_path, g_llc_kind, g_has_lp, g_use_expert;
+static int64_t g_path, g_llc_kind, g_pred, g_lp_tagless;
 static int64_t g_l1_next_line, g_l2_spp, g_sdc_pf, g_aux_mode;
 static int64_t g_sdc_miss_dir_lat, g_llc_lat, g_dir_lat;
 
@@ -58,11 +73,22 @@ static int64_t g_belady_clock;
 static int64_t *g_rows, *g_dram;
 static int64_t g_banks, g_row_bits, g_lat_hit, g_lat_miss, g_lat_conf;
 
-/* lp */
+/* predictor table: the LP, or the CLP (its counter rides g_lp_sacc) */
 static int64_t *g_lp_tag, *g_lp_addr, *g_lp_sacc, *g_lp_stamp, *g_lp_ord;
 static int64_t *g_lp_occ, *g_lp_stats;
 static int64_t g_lp_sets, g_lp_ways, g_lp_set_bits, g_lp_set_mask;
 static int64_t g_lp_tau, g_lp_smax, g_lp_clock, g_lp_ordc;
+static int64_t g_clp_weight[5], g_clp_slot;
+
+/* RRIP-family LLC (SRRIP/DRRIP/SHiP in repro.mem.replacement) */
+#define MAX_RRPV 3
+static const uint8_t *g_llc_role;   /* DRRIP: 1 SRRIP leader, 2 BRRIP */
+static int64_t g_psel, g_psel_max, g_brrip_tick, g_brrip_eps;
+static int64_t g_drrip_set;
+static int64_t *g_shct, *g_ship_sig;  /* SHiP: SHCT, per-slot signature */
+static uint8_t *g_ship_reused;
+static int64_t g_shct_mask, g_shct_max;
+static const int64_t *g_pcs;
 
 /* sdcdir */
 static int64_t *g_db, *g_dsh, *g_ddc, *g_dst, *g_docc, *g_dirstats;
@@ -129,13 +155,93 @@ static inline int64_t bl_prio(int has_aux, int64_t nu, int irr) {
     return nu;
 }
 
-/* Demand lookup (SetAssocCache.access).  kind 0 = LRU, 1 = Belady.
+/* DRRIP selector: leader-set misses steer PSEL (DRRIPPolicy.on_miss). */
+static inline void drrip_miss(int64_t s) {
+    if (g_llc_role[s] == 1) {
+        if (g_psel < g_psel_max)
+            g_psel++;
+    } else if (g_llc_role[s] == 2) {
+        if (g_psel > 0)
+            g_psel--;
+    }
+}
+
+/* Replacement update of a resident line on a hit or re-fill (on_hit):
+ * kind is an LLC_* code; the private caches are always LLC_LRU. */
+static inline void c_touch(Cache *c, int64_t i, int kind, int has_aux,
+                           int64_t nu, int irr) {
+    if (kind == LLC_LRU) {
+        c->prio[i] = ++c->clock;
+    } else if (kind == LLC_BELADY) {
+        c->prio[i] = bl_prio(has_aux, nu, irr);
+    } else {
+        c->prio[i] = 0;
+        if (kind == LLC_SHIP && !g_ship_reused[i]) {
+            /* first reuse of the line trains its signature up */
+            g_ship_reused[i] = 1;
+            if (g_shct[g_ship_sig[i]] < g_shct_max)
+                g_shct[g_ship_sig[i]]++;
+        }
+    }
+}
+
+/* RRIP victim of a full set (policy.victim): age the set until a line
+ * reaches MAX_RRPV, take the first such line in install order; SHiP
+ * then retires it, training a never-reused signature down. */
+static int64_t rrip_victim(Cache *c, int64_t base, int kind) {
+    int64_t w, maxv = -1, best = -1, bs = 0;
+    for (w = 0; w < c->ways; w++)
+        if (c->tags[base + w] >= 0 && c->prio[base + w] > maxv)
+            maxv = c->prio[base + w];
+    if (maxv < MAX_RRPV)
+        for (w = 0; w < c->ways; w++)
+            if (c->tags[base + w] >= 0)
+                c->prio[base + w] += MAX_RRPV - maxv;
+    for (w = 0; w < c->ways; w++) {
+        int64_t j = base + w;
+        if (c->tags[j] >= 0 && c->prio[j] >= MAX_RRPV &&
+                (best < 0 || c->seq[j] < bs)) {
+            bs = c->seq[j];
+            best = j;
+        }
+    }
+    if (kind == LLC_SHIP && !g_ship_reused[best] &&
+            g_shct[g_ship_sig[best]] > 0)
+        g_shct[g_ship_sig[best]]--;
+    return best;
+}
+
+/* RRIP insertion RRPV of a newly installed line (policy.on_fill). */
+static int64_t rrip_insert(int64_t slot, int64_t s, int kind, int has_aux,
+                           int64_t pc) {
+    if (kind == LLC_SRRIP)
+        return MAX_RRPV - 1;
+    if (kind == LLC_DRRIP) {
+        int brrip = g_llc_role[s] == 1 ? 0
+                  : g_llc_role[s] == 2 ? 1
+                  : g_psel > g_psel_max / 2;
+        if (!brrip)
+            return MAX_RRPV - 1;
+        g_brrip_tick++;
+        return g_brrip_tick % g_brrip_eps == 0 ? MAX_RRPV - 1 : MAX_RRPV;
+    }
+    /* SHiP: a fill without a PC (writeback) signs as PC 0 */
+    int64_t p = has_aux ? pc : 0;
+    int64_t sig = (p ^ (p >> 7)) & g_shct_mask;
+    g_ship_sig[slot] = sig;
+    g_ship_reused[slot] = 0;
+    return g_shct[sig] == 0 ? MAX_RRPV : MAX_RRPV - 1;
+}
+
+/* Demand lookup (SetAssocCache.access); kind is an LLC_* code.
  * Returns slot index on hit, -1 on miss. */
 static int64_t c_access_k(Cache *c, int64_t b, int write, int kind,
                           int has_aux, int64_t nu, int irr) {
     int64_t s = c_set(c, b), t = c_tagof(c, b);
     int64_t i = c_find(c, s, t);
     c->stats[ACC]++;
+    if (kind == LLC_DRRIP)
+        g_drrip_set = s;
     if (i >= 0) {
         c->stats[HIT]++;
         if (c->pf[i]) {
@@ -144,18 +250,17 @@ static int64_t c_access_k(Cache *c, int64_t b, int write, int kind,
         }
         if (write)
             c->dirty[i] = 1;
-        if (kind == 0)
-            c->prio[i] = ++c->clock;
-        else
-            c->prio[i] = bl_prio(has_aux, nu, irr);
+        c_touch(c, i, kind, has_aux, nu, irr);
         return i;
     }
     c->stats[MISS]++;
+    if (kind == LLC_DRRIP)
+        drrip_miss(s);
     return -1;
 }
 
 static inline int64_t c_access(Cache *c, int64_t b, int write) {
-    return c_access_k(c, b, write, 0, 0, 0, 0);
+    return c_access_k(c, b, write, LLC_LRU, 0, 0, 0);
 }
 
 /* Install (SetAssocCache.fill).  Returns 0 = re-fill, 1 = install into
@@ -167,22 +272,21 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
     int64_t s = c_set(c, b), t = c_tagof(c, b);
     int64_t base = s * c->ways;
     int64_t i = c_find(c, s, t), w, slot = -1;
+    if (kind == LLC_DRRIP)
+        g_drrip_set = s;
     if (i >= 0) {
         if (dirty)
             c->dirty[i] = 1;
         if (!pf)
             c->pf[i] = 0;
-        if (kind == 0)
-            c->prio[i] = ++c->clock;
-        else
-            c->prio[i] = bl_prio(has_aux, nu, irr);
+        c_touch(c, i, kind, has_aux, nu, irr);
         if (slot_out)
             *slot_out = i;
         return 0;
     }
     int evicted = 0;
     if (c->occ[s] >= c->ways) {
-        if (kind == 0) {
+        if (kind == LLC_LRU) {
             /* LRU: min prio (== first key of the move-to-end dict). */
             int64_t bp = 0, best = -1;
             for (w = 0; w < c->ways; w++) {
@@ -195,7 +299,7 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
                 }
             }
             slot = best;
-        } else {
+        } else if (kind == LLC_BELADY) {
             /* Belady: max prio, first-in-dict-order (min seq) ties. */
             int64_t bp = -1, bs = 0, best = -1;
             for (w = 0; w < c->ways; w++) {
@@ -210,6 +314,8 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
                 }
             }
             slot = best;
+        } else {
+            slot = rrip_victim(c, base, kind);
         }
         c->stats[EV]++;
         if (c->dirty[slot])
@@ -231,10 +337,12 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
     c->tags[slot] = t;
     c->dirty[slot] = dirty ? 1 : 0;
     c->pf[slot] = pf ? 1 : 0;
-    if (kind == 0)
+    if (kind == LLC_LRU)
         c->prio[slot] = ++c->clock;
-    else
+    else if (kind == LLC_BELADY)
         c->prio[slot] = bl_prio(has_aux, nu, irr);
+    else
+        c->prio[slot] = rrip_insert(slot, s, kind, has_aux, nu);
     c->seq[slot] = ++c->seqc;
     c->stats[FILL]++;
     if (pf)
@@ -246,7 +354,7 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
 
 static inline int c_fill(Cache *c, int64_t b, int dirty, int pf,
                          int64_t *evb, int *evd) {
-    return c_fill_k(c, b, dirty, pf, 0, 0, 0, 0, evb, evd, NULL);
+    return c_fill_k(c, b, dirty, pf, LLC_LRU, 0, 0, 0, evb, evd, NULL);
 }
 
 /* invalidate: returns (was_present, was_dirty) packed as 2*p + d. */
@@ -397,7 +505,8 @@ static int dist_access(int64_t b, int write, int64_t word) {
 static int dist_fill(int64_t b, int dirty, int pf, int64_t word,
                      int64_t *evb, int *evd) {
     int64_t slot;
-    int r = c_fill_k(&L3, b, dirty, pf, 0, 0, 0, 0, evb, evd, &slot);
+    int r = c_fill_k(&L3, b, dirty, pf, LLC_LRU, 0, 0, 0, evb, evd,
+                     &slot);
     if (r == 0) {
         g_usage[slot] |= (uint8_t)1 << word;
         return 0;
@@ -416,7 +525,7 @@ static int dist_fill(int64_t b, int dirty, int pf, int64_t word,
 }
 
 /* ---------------------------------------------------------------- */
-/* LLC dispatch (kind 0 = LRU, 1 = Belady/T-OPT, 2 = distill)        */
+/* LLC dispatch on g_llc_kind (an LLC_* code)                        */
 /* ---------------------------------------------------------------- */
 
 static inline int64_t aux_word_at(int has_aux, int64_t i) {
@@ -424,25 +533,28 @@ static inline int64_t aux_word_at(int has_aux, int64_t i) {
 }
 
 static int llc_access(int64_t b, int write, int has_aux, int64_t i) {
-    if (g_llc_kind == 2)
+    if (g_llc_kind == LLC_DISTILL)
         return dist_access(b, write, aux_word_at(has_aux, i));
-    if (g_llc_kind == 1)
-        return c_access_k(&L3, b, write, 1, has_aux,
+    if (g_llc_kind == LLC_BELADY)
+        return c_access_k(&L3, b, write, LLC_BELADY, has_aux,
                           has_aux ? g_aux_next[i] : 0,
                           has_aux ? g_aux_irr[i] : 0) >= 0;
-    return c_access(&L3, b, write) >= 0;
+    return c_access_k(&L3, b, write, (int)g_llc_kind, 0, 0, 0) >= 0;
 }
 
+/* A fill with has_aux carries access i's aux: its next use for Belady,
+ * its PC for SHiP (writebacks fill without one). */
 static int llc_fill(int64_t b, int dirty, int pf, int has_aux, int64_t i,
                     int64_t *evb, int *evd) {
-    if (g_llc_kind == 2)
+    if (g_llc_kind == LLC_DISTILL)
         return dist_fill(b, dirty, pf, aux_word_at(has_aux, i), evb, evd)
             ? 2 : 0;
-    if (g_llc_kind == 1)
-        return c_fill_k(&L3, b, dirty, pf, 1, has_aux,
+    if (g_llc_kind == LLC_BELADY)
+        return c_fill_k(&L3, b, dirty, pf, LLC_BELADY, has_aux,
                         has_aux ? g_aux_next[i] : 0,
                         has_aux ? g_aux_irr[i] : 0, evb, evd, NULL);
-    return c_fill(&L3, b, dirty, pf, evb, evd);
+    return c_fill_k(&L3, b, dirty, pf, (int)g_llc_kind, has_aux,
+                    has_aux ? g_pcs[i] : 0, 0, evb, evd, NULL);
 }
 
 static int llc_mark_dirty(int64_t b) {
@@ -620,67 +732,97 @@ static void l2_prefetch_step(int64_t block, int filter_sdc) {
 }
 
 /* ---------------------------------------------------------------- */
-/* Large Predictor (repro.core.lp.LargePredictor)                    */
+/* Predictor table shared by the LP and the CLP                      */
 /* ---------------------------------------------------------------- */
 
-static int lp_predict(int64_t pc, int64_t block) {
+/* pc's slot, found (*hit = 1, stamp refreshed) or allocated over a
+ * free way or the least recently stamped one (*hit = 0, zero counter,
+ * address ``block``).  Counts lookups, table hits and misses. */
+static int64_t pt_slot(int64_t pc, int64_t block, int *hit) {
     g_lp_stats[0]++;                                    /* lookups */
     int64_t idx = pc >> 2;
     int64_t si = idx & g_lp_set_mask;
-    int64_t tag = idx >> g_lp_set_bits;
+    /* tag-less: Python keys every slot by idx >> 200, i.e. 0 */
+    int64_t tag = g_lp_tagless ? 0 : idx >> g_lp_set_bits;
     int64_t base = si * g_lp_ways, w, slot = -1;
     g_lp_clock++;
     for (w = 0; w < g_lp_ways; w++) {
         if (g_lp_tag[base + w] == tag) {
             slot = base + w;
-            break;
+            g_lp_stats[1]++;                            /* table_hits */
+            g_lp_stamp[slot] = g_lp_clock;
+            *hit = 1;
+            return slot;
         }
     }
-    int irregular;
-    if (slot >= 0) {
-        g_lp_stats[1]++;                                /* table_hits */
-        int64_t s_acc = g_lp_sacc[slot];
-        irregular = s_acc >= g_lp_tau;
-        int64_t stride = block - g_lp_addr[slot];
-        if (stride < 0)
-            stride = -stride;
-        s_acc = (s_acc + stride) >> 1;
-        g_lp_sacc[slot] = s_acc <= g_lp_smax ? s_acc : g_lp_smax;
-        g_lp_addr[slot] = block;
-        g_lp_stamp[slot] = g_lp_clock;
+    g_lp_stats[2]++;                                    /* table_misses */
+    if (g_lp_occ[si] >= g_lp_ways) {
+        int64_t bs = g_lp_stamp[base];
+        slot = base;
+        for (w = 1; w < g_lp_ways; w++) {
+            if (g_lp_tag[base + w] >= 0 && g_lp_stamp[base + w] < bs) {
+                bs = g_lp_stamp[base + w];
+                slot = base + w;
+            }
+        }
     } else {
-        g_lp_stats[2]++;                                /* table_misses */
-        irregular = 0;
-        if (g_lp_occ[si] >= g_lp_ways) {
-            int64_t best = base, bs = g_lp_stamp[base];
-            for (w = 1; w < g_lp_ways; w++) {
-                if (g_lp_tag[base + w] >= 0 &&
-                        g_lp_stamp[base + w] < bs) {
-                    bs = g_lp_stamp[base + w];
-                    best = base + w;
-                }
+        for (w = 0; w < g_lp_ways; w++) {
+            if (g_lp_tag[base + w] < 0) {
+                slot = base + w;
+                break;
             }
-            slot = best;
-        } else {
-            for (w = 0; w < g_lp_ways; w++) {
-                if (g_lp_tag[base + w] < 0) {
-                    slot = base + w;
-                    break;
-                }
-            }
-            g_lp_occ[si]++;
         }
-        g_lp_tag[slot] = tag;
-        g_lp_addr[slot] = block;
-        g_lp_sacc[slot] = 0;
-        g_lp_stamp[slot] = g_lp_clock;
-        g_lp_ord[slot] = ++g_lp_ordc;
+        g_lp_occ[si]++;
     }
+    g_lp_tag[slot] = tag;
+    g_lp_addr[slot] = block;
+    g_lp_sacc[slot] = 0;
+    g_lp_stamp[slot] = g_lp_clock;
+    g_lp_ord[slot] = ++g_lp_ordc;
+    *hit = 0;
+    return slot;
+}
+
+/* Count a prediction in the irregular/regular stats and return it. */
+static int pt_verdict(int irregular) {
     if (irregular)
         g_lp_stats[3]++;                                /* irregular */
     else
         g_lp_stats[4]++;                                /* regular */
     return irregular;
+}
+
+/* Large Predictor (repro.core.lp.LargePredictor): a hit predicts from
+ * the averaged stride, then folds in the new one. */
+static int lp_predict(int64_t pc, int64_t block) {
+    int hit;
+    int64_t slot = pt_slot(pc, block, &hit);
+    int irregular = hit && g_lp_sacc[slot] >= g_lp_tau;
+    if (hit) {
+        int64_t stride = block - g_lp_addr[slot];
+        if (stride < 0)
+            stride = -stride;
+        int64_t s_acc = (g_lp_sacc[slot] + stride) >> 1;
+        g_lp_sacc[slot] = s_acc <= g_lp_smax ? s_acc : g_lp_smax;
+        g_lp_addr[slot] = block;
+    }
+    return pt_verdict(irregular);
+}
+
+/* Cache-Level Predictor (repro.core.clp.CacheLevelPredictor).
+ * predict(): consult, allocating a zero counter on a table miss; the
+ * counter lives in the s_acc column and the address goes unused. */
+static int clp_predict(int64_t pc) {
+    int hit;
+    g_clp_slot = pt_slot(pc, 0, &hit);
+    return pt_verdict(hit && g_lp_sacc[g_clp_slot] >= g_lp_tau);
+}
+
+/* update(): fold the serving level into the entry predict() left,
+ * which nothing can evict in between. */
+static void clp_update(int level) {
+    int64_t ctr = (g_lp_sacc[g_clp_slot] + g_clp_weight[level]) >> 1;
+    g_lp_sacc[g_clp_slot] = ctr <= g_lp_smax ? ctr : g_lp_smax;
 }
 
 /* ---------------------------------------------------------------- */
@@ -1293,14 +1435,14 @@ static double timer_access(int64_t gap, int64_t latency, int has_dep,
 static void reset_stats(void) {
     memset(L1.stats, 0, 9 * sizeof(int64_t));
     memset(L2.stats, 0, 9 * sizeof(int64_t));
-    if (g_llc_kind == 2)
+    if (g_llc_kind == LLC_DISTILL)
         memset(g_dstats, 0, 9 * sizeof(int64_t));
     else
         memset(L3.stats, 0, 9 * sizeof(int64_t));
     memset(g_dram, 0, 5 * sizeof(int64_t));
-    if (g_path == 1)
+    if (g_path == PATH_SDC)
         memset(SD.stats, 0, 9 * sizeof(int64_t));
-    if (g_has_lp)
+    if (g_pred == PRED_LP || g_pred == PRED_CLP)
         memset(g_lp_stats, 0, 5 * sizeof(int64_t));
     if (g_icfg[10])
         memset(g_tlb_stats, 0, 4 * sizeof(int64_t));
@@ -1308,7 +1450,7 @@ static void reset_stats(void) {
 
 static void flush_sdc_state(void) {
     int64_t k;
-    if (g_path == 1) {
+    if (g_path == PATH_SDC) {
         int64_t cnt = 0;
         for (k = 0; k < SD.sets * SD.ways; k++)
             if (SD.tags[k] >= 0 && SD.dirty[k])
@@ -1319,7 +1461,7 @@ static void flush_sdc_state(void) {
             g_db[k] = -1;
         memset(g_docc, 0, g_dir_sets * sizeof(int64_t));
     }
-    if (g_has_lp) {
+    if (g_pred == PRED_LP || g_pred == PRED_CLP) {
         for (k = 0; k < g_lp_sets * g_lp_ways; k++)
             g_lp_tag[k] = -1;
         memset(g_lp_occ, 0, g_lp_sets * sizeof(int64_t));
@@ -1357,15 +1499,33 @@ static int64_t pymod(int64_t x, int64_t m) {
     return r < 0 ? r + m : r;
 }
 
+/* Each path runs with exactly the predictors it was written for. */
+static int64_t check_codes(int64_t path, int64_t llc_kind, int64_t pred) {
+    if (path < 0 || path >= N_PATHS)
+        return ERR_PATH;
+    if (llc_kind < 0 || llc_kind >= N_LLC_KINDS)
+        return ERR_LLC_KIND;
+    if (pred < 0 || pred >= N_PREDICTORS)
+        return ERR_PREDICTOR;
+    if (path == PATH_SDC ? pred == PRED_NONE
+            : path == PATH_BYPASS ? pred != PRED_LP : pred != PRED_NONE)
+        return ERR_PREDICTOR;
+    return 0;
+}
+
 int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
+    int64_t bad = check_codes(icfg[1], icfg[2], icfg[3]);
+    if (bad)
+        return bad;
+    int64_t i;
     g_icfg = icfg;
     g_bufs = bufs;
 
     const int64_t n = icfg[0];
     g_path = icfg[1];
     g_llc_kind = icfg[2];
-    g_has_lp = icfg[3];
-    g_use_expert = icfg[4];
+    g_pred = icfg[3];
+    g_lp_tagless = icfg[4];
     const int64_t reset_at = icfg[5];
     const int64_t warmup = icfg[6];
     const int64_t flush_every = icfg[7];
@@ -1410,6 +1570,14 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_tlb_walk_lat = icfg[65];
     const int64_t tele_capacity = icfg[71];
     g_llc_lat = icfg[72];
+    g_psel = icfg[73];
+    g_psel_max = icfg[74];
+    g_brrip_tick = icfg[75];
+    g_brrip_eps = icfg[76];
+    g_shct_mask = icfg[77] - 1;
+    g_shct_max = icfg[78];
+    for (i = 0; i < 5; i++)
+        g_clp_weight[i] = icfg[79 + i];
 
     g_usage = (uint8_t *)bufs[35];
     g_wb = (int64_t *)bufs[36];
@@ -1463,6 +1631,11 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_expert_irr = (const uint8_t *)bufs[84];
     uint8_t *levels = (uint8_t *)bufs[85];
     double *completions = (double *)bufs[86];
+    g_llc_role = (const uint8_t *)bufs[87];
+    g_shct = (int64_t *)bufs[88];
+    g_ship_sig = (int64_t *)bufs[89];
+    g_ship_reused = (uint8_t *)bufs[90];
+    g_pcs = pcs;
 
     g_belady_clock = 0;
     g_dclock = 0;
@@ -1475,6 +1648,7 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     T2.clock = 0;
     T2.ordc = 0;
     g_tk_count = 0;
+    g_drrip_set = 0;
 
     /* timer */
     g_timer.width = icfg[66];
@@ -1492,12 +1666,11 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
         free(g_timer.out[0].a);
         free(g_timer.out[1].a);
         free(g_timer.rob);
-        return 1;
+        return ERR_ALLOC;
     }
     timer_reset();
 
     int64_t tele_rows = 0;
-    int64_t i;
     int64_t err = 0;
 
     for (i = 0; i < n; i++) {
@@ -1516,18 +1689,21 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
         int pool = 0;
         int level;
         int64_t lat = 0;
-        if (g_path == 1) {
-            int irregular = g_use_expert ? (g_expert_irr[i] ? 1 : 0)
-                                         : lp_predict(pc, b);
+        if (g_path == PATH_SDC) {
+            int irregular = g_pred == PRED_EXPERT
+                ? (g_expert_irr[i] ? 1 : 0)
+                : g_pred == PRED_CLP ? clp_predict(pc) : lp_predict(pc, b);
             if (irregular) {
                 level = access_via_sdc(b, w, &lat);
                 pool = 1;
             } else {
                 level = access_regular_with_sdc(b, w, i, &lat);
             }
-        } else if (g_path == 2) {
+            if (g_pred == PRED_CLP)
+                clp_update(level);
+        } else if (g_path == PATH_VICTIM) {
             level = access_victim(b, w, i, &lat);
-        } else if (g_path == 3) {
+        } else if (g_path == PATH_BYPASS) {
             if (lp_predict(pc, b))
                 level = access_lp_bypass(b, w, &lat);
             else
@@ -1545,19 +1721,21 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
             levels[i] = (uint8_t)level;
         if (tele_every && pymod(i + 1 - reset_at, tele_every) == 0) {
             if (tele_rows >= tele_capacity) {
-                err = 2;
+                err = ERR_TELEMETRY;
                 break;
             }
+            /* single_core_snapshot reads the LP's stats, never the CLP's */
             int64_t *row = tele + tele_rows * 11;
-            row[0] = L1.stats[ACC] + (g_path == 1 ? SD.stats[ACC] : 0);
+            row[0] = L1.stats[ACC] + (g_path == PATH_SDC ? SD.stats[ACC] : 0);
             row[1] = g_timer.instructions;
             row[2] = L1.stats[MISS];
             row[3] = L2.stats[MISS];
-            row[4] = g_llc_kind == 2 ? g_dstats[MISS] : L3.stats[MISS];
-            row[5] = g_path == 1 ? SD.stats[ACC] : 0;
-            row[6] = g_path == 1 ? SD.stats[HIT] : 0;
-            row[7] = g_has_lp ? g_lp_stats[0] : 0;
-            row[8] = g_has_lp ? g_lp_stats[3] : 0;
+            row[4] = g_llc_kind == LLC_DISTILL ? g_dstats[MISS]
+                                               : L3.stats[MISS];
+            row[5] = g_path == PATH_SDC ? SD.stats[ACC] : 0;
+            row[6] = g_path == PATH_SDC ? SD.stats[HIT] : 0;
+            row[7] = g_pred == PRED_LP ? g_lp_stats[0] : 0;
+            row[8] = g_pred == PRED_LP ? g_lp_stats[3] : 0;
             row[9] = g_dram[DREADS];
             row[10] = g_dram[DWRITES];
             tele_rows++;
@@ -1586,6 +1764,9 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     misc[19] = L3.seqc;
     misc[20] = SD.seqc;
     misc[21] = VC.seqc;
+    misc[22] = g_psel;
+    misc[23] = g_brrip_tick;
+    misc[24] = g_drrip_set;
     dmisc[0] = g_timer.issue_time;
     dmisc[1] = g_timer.finish_time;
 

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from repro.config import BLOCK_BITS, SystemConfig
-from repro.core.batch import resolve_backend
+from repro.core.batch import record_fallback, resolve_backend
 from repro.core.clp import CacheLevelPredictor
 from repro.core.lp import LargePredictor
 from repro.core.sdcdir import SDCDirectory
@@ -47,6 +47,9 @@ from repro.validate import check_interval
 from repro.validate.invariants import check_multicore_system
 
 CORE_ADDR_STRIDE = 1 << 44   # bytes of VA space reserved per core
+
+#: The refusal a ``backend="batch"`` multi-core run is counted under.
+MULTICORE_FALLBACK = "multi-core system not implemented by the kernel"
 
 
 @dataclass
@@ -463,9 +466,11 @@ class MultiCoreSystem:
         loop always executes on the reference path: cores interleave
         access-by-access on their front-end clocks, which the batch
         kernel (one linear trace, one core) cannot express.  A
-        ``"batch"`` request therefore falls back here by design.
+        ``"batch"`` request therefore falls back here by design, and is
+        counted in ``repro.core.batch.fallback_counts``.
         """
-        resolve_backend(backend)
+        if resolve_backend(backend) == "batch":
+            record_fallback(MULTICORE_FALLBACK)
         if len(traces) != self.num_cores:
             raise ValueError(f"need {self.num_cores} traces, "
                              f"got {len(traces)}")

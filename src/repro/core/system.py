@@ -638,10 +638,12 @@ class SingleCoreSystem:
         compiled structure-of-arrays kernel (:mod:`repro.core.batch`),
         bit-identical by construction.  ``None`` defers to the
         ``REPRO_BACKEND`` environment variable (default ``ref``).  The
-        batch backend silently falls back here whenever the run is
-        outside its supported envelope (no compiler, invariant checking
-        armed, exotic policies, warm state — see
-        ``repro.core.batch.backend.unsupported_reason``).
+        batch backend falls back here whenever the run is outside its
+        supported envelope (no compiler, invariant checking armed,
+        exotic policies, warm state — see
+        ``repro.core.batch.backend.unsupported_reason``), and counts
+        the refusal in ``repro.core.batch.fallback_counts``; a kernel
+        error raises ``repro.core.batch.KernelError``.
         """
         if resolve_backend(backend) == "batch":
             stats = try_run_batch(self, trace, record_levels=record_levels,

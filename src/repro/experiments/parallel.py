@@ -63,6 +63,7 @@ from typing import Callable
 from repro import faults
 from repro import telemetry as tele
 from repro.config import SystemConfig
+from repro.core.batch import fallback_counts
 from repro.core.multicore import MultiCoreResult, MultiCoreSystem
 from repro.core.system import SystemStats
 from repro.experiments import results_cache as rc
@@ -374,9 +375,13 @@ def _execute_cell(spec: dict, key: str, attempt: int = 1) -> dict:
     Emits ``cell_exec_started``/``cell_exec_finished`` to the worker's
     telemetry shard when armed — *started* fires before the fault hook,
     so crash/hang faults show up in trace exports as truncated spans.
+    A successful *finished* names the ``engine`` the cell ran on and,
+    when the batch backend was refused, the ``fallback`` reason.  Both
+    stay out of the payload, which is engine-independent.
     """
     tele_events.worker_emit("cell_exec_started", key=key, attempt=attempt)
     t0 = time.perf_counter()
+    refused = fallback_counts()
     try:
         faults.inject_execution(key, attempt)
         payload = _execute(spec)
@@ -387,8 +392,21 @@ def _execute_cell(spec: dict, key: str, attempt: int = 1) -> dict:
                                 ok=False, error=_errstr(exc))
         raise
     tele_events.worker_emit("cell_exec_finished", key=key, attempt=attempt,
-                            seconds=time.perf_counter() - t0, ok=True)
+                            seconds=time.perf_counter() - t0, ok=True,
+                            **_engine_fields(spec, refused))
     return payload
+
+
+def _engine_fields(spec: dict, refused_before: dict) -> dict:
+    """``engine`` (and ``fallback``) of a cell that just ran, from the
+    batch refusals it added to the per-process count."""
+    if spec.get("backend") != "batch":
+        return {"engine": "ref"}
+    reasons = sorted(reason for reason, n in fallback_counts().items()
+                     if n > refused_before.get(reason, 0))
+    if reasons:
+        return {"engine": "ref", "fallback": "; ".join(reasons)}
+    return {"engine": "batch"}
 
 
 def _materialize(payload: dict):

@@ -320,20 +320,45 @@ class SetAssocCache:
                 "clock": getattr(self.policy, "_clock", 0)}
 
     def import_soa(self, soa: dict, order: str = "prio",
-                   clock: int | None = None) -> None:
+                   clock: int | None = None) -> np.ndarray:
         """Rebuild the per-set dicts from :meth:`export_soa`-layout
         arrays, restoring dict order by sorting on ``order`` (``prio``
-        for LRU recency order, ``seq`` for install order)."""
-        tags, prio = soa["tags"], soa["prio"]
-        dirty, pf = soa["dirty"], soa["pf"]
-        key = soa[order]
-        for set_idx in range(self.num_sets):
-            base = set_idx * self.ways
-            slots = [base + w for w in range(self.ways)
-                     if tags[base + w] >= 0]
-            slots.sort(key=lambda j: key[j])
-            self.sets[set_idx] = {
-                int(tags[j]): [int(prio[j]), int(dirty[j]), int(pf[j])]
-                for j in slots}
+        for LRU recency order, ``seq`` for install order).
+
+        Returns the slot index of every rebuilt line, in the order the
+        rebuilt dicts hold them (set by set).
+        """
+        tags = soa["tags"]
+        slots, set_ids = ordered_slots(tags, soa[order], self.ways)
+        lines = list(map(list, zip(soa["prio"][slots].tolist(),
+                                   soa["dirty"][slots].tolist(),
+                                   soa["pf"][slots].tolist())))
+        self.sets[:] = group_sets(self.num_sets, set_ids,
+                                  tags[slots].tolist(), lines)
         if clock is not None and hasattr(self.policy, "_clock"):
             self.policy._clock = int(clock)
+        return slots
+
+
+def ordered_slots(keys: np.ndarray, order: np.ndarray, ways: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied slots (``keys >= 0``) of a slot-major table, set by set
+    and by ascending ``order`` within a set, with each slot's set."""
+    valid = np.flatnonzero(keys >= 0)
+    set_ids = valid // ways
+    perm = np.lexsort((order[valid], set_ids))
+    return valid[perm], set_ids[perm]
+
+
+def group_sets(num_sets: int, set_ids: np.ndarray, keys: list,
+               values: list) -> list[dict]:
+    """One dict per set from key/value lists grouped by ascending
+    ``set_ids``, inserted in list order."""
+    out: list[dict] = [{} for _ in range(num_sets)]
+    counts = np.bincount(set_ids, minlength=num_sets)
+    ends = np.cumsum(counts)
+    used = np.flatnonzero(counts)
+    for s, end, count in zip(used.tolist(), ends[used].tolist(),
+                             counts[used].tolist()):
+        out[s] = dict(zip(keys[end - count:end], values[end - count:end]))
+    return out

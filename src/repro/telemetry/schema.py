@@ -61,6 +61,12 @@ EVENT_REQUIRED_FIELDS = {
     "worker_lost": ("worker", "reason"),
 }
 
+#: event name -> {optional field: admissible values}.  Logs written
+#: before a field existed simply lack it.
+EVENT_OPTIONAL_FIELDS = {
+    "cell_exec_finished": {"engine": ("batch", "ref"), "fallback": None},
+}
+
 _ENVELOPE_FIELDS = (("ts", numbers.Real), ("run_id", str),
                     ("pid", numbers.Real), ("event", str))
 
@@ -90,6 +96,15 @@ def validate_event(record, where: str = "event") -> list[str]:
                 if field not in record:
                     errors.append(f"{where}: {name} event missing "
                                   f"field {field!r}")
+            for field, allowed in EVENT_OPTIONAL_FIELDS.get(name,
+                                                            {}).items():
+                if field not in record:
+                    continue
+                value = record[field]
+                if not isinstance(value, str) or (
+                        allowed is not None and value not in allowed):
+                    errors.append(f"{where}: {name} field {field!r} has "
+                                  f"inadmissible value {value!r}")
     return errors
 
 

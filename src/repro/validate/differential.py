@@ -14,7 +14,10 @@ bit-identical final state and stats:
   the ``_set_mask == -1`` fallback paths;
 * **``MultiCoreSystem(num_cores=1)`` vs. ``SingleCoreSystem``** — the
   coherence-protocol walk with one core must degenerate exactly to the
-  single-core system.
+  single-core system;
+* **reference loop vs. batch kernel** — every single-core variant
+  under every LLC replacement policy the DSE samples
+  (:data:`LLC_POLICIES`).
 
 Used from ``tests/test_validate.py``; any mismatch is a bug in one of
 the twins (the bugfix history lives in CHANGES.md).
@@ -209,6 +212,10 @@ def diff_multicore1_vs_single(trace: Trace,
 FIG7_VARIANTS = ("baseline", "l1iso", "distill", "topt", "llc2x",
                  "sdc_lp")
 
+#: The LLC replacement policies the DSE samples; the ref-vs-batch twin
+#: covers every single-core variant under each.
+LLC_POLICIES = ("lru", "srrip", "drrip", "ship")
+
 
 def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
                       variant: str = "baseline",
@@ -277,7 +284,11 @@ def run_differential_suite(trace: Trace,
     results["access-vs-access_fast"] = "ok"
     from repro.core.batch import kernel_available
     if kernel_available():
-        for variant in variants:
-            diff_ref_vs_batch(trace, config, variant)
-            results[f"ref-vs-batch[{variant}]"] = "ok"
+        cfg = config or SystemConfig()
+        for policy in LLC_POLICIES:
+            policy_cfg = dataclasses.replace(cfg, llc=dataclasses.replace(
+                cfg.llc, replacement=policy))
+            for variant in variants:
+                diff_ref_vs_batch(trace, policy_cfg, variant)
+                results[f"ref-vs-batch[{variant}/{policy}]"] = "ok"
     return results

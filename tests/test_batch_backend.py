@@ -1,14 +1,17 @@
 """Batch (structure-of-arrays) backend: bit-identity and plumbing.
 
-The contract under test is ISSUE 6's tentpole: every run the batch
-kernel accepts must produce a ``SystemStats`` payload — counters, float
-cycles, per-access levels, telemetry timeline — bit-identical to the
-reference Python loop, and everything it cannot accept must fall back
-to the reference loop silently.
+The contract under test: every run the batch kernel accepts — every
+single-core variant under every LLC replacement policy the DSE samples
+— must produce a ``SystemStats`` payload (counters, float cycles,
+per-access levels, telemetry timeline) bit-identical to the reference
+Python loop and leave the same post-run state behind; everything it
+cannot accept falls back to the reference loop and is counted by
+reason; a code the kernel does not implement is a loud error.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 
@@ -19,16 +22,22 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.config import scaled_config
-from repro.core.batch import (BACKENDS, kernel_available, resolve_backend,
-                              try_run_batch, unsupported_reason)
-from repro.core.system import SingleCoreSystem
+from repro.core.batch import (BACKENDS, KernelError, backend,
+                              fallback_counts, kernel_available,
+                              load_kernel, reset_fallback_counts,
+                              resolve_backend, try_run_batch,
+                              unsupported_reason)
+from repro.core.multicore import MULTICORE_FALLBACK, MultiCoreSystem
+from repro.core.system import VARIANTS, SingleCoreSystem
 from repro.experiments import results_cache as rc
-from repro.experiments.parallel import Job, RunPolicy, _job_spec, run_grid
+from repro.experiments.parallel import (Job, RunPolicy, _engine_fields,
+                                        _job_spec, run_grid)
 from repro.experiments.runner import default_config
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
-from repro.validate.differential import (FIG7_VARIANTS, diff_ref_vs_batch,
-                                         force_divmod, use_generic_lru)
+from repro.validate.differential import (FIG7_VARIANTS, LLC_POLICIES,
+                                         diff_ref_vs_batch, force_divmod,
+                                         use_generic_lru)
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="no C compiler for the batch "
@@ -58,9 +67,102 @@ ops_strategy = st.lists(
     min_size=1, max_size=300)
 
 
+def build_policy_trace(n, seed):
+    """A footprint well past the LLC of :func:`policy_config`, one block
+    per element: a write-heavy sequential stream, random irregular
+    blocks and a small hot set, each from its own PCs.  A seventh PC
+    touches the stream first, so the stream's own PCs start on L1 hits
+    and stay regular under the CLP too."""
+    space = AddressSpace()
+    seq = space.add("seq", 64, 1 << 14)
+    rnd = space.add("rnd", 64, 1 << 14, irregular_hint=True)
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(n, dtype=ACCESS_DTYPE)
+    kind = rng.random(n)
+    kind[0] = 0.0
+    stream = (np.cumsum(kind < 0.4) - 1) % (1 << 14)
+    acc["addr"] = np.where(
+        kind < 0.4, seq.addr(stream),
+        np.where(kind < 0.8, rnd.addr(rng.integers(0, 1 << 13, size=n)),
+                 rnd.addr(rng.integers(0, 64, size=n))))
+    acc["pc"] = 0x400000 + 4 * np.where(
+        kind < 0.4, rng.integers(0, 2, size=n),
+        np.where(kind < 0.8, 2 + rng.integers(0, 3, size=n), 5))
+    acc["pc"][0] = 0x400000 + 4 * 6
+    acc["write"] = rng.random(n) < np.where(kind < 0.4, 0.5, 0.2)
+    acc["gap"] = rng.integers(0, 4, size=n)
+    acc["dep"] = np.where(np.arange(n) % 5 == 0, np.arange(n) - 3, -1)
+    acc["dep"][:3] = -1
+    return Trace(acc, space)
+
+
+def policy_config(policy="lru", ways=2):
+    """scaled_config(64) with a 128-set LLC (so DRRIP has both SRRIP
+    and BRRIP leader sets) of ``ways`` ways under ``policy``."""
+    cfg = scaled_config(64)
+    return dataclasses.replace(cfg, llc=dataclasses.replace(
+        cfg.llc.resized(128 * ways * 64, ways=ways), replacement=policy))
+
+
+def payload(stats):
+    return dataclasses.replace(stats, levels=None).to_payload()
+
+
+def post_run_state(system):
+    """Everything a later run reads, dict order included where the
+    simulator depends on it."""
+    h = system.hierarchy
+    caches = [h.l1d, h.l2c, h.llc] + [c for c in (system.sdc,)
+                                      if c is not None]
+    state = {"caches": [[list(s.items()) for s in c.sets] for c in caches]}
+    pol = h.llc.policy
+    state["policy"] = {k: getattr(pol, k) for k in
+                       ("_clock", "psel", "_brrip_tick", "_set_idx",
+                        "shct") if hasattr(pol, k)}
+    if hasattr(pol, "_sig"):
+        # Keyed by id(line): compare per live line (the reference also
+        # keeps entries of invalidated lines, which nothing reads).
+        state["ship"] = [(pol._sig[id(line)], pol._reused[id(line)])
+                         for lines in h.llc.sets for line in lines.values()]
+    for name in ("lp", "clp"):
+        pred = getattr(system, name)
+        if pred is not None:
+            state[name] = (pred._clock, [
+                [(tag, tuple(getattr(e, f) for f in e.__slots__))
+                 for tag, e in s.items()] for s in pred.sets])
+    d = system.sdcdir
+    if d is not None:
+        state["sdcdir"] = (d._clock, [list(s.items()) for s in d.sets])
+    state["tlb"] = [(lvl._clock, [list(s.items()) for s in lvl.sets])
+                    for lvl in (system.tlb.l1, system.tlb.l2)]
+    pf = h.l2_prefetcher
+    # A signature whose histogram decayed to nothing reads as absent.
+    state["spp"] = (pf.trackers,
+                    {s: list(p.items()) for s, p in pf.patterns.items()
+                     if p},
+                    {s: t for s, t in pf.totals.items() if t})
+    state["dram"] = h.dram.open_rows
+    return state
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return scaled_config(64)
+
+
+@pytest.fixture(scope="module")
+def policy_trace():
+    return build_policy_trace(3000, 21)
+
+
+#: The DSE's predictors under every LLC policy, and the paper's design
+#: and the baseline under each non-LRU one.
+POLICY_CASES = (
+    [(v, p) for v in ("sdc_clp", "sdc_lp_tagless") for p in LLC_POLICIES]
+    + [(v, p) for v in ("sdc_lp", "baseline") for p in LLC_POLICIES[1:]])
+
+#: The cases above whose variant has an SDC to flush.
+SDC_POLICY_CASES = [(v, p) for v, p in POLICY_CASES if v != "baseline"]
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +269,198 @@ class TestPropertyEquivalence:
                              telemetry_every=64).run(trace,
                                                      backend="batch")
         assert a.to_payload() == b.to_payload()
+
+
+@needs_kernel
+class TestPolicyBitIdentity:
+    """Every single-core variant under every LLC policy."""
+
+    @pytest.mark.parametrize("policy", LLC_POLICIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_every_policy(self, policy_trace, variant,
+                                        policy):
+        # Four ways: distill keeps two for its word-organized part.
+        ref, batch = diff_ref_vs_batch(policy_trace,
+                                       policy_config(policy, ways=4),
+                                       variant, telemetry_every=512)
+        assert payload(ref) == payload(batch)
+
+    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
+    def test_llc_sees_evictions(self, policy_trace, variant, policy):
+        """The cases below exercise victim choice, not just inserts."""
+        stats = SingleCoreSystem(policy_config(policy), variant).run(
+            policy_trace, backend="batch")
+        assert stats.llc.evictions > 0
+
+    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
+    def test_warmup_window(self, policy_trace, variant, policy):
+        ref, batch = diff_ref_vs_batch(policy_trace, policy_config(policy),
+                                       variant, telemetry_every=256,
+                                       warmup=1100)
+        assert payload(ref) == payload(batch)
+        assert ref.timeline is not None
+
+    @pytest.mark.parametrize("variant,policy", SDC_POLICY_CASES)
+    def test_flush_sdc_every(self, policy_trace, variant, policy):
+        cfg = policy_config(policy)
+        a = SingleCoreSystem(cfg, variant, telemetry_every=300).run(
+            policy_trace, backend="ref", flush_sdc_every=700)
+        b = SingleCoreSystem(cfg, variant, telemetry_every=300).run(
+            policy_trace, backend="batch", flush_sdc_every=700)
+        assert a.to_payload() == b.to_payload()
+
+    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
+    def test_post_run_state_matches_reference(self, policy_trace,
+                                              variant, policy):
+        ref = SingleCoreSystem(policy_config(policy), variant)
+        ref.run(policy_trace, backend="ref")
+        batch = SingleCoreSystem(policy_config(policy), variant)
+        batch.run(policy_trace, backend="batch")
+        assert post_run_state(batch) == post_run_state(ref)
+
+    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
+    def test_batch_then_ref_equals_ref_then_ref(self, policy_trace,
+                                                variant, policy):
+        """Post-run state written back (caches, predictor table, RRIP
+        RRPVs, DRRIP selector, SHiP counters and line signatures) lets a
+        reference run continue exactly where a reference run would."""
+        cfg = policy_config(policy)
+        twice_ref = SingleCoreSystem(cfg, variant)
+        twice_ref.run(policy_trace, backend="ref")
+        want = twice_ref.run(policy_trace, backend="ref")
+        mixed = SingleCoreSystem(cfg, variant)
+        mixed.run(policy_trace, backend="batch")
+        got = mixed.run(policy_trace, backend="ref")
+        assert want.to_payload() == got.to_payload()
+
+
+@needs_kernel
+class TestPolicyPropertyEquivalence:
+    @given(ops_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_random_traces_sdc_clp(self, ops):
+        trace = build_trace(ops, deps=True)
+        cfg = scaled_config(64)
+        a = SingleCoreSystem(cfg, "sdc_clp",
+                             telemetry_every=64).run(trace, backend="ref")
+        b = SingleCoreSystem(cfg, "sdc_clp",
+                             telemetry_every=64).run(trace,
+                                                     backend="batch")
+        assert a.to_payload() == b.to_payload()
+
+    @pytest.mark.parametrize("policy", ("drrip", "ship"))
+    @given(ops=ops_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_random_traces_rrip_llc(self, policy, ops):
+        trace = build_trace(ops, deps=True)
+        cfg = policy_config(policy)
+        for variant in ("baseline", "sdc_lp"):
+            a = SingleCoreSystem(cfg, variant, telemetry_every=64).run(
+                trace, backend="ref")
+            b = SingleCoreSystem(cfg, variant, telemetry_every=64).run(
+                trace, backend="batch")
+            assert a.to_payload() == b.to_payload()
+
+
+class TestKernelErrors:
+    """kernel.c refuses every code it does not implement; try_run_batch
+    raises instead of rerunning the cell on the reference loop."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("slot,code,err", [
+        (1, 7, 3), (1, -1, 3),          # path
+        (2, 6, 4), (2, -2, 4),          # LLC kind
+        (3, 4, 5), (3, -1, 5),          # predictor
+    ])
+    def test_out_of_range_code_returns_error(self, slot, code, err):
+        icfg = (ctypes.c_int64 * backend.ICFG_LEN)()
+        icfg[slot] = code
+        # Null buffers: the codes are checked before any is touched.
+        bufs = (ctypes.c_void_p * backend.NBUF)()
+        assert load_kernel().repro_batch_run(icfg, bufs) == err
+
+    @needs_kernel
+    @pytest.mark.parametrize("path,pred", [
+        (backend.PATH_SDC, backend.PRED_NONE),
+        (backend.PATH_PLAIN, backend.PRED_LP),
+        (backend.PATH_BYPASS, backend.PRED_CLP),
+    ])
+    def test_path_without_its_predictor_returns_error(self, path, pred):
+        icfg = (ctypes.c_int64 * backend.ICFG_LEN)()
+        icfg[1], icfg[3] = path, pred
+        bufs = (ctypes.c_void_p * backend.NBUF)()
+        assert load_kernel().repro_batch_run(icfg, bufs) == 5
+
+    @needs_kernel
+    def test_unknown_path_raises_not_falls_back(self, trace, cfg,
+                                                monkeypatch):
+        monkeypatch.setitem(backend._PATHS, "baseline", 9)
+        system = SingleCoreSystem(cfg, "baseline")
+        with pytest.raises(KernelError, match=r"error 3 \(unknown path"):
+            system.run(trace, backend="batch")
+        # Nothing was written back: the system is still fresh.
+        assert system.hierarchy.l1d.stats.accesses == 0
+
+    @needs_kernel
+    def test_unknown_llc_kind_raises(self, trace, cfg, monkeypatch):
+        monkeypatch.setattr(backend, "_llc_kind", lambda llc: 11)
+        with pytest.raises(KernelError, match="unknown LLC kind"):
+            try_run_batch(SingleCoreSystem(cfg, "baseline"), trace)
+
+    @needs_kernel
+    def test_unknown_predictor_raises(self, trace, cfg, monkeypatch):
+        monkeypatch.setattr(backend, "_predictor", lambda system: 8)
+        with pytest.raises(KernelError, match="unknown predictor code"):
+            try_run_batch(SingleCoreSystem(cfg, "sdc_lp"), trace)
+
+    def test_allowlist_stays_a_second_guard(self, trace, cfg,
+                                            monkeypatch):
+        system = SingleCoreSystem(cfg, "baseline")
+        monkeypatch.setattr(backend, "_KERNEL_VARIANTS", frozenset())
+        reason = unsupported_reason(system, trace)
+        assert reason is not None
+        assert "not implemented" in reason or reason == "kernel unavailable"
+
+
+class TestFallbackCounts:
+    def setup_method(self):
+        reset_fallback_counts()
+
+    def teardown_method(self):
+        reset_fallback_counts()
+
+    def test_refusal_counted_by_reason(self, trace, cfg):
+        system = use_generic_lru(SingleCoreSystem(cfg, "baseline"))
+        reason = unsupported_reason(system, trace)
+        system.run(trace, backend="batch")
+        use_generic_lru(SingleCoreSystem(cfg, "baseline")).run(
+            trace, backend="batch")
+        assert fallback_counts() == {reason: 2}
+
+    def test_ref_backend_is_not_a_refusal(self, trace, cfg):
+        SingleCoreSystem(cfg, "baseline").run(trace, backend="ref")
+        assert fallback_counts() == {}
+
+    @needs_kernel
+    def test_kernel_runs_are_not_counted(self, trace, cfg):
+        SingleCoreSystem(cfg, "sdc_clp").run(trace, backend="batch")
+        assert fallback_counts() == {}
+
+    def test_multicore_batch_request_counted(self, trace, cfg):
+        mc = MultiCoreSystem(dataclasses.replace(cfg, num_cores=2),
+                             "baseline")
+        mc.run([trace, trace], backend="batch")
+        assert fallback_counts() == {MULTICORE_FALLBACK: 1}
+
+    def test_engine_fields(self):
+        assert _engine_fields({"backend": "ref"}, {}) == {"engine": "ref"}
+        assert _engine_fields({"backend": "batch"}, {}) == \
+            {"engine": "batch"}
+        backend.record_fallback("why not")
+        assert _engine_fields({"backend": "batch"}, {}) == \
+            {"engine": "ref", "fallback": "why not"}
+        assert _engine_fields({"backend": "batch"}, {"why not": 1}) == \
+            {"engine": "batch"}
 
 
 class TestFallback:

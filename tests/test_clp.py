@@ -1,6 +1,6 @@
 """Tests for the cache-level predictor (sdc_clp) and the tag-less LP
 ablation (sdc_lp_tagless): unit behavior, variant wiring, invariants,
-differential twins and batch-backend refusal."""
+differential twins and the batch kernel, which must run both."""
 
 import dataclasses
 
@@ -177,24 +177,38 @@ class TestVariantWiring:
         assert all(s.lp is not None for s in res.per_core)
 
     @pytest.mark.parametrize("variant", ["sdc_clp", "sdc_lp_tagless"])
-    def test_batch_backend_refuses(self, variant):
-        from repro.core.batch.backend import unsupported_reason
+    def test_batch_backend_runs(self, variant):
+        """Both run in the kernel, bit-identical to the reference loop
+        (only a host without a C compiler may refuse them)."""
+        from repro.core.batch.backend import (try_run_batch,
+                                              unsupported_reason)
+        trace = _trace(2000)
         sys_ = SingleCoreSystem(default_config(), variant=variant)
-        reason = unsupported_reason(sys_, _trace(100))
-        assert reason is not None and "kernel" in reason
+        if load_kernel() is None:
+            assert unsupported_reason(sys_, trace) == "kernel unavailable"
+            return
+        assert unsupported_reason(sys_, trace) is None
+        want = SingleCoreSystem(default_config(), variant=variant).run(
+            trace, backend="ref")
+        assert try_run_batch(sys_, trace).to_payload() == \
+            want.to_payload()
 
-    def test_batch_refuses_handbuilt_tagless_sdc_lp(self):
-        # A tagless LPConfig smuggled under plain sdc_lp must also be
-        # refused — the kernel only models the tagged lookup.
-        from repro.core.batch.backend import unsupported_reason
+    def test_batch_runs_handbuilt_tagless_sdc_lp(self):
+        # A tagless LPConfig under plain sdc_lp takes the kernel's
+        # tag-less lookup too.
+        from repro.core.batch.backend import (try_run_batch,
+                                              unsupported_reason)
         cfg = dataclasses.replace(default_config(),
                                   lp=tagless_lp_config(LPConfig()))
+        trace = _trace(2000)
         sys_ = SingleCoreSystem(cfg, variant="sdc_lp")
-        reason = unsupported_reason(sys_, _trace(100))
         if load_kernel() is None:
-            assert reason == "kernel unavailable"
-        else:
-            assert reason is not None and "tagless" in reason
+            assert unsupported_reason(sys_, trace) == "kernel unavailable"
+            return
+        want = SingleCoreSystem(cfg, variant="sdc_lp").run(
+            trace, backend="ref")
+        assert try_run_batch(sys_, trace).to_payload() == \
+            want.to_payload()
 
 
 class TestDifferentialTwins:

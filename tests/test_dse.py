@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.config import paper_config, storage_overhead_bits
+from repro.core.batch import (fallback_counts, kernel_available,
+                              reset_fallback_counts)
 from repro.core.budget import hardware_budget
 from repro.dse import (Choice, FrontierPoint, ParamSpace, SEARCH_VARIANTS,
                        StudyManifest, default_space, derive_study_id,
@@ -254,6 +256,22 @@ class TestStudy:
 
 # --------------------------------------------------------------------------
 # Satellites: manifest.latest() skip, Table IV bits, workloads --json
+
+
+@pytest.mark.skipif(not kernel_available(),
+                    reason="no C compiler for the batch kernel on this "
+                           "host")
+def test_batch_study_never_falls_back(tmp_path):
+    """Every cell of a 2-rung study — all three predictors under all
+    four LLC policies, and the baseline — runs in the C kernel."""
+    reset_fallback_counts()
+    res = _study(tmp_path, n=32, base_length=1500,
+                 workloads=("pr.urand",), backend="batch")
+    assert fallback_counts() == {}
+    assert res.cells_simulated > 0
+    assert {c.variant for c in res.candidates} == set(SEARCH_VARIANTS)
+    assert {c.config.llc.replacement for c in res.candidates} == \
+        {"lru", "srrip", "drrip", "ship"}
 
 
 def test_run_manifest_latest_skips_dse_ledgers(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry as tele
 from repro.config import scaled_config
+from repro.core.batch import kernel_available
 from repro.experiments import results_cache as rc
 from repro.experiments.parallel import Job, ProgressPrinter, Progress, run_grid
 from repro.experiments.runner import run_variant
@@ -357,6 +358,21 @@ class TestSchema:
         assert any("unknown event" in e for e in errors)
         assert any("missing" in e for e in errors)
 
+    def test_cell_engine_fields(self):
+        def finished(**extra):
+            return dict({"ts": 1.0, "run_id": "r", "pid": 1,
+                         "event": "cell_exec_finished", "key": "k",
+                         "attempt": 1, "seconds": 0.1, "ok": True},
+                        **extra)
+        assert tele_schema.validate_events([
+            finished(), finished(engine="batch"),
+            finished(engine="ref", fallback="invariant checking armed"),
+        ]) == []
+        errors = tele_schema.validate_events([
+            finished(engine="gpu"), finished(engine="ref", fallback=3)])
+        assert len(errors) == 2
+        assert all("inadmissible" in e for e in errors)
+
     def test_rejects_mixed_run_ids(self):
         recs = [{"ts": 1.0, "run_id": r, "pid": 1,
                  "event": "grid_started", "total_cells": 1}
@@ -529,6 +545,30 @@ class TestRunGridTelemetry:
             tele_events.events_path(tdir, run_id2))]
         assert "cell_cached" in names2
         assert "cell_exec_started" not in names2
+
+    @pytest.mark.skipif(not kernel_available(),
+                        reason="no C compiler for the batch kernel")
+    def test_exec_events_name_the_engine(self, tmp_path, cache,
+                                         monkeypatch):
+        tdir = tmp_path / "tele"
+        tcfg = tele.TelemetryConfig(directory=tdir, window=500)
+        grid = self.micro_grid()[:2]
+
+        def engines(**kw):
+            run_grid(grid, cache=cache, telemetry=tcfg, use_cache=False,
+                     **kw)
+            records = tele_events.read_events(tele_events.events_path(
+                tdir, tele_events.latest_run_id(tdir)))
+            assert tele_schema.validate_events(records) == []
+            return [(r["engine"], r.get("fallback")) for r in records
+                    if r["event"] == "cell_exec_finished"]
+
+        assert engines(backend="ref") == [("ref", None)] * 2
+        assert engines(backend="batch") == [("batch", None)] * 2
+        # Armed invariant checks keep cells off the kernel: recorded.
+        monkeypatch.setenv("REPRO_VALIDATE", "1000")
+        assert engines(backend="batch") == \
+            [("ref", "invariant checking armed")] * 2
 
     def test_parallel_workers_emit_shards(self, tmp_path, cache):
         tdir = tmp_path / "tele"

@@ -14,7 +14,11 @@ The acceptance scenario, with real processes and a real SIGINT:
    the clean run's, and that no cell was simulated twice across the
    interrupt boundary;
 5. assert the search simulated strictly fewer cells than a full
-   enumeration of the declared space would.
+   enumeration of the declared space would;
+6. every study runs with ``--backend batch --telemetry``: assert that
+   each ``cell_exec_finished`` event of the clean and the resumed study
+   reports ``engine: batch`` (no cell fell back to the reference loop)
+   and that the event logs pass the telemetry schema.
 
 Run from the repo root: ``PYTHONPATH=src python tools/dse_smoke.py``
 (options: ``--candidates``, ``--length``, ``--keep``).
@@ -23,6 +27,7 @@ Run from the repo root: ``PYTHONPATH=src python tools/dse_smoke.py``
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import shutil
@@ -30,9 +35,13 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.telemetry.schema import validate_events_file  # noqa: E402
 
 # One progress line per finished cell; simulated cells carry no
 # "[cache]"/"[dedup]" source note.
@@ -56,6 +65,8 @@ def dse_cmd(csv: Path, candidates: int, length: int) -> list[str]:
             "--candidates", str(candidates), "--rungs", "2",
             "--tier", "tiny", "--length", str(length),
             "--workloads", "pr.urand", "cc.urand",
+            "--backend", "batch", "--telemetry", str(csv.parent / (
+                csv.stem + "-telemetry")),
             "--progress", "--csv", str(csv)]
 
 
@@ -64,6 +75,30 @@ def run_env(cache: Path) -> dict:
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_CACHE_DIR"] = str(cache)
     return env
+
+
+def check_engines(csv: Path, label: str) -> None:
+    """Every cell the study's grids executed ran on the batch kernel."""
+    tdir = csv.parent / (csv.stem + "-telemetry")
+    logs = sorted(tdir.glob("events-*.jsonl"))
+    engines: Counter = Counter()
+    for path in logs:
+        errors = validate_events_file(path)
+        if errors:
+            fail(f"{label}: event log {path.name} fails the schema: "
+                 f"{errors[:3]}")
+        for line in path.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            if rec["event"] == "cell_exec_finished" and rec["ok"]:
+                engines[rec.get("engine")] += 1
+                if rec.get("engine") != "batch":
+                    fail(f"{label}: cell {rec['key'][:12]} ran on engine "
+                         f"{rec.get('engine')!r} "
+                         f"(fallback: {rec.get('fallback')!r})")
+    if not engines["batch"]:
+        fail(f"{label}: no cell_exec_finished events under {tdir}")
+    log(f"{label}: all {engines['batch']} executed cells ran on the "
+        f"batch kernel ({len(logs)} event logs, schema OK)")
 
 
 def count_simulated(output: str) -> int:
@@ -113,6 +148,7 @@ def smoke(work: Path, candidates: int, length: int) -> None:
              f"{enum.group(1)}-cell full enumeration")
     log(f"clean study done: {clean_cells} cells simulated "
         f"(full enumeration {enum.group(1)})")
+    check_engines(csv_a, "clean study")
 
     log("interrupting the same study against cache B with SIGINT")
     proc = subprocess.Popen(dse_cmd(csv_b, candidates, length),
@@ -156,6 +192,7 @@ def smoke(work: Path, candidates: int, length: int) -> None:
     log(f"resume simulated {resumed_cells} cells "
         f"({interrupted_cells + resumed_cells} total across the "
         f"interrupt, clean run {clean_cells})")
+    check_engines(csv_b, "interrupted+resumed study")
 
     a = csv_a.read_bytes()
     b = csv_b.read_bytes()
