@@ -72,10 +72,12 @@ def _common(parser: argparse.ArgumentParser) -> None:
                              "docs/OBSERVABILITY.md)")
     parser.add_argument("--backend", choices=("ref", "batch"),
                         default=None,
-                        help="simulation engine: the reference Python "
-                             "loop or the compiled structure-of-arrays "
-                             "kernel (bit-identical; default: "
-                             "$REPRO_BACKEND or ref)")
+                        help="simulation engine: the compiled "
+                             "structure-of-arrays kernel or the "
+                             "reference Python loop, the spec "
+                             "(bit-identical; default: $REPRO_BACKEND "
+                             "or batch; cells the kernel refuses run "
+                             "on ref)")
 
 
 def _workloads(args):
@@ -153,7 +155,7 @@ def main(argv=None) -> int:
     pdse.add_argument("--backend", choices=("ref", "batch"),
                       default=None,
                       help="simulation engine (default: $REPRO_BACKEND "
-                           "or ref)")
+                           "or batch)")
     pdse.add_argument("--telemetry", nargs="?", const="", default=None,
                       metavar="DIR",
                       help="record windowed metrics and a JSONL event "

@@ -3,7 +3,7 @@
 The public seam is small on purpose:
 
 * :func:`resolve_backend` — name resolution (``arg`` > ``REPRO_BACKEND``
-  env var > ``"ref"``);
+  env var > ``"batch"``; ``"ref"`` pins the reference loop, the spec);
 * :func:`try_run_batch` — run a trace through the compiled SoA kernel,
   or return ``None`` to signal "fall back to the reference loop"
   (a kernel error raises :class:`KernelError`);
@@ -30,7 +30,7 @@ BACKENDS = ("ref", "batch")
 
 def resolve_backend(backend: str | None = None) -> str:
     """Resolve a backend name from the argument or ``REPRO_BACKEND``."""
-    name = backend or os.environ.get("REPRO_BACKEND") or "ref"
+    name = backend or os.environ.get("REPRO_BACKEND") or "batch"
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; "
                          f"choose from {BACKENDS}")

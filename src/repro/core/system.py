@@ -637,13 +637,14 @@ class SingleCoreSystem:
         ``"ref"`` is the reference Python loop below, ``"batch"`` the
         compiled structure-of-arrays kernel (:mod:`repro.core.batch`),
         bit-identical by construction.  ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable (default ``ref``).  The
-        batch backend falls back here whenever the run is outside its
-        supported envelope (no compiler, invariant checking armed,
-        exotic policies, warm state — see
-        ``repro.core.batch.backend.unsupported_reason``), and counts
-        the refusal in ``repro.core.batch.fallback_counts``; a kernel
-        error raises ``repro.core.batch.KernelError``.
+        ``REPRO_BACKEND`` environment variable (default ``batch``);
+        ``"ref"`` pins the reference loop.  The batch backend falls
+        back here whenever the run is outside its supported envelope
+        (no compiler, invariant checking armed, exotic policies, warm
+        state — see ``repro.core.batch.backend.unsupported_reason``),
+        and counts the refusal in
+        ``repro.core.batch.fallback_counts``; a kernel error raises
+        ``repro.core.batch.KernelError``.
         """
         if resolve_backend(backend) == "batch":
             stats = try_run_batch(self, trace, record_levels=record_levels,

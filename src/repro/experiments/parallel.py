@@ -63,7 +63,7 @@ from typing import Callable
 from repro import faults
 from repro import telemetry as tele
 from repro.config import SystemConfig
-from repro.core.batch import fallback_counts
+from repro.core.batch import fallback_counts, load_kernel, resolve_backend
 from repro.core.multicore import MultiCoreResult, MultiCoreSystem
 from repro.core.system import SystemStats
 from repro.experiments import results_cache as rc
@@ -253,18 +253,19 @@ def _trace_ref(wl, tier: str, length: int):
             rc.workload_fingerprint(name, tier, length))
 
 
-def _job_spec(job: Job, telemetry_window: int = 0,
-              backend: str = "ref") -> tuple[dict, str]:
+def _job_spec(job: Job, telemetry_window: int = 0, *,
+              backend: str) -> tuple[dict, str]:
     """Compile a Job into a picklable work spec and its cache key.
 
     A non-zero ``telemetry_window`` rides on the spec (workers enable
     :class:`~repro.telemetry.probes.WindowProbe` sampling at that
     interval) *and* joins the cache key, because a payload carrying a
-    timeline is a different artifact than one without.  A non-default
-    ``backend`` joins the key too: batch results are bit-identical by
-    contract, but the artifacts must never alias so a differential
-    sweep can hold both and diff them.  (The reference backend keeps
-    its historical extra-free keys.)
+    timeline is a different artifact than one without.  The resolved
+    ``backend`` is required: anything but ``ref`` joins the key too,
+    because batch results are bit-identical by contract but the
+    artifacts must never alias, so a differential sweep can hold both
+    and diff them.  (The reference backend keeps its historical
+    extra-free keys.)
     """
     cfg = job.config or default_config()
     extras = []
@@ -336,7 +337,7 @@ def _execute(spec: dict) -> dict:
     # The spec's backend pins the engine at grid-compile time, so pool
     # workers can never diverge from the supervisor via a different
     # ambient REPRO_BACKEND.
-    backend = spec.get("backend") or "ref"
+    backend = spec["backend"]
     if spec["kind"] == "multi":
         traces = [_resolve_trace(r) for r in spec["traces"]]
         expert_regions = None
@@ -501,9 +502,11 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
     ``jobs`` is the worker-process count (``<= 1`` runs in-process);
     ``use_cache=False`` bypasses the persistent result cache entirely
     (no reads, no writes) but still deduplicates within the grid.
-    ``backend`` selects the simulation engine for every cell (``"ref"``
-    / ``"batch"``; ``None`` defers to ``REPRO_BACKEND``), resolved once
-    here and pinned into each worker spec and cache key.
+    ``backend`` selects the simulation engine for every cell
+    (``"batch"`` / ``"ref"``; ``None`` defers to ``REPRO_BACKEND``,
+    default batch), resolved once here and pinned into each worker spec
+    and cache key; a batch grid loads the kernel here, before any pool
+    forks, so workers inherit the handle instead of compiling it.
     ``policy`` configures retries/timeout/failure handling (defaults to
     :data:`DEFAULT_POLICY`); ``run_id`` names the checkpoint manifest —
     pass the id of an interrupted run to resume it, re-simulating only
@@ -536,7 +539,6 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
     total = len(grid)
     tcfg = telemetry if telemetry is not None else tele.active()
     tele_window = tcfg.window if tcfg is not None else 0
-    from repro.core.batch import resolve_backend
     backend = resolve_backend(backend)
     shard = shard if shard is not None else sharding.active_shard()
     if shard is not None:
@@ -571,7 +573,7 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
     done = 0
 
     for job in grid:
-        spec, key = _job_spec(job, tele_window, backend)
+        spec, key = _job_spec(job, tele_window, backend=backend)
         keys.append(key)
         if shard is not None:
             shard_owner[key] = sharding.shard_of(key, shard[1])
@@ -660,6 +662,8 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
                 faults.inject_shard_loss(site, shard_attempt)
             if pending:
                 if jobs > 1 and len(pending) > 1:
+                    if backend == "batch":
+                        load_kernel()
                     _run_parallel(pending, payloads, jobs, report, owners,
                                   store, policy, manifest, failures,
                                   tele_ctx=tele_ctx)

@@ -36,8 +36,8 @@ def run_variant(trace: Trace, variant: str,
     ``telemetry_every`` enables windowed metric sampling every N
     accesses (see :mod:`repro.telemetry`); the resulting timeline
     rides on ``SystemStats.timeline``.  ``backend`` selects the
-    execution engine behind ``SingleCoreSystem.run`` (``"ref"`` /
-    ``"batch"``; None defers to ``REPRO_BACKEND``).
+    execution engine behind ``SingleCoreSystem.run`` (``"batch"`` /
+    ``"ref"``; None defers to ``REPRO_BACKEND``, default batch).
     """
     cfg = config or default_config()
     if variant == "expert" and expert_regions is None:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
+from repro.core.batch import load_kernel, resolve_backend
 from repro.experiments import parallel
 from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
@@ -254,7 +255,6 @@ class Orchestrator:
             if req.kind == "merge":
                 return self._submit_merge(job)
             grid = self._compile_sweep(req)     # ValueError on bad wl
-            from repro.core.batch import resolve_backend
             backend = resolve_backend(req.backend)
             self._register_cells(job, grid, backend)
             self.jobs[job.id] = job
@@ -264,6 +264,9 @@ class Orchestrator:
                        cells=len(job.keys))
             self._save_job(job)
             self._check_job_done(job)
+            # Wake the scheduler, which otherwise sleeps out its poll
+            # before leasing the new job's first cell.
+            self._result_q.put(("wake", None))
             return SubmitResponse(job_id=job.id, state=job.state,
                                   cells=len(job.keys), run_id=job.id)
 
@@ -276,7 +279,7 @@ class Orchestrator:
         fanout: dict[str, int] = {}
         order: list[tuple[str, str]] = []       # (key, label) unique
         for cell in grid:
-            spec, key = parallel._job_spec(cell, 0, backend)
+            spec, key = parallel._job_spec(cell, backend=backend)
             if key not in fanout:
                 order.append((key, cell.label))
                 self._specs[key] = spec
@@ -480,7 +483,6 @@ class Orchestrator:
                 thread.start()
                 continue
             grid = self._compile_sweep(job.request)
-            from repro.core.batch import resolve_backend
             backend = resolve_backend(job.request.backend)
             job.keys, job.labels = [], {}
             job.cached_keys = set()
@@ -494,6 +496,10 @@ class Orchestrator:
     # -- workers -----------------------------------------------------------
 
     def _spawn_worker(self) -> None:
+        if resolve_backend() == "batch":
+            # Compile/load once here (a no-op after the first call):
+            # workers inherit the handle instead of each compiling it.
+            load_kernel()
         self._worker_seq += 1
         wid = f"w{self._worker_seq}"
         task_q = self._mp.Queue()
@@ -653,8 +659,8 @@ class Orchestrator:
                 w.ready = True
                 w.current = None
             return
-        if kind == "started":
-            return                  # informational; lease already held
+        if kind in ("started", "wake"):
+            return      # informational / submit's nudge: step dispatches
         if kind == "done":
             _, _, key, token, payload = msg
             self._on_done(wid, key, token, payload)

@@ -23,26 +23,13 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.trace.layout import AddressSpace
-from repro.trace.record import (SegmentField, Trace, TraceBuilder,
-                                assemble_vertex_edge_stream)
+from repro.trace.record import SegmentField, Trace, TraceBuilder
 
 _BIG = np.int64(1) << 60
 
 # Inner (per-edge) loops are emitted under this many PC lanes,
 # modelling compiler loop unrolling (see SegmentField.unroll).
 UNROLL = 4
-
-
-def _finish(tb: TraceBuilder, max_accesses: int | None) -> Trace:
-    trace = tb.build()
-    if max_accesses is not None and len(trace) > max_accesses:
-        trace = trace.slice(0, max_accesses)
-        trace.name = tb.name
-    return trace
-
-
-def _full(tb: TraceBuilder, max_accesses: int | None) -> bool:
-    return max_accesses is not None and len(tb) >= max_accesses
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -77,7 +64,7 @@ def trace_pagerank(graph: CSRGraph, iterations: int = 2,
     contrib_r = space.add("outgoing_contrib", 4, n, irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"pr.{graph.name}", kernel="pr",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     verts = np.arange(n, dtype=np.int64)
     counts = np.diff(graph.in_oa).astype(np.int64)
     edge_idx = np.arange(len(graph.in_na), dtype=np.int64)
@@ -94,16 +81,16 @@ def trace_pagerank(graph: CSRGraph, iterations: int = 2,
     for _ in range(iterations):
         # Lines 4-6: outgoing_contrib[u] = scores[u] / d+(u) — two
         # interleaved sequential streams.
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             np.zeros(n, dtype=np.int64),
             header=[SegmentField(pc_cload, scores_r.addr(verts), gap=1),
                     SegmentField(pc_cstore, contrib_r.addr(verts),
                                  write=True, gap=2)],
-            edge=[], footer=[]))
-        if _full(tb, max_accesses):
+            edge=[], footer=[])
+        if tb.full:
             break
         # Lines 7-15: gather over incoming neighbours.
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_oa, oa_r.addr(verts + 1), gap=1)],
             edge=[SegmentField(pc_na, na_r.addr(edge_idx), gap=1,
@@ -112,10 +99,10 @@ def trace_pagerank(graph: CSRGraph, iterations: int = 2,
                                dep_rel=-1, unroll=UNROLL)],
             footer=[SegmentField(pc_sload, scores_r.addr(verts), gap=2),
                     SegmentField(pc_sstore, scores_r.addr(verts),
-                                 write=True, gap=3)]))
-        if _full(tb, max_accesses):
+                                 write=True, gap=3)])
+        if tb.full:
             break
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +134,7 @@ def trace_bfs(graph: CSRGraph, source: int = 0,
     bitmap_r = space.add("depth", 4, max(n, 1), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"bfs.{graph.name}", kernel="bfs",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_q = tb.pc("bfs.push.load_queue")
     pc_oa = tb.pc("bfs.push.load_oa")
     pc_na = tb.pc("bfs.push.load_na")
@@ -167,14 +154,13 @@ def trace_bfs(graph: CSRGraph, source: int = 0,
     out_deg = np.diff(graph.out_oa).astype(np.int64)
     edges_to_check = int(out_deg.sum())
 
-    while len(frontier) and not _full(tb, max_accesses):
+    while len(frontier) and not tb.full:
         scout = int(out_deg[frontier].sum())
         if scout > edges_to_check // ALPHA and len(frontier) > 1:
             frontier = _trace_bfs_pull_phase(
                 tb, graph, parent, frontier, n,
                 (ioa_r, ina_r, parent_r, bitmap_r),
-                (pc_bset, pc_scan, pc_ioa, pc_ina, pc_bget, pc_pullw),
-                max_accesses)
+                (pc_bset, pc_scan, pc_ioa, pc_ina, pc_bget, pc_pullw))
         else:
             frontier = _trace_bfs_push_step(
                 tb, graph, parent, frontier,
@@ -183,7 +169,7 @@ def trace_bfs(graph: CSRGraph, source: int = 0,
         edges_to_check -= scout
 
     trace_bfs.last_parent = parent
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 def _trace_bfs_push_step(tb, graph, parent, frontier, regions, pcs):
@@ -203,7 +189,7 @@ def _trace_bfs_push_step(tb, graph, parent, frontier, regions, pcs):
     store_mask = fresh & first
 
     qpos = np.arange(len(frontier), dtype=np.int64) % queue_r.num_elems
-    tb.append_chunk(assemble_vertex_edge_stream(
+    tb.append_stream(
         counts,
         header=[SegmentField(pc_q, queue_r.addr(qpos), gap=1),
                 SegmentField(pc_oa, oa_r.addr(frontier), gap=1)],
@@ -213,7 +199,7 @@ def _trace_bfs_push_step(tb, graph, parent, frontier, regions, pcs):
               SegmentField(pc_pstore, parent_r.addr(dsts), write=True,
                            gap=1, dep_rel=-1, mask=store_mask,
                            unroll=UNROLL)],
-        footer=[]))
+        footer=[])
 
     won = dsts[store_mask]
     srcs = np.repeat(frontier, counts)[store_mask]
@@ -224,8 +210,7 @@ def _trace_bfs_push_step(tb, graph, parent, frontier, regions, pcs):
     return won
 
 
-def _trace_bfs_pull_phase(tb, graph, parent, frontier, n, regions, pcs,
-                          max_accesses):
+def _trace_bfs_pull_phase(tb, graph, parent, frontier, n, regions, pcs):
     ioa_r, ina_r, parent_r, bitmap_r = regions
     pc_bset, pc_scan, pc_ioa, pc_ina, pc_bget, pc_pullw = pcs
     oa, na = graph.in_oa, graph.in_na
@@ -235,7 +220,7 @@ def _trace_bfs_pull_phase(tb, graph, parent, frontier, n, regions, pcs,
     tb.emit(pc_bset, bitmap_r.addr(np.sort(frontier)), write=True,
             gap=1)
 
-    while not _full(tb, max_accesses):
+    while not tb.full:
         unvisited = parent == -1
         uv = np.flatnonzero(unvisited)
         # The bottom-up scan reads parent[] for every vertex sequentially;
@@ -273,7 +258,7 @@ def _trace_bfs_pull_phase(tb, graph, parent, frontier, n, regions, pcs,
         scan_eidx = _edge_indices_partial(oa, verts, counts)
         scan_neigh = na[scan_eidx].astype(np.int64)
         new_mask = found_parent >= 0
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_scan, parent_r.addr(verts), gap=1),
                     SegmentField(pc_ioa, ioa_r.addr(verts), gap=1,
@@ -284,7 +269,7 @@ def _trace_bfs_pull_phase(tb, graph, parent, frontier, n, regions, pcs,
                                bitmap_r.addr(scan_neigh), gap=1,
                                dep_rel=-1, unroll=UNROLL)],
             footer=[SegmentField(pc_pullw, parent_r.addr(verts),
-                                 write=True, gap=1, mask=new_mask)]))
+                                 write=True, gap=1, mask=new_mask)])
 
         newly = np.flatnonzero(new_mask)
         parent[newly] = found_parent[newly]
@@ -319,7 +304,7 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
     comp_r = space.add("comp", 4, n, irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"cc.{graph.name}", kernel="cc",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_oa = tb.pc("cc.hook.load_oa")
     pc_na = tb.pc("cc.hook.load_na")
     pc_cu = tb.pc("cc.hook.load_comp_u")
@@ -337,7 +322,7 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
     srcs = np.repeat(verts, counts)
 
     for _ in range(max_rounds):
-        if _full(tb, max_accesses):
+        if tb.full:
             break
         cs, cd = comp[srcs], comp[dsts]
         lo, hi = np.minimum(cs, cd), np.maximum(cs, cd)
@@ -352,7 +337,7 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
             first[1:] = hi[ordered][1:] != hi[ordered][:-1]
             win[ordered[first]] = True
 
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_oa, oa_r.addr(verts + 1), gap=1),
                     SegmentField(pc_cu, comp_r.addr(verts), gap=1)],
@@ -363,29 +348,29 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
                   SegmentField(pc_hook, comp_r.addr(hi), write=True,
                                gap=1, dep_rel=-1, mask=win,
                                unroll=UNROLL)],
-            footer=[]))
+            footer=[])
         if not diff.any():
             break
         comp[hi[win]] = lo[win]
 
         # Pointer jumping until flat.
-        while not _full(tb, max_accesses):
+        while not tb.full:
             nxt = comp[comp]
             changed = nxt != comp
-            tb.append_chunk(assemble_vertex_edge_stream(
+            tb.append_stream(
                 np.zeros(n, dtype=np.int64),
                 header=[SegmentField(pc_j1, comp_r.addr(verts), gap=1),
                         SegmentField(pc_j2, comp_r.addr(comp), gap=1,
                                      dep_rel=-1),
                         SegmentField(pc_jw, comp_r.addr(verts),
                                      write=True, gap=1, mask=changed)],
-                edge=[], footer=[]))
+                edge=[], footer=[])
             if not changed.any():
                 break
             comp = nxt
 
     trace_cc.last_comp = comp
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,7 @@ def trace_tc(graph: CSRGraph, max_accesses: int | None = None,
     na_r = space.add("out_na", 4, len(graph.out_na), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"tc.{graph.name}", kernel="tc",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_oau = tb.pc("tc.load_oa_u")
     pc_na = tb.pc("tc.load_na_edge")
     pc_oav = tb.pc("tc.load_oa_v")
@@ -425,21 +410,21 @@ def trace_tc(graph: CSRGraph, max_accesses: int | None = None,
     srcs, dsts = srcs[keep], dsts[keep]
 
     # Per-u header stream: load OA[u] for each vertex (sequential).
-    tb.append_chunk(assemble_vertex_edge_stream(
+    tb.append_stream(
         np.zeros(n, dtype=np.int64),
         header=[SegmentField(pc_oau, oa_r.addr(verts), gap=1)],
-        edge=[], footer=[]))
+        edge=[], footer=[])
 
     scan_len = np.minimum(deg[dsts], scan_cap)
     scan_idx = _edge_indices_partial(graph.out_oa, dsts, scan_len)
-    tb.append_chunk(assemble_vertex_edge_stream(
+    tb.append_stream(
         scan_len,
         header=[SegmentField(pc_na, na_r.addr(eidx), gap=1),
                 SegmentField(pc_oav, oa_r.addr(dsts), gap=2, dep_rel=-1)],
         edge=[SegmentField(pc_scan, na_r.addr(scan_idx), gap=1,
                            dep_rel=None, unroll=UNROLL)],
-        footer=[]))
-    return _finish(tb, max_accesses)
+        footer=[])
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +446,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
     queue_r = space.add("frontier_queue", 4, max(n, 1))
 
     tb = TraceBuilder(space, name=f"bc.{graph.name}", kernel="bc",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_q = tb.pc("bc.fwd.load_queue")
     pc_oa = tb.pc("bc.fwd.load_oa")
     pc_na = tb.pc("bc.fwd.load_na")
@@ -481,7 +466,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
     deg = np.diff(graph.out_oa).astype(np.int64)
     candidates = np.flatnonzero(deg > 0)
     if len(candidates) == 0:
-        return _finish(tb, max_accesses)
+        return tb.build()
     sources = rng.choice(candidates,
                          size=min(num_sources, len(candidates)),
                          replace=False)
@@ -490,7 +475,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
     ioa, ina = graph.in_oa, graph.in_na
 
     for s in sources:
-        if _full(tb, max_accesses):
+        if tb.full:
             break
         depth = np.full(n, -1, dtype=np.int64)
         sigma = np.zeros(n, dtype=np.float64)
@@ -499,14 +484,14 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
         levels = [np.array([int(s)], dtype=np.int64)]
         d = 0
         frontier = levels[0]
-        while len(frontier) and not _full(tb, max_accesses):
+        while len(frontier) and not tb.full:
             counts = (oa[frontier + 1] - oa[frontier]).astype(np.int64)
             eidx = _edge_indices(oa, frontier)
             dsts = na[eidx].astype(np.int64)
             fresh = depth[dsts] == -1
             next_lvl = fresh | (depth[dsts] == d + 1)
             qpos = np.arange(len(frontier), dtype=np.int64) % n
-            tb.append_chunk(assemble_vertex_edge_stream(
+            tb.append_stream(
                 counts,
                 header=[SegmentField(pc_q, queue_r.addr(qpos), gap=1),
                         SegmentField(pc_oa, oa_r.addr(frontier), gap=1)],
@@ -522,7 +507,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
                       SegmentField(pc_sstore, sigma_r.addr(dsts),
                                    write=True, gap=1, dep_rel=-1,
                                    mask=next_lvl, unroll=UNROLL)],
-                footer=[]))
+                footer=[])
             # Update algorithm state.
             np.add.at(sigma, dsts[next_lvl],
                       sigma[np.repeat(frontier, counts)[next_lvl]])
@@ -535,7 +520,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
         # Backward accumulation (pull over in-edges, deepest level first).
         delta = np.zeros(n, dtype=np.float64)
         for frontier in reversed(levels[1:]):
-            if _full(tb, max_accesses):
+            if tb.full:
                 break
             counts = (ioa[frontier + 1] - ioa[frontier]).astype(np.int64)
             eidx = _edge_indices(ioa, frontier)
@@ -543,7 +528,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
             vrep = np.repeat(frontier, counts)
             is_pred = depth[preds] == depth[vrep] - 1
             qpos = np.arange(len(frontier), dtype=np.int64) % n
-            tb.append_chunk(assemble_vertex_edge_stream(
+            tb.append_stream(
                 counts,
                 header=[SegmentField(pc_bq, queue_r.addr(qpos), gap=1),
                         SegmentField(pc_bdel_v, delta_r.addr(frontier),
@@ -559,7 +544,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
                       SegmentField(pc_bdel, delta_r.addr(preds),
                                    write=True, gap=2, dep_rel=-1,
                                    mask=is_pred, unroll=UNROLL)],
-                footer=[]))
+                footer=[])
             coeff = np.where(sigma[frontier] > 0,
                              (1.0 + delta[frontier]) / np.where(
                                  sigma[frontier] > 0, sigma[frontier], 1),
@@ -567,7 +552,7 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
             np.add.at(delta, preds[is_pred],
                       sigma[preds[is_pred]] *
                       np.repeat(coeff, counts)[is_pred])
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +574,7 @@ def trace_sssp(graph: CSRGraph, source: int = 0,
     bucket_r = space.add("bucket_queue", 4, max(n, 1))
 
     tb = TraceBuilder(space, name=f"sssp.{graph.name}", kernel="sssp",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_bq = tb.pc("sssp.load_bucket")
     pc_du = tb.pc("sssp.load_dist_u")
     pc_oa = tb.pc("sssp.load_oa")
@@ -609,7 +594,7 @@ def trace_sssp(graph: CSRGraph, source: int = 0,
     dist[source] = 0
     current = 0
 
-    while not _full(tb, max_accesses):
+    while not tb.full:
         # Find the lowest non-empty bucket.
         finite = dist < INF
         unsettled = finite & (dist >= current * delta)
@@ -623,7 +608,7 @@ def trace_sssp(graph: CSRGraph, source: int = 0,
         # last processed at, so within-bucket improvements propagate.
         processed_dist = np.full(n, INF, dtype=np.int64)
         touched = np.zeros(n, dtype=bool)
-        while not _full(tb, max_accesses):
+        while not tb.full:
             in_bucket = (dist >= lo) & (dist < hi) & \
                 (dist < processed_dist)
             f = np.flatnonzero(in_bucket)
@@ -647,7 +632,7 @@ def trace_sssp(graph: CSRGraph, source: int = 0,
         current += 1
 
     trace_sssp.last_dist = dist
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 def _trace_sssp_relax(tb, graph, dist, frontier, w, delta, light,
@@ -668,7 +653,7 @@ def _trace_sssp_relax(tb, graph, dist, frontier, w, delta, light,
     improved = sel & (cand < dist[dsts])
     qpos = np.arange(len(frontier), dtype=np.int64) % bucket_r.num_elems
 
-    tb.append_chunk(assemble_vertex_edge_stream(
+    tb.append_stream(
         counts,
         header=[SegmentField(pc_bq, bucket_r.addr(qpos), gap=1),
                 SegmentField(pc_du, dist_r.addr(frontier), gap=1),
@@ -679,7 +664,7 @@ def _trace_sssp_relax(tb, graph, dist, frontier, w, delta, light,
                            unroll=UNROLL),
               SegmentField(pc_st, dist_r.addr(dsts), write=True, gap=1,
                            dep_rel=-1, mask=improved, unroll=UNROLL)],
-        footer=[]))
+        footer=[])
     if improved.any():
         # Min-reduce concurrent relaxations of the same destination.
         np.minimum.at(dist, dsts[improved], cand[improved])
@@ -716,19 +701,19 @@ def trace_rw(graph: CSRGraph, num_walks: int = 64,
     walk_r = space.add("walk_state", 4, max(num_walks, 1))
 
     tb = TraceBuilder(space, name=f"rw.{graph.name}", kernel="rw",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_walk = tb.pc("rw.load_walk_state")
     pc_oa = tb.pc("rw.load_oa")
     pc_na = tb.pc("rw.load_na_sample")
     pc_visit = tb.pc("rw.store_visit")
 
     if n == 0 or num_walks <= 0:
-        return _finish(tb, max_accesses)
+        return tb.build()
     rng = np.random.default_rng(seed)
     deg = np.diff(graph.out_oa).astype(np.int64)
     candidates = np.flatnonzero(deg > 0)
     if len(candidates) == 0:
-        return _finish(tb, max_accesses)
+        return tb.build()
     starts = candidates[rng.integers(0, len(candidates),
                                      size=num_walks)]
     cur = starts.copy()
@@ -736,7 +721,7 @@ def trace_rw(graph: CSRGraph, num_walks: int = 64,
     tb.emit(pc_visit, visit_r.addr(cur), write=True, gap=1)
 
     for _ in range(walk_length):
-        if _full(tb, max_accesses):
+        if tb.full:
             break
         teleport = rng.random(num_walks) < restart
         pick = rng.random(num_walks)
@@ -748,16 +733,16 @@ def trace_rw(graph: CSRGraph, num_walks: int = 64,
         nxt = np.where(teleport, starts,
                        graph.out_na[eidx].astype(np.int64))
         counts = np.where(teleport, 0, 1).astype(np.int64)
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_walk, walk_r.addr(walk_ids), gap=1),
                     SegmentField(pc_oa, oa_r.addr(cur), gap=1)],
             edge=[SegmentField(pc_na, na_r.addr(eidx[~teleport]),
                                gap=2, dep_rel=-1)],
             footer=[SegmentField(pc_visit, visit_r.addr(nxt),
-                                 write=True, gap=1)]))
+                                 write=True, gap=1)])
         cur = nxt
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +768,7 @@ def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
     out_r = space.add("feat_out", 4 * feature_dim, max(n, 1))
 
     tb = TraceBuilder(space, name=f"gs.{graph.name}", kernel="gs",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_oa = tb.pc("gs.load_oa")
     pc_na = tb.pc("gs.load_na")
     pc_gather = tb.pc("gs.load_feat")
@@ -796,7 +781,7 @@ def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
     neigh = graph.in_na.astype(np.int64)
 
     for _ in range(rounds):
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_oa, oa_r.addr(verts + 1), gap=1)],
             edge=[SegmentField(pc_na, na_r.addr(edge_idx), gap=1,
@@ -805,10 +790,10 @@ def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
                                dep_rel=-1, unroll=UNROLL)],
             footer=[SegmentField(pc_self, feat_r.addr(verts), gap=2),
                     SegmentField(pc_store, out_r.addr(verts),
-                                 write=True, gap=3)]))
-        if _full(tb, max_accesses):
+                                 write=True, gap=3)])
+        if tb.full:
             break
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +825,7 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
     mass_r = space.add("mass", 4, max(n, 1), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"dyn.{graph.name}", kernel="dyn",
-                      graph=graph.name)
+                      graph=graph.name, limit=max_accesses)
     pc_doa = tb.pc("dyn.del.load_oa")
     pc_dna = tb.pc("dyn.del.store_na_tombstone")
     pc_ddeg = tb.pc("dyn.del.store_degree")
@@ -858,7 +843,7 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
     pc_pst = tb.pc("dyn.pr.store_mass")
 
     if n == 0:
-        return _finish(tb, max_accesses)
+        return tb.build()
     rng = np.random.default_rng(seed)
     alive = np.ones(e, dtype=bool)
     src_of = np.repeat(np.arange(n, dtype=np.int64),
@@ -866,7 +851,7 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
     log_len = 0
 
     for b in range(batches):
-        if _full(tb, max_accesses):
+        if tb.full:
             break
         # Update phase: deletions then insertions (kernel's RNG order).
         ndel = min(batch_size // 2, e)
@@ -874,20 +859,20 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
             del_idx = rng.integers(0, e, size=ndel)
             alive[del_idx] = False
             du = src_of[del_idx]
-            tb.append_chunk(assemble_vertex_edge_stream(
+            tb.append_stream(
                 np.zeros(ndel, dtype=np.int64),
                 header=[SegmentField(pc_doa, oa_r.addr(du), gap=1),
                         SegmentField(pc_dna, na_r.addr(del_idx),
                                      write=True, gap=1),
                         SegmentField(pc_ddeg, deg_r.addr(du),
                                      write=True, gap=2)],
-                edge=[], footer=[]))
+                edge=[], footer=[])
         new = rng.integers(0, n, size=(batch_size - ndel, 2))
         new = new[new[:, 0] != new[:, 1]]
         if len(new):
             slots = log_len + np.arange(len(new), dtype=np.int64)
             log_len += len(new)
-            tb.append_chunk(assemble_vertex_edge_stream(
+            tb.append_stream(
                 np.zeros(len(new), dtype=np.int64),
                 header=[SegmentField(pc_ioa, oa_r.addr(new[:, 0]),
                                      gap=1),
@@ -895,24 +880,22 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
                                      write=True, gap=1),
                         SegmentField(pc_ideg, deg_r.addr(new[:, 0]),
                                      write=True, gap=2)],
-                edge=[], footer=[]))
-        if _full(tb, max_accesses):
+                edge=[], footer=[])
+        if tb.full:
             break
         # Query phase: BFS probe (even) / PR scatter (odd).
         if b % 2 == 0:
             _trace_dyn_bfs(tb, graph, alive, int(rng.integers(0, n)),
                            log_len, (oa_r, na_r, seen_r, log_r),
-                           (pc_qoa, pc_qna, pc_qseen, pc_qset, pc_qlog),
-                           max_accesses)
+                           (pc_qoa, pc_qna, pc_qseen, pc_qset, pc_qlog))
         else:
             _trace_dyn_pr(tb, graph, alive, log_len,
                           (oa_r, na_r, mass_r, log_r),
                           (pc_poa, pc_pna, pc_pmass, pc_pst, pc_qlog))
-    return _finish(tb, max_accesses)
+    return tb.build()
 
 
-def _trace_dyn_bfs(tb, graph, alive, source, log_len, regions, pcs,
-                   max_accesses):
+def _trace_dyn_bfs(tb, graph, alive, source, log_len, regions, pcs):
     """BFS reachability probe over the live overlay (push only)."""
     oa_r, na_r, seen_r, log_r = regions
     pc_oa, pc_na, pc_seen, pc_set, pc_log = pcs
@@ -921,7 +904,7 @@ def _trace_dyn_bfs(tb, graph, alive, source, log_len, regions, pcs,
     seen = np.zeros(n, dtype=bool)
     seen[source] = True
     frontier = np.array([source], dtype=np.int64)
-    while len(frontier) and not _full(tb, max_accesses):
+    while len(frontier) and not tb.full:
         counts = (oa[frontier + 1] - oa[frontier]).astype(np.int64)
         eidx = _edge_indices(oa, frontier)
         dsts = na[eidx].astype(np.int64)
@@ -931,7 +914,7 @@ def _trace_dyn_bfs(tb, graph, alive, source, log_len, regions, pcs,
             _, first_idx = np.unique(dsts, return_index=True)
             first[first_idx] = True
         store = fresh & first
-        tb.append_chunk(assemble_vertex_edge_stream(
+        tb.append_stream(
             counts,
             header=[SegmentField(pc_oa, oa_r.addr(frontier), gap=1)],
             edge=[SegmentField(pc_na, na_r.addr(eidx), gap=1,
@@ -941,7 +924,7 @@ def _trace_dyn_bfs(tb, graph, alive, source, log_len, regions, pcs,
                   SegmentField(pc_set, seen_r.addr(dsts), write=True,
                                gap=1, dep_rel=-1, mask=store,
                                unroll=UNROLL)],
-            footer=[]))
+            footer=[])
         if log_len:
             tb.emit(pc_log,
                     log_r.addr(np.arange(log_len, dtype=np.int64)),
@@ -960,7 +943,7 @@ def _trace_dyn_pr(tb, graph, alive, log_len, regions, pcs):
     counts = np.diff(graph.out_oa).astype(np.int64)
     eidx = np.arange(graph.num_edges, dtype=np.int64)
     dsts = graph.out_na.astype(np.int64)
-    tb.append_chunk(assemble_vertex_edge_stream(
+    tb.append_stream(
         counts,
         header=[SegmentField(pc_oa, oa_r.addr(verts + 1), gap=1)],
         edge=[SegmentField(pc_na, na_r.addr(eidx), gap=1,
@@ -969,7 +952,7 @@ def _trace_dyn_pr(tb, graph, alive, log_len, regions, pcs):
                            dep_rel=-1, unroll=UNROLL),
               SegmentField(pc_st, mass_r.addr(dsts), write=True, gap=1,
                            dep_rel=-1, mask=alive, unroll=UNROLL)],
-        footer=[]))
+        footer=[])
     if log_len:
         tb.emit(pc_log, log_r.addr(np.arange(log_len, dtype=np.int64)),
                 gap=1)
@@ -999,12 +982,15 @@ def generate_trace(kernel: str, graph: CSRGraph,
     the trace reflects that graph's degree distribution and neighbour
     ordering.
 
-    ``max_accesses`` caps the trace length: generation runs the real
-    algorithm (all frontiers/rounds/buckets) but stops emitting once
-    the builder holds at least that many records, then windows the
-    result with :meth:`Trace.slice` — dependency links into the cut
-    region are clamped, and record ``max_accesses`` is the last one
-    kept.  ``None`` traces the run to completion (can be very large).
+    ``max_accesses`` caps the trace length.  It is the
+    :class:`TraceBuilder`'s ``limit``: a loop nest's stream is built
+    only up to the shortest vertex prefix that fills the window, and
+    the real algorithm (frontiers/rounds/buckets) stops at the first
+    round boundary after the builder is full.  The result is windowed
+    with :meth:`Trace.slice` — record ``max_accesses`` is the last one
+    kept — and equals the unbounded trace's first ``max_accesses``
+    records exactly.  ``None`` traces the run to completion (can be
+    very large).
 
     Remaining ``kwargs`` pass through to the specific tracer:
     ``iterations`` (pr), ``source`` (bfs/sssp), ``num_sources``/

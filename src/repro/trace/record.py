@@ -28,7 +28,9 @@ the per-active-vertex edge counts, the position of every record in the
 final stream is an affine function of the vertex index and the
 cumulative edge count, so all PCs, addresses and dependency links can
 be scattered with NumPy fancy indexing (DESIGN.md substitution #1
-keeps trace generation tractable).
+keeps trace generation tractable).  A builder's ``limit`` (the trace
+window) cuts each stream at the shortest vertex prefix that fills it,
+so records past the window are never built.
 
 **Serialization.** :meth:`Trace.save`/:meth:`Trace.load` round-trip
 the legacy compressed ``.npz`` form (format v7), which the engine
@@ -40,7 +42,7 @@ this dtype byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,20 +167,38 @@ class Trace:
 
 
 class TraceBuilder:
-    """Incrementally assembles a :class:`Trace` from vectorized chunks."""
+    """Incrementally assembles a :class:`Trace` from vectorized chunks.
+
+    ``limit`` (a tracer's ``max_accesses``) bounds what gets built:
+    :meth:`emit` stops at ``limit`` records, :meth:`append_stream` at
+    the end of the vertex that reaches it, and :meth:`build` cuts that
+    vertex's overshoot, so a windowed trace never assembles the records
+    its window would cut away.  The ``limit`` records it keeps are the
+    same as an unbounded builder's first ``limit``.
+    """
 
     def __init__(self, address_space: AddressSpace, name: str = "trace",
-                 kernel: str = "", graph: str = ""):
+                 kernel: str = "", graph: str = "",
+                 limit: int | None = None):
         self.space = address_space
         self.name = name
         self.kernel = kernel
         self.graph = graph
+        self.limit = limit
         self._chunks: list[np.ndarray] = []
         self._length = 0
         self._pcs: dict[str, int] = {}
 
     def __len__(self) -> int:
         return self._length
+
+    @property
+    def full(self) -> bool:
+        """True once the builder holds at least ``limit`` records."""
+        return self.limit is not None and self._length >= self.limit
+
+    def _room(self) -> int | None:
+        return None if self.limit is None else self.limit - self._length
 
     def pc(self, site: str) -> int:
         """Stable PC id for a named static access site."""
@@ -206,8 +226,12 @@ class TraceBuilder:
         ``addr`` may be scalar or an array; ``dep_rel`` (if given) is a
         negative offset within the run linking each record to an earlier
         one (e.g. -1 = the immediately preceding record in this run).
+        Records past the builder's ``limit`` are not emitted.
         """
         addr = np.atleast_1d(np.asarray(addr, dtype=np.uint64))
+        room = self._room()
+        if room is not None:
+            addr = addr[:max(room, 0)]
         n = len(addr)
         chunk = np.zeros(n, dtype=ACCESS_DTYPE)
         chunk["pc"] = pc
@@ -221,11 +245,27 @@ class TraceBuilder:
             chunk["dep"] = np.where(idx >= 0, idx, -1)
         self.append_chunk(chunk)
 
+    def append_stream(self, counts: np.ndarray,
+                      header: list[SegmentField],
+                      edge: list[SegmentField],
+                      footer: list[SegmentField]) -> None:
+        """Append an :func:`assemble_vertex_edge_stream` chunk, built
+        only as far as the builder's ``limit`` leaves room for."""
+        room = self._room()
+        if room is not None and room <= 0:
+            return
+        self.append_chunk(assemble_vertex_edge_stream(
+            counts, header, edge, footer, limit=room))
+
     def build(self) -> Trace:
+        """The assembled trace, cut to its first ``limit`` records."""
         if self._chunks:
             accesses = np.concatenate(self._chunks)
         else:
             accesses = np.zeros(0, dtype=ACCESS_DTYPE)
+        if self.limit is not None and len(accesses) > self.limit:
+            # Dep links only point backwards, so the cut keeps them.
+            accesses = accesses[:self.limit].copy()
         trace = Trace(accesses, self.space, self.name, self.kernel,
                       self.graph)
         trace.validate()
@@ -268,7 +308,8 @@ def assemble_vertex_edge_stream(
         counts: np.ndarray,
         header: list[SegmentField],
         edge: list[SegmentField],
-        footer: list[SegmentField]) -> np.ndarray:
+        footer: list[SegmentField],
+        limit: int | None = None) -> np.ndarray:
     """Interleave per-vertex and per-edge access sites into one stream.
 
     The logical program is::
@@ -281,6 +322,12 @@ def assemble_vertex_edge_stream(
 
     Returns an ``ACCESS_DTYPE`` array in exactly that order, built with
     pure array arithmetic.
+
+    ``limit`` builds only the shortest vertex prefix whose kept
+    (post-mask) records number at least ``limit`` (the whole stream
+    when it is shorter): at most one vertex's records past ``limit``,
+    each equal to the full stream's record at that position, since
+    every dependency link points backward.
     """
     counts = np.asarray(counts, dtype=np.int64)
     nv = len(counts)
@@ -293,13 +340,21 @@ def assemble_vertex_edge_stream(
         if len(fld.addr) != ne:
             raise ValueError("edge field length != #edges")
 
+    oa = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(counts, out=oa[1:])
+    if limit is not None:
+        nv = _prefix_vertices(oa, header + footer, edge, limit)
+        ne = int(oa[nv])
+        counts, oa = counts[:nv], oa[:nv + 1]
+        header = [_head(fld, nv) for fld in header]
+        edge = [_head(fld, ne) for fld in edge]
+        footer = [_head(fld, nv) for fld in footer]
+
     total = nv * (h + f) + ne * e
     out = np.zeros(total, dtype=ACCESS_DTYPE)
     out["dep"] = -1
     keep = np.ones(total, dtype=bool)
 
-    oa = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(counts, out=oa[1:])
     vbase = (h + f) * np.arange(nv, dtype=np.int64) + e * oa[:-1]
 
     def scatter(pos: np.ndarray, fld: SegmentField) -> None:
@@ -331,6 +386,29 @@ def assemble_vertex_edge_stream(
     if not keep.all():
         out = _compress_stream(out, keep)
     return out
+
+
+def _prefix_vertices(oa: np.ndarray, vertex_fields: list[SegmentField],
+                     edge_fields: list[SegmentField], limit: int) -> int:
+    """Fewest leading vertices whose kept records number ``>= limit``
+    (all of them when the whole stream keeps fewer)."""
+    nv = len(oa) - 1
+    kept = len(vertex_fields) * np.arange(nv + 1, dtype=np.int64) \
+        + len(edge_fields) * oa
+    for fields, bounds in ((vertex_fields, None), (edge_fields, oa)):
+        for fld in fields:
+            if fld.mask is None:
+                continue
+            dropped = np.zeros(len(fld.mask) + 1, dtype=np.int64)
+            np.cumsum(~np.asarray(fld.mask, dtype=bool), out=dropped[1:])
+            kept -= dropped if bounds is None else dropped[bounds]
+    return min(int(np.searchsorted(kept, limit)), nv)
+
+
+def _head(fld: SegmentField, n: int) -> SegmentField:
+    """``fld`` cut to its first ``n`` records."""
+    return replace(fld, addr=fld.addr[:n],
+                   mask=None if fld.mask is None else fld.mask[:n])
 
 
 def _compress_stream(out: np.ndarray, keep: np.ndarray) -> np.ndarray:

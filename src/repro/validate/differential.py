@@ -19,8 +19,10 @@ bit-identical final state and stats:
   under every LLC replacement policy the DSE samples
   (:data:`LLC_POLICIES`).
 
-Used from ``tests/test_validate.py``; any mismatch is a bug in one of
-the twins (the bugfix history lives in CHANGES.md).
+The reference-loop twins run with ``backend="ref"``: they police the
+Python loop's specialisations, which the default batch engine would
+otherwise run past.  Used from ``tests/test_validate.py``; any mismatch
+is a bug in one of the twins (the bugfix history lives in CHANGES.md).
 """
 
 from __future__ import annotations
@@ -145,9 +147,10 @@ def diff_inlined_vs_generic_lru(trace: Trace,
                                 ) -> tuple[SystemStats, SystemStats]:
     """Inlined dict-order LRU vs. the generic ``LRUPolicy`` protocol."""
     cfg = config or SystemConfig()
-    fast = SingleCoreSystem(cfg, variant).run(trace, record_levels=True)
+    fast = SingleCoreSystem(cfg, variant).run(trace, record_levels=True,
+                                              backend="ref")
     generic_system = use_generic_lru(SingleCoreSystem(cfg, variant))
-    generic = generic_system.run(trace, record_levels=True)
+    generic = generic_system.run(trace, record_levels=True, backend="ref")
     assert_stats_equal(fast, generic, "inlined-LRU vs generic-LRU")
     return fast, generic
 
@@ -187,9 +190,11 @@ def diff_pow2_vs_divmod(trace: Trace, config: SystemConfig | None = None,
                         ) -> tuple[SystemStats, SystemStats]:
     """Shift/mask indexing vs. the forced div/mod fallback."""
     cfg = config or SystemConfig()
-    pow2 = SingleCoreSystem(cfg, variant).run(trace, record_levels=True)
+    pow2 = SingleCoreSystem(cfg, variant).run(trace, record_levels=True,
+                                              backend="ref")
     fallback_system = force_divmod(SingleCoreSystem(cfg, variant))
-    fallback = fallback_system.run(trace, record_levels=True)
+    fallback = fallback_system.run(trace, record_levels=True,
+                                   backend="ref")
     assert_stats_equal(pow2, fallback, "pow2 shift/mask vs div/mod")
     return pow2, fallback
 
@@ -201,8 +206,8 @@ def diff_multicore1_vs_single(trace: Trace,
     """A 1-core ``MultiCoreSystem`` must degenerate to the single-core
     system: identical per-core stats, cycles and DRAM traffic."""
     cfg = dataclasses.replace(config or SystemConfig(), num_cores=1)
-    single = SingleCoreSystem(cfg, variant).run(trace)
-    multi = MultiCoreSystem(cfg, variant).run([trace])
+    single = SingleCoreSystem(cfg, variant).run(trace, backend="ref")
+    multi = MultiCoreSystem(cfg, variant).run([trace], backend="ref")
     assert_stats_equal(single, multi.per_core[0],
                        f"multicore(1) vs single-core [{variant}]")
     return single, multi.per_core[0]

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro import telemetry as tele
 from repro.config import scaled_config
 from repro.core.batch import (BACKENDS, KernelError, backend,
                               fallback_counts, kernel_available,
@@ -33,6 +34,7 @@ from repro.experiments import results_cache as rc
 from repro.experiments.parallel import (Job, RunPolicy, _engine_fields,
                                         _job_spec, run_grid)
 from repro.experiments.runner import default_config
+from repro.telemetry import events as tele_events
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
 from repro.validate.differential import (FIG7_VARIANTS, LLC_POLICIES,
@@ -176,9 +178,9 @@ def trace():
 
 
 class TestResolveBackend:
-    def test_default_is_ref(self, monkeypatch):
+    def test_default_is_batch(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "ref"
+        assert resolve_backend(None) == "batch"
 
     def test_env_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "batch")
@@ -495,7 +497,7 @@ class TestCacheKeying:
     def test_batch_and_ref_keys_never_alias(self):
         job = Job("pr.urand", "baseline", default_config(), tier="tiny",
                   length=5000)
-        _, key_ref = _job_spec(job)
+        _, key_ref = _job_spec(job, backend="ref")
         _, key_batch = _job_spec(job, backend="batch")
         assert key_ref != key_batch
 
@@ -504,9 +506,10 @@ class TestCacheKeying:
         survive this PR."""
         job = Job("pr.urand", "baseline", default_config(), tier="tiny",
                   length=5000)
-        _, key_default = _job_spec(job)
-        _, key_explicit = _job_spec(job, backend="ref")
-        assert key_default == key_explicit
+        _, key_ref = _job_spec(job, backend="ref")
+        assert key_ref == rc.result_key(
+            rc.workload_fingerprint("pr.urand", "tiny", 5000), "baseline",
+            job.config.digest(), "")
 
     def test_code_fingerprint_covers_kernel_c(self):
         from repro.experiments.results_cache import (_FINGERPRINT_SOURCES,
@@ -557,11 +560,34 @@ class TestGridEquivalence:
         grid = self._grid()[:2]
         res = run_grid(grid, cache=rc.ResultsCache(tmp_path / "env"),
                        manifest_dir=tmp_path / "runs")
-        monkeypatch.delenv("REPRO_BACKEND")
+        monkeypatch.setenv("REPRO_BACKEND", "ref")
         ref = run_grid(grid, cache=rc.ResultsCache(tmp_path / "ref2"),
                        manifest_dir=tmp_path / "runs")
         for a, b in zip(res, ref):
             assert a.to_payload() == b.to_payload()
+
+
+@needs_kernel
+class TestDefaultEngine:
+    """With no backend named anywhere, a fig7 grid runs every cell in
+    the kernel: no refusal is counted and every cell's event says so."""
+
+    def test_fig7_grid_runs_on_the_kernel(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reset_fallback_counts()
+        tdir = tmp_path / "tele"
+        cfg = default_config()
+        grid = [Job(wl, v, cfg, tier="tiny", length=3000)
+                for wl in ("pr.urand", "bfs.urand") for v in FIG7_VARIANTS]
+        run_grid(grid, cache=rc.ResultsCache(tmp_path / "cache"),
+                 manifest_dir=tmp_path / "runs",
+                 telemetry=tele.TelemetryConfig(directory=tdir, window=0))
+        assert fallback_counts() == {}
+        records = tele_events.read_events(tele_events.events_path(
+            tdir, tele_events.latest_run_id(tdir)))
+        engines = [r["engine"] for r in records
+                   if r["event"] == "cell_exec_finished"]
+        assert engines == ["batch"] * len(grid)
 
 
 @needs_kernel

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.batch import resolve_backend
 from repro.experiments import figures, parallel
 from repro.experiments import results_cache as rc
 from repro.experiments.parallel import EXPERT_BEST, Job, run_grid
@@ -189,7 +190,8 @@ class TestRunGrid:
         assert cache.stores == 0 and len(cache) == 0
         # A poisoned cache entry must be ignored when use_cache=False.
         run_grid(grid, cache=cache)
-        _, key = parallel._job_spec(grid[0])
+        _, key = parallel._job_spec(grid[0], backend=resolve_backend(None))
+        assert cache.get(key) is not None       # the key run_grid used
         cache.put(key, {"poison": True})
         fresh = run_grid(grid, use_cache=False, cache=cache)
         assert "poison" not in fresh[0].as_dict()

@@ -27,6 +27,7 @@ from repro.service import (JobRequest, Orchestrator, ServiceConfig,
                            ServiceClient, ServiceError)
 from repro.service.api import serve_in_thread
 from repro.service.orchestrator import SERVICE_RUN_ID
+from repro.service.queue import LEASED
 from repro.service.schemas import (TERMINAL_JOB_STATES,
                                    validate_job_request)
 from repro.telemetry import events as tele_events
@@ -145,6 +146,32 @@ class TestHappyPath:
         manifest = RunManifest.load("identity")
         assert {c["source"] for c in manifest.cells.values()} \
             == {"cache"}
+
+
+class TestScheduling:
+    def test_submit_wakes_the_scheduler(self):
+        """A submitted job's first cell is leased by the next step at
+        once, not after the step's poll runs out.  The long lease TTL
+        keeps heartbeats (which would also wake it) out of the way."""
+        orc = Orchestrator(config(workers=1, lease_ttl=60.0))
+        orc.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(w.ready for w in orc._workers.values()):
+                assert time.monotonic() < deadline, "worker never ready"
+                orc.step(poll=0.05)
+            orc.submit(REQ)
+            t0 = time.monotonic()
+            orc.step(poll=5.0)
+            assert time.monotonic() - t0 < 2.5
+            assert any(c.state == LEASED for c in orc.queue.cells.values())
+        finally:
+            orc.request_drain()
+            deadline = time.monotonic() + 60.0
+            while not orc._stopped and time.monotonic() < deadline:
+                orc.step(poll=0.05)
+            orc._shutdown_workers()
+            orc.journal.close()
 
 
 class TestApiContract:

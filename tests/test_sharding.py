@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
+from repro.core.batch import resolve_backend
 from repro.experiments import results_cache as rc
 from repro.experiments import sharding
 from repro.experiments.manifest import RunManifest
@@ -52,12 +53,15 @@ def grid():
     # given cell reshuffles whenever the source tree changes.  The
     # ownership assertions below need the 2-way split to land work on
     # both shards; walk the trace length deterministically until it
-    # does instead of betting on the hash.
+    # does instead of betting on the hash.  The keys must be the ones
+    # run_grid computes, which fold in the ambient backend.
+    backend = resolve_backend(None)
     length = MICRO["length"]
     while True:
         jobs = [Job(wl, v, cfg, tier=MICRO["tier"], length=length)
                 for wl in WLS for v in VARIANTS]
-        if {shard_of(_job_spec(j)[1], 2) for j in jobs} == {0, 1}:
+        if {shard_of(_job_spec(j, backend=backend)[1], 2)
+                for j in jobs} == {0, 1}:
             return jobs
         length += 2
 

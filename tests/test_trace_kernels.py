@@ -31,6 +31,19 @@ def road():
     return grid_road_graph(12, seed=22)
 
 
+@pytest.fixture(scope="module")
+def full_trace(kron, road):
+    """Memoised unbounded trace per tracer."""
+    traces = {}
+
+    def get(kernel):
+        if kernel not in traces:
+            graph = road if kernel == "sssp" else kron
+            traces[kernel] = generate_trace(kernel, graph)
+        return traces[kernel]
+    return get
+
+
 def region_counts(trace):
     space = trace.address_space
     rids = space.classify_addresses(trace.accesses["addr"].astype(np.int64))
@@ -60,6 +73,17 @@ class TestCommon:
         graph = road if kernel == "sssp" else kron
         trace = generate_trace(kernel, graph, max_accesses=5_000)
         assert len(trace) <= 5_000
+
+    @pytest.mark.parametrize("max_accesses", [1, 100, 5_000, 20_000])
+    @pytest.mark.parametrize("kernel", sorted(TRACERS))
+    def test_window_is_the_full_traces_prefix(self, kernel, max_accesses,
+                                              kron, road, full_trace):
+        """The bounded builder stops building at the window, and what
+        it does build is the unbounded trace's leading records."""
+        graph = road if kernel == "sssp" else kron
+        window = generate_trace(kernel, graph, max_accesses=max_accesses)
+        want = full_trace(kernel).slice(0, max_accesses)
+        assert window.accesses.tobytes() == want.accesses.tobytes()
 
     def test_unknown_kernel_raises(self, kron):
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -59,6 +59,27 @@ class TestTraceBuilder:
         with pytest.raises(TypeError):
             tb.append_chunk(np.zeros(3, dtype=np.int64))
 
+    def test_limit_bounds_emit_and_append_stream(self, space):
+        tb = TraceBuilder(space, limit=5)
+        tb.emit(tb.pc("x"), space["arr"].addr(np.arange(3)))
+        assert not tb.full
+        tb.emit(tb.pc("y"), space["arr"].addr(np.arange(4)))
+        assert len(tb) == 5 and tb.full
+        tb.append_stream(np.array([2]),
+                         [SegmentField(1, np.array([0]))],
+                         [SegmentField(2, np.array([0, 4]))], [])
+        assert len(tb) == 5
+
+    def test_build_cuts_the_last_vertex_to_limit(self, space):
+        tb = TraceBuilder(space, name="t", limit=2)
+        tb.append_stream(np.array([3]), [],
+                         [SegmentField(2, space["arr"].addr(np.arange(3)),
+                                       dep_rel=-1)], [])
+        assert len(tb) == 3             # whole vertex built
+        trace = tb.build()
+        assert len(trace) == 2 and trace.name == "t"
+        assert trace.accesses["dep"].tolist() == [-1, 0]
+
     def test_empty_build(self, space):
         trace = TraceBuilder(space).build()
         assert len(trace) == 0
@@ -164,6 +185,26 @@ class TestAssembler:
             assemble_vertex_edge_stream(
                 np.array([1, 1]), [],
                 [SegmentField(1, np.arange(3))], [])
+
+    def test_limit_builds_the_shortest_vertex_prefix(self):
+        counts = np.array([3, 0, 4, 2, 5, 1])
+        m = int(counts.sum())
+        fields = ([SegmentField(1, np.arange(6),
+                                mask=np.array([1, 0, 1, 1, 0, 1], bool))],
+                  [SegmentField(2, np.arange(m) + 100),
+                   SegmentField(3, np.arange(m) + 200, write=True,
+                                dep_rel=-1, mask=np.arange(m) % 3 != 0)],
+                  [SegmentField(4, np.arange(6) + 300)])
+        full = assemble_vertex_edge_stream(counts, *fields)
+        # Stream length after each whole vertex (footer pc 4 ends one).
+        ends = np.concatenate(([0], np.flatnonzero(full["pc"] == 4) + 1))
+        for limit in range(len(full) + 2):
+            out = assemble_vertex_edge_stream(counts, *fields, limit=limit)
+            # At least ``limit`` kept records, and no vertex past the
+            # one that reached it.
+            i = min(int(np.searchsorted(ends, limit)), len(ends) - 1)
+            assert len(out) == ends[i]
+            assert out.tobytes() == full[:len(out)].tobytes()
 
     def test_empty_everything(self):
         out = assemble_vertex_edge_stream(np.zeros(0, dtype=np.int64),
