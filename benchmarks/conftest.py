@@ -18,15 +18,15 @@ import os
 
 import pytest
 
-QUICK_WORKLOADS = ("pr.kron", "cc.friendster", "bfs.urand", "sssp.road",
-                   "bc.twitter", "tc.web")
+from repro.experiments.figures import FIGURES, QUICK_WORKLOADS, run_figure
 
 
 @pytest.fixture
 def show(capsys):
     """Print a reproduced paper table bypassing pytest's capture, so it
-    appears in plain `pytest benchmarks/ --benchmark-only` output (and
-    thus in the committed bench_output.txt) without needing -s."""
+    appears in plain `pytest benchmarks/ --benchmark-only` output (the
+    `make bench` run, where the measured numbers come from) without
+    needing -s."""
     def _show(*chunks):
         with capsys.disabled():
             print()
@@ -42,7 +42,7 @@ LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "200000"))
 def bench_workloads():
     """Workload subset for single-core benches."""
     if FULL:
-        return None      # the figure functions default to all 36
+        return None      # run_figure defaults to all 36
     return list(QUICK_WORKLOADS)
 
 
@@ -60,3 +60,11 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
                               iterations=1)
+
+
+def run_figure_once(benchmark, show, name, *args, **kwargs):
+    """Run one FIGURES entry once under pytest-benchmark timing and show
+    its rendered report; returns the figure's result object."""
+    res = run_once(benchmark, run_figure, name, *args, **kwargs)
+    show(FIGURES[name].render(res))
+    return res

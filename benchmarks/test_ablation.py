@@ -9,15 +9,12 @@ serialization shrinks the modelled benefit, confirming the speedup is a
 latency effect, not a bandwidth one.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_ablation(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.ablation_study, bench_workloads,
-                   length=bench_length)
-    show(report.render_ablation(res))
+    res = run_figure_once(benchmark, show, "ablation", bench_workloads,
+                          length=bench_length)
     gm = res.geomeans()
     assert gm["sdc_lp"] > gm["victim"]
     assert gm["sdc_lp"] >= gm["lp_bypass"] - 0.02

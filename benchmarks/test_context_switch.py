@@ -6,19 +6,15 @@ virtually-tagged design would require), the 10 KB structures retrain so
 fast that the speedup is unaffected at OS-realistic switch intervals.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 INTERVALS = (0, 50_000, 10_000)
 
 
 def test_context_switch_robustness(benchmark, show, bench_workloads,
                                    bench_length):
-    res = run_once(benchmark, figures.context_switch_study,
-                   bench_workloads, intervals=INTERVALS,
-                   length=bench_length)
-    show(report.render_context_switch_study(res))
+    res = run_figure_once(benchmark, show, "context", bench_workloads,
+                          intervals=INTERVALS, length=bench_length)
     never = res.speedup_geomean[0]
     assert never > 0.10
     # OS-realistic flushing (every 10k+ accesses) moves the geomean by

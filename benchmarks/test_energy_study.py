@@ -8,15 +8,12 @@ energy overall (geomean), partially offset on some workloads by DRAM
 reads the bypass no longer shares through the LLC.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_energy_study(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.energy_study, bench_workloads,
-                   length=bench_length)
-    show(report.render_energy_study(res))
+    res = run_figure_once(benchmark, show, "energy", bench_workloads,
+                          length=bench_length)
     assert res.onchip_saving_geomean() > 0.0
     assert all(e > 0 for e in res.baseline_epki)
     assert all(e > 0 for e in res.sdc_lp_epki)

@@ -5,15 +5,12 @@ while the larger SDCs' longer latencies erode the speedup — the
 smallest SDC is the sweet spot (§V-B1).
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig10_sdc_size(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig10_sdc_size, bench_workloads,
-                   length=bench_length)
-    show(report.render_fig10(res))
+    res = run_figure_once(benchmark, show, "fig10", bench_workloads,
+                          length=bench_length)
     # MPKI decreases only marginally with capacity ...
     assert res.sdc_mpki[2] <= res.sdc_mpki[0]
     assert res.sdc_mpki[2] > 0.8 * res.sdc_mpki[0]

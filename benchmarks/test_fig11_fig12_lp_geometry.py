@@ -5,15 +5,12 @@ for 8/16/32/64 entries (saturating at 32); with 32 entries, 17.0 / 20.3
 / 20.7 / 20.7 % for direct-mapped/2/8/fully-assoc (8-way ~ optimal).
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig11_lp_entries(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig11_lp_entries, bench_workloads,
-                   length=bench_length)
-    show(report.render_sweep(res, "entries"))
+    res = run_figure_once(benchmark, show, "fig11", bench_workloads,
+                          length=bench_length)
     sp = res.speedup_geomean
     # Monotone non-decreasing and saturating: 64 entries buy nothing
     # meaningful over 32.
@@ -23,9 +20,8 @@ def test_fig11_lp_entries(benchmark, show, bench_workloads, bench_length):
 
 
 def test_fig12_lp_assoc(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig12_lp_assoc, bench_workloads,
-                   length=bench_length)
-    show(report.render_sweep(res, "ways"))
+    res = run_figure_once(benchmark, show, "fig12", bench_workloads,
+                          length=bench_length)
     sp = res.speedup_geomean
     # 8-way approaches the fully-associative result.
     assert abs(sp[2] - sp[3]) < 0.03

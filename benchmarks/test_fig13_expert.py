@@ -4,15 +4,12 @@ Paper result: Expert 19.1% vs SDC+LP 20.3% geomean — the dynamic
 predictor matches a profiling-driven manual classification.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig13_expert(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig13_expert, bench_workloads,
-                   length=bench_length)
-    show(report.render_fig13(res))
+    res = run_figure_once(benchmark, show, "fig13", bench_workloads,
+                          length=bench_length)
     gm_lp, gm_expert = res.geomeans()
     assert gm_lp > 0.10
     assert gm_expert > 0.05

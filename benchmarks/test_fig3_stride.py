@@ -9,15 +9,11 @@ must hold.
 
 import math
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig3_stride_dram(benchmark, show, bench_length):
-    res = run_once(benchmark, figures.fig3_stride_dram, "cc.friendster",
-                   length=bench_length)
-    show(report.render_fig3(res))
+    res = run_figure_once(benchmark, show, "fig3", length=bench_length)
     probs = res.dram_probability
     counts = res.access_counts
     # Stride-0/1 accesses rarely reach DRAM ...

@@ -5,15 +5,12 @@ Paper result (geomeans): L1D-40KB-ISO 0.0%, Distill 0.1%, T-OPT 9.4%,
 and the ~2x gap between SDC+LP and the best prior scheme.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig7_single_core(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig7_single_core, bench_workloads,
-                   length=bench_length)
-    show(report.render_fig7(res))
+    res = run_figure_once(benchmark, show, "fig7", bench_workloads,
+                          length=bench_length)
     gm = res.geomeans()
     # Who wins, and by roughly what factor.
     assert gm["sdc_lp"] > 0.10

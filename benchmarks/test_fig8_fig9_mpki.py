@@ -5,16 +5,12 @@ Paper result: average L2C MPKI 44.5 -> 4.4 and LLC MPKI 41.8 -> 2.8
 average MPKI of 48.3 (Fig. 9).
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_fig8_l2_llc_mpki(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig8_l2_llc_mpki, bench_workloads,
-                   length=bench_length)
-    show(report.render_mpki_compare(
-        res, ("l2c", "llc"), "Fig. 8 — L2C/LLC MPKI, Baseline vs SDC+LP"))
+    res = run_figure_once(benchmark, show, "fig8", bench_workloads,
+                          length=bench_length)
     # The collapse: SDC+LP removes the vast majority of L2C/LLC misses.
     assert res.average("sdc_lp", "l2c") < 0.35 * res.average("baseline",
                                                              "l2c")
@@ -23,10 +19,8 @@ def test_fig8_l2_llc_mpki(benchmark, show, bench_workloads, bench_length):
 
 
 def test_fig9_l1_sdc_mpki(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.fig9_l1_sdc_mpki, bench_workloads,
-                   length=bench_length)
-    show(report.render_mpki_compare(
-        res, ("l1d", "sdc"), "Fig. 9 — L1D/SDC MPKI, Baseline vs SDC+LP"))
+    res = run_figure_once(benchmark, show, "fig9", bench_workloads,
+                          length=bench_length)
     # The SDC takes over most former L1D misses ...
     assert res.average("sdc_lp", "l1d") < 0.5 * res.average("baseline",
                                                             "l1d")

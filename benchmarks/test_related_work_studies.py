@@ -10,15 +10,12 @@ benches turn them into measured tables).
   touches than the single traversal it accelerates; SDC+LP needs none.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 
 def test_replacement_study(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.replacement_study, bench_workloads,
-                   length=bench_length)
-    show(report.render_policy_study(res))
+    res = run_figure_once(benchmark, show, "replacement", bench_workloads,
+                          length=bench_length)
     by = dict(zip(res.policies, res.speedup_geomean))
     # Smarter retention helps only marginally on graph workloads ...
     assert by["drrip"] < 0.10
@@ -28,9 +25,8 @@ def test_replacement_study(benchmark, show, bench_workloads, bench_length):
 
 
 def test_prefetcher_study(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.prefetcher_study, bench_workloads,
-                   length=bench_length)
-    show(report.render_prefetcher_study(res))
+    res = run_figure_once(benchmark, show, "prefetchers", bench_workloads,
+                          length=bench_length)
     by_base = dict(zip(res.l1_prefetchers, res.speedup_geomean))
     by_sdc = dict(zip(res.l1_prefetchers, res.sdc_lp_speedup))
     # IP-stride finds (almost) nothing in graph access streams.
@@ -41,9 +37,8 @@ def test_prefetcher_study(benchmark, show, bench_workloads, bench_length):
 
 
 def test_preprocessing_study(benchmark, show, bench_length):
-    res = run_once(benchmark, figures.preprocessing_study, "pr", "kron",
-                   length=bench_length)
-    show(report.render_preprocessing_study(res))
+    res = run_figure_once(benchmark, show, "preprocessing",
+                          length=bench_length)
     by = dict(zip(res.orderings, res.speedup))
     cost = dict(zip(res.orderings, res.cost_ratio))
     # Reordering can beat the baseline substantially ...

@@ -6,17 +6,14 @@ Paper result: τ_glob = 8 delivers the full graph-workload speedup
 τ = 0 routes everything to the SDC, large τ degenerates to Baseline.
 """
 
-from conftest import run_once
-
-from repro.experiments import figures, report
+from conftest import run_figure_once
 
 TAUS = (0, 2, 4, 8, 16, 64, 256)
 
 
 def test_tau_sweep(benchmark, show, bench_workloads, bench_length):
-    res = run_once(benchmark, figures.tau_sweep, bench_workloads,
-                   taus=TAUS, length=bench_length)
-    show(report.render_tau_sweep(res))
+    res = run_figure_once(benchmark, show, "tau", bench_workloads,
+                          taus=TAUS, length=bench_length)
     by_tau = dict(zip(res.taus, res.gap_speedup))
     reg = dict(zip(res.taus, res.regular_speedup))
     # tau=8 captures (nearly) the peak GAP speedup.

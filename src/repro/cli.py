@@ -18,30 +18,41 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.system import VARIANTS
 from repro.experiments import figures, report
-from repro.experiments.workloads import DEFAULT_TRACE_LEN, WORKLOADS
-
-# A representative one-workload-per-kernel subset for quick runs.
-QUICK_WORKLOADS = ("pr.kron", "cc.friendster", "bfs.urand", "sssp.road",
-                   "bc.twitter", "tc.web")
+from repro.experiments.figures import FIGURES, QUICK_WORKLOADS
+from repro.experiments.workloads import DEFAULT_TRACE_LEN
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
+    """Flags of every simulating command."""
     parser.add_argument("--quick", action="store_true",
                         help="run the 6-workload quick subset")
     parser.add_argument("--length", type=int, default=DEFAULT_TRACE_LEN,
                         help="trace window length (accesses)")
     parser.add_argument("--tier", default="medium",
                         help="graph size tier (tiny/small/medium/large)")
+    parser.add_argument("--check", action="store_true",
+                        help="run with invariant checking enabled "
+                             "(repro.validate; implies --no-cache)")
+    parser.add_argument("--backend", choices=("ref", "batch"),
+                        default=None,
+                        help="simulation engine: the compiled "
+                             "structure-of-arrays kernel or the "
+                             "reference Python loop, the spec "
+                             "(bit-identical; default: $REPRO_BACKEND "
+                             "or batch; cells the kernel refuses run "
+                             "on ref)")
+
+
+def _grid_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the commands that run a grid through ``run_grid``."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for grid experiments")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
     parser.add_argument("--progress", action="store_true",
                         help="print one line per finished grid cell")
-    parser.add_argument("--check", action="store_true",
-                        help="run with invariant checking enabled "
-                             "(repro.validate; implies --no-cache)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SEC",
                         help="per-cell timeout for parallel grid runs; "
@@ -70,18 +81,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
                              "log for this sweep (DIR defaults to "
                              "<cache>/telemetry; see "
                              "docs/OBSERVABILITY.md)")
-    parser.add_argument("--backend", choices=("ref", "batch"),
-                        default=None,
-                        help="simulation engine: the compiled "
-                             "structure-of-arrays kernel or the "
-                             "reference Python loop, the spec "
-                             "(bit-identical; default: $REPRO_BACKEND "
-                             "or batch; cells the kernel refuses run "
-                             "on ref)")
-
-
-def _workloads(args):
-    return QUICK_WORKLOADS if args.quick else None
 
 
 def main(argv=None) -> int:
@@ -92,19 +91,18 @@ def main(argv=None) -> int:
                     "Workloads' (IPDPS 2024)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("fig2", "fig3", "fig7", "fig8", "fig9", "fig10", "fig11",
-                 "fig12", "tau", "fig13", "ablation", "replacement",
-                 "prefetchers", "preprocessing", "energy", "context"):
+    for name, fig in FIGURES.items():
         p = sub.add_parser(name)
         _common(p)
+        if fig.grid:
+            _grid_flags(p)
+        if name == "fig14":
+            p.add_argument("--mixes", type=int, default=10)
 
     prun = sub.add_parser(
         "run", help="simulate one workload under one design variant")
     prun.add_argument("workload", help="kernel.graph, e.g. pr.kron")
-    prun.add_argument("--variant", default="sdc_lp",
-                      help="baseline/sdc_lp/topt/distill/l1iso/llc2x/"
-                           "expert/victim/lp_bypass/sdc_clp/"
-                           "sdc_lp_tagless")
+    prun.add_argument("--variant", default="sdc_lp", choices=VARIANTS)
     _common(prun)
 
     pdse = sub.add_parser(
@@ -287,9 +285,6 @@ def main(argv=None) -> int:
     pca.add_argument("job_id")
     pca.add_argument("--url", default=None)
 
-    p14 = sub.add_parser("fig14")
-    _common(p14)
-    p14.add_argument("--mixes", type=int, default=10)
     sub.add_parser("config")
     sub.add_parser("table2")
     sub.add_parser("table3")
@@ -392,16 +387,27 @@ def main(argv=None) -> int:
     if cmd == "cancel":
         return _cancel(args)
 
+    return _figure(cmd, args)
+
+
+def _figure(name: str, args) -> int:
+    """`repro <figure>`: run one FIGURES entry and print its report."""
+    fig = FIGURES[name]
+    # --quick picks the quick subset; a study with a fixed subject keeps it.
+    wls = QUICK_WORKLOADS if args.quick and fig.workloads is None else None
     kw = dict(tier=args.tier, length=args.length)
-    # Grid-shaped commands run on the parallel engine; the rest are
-    # single-simulation studies that take only tier/length.
+    if name == "fig14":
+        kw["mixes"] = args.mixes
+    if not fig.grid:
+        print(fig.render(figures.run_figure(name, wls, **kw)))
+        return 0
     from repro import faults
     from repro.experiments import sharding
     from repro.experiments.parallel import (GridError, GridInterrupted,
                                             ProgressPrinter, RunPolicy,
                                             ShardComplete)
     shard = None
-    if getattr(args, "shard", None):
+    if args.shard:
         try:
             shard = sharding.parse_shard(args.shard)
         except ValueError as exc:
@@ -412,22 +418,21 @@ def main(argv=None) -> int:
                   "with the same id on every host (repro merge RUN_ID "
                   "stitches the shards afterwards)", file=sys.stderr)
             return 2
-        if args.no_cache or getattr(args, "check", False):
+        if args.no_cache or args.check:
             print("--shard requires the results cache (repro merge "
                   "validates shard results out of it); drop "
                   "--no-cache/--check", file=sys.stderr)
             return 2
     policy = RunPolicy(timeout=args.timeout, retries=args.retries,
                        fail_fast=args.fail_fast)
-    gkw = dict(kw, jobs=args.jobs, use_cache=not args.no_cache,
-               progress=ProgressPrinter()
-               if (args.progress or args.jobs > 1) else None,
-               policy=policy, run_id=args.resume)
-    wls = _workloads(args)
+    progress = ProgressPrinter() if (args.progress or args.jobs > 1) \
+        else None
     tdir = _activate_telemetry(args)
     sharding.activate_shard(shard)
     try:
-        status = _dispatch_figure(cmd, args, kw, gkw, wls)
+        print(fig.render(figures.run_figure(
+            name, wls, jobs=args.jobs, use_cache=not args.no_cache,
+            progress=progress, policy=policy, run_id=args.resume, **kw)))
     except ShardComplete as sc:
         print(f"shard {sc.shard[0]}/{sc.shard[1]} of run {sc.run_id} "
               f"complete ({sc.summary}).")
@@ -466,7 +471,7 @@ def main(argv=None) -> int:
             print(f"\ntelemetry: event log {tdir}/events-{run_id}.jsonl")
             print(f"export with: repro trace-export {run_id} "
                   f"--telemetry {tdir}")
-    return status
+    return 0
 
 
 def _activate_telemetry(args) -> Path | None:
@@ -480,63 +485,6 @@ def _activate_telemetry(args) -> Path | None:
     window = tele.telemetry_interval(None) or tele.DEFAULT_WINDOW
     tele.activate(tele.TelemetryConfig(directory=tdir, window=window))
     return tdir
-
-
-def _dispatch_figure(cmd, args, kw, gkw, wls) -> int:
-    if cmd == "fig2":
-        print(report.render_fig2(figures.fig2_mpki(wls, **gkw)))
-    elif cmd == "fig3":
-        print(report.render_fig3(figures.fig3_stride_dram(**kw)))
-    elif cmd == "fig7":
-        print(report.render_fig7(figures.fig7_single_core(wls, **gkw)))
-    elif cmd == "fig8":
-        print(report.render_mpki_compare(
-            figures.fig8_l2_llc_mpki(wls, **gkw), ("l2c", "llc"),
-            "Fig. 8 — L2C/LLC MPKI, Baseline vs SDC+LP"))
-    elif cmd == "fig9":
-        print(report.render_mpki_compare(
-            figures.fig9_l1_sdc_mpki(wls, **gkw), ("l1d", "sdc"),
-            "Fig. 9 — L1D/SDC MPKI, Baseline vs SDC+LP"))
-    elif cmd == "fig10":
-        print(report.render_fig10(figures.fig10_sdc_size(wls, **gkw)))
-    elif cmd == "fig11":
-        print(report.render_sweep(figures.fig11_lp_entries(wls, **gkw),
-                                  "entries"))
-    elif cmd == "fig12":
-        print(report.render_sweep(figures.fig12_lp_assoc(wls, **gkw),
-                                  "ways"))
-    elif cmd == "tau":
-        print(report.render_tau_sweep(figures.tau_sweep(wls, **gkw)))
-    elif cmd == "fig13":
-        print(report.render_fig13(figures.fig13_expert(wls, **gkw)))
-    elif cmd == "ablation":
-        print(report.render_ablation(figures.ablation_study(wls, **gkw)))
-    elif cmd == "replacement":
-        print(report.render_policy_study(
-            figures.replacement_study(wls, **gkw)))
-    elif cmd == "prefetchers":
-        print(report.render_prefetcher_study(
-            figures.prefetcher_study(wls, **gkw)))
-    elif cmd == "preprocessing":
-        print(report.render_preprocessing_study(
-            figures.preprocessing_study(length=args.length,
-                                        tier=args.tier)))
-    elif cmd == "energy":
-        print(report.render_energy_study(figures.energy_study(wls, **kw)))
-    elif cmd == "context":
-        print(report.render_context_switch_study(
-            figures.context_switch_study(wls, **kw)))
-    elif cmd == "fig14":
-        res = figures.fig14_multicore(num_mixes=args.mixes,
-                                      jobs=gkw["jobs"],
-                                      use_cache=gkw["use_cache"],
-                                      progress=gkw["progress"],
-                                      policy=gkw["policy"],
-                                      run_id=gkw["run_id"],
-                                      tier=args.tier,
-                                      length=args.length // 2)
-        print(report.render_fig14(res))
-    return 0
 
 
 def _ingest(args) -> int:

@@ -1,10 +1,19 @@
-"""One entry point per paper table and figure (DESIGN.md §4).
+"""The paper's tables and figures as data (DESIGN.md §4).
 
-Every function returns a plain result object with the series the paper
-plots, plus a ``format()``-style text rendering via
-:mod:`repro.experiments.report`.  Absolute numbers come from our
-substituted substrate; the claims being reproduced are the *shapes*:
-orderings, ratios and crossovers (see EXPERIMENTS.md).
+:data:`FIGURES` maps every figure and study command to a :class:`Figure`:
+a *plan* that turns (workloads, config, tier, length and the figure's own
+parameters) into the grid's :class:`~repro.experiments.parallel.Job`
+cells plus a reducer from their results to the figure's result object,
+and the :mod:`repro.experiments.report` renderer of that object.
+:func:`run_figure` builds the grid, runs it through one ``run_grid``
+call and reduces; the CLI, the service's sweep compile and the benches
+all go through it.  Three studies need what no cached cell carries
+(per-access levels, reordered graphs, mid-run flushes), so their plans
+run directly and return the result (``grid=False``).
+
+Absolute numbers come from our substituted substrate; the claims being
+reproduced are the *shapes*: orderings, ratios and crossovers (see
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -12,10 +21,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from repro.config import LPConfig, SystemConfig
+from repro.config import SystemConfig
+from repro.experiments import report
 from repro.experiments.parallel import EXPERT_BEST, Job, run_grid
 from repro.experiments.runner import (GEOMEAN_CLAMP, default_config,
                                       run_variant, speedup)
@@ -23,6 +35,10 @@ from repro.experiments.workloads import (DEFAULT_TIER, DEFAULT_TRACE_LEN,
                                          WORKLOADS, Workload,
                                          multicore_mixes, workload_trace)
 from repro.mem.hierarchy import DRAM
+
+# A representative one-workload-per-kernel subset for quick runs.
+QUICK_WORKLOADS = ("pr.kron", "cc.friendster", "bfs.urand", "sssp.road",
+                   "bc.twitter", "tc.web")
 
 
 def _workload_list(workloads) -> list[Workload]:
@@ -45,6 +61,44 @@ def geomean(values: list[float]) -> float:
                         for v in values) / len(values)) - 1.0
 
 
+def _gmean(bases, results) -> float:
+    """Geomean speedup of ``results`` over their paired ``bases``."""
+    return geomean([speedup(b, s) for b, s in zip(bases, results)])
+
+
+def _rows(results, k: int) -> list:
+    """``results`` cut into consecutive rows of ``k``."""
+    return [results[i:i + k] for i in range(0, len(results), k)]
+
+
+def _per_workload(wls, variants, cfg, tier, length, reduce):
+    """Every variant per workload, workload-major; ``reduce`` gets one
+    row of results per workload, in ``variants`` order."""
+    grid = [Job(wl, v, cfg, tier, length) for wl in wls for v in variants]
+    return grid, lambda results: reduce(_rows(results, len(variants)))
+
+
+def _sweep(wls, cfg, tier, length, points, reduce):
+    """One Baseline per workload on ``cfg``, then each ``(variant,
+    config)`` point over the workloads; ``reduce`` gets the baselines and
+    one chunk of results per point.  The baseline never instantiates the
+    SDC or consults the LP, so one per workload serves every point that
+    varies only those."""
+    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
+    grid += [Job(wl, v, c, tier, length) for v, c in points for wl in wls]
+    n = len(wls)
+    return grid, lambda results: reduce(results[:n],
+                                        _rows(results[n:], n))
+
+
+def _with_lp(cfg: SystemConfig, **lp) -> SystemConfig:
+    return dataclasses.replace(cfg, lp=dataclasses.replace(cfg.lp, **lp))
+
+
+def _names(wls) -> list[str]:
+    return [wl.name for wl in wls]
+
+
 # ---------------------------------------------------------------------------
 # Fig. 2 — baseline MPKI across the hierarchy.
 # ---------------------------------------------------------------------------
@@ -62,25 +116,13 @@ class Fig2Result:
                 float(np.mean(self.llc)))
 
 
-def fig2_mpki(workloads=None, config: SystemConfig | None = None,
-              tier: str = DEFAULT_TIER, length: int = DEFAULT_TRACE_LEN,
-              jobs: int = 1, use_cache: bool = True,
-              progress=None, policy=None,
-              run_id=None) -> Fig2Result:
+def fig2_mpki(wls, cfg, tier, length):
     """Baseline L1D/L2C/LLC MPKI per workload (paper Fig. 2)."""
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
-    stats_list = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                          progress=progress, policy=policy,
-                          run_id=run_id)
-    res = Fig2Result([], [], [], [])
-    for wl, stats in zip(wls, stats_list):
-        res.workloads.append(wl.name)
-        res.l1d.append(stats.mpki("l1d"))
-        res.l2c.append(stats.mpki("l2c"))
-        res.llc.append(stats.mpki("llc"))
-    return res
+    return _per_workload(wls, ("baseline",), cfg, tier, length,
+                         lambda rows: Fig2Result(
+                             _names(wls),
+                             *([row[0].mpki(c) for row in rows]
+                               for c in ("l1d", "l2c", "llc"))))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +159,11 @@ def pc_local_strides(trace) -> np.ndarray:
     return strides
 
 
-def fig3_stride_dram(workload: str = "cc.friendster",
-                     config: SystemConfig | None = None,
-                     tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN) -> Fig3Result:
+def fig3_stride_dram(wls, cfg, tier, length) -> Fig3Result:
     """Probability of an access being DRAM-served per stride bucket
-    (paper Fig. 3, characterized on cc.friendster)."""
-    cfg = config or default_config()
-    trace = workload_trace(workload, tier=tier, length=length)
+    (paper Fig. 3, characterized on one workload, cc.friendster)."""
+    [wl] = wls
+    trace = workload_trace(wl, tier=tier, length=length)
     stats = run_variant(trace, "baseline", cfg, record_levels=True)
     strides = pc_local_strides(trace)
     is_dram = stats.levels == DRAM
@@ -138,7 +177,7 @@ def fig3_stride_dram(workload: str = "cc.friendster",
         total = int(sel.sum())
         counts.append(total)
         probs.append(float(is_dram[sel].mean()) if total else float("nan"))
-    return Fig3Result(workload, list(BUCKET_LABELS), probs, counts)
+    return Fig3Result(wl.name, list(BUCKET_LABELS), probs, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +200,23 @@ class Fig7Result:
         return {v: self.geomean(v) for v in self.speedups}
 
 
-def fig7_single_core(workloads=None, variants=SINGLE_CORE_VARIANTS,
-                     config: SystemConfig | None = None,
-                     tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                     use_cache: bool = True, progress=None, policy=None,
-                     run_id=None) -> Fig7Result:
-    """Speedup of each design over Baseline, per workload (paper Fig. 7)."""
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    all_variants = ("baseline",) + tuple(variants)
-    grid = [Job(wl, v, cfg, tier, length)
-            for wl in wls for v in all_variants]
-    results = iter(run_grid(grid, jobs=jobs, use_cache=use_cache,
-                            progress=progress, policy=policy,
-                            run_id=run_id))
-    res = Fig7Result([w.name for w in wls], {v: [] for v in variants})
-    for wl in wls:
-        base = next(results)
-        res.baseline_cycles.append(base.cycles)
-        for v in variants:
-            res.speedups[v].append(speedup(base, next(results)))
-    return res
+def fig7_speedups(wls, cfg, tier, length, variants=SINGLE_CORE_VARIANTS):
+    """Speedup of each design over Baseline, per workload (paper Fig. 7).
+    Every workload's first cell is its Baseline, so a ``baseline`` in
+    ``variants`` is dropped."""
+    variants = tuple(v for v in variants if v != "baseline")
+    return _per_workload(
+        wls, ("baseline",) + variants, cfg, tier, length,
+        lambda rows: Fig7Result(
+            _names(wls),
+            {v: [speedup(row[0], row[i]) for row in rows]
+             for i, v in enumerate(variants, 1)},
+            [row[0].cycles for row in rows]))
+
+
+def fig7_single_core(workloads=None, **kw) -> Fig7Result:
+    """``run_figure("fig7", ...)`` under its historical name."""
+    return run_figure("fig7", workloads, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +234,15 @@ class MPKICompareResult:
         return float(np.mean(vals)) if vals else 0.0
 
 
-def fig8_l2_llc_mpki(workloads=None, config: SystemConfig | None = None,
-                     tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                     use_cache: bool = True,
-                     progress=None, policy=None,
-                     run_id=None) -> MPKICompareResult:
-    """L2C and LLC MPKI, Baseline vs SDC+LP (paper Fig. 8)."""
-    return _mpki_compare(("l2c", "llc"), workloads, config, tier, length,
-                         jobs, use_cache, progress, policy, run_id)
-
-
-def fig9_l1_sdc_mpki(workloads=None, config: SystemConfig | None = None,
-                     tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                     use_cache: bool = True,
-                     progress=None, policy=None,
-                     run_id=None) -> MPKICompareResult:
-    """L1D (and SDC) MPKI, Baseline vs SDC+LP (paper Fig. 9)."""
-    return _mpki_compare(("l1d", "sdc"), workloads, config, tier, length,
-                         jobs, use_cache, progress, policy, run_id)
-
-
-def _mpki_compare(caches, workloads, config, tier, length, jobs=1,
-                  use_cache=True, progress=None, policy=None,
-                  run_id=None) -> MPKICompareResult:
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    grid = [Job(wl, v, cfg, tier, length)
-            for wl in wls for v in ("baseline", "sdc_lp")]
-    results = iter(run_grid(grid, jobs=jobs, use_cache=use_cache,
-                            progress=progress, policy=policy,
-                            run_id=run_id))
-    res = MPKICompareResult([w.name for w in wls],
-                            {c: [] for c in caches},
-                            {c: [] for c in caches})
-    for _ in wls:
-        base = next(results)
-        prop = next(results)
-        for c in caches:
-            res.baseline[c].append(base.mpki(c))
-            res.sdc_lp[c].append(prop.mpki(c))
-    return res
+def mpki_compare(wls, cfg, tier, length, caches=("l2c", "llc")):
+    """Per-cache MPKI, Baseline vs SDC+LP: L2C/LLC is paper Fig. 8,
+    L1D/SDC is Fig. 9."""
+    return _per_workload(
+        wls, ("baseline", "sdc_lp"), cfg, tier, length,
+        lambda rows: MPKICompareResult(
+            _names(wls),
+            {c: [base.mpki(c) for base, _ in rows] for c in caches},
+            {c: [prop.mpki(c) for _, prop in rows] for c in caches}))
 
 
 # ---------------------------------------------------------------------------
@@ -259,36 +260,17 @@ class Fig10Result:
     speedup_geomean: list[float]
 
 
-def fig10_sdc_size(workloads=None, config: SystemConfig | None = None,
-                   tier: str = DEFAULT_TIER,
-                   length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                   use_cache: bool = True, progress=None, policy=None,
-                   run_id=None) -> Fig10Result:
+def fig10_sdc_size(wls, cfg, tier, length):
     """SDC MPKI and speedup for 8/16/32 KiB-class SDCs (paper Fig. 10)."""
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    # The baseline variant never instantiates the SDC, so one baseline
-    # per workload (keyed on the base config) serves every size point.
-    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
-    point_cfgs = []
-    for mult, ways, lat in SDC_SIZE_POINTS:
-        sdc = cfg.sdc.resized(cfg.sdc.size_bytes * mult, ways=ways,
-                              latency=lat)
-        point_cfgs.append(dataclasses.replace(cfg, sdc=sdc))
-        grid.extend(Job(wl, "sdc_lp", point_cfgs[-1], tier, length)
-                    for wl in wls)
-    results = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                       progress=progress, policy=policy, run_id=run_id)
-    n = len(wls)
-    bases = results[:n]
-    res = Fig10Result([], [], [])
-    for i, cfg_i in enumerate(point_cfgs):
-        chunk = results[n * (i + 1):n * (i + 2)]
-        res.sizes_kib.append(cfg_i.sdc.size_bytes / 1024)
-        res.sdc_mpki.append(float(np.mean([s.mpki("sdc") for s in chunk])))
-        res.speedup_geomean.append(geomean([speedup(b, s)
-                                            for b, s in zip(bases, chunk)]))
-    return res
+    cfgs = [dataclasses.replace(cfg, sdc=cfg.sdc.resized(
+        cfg.sdc.size_bytes * mult, ways=ways, latency=lat))
+        for mult, ways, lat in SDC_SIZE_POINTS]
+    return _sweep(wls, cfg, tier, length, [("sdc_lp", c) for c in cfgs],
+                  lambda bases, chunks: Fig10Result(
+                      [c.sdc.size_bytes / 1024 for c in cfgs],
+                      [float(np.mean([s.mpki("sdc") for s in chunk]))
+                       for chunk in chunks],
+                      [_gmean(bases, chunk) for chunk in chunks]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,54 +284,22 @@ class SweepResult:
     label: str = ""
 
 
-def _lp_sweep(lp_configs: list[LPConfig], points, label, workloads, config,
-              tier, length, jobs=1, use_cache=True,
-              progress=None, policy=None,
-              run_id=None) -> SweepResult:
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    # The baseline variant never consults the LP, so one baseline per
-    # workload (keyed on the base config) serves every sweep point.
-    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
-    for lp in lp_configs:
-        cfg_i = dataclasses.replace(cfg, lp=lp)
-        grid.extend(Job(wl, "sdc_lp", cfg_i, tier, length) for wl in wls)
-    results = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                       progress=progress, policy=policy, run_id=run_id)
-    n = len(wls)
-    bases = results[:n]
-    res = SweepResult(list(points), [], label)
-    for i in range(len(lp_configs)):
-        chunk = results[n * (i + 1):n * (i + 2)]
-        res.speedup_geomean.append(geomean([speedup(b, s)
-                                            for b, s in zip(bases, chunk)]))
-    return res
-
-
-def fig11_lp_entries(workloads=None, config: SystemConfig | None = None,
-                     entries=(8, 16, 32, 64), tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                     use_cache: bool = True, progress=None, policy=None,
-                     run_id=None) -> SweepResult:
+def fig11_lp_entries(wls, cfg, tier, length, entries=(8, 16, 32, 64)):
     """Fully-associative LP tables of 8..64 entries (paper Fig. 11)."""
-    base_lp = (config or default_config()).lp
-    lps = [dataclasses.replace(base_lp, entries=e, ways=e) for e in entries]
-    return _lp_sweep(lps, entries, "LP entries (fully assoc.)", workloads,
-                     config, tier, length, jobs, use_cache, progress,
-                     policy, run_id)
+    points = [("sdc_lp", _with_lp(cfg, entries=e, ways=e)) for e in entries]
+    return _sweep(wls, cfg, tier, length, points,
+                  lambda bases, chunks: SweepResult(
+                      list(entries), [_gmean(bases, c) for c in chunks],
+                      "LP entries (fully assoc.)"))
 
 
-def fig12_lp_assoc(workloads=None, config: SystemConfig | None = None,
-                   ways=(1, 2, 8, 32), tier: str = DEFAULT_TIER,
-                   length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                   use_cache: bool = True, progress=None, policy=None,
-                   run_id=None) -> SweepResult:
+def fig12_lp_assoc(wls, cfg, tier, length, ways=(1, 2, 8, 32)):
     """32-entry LP at different associativities (paper Fig. 12)."""
-    base_lp = (config or default_config()).lp
-    lps = [dataclasses.replace(base_lp, entries=32, ways=w) for w in ways]
-    return _lp_sweep(lps, ways, "LP associativity (32 entries)", workloads,
-                     config, tier, length, jobs, use_cache, progress,
-                     policy, run_id)
+    points = [("sdc_lp", _with_lp(cfg, entries=32, ways=w)) for w in ways]
+    return _sweep(wls, cfg, tier, length, points,
+                  lambda bases, chunks: SweepResult(
+                      list(ways), [_gmean(bases, c) for c in chunks],
+                      "LP associativity (32 entries)"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,44 +313,23 @@ class TauSweepResult:
     regular_speedup: list[float]
 
 
-def tau_sweep(workloads=None, config: SystemConfig | None = None,
-              taus=(0, 2, 4, 8, 16, 64, 256), tier: str = DEFAULT_TIER,
-              length: int = DEFAULT_TRACE_LEN, regular_len: int = 100_000,
-              jobs: int = 1, use_cache: bool = True,
-              progress=None, policy=None,
-              run_id=None) -> TauSweepResult:
+def tau_sweep(wls, cfg, tier, length, taus=(0, 2, 4, 8, 16, 64, 256),
+              regular_len: int = 100_000):
     """Speedup vs τ_glob on graph and regular workloads (paper §V-B3)."""
     from repro.trace.synthetic import regular_suite
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
+
     # Size the hot set to the simulated SDC so the regular suite is
     # genuinely cache-friendly at this scale (see synthetic.py).
     regular = list(regular_suite(
         regular_len, hot_ws_kib=max(1, cfg.sdc.size_bytes // 2048))
         .values())
-    # Both baselines ignore the LP, so one per trace serves every τ.
-    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
-    grid += [Job(t, "baseline", cfg) for t in regular]
-    for tau in taus:
-        cfg_i = dataclasses.replace(
-            cfg, lp=dataclasses.replace(cfg.lp, tau_glob=tau))
-        grid += [Job(wl, "sdc_lp", cfg_i, tier, length) for wl in wls]
-        grid += [Job(t, "sdc_lp", cfg_i) for t in regular]
-    results = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                       progress=progress, policy=policy, run_id=run_id)
-    ng, nr = len(wls), len(regular)
-    gap_base, reg_base = results[:ng], results[ng:ng + nr]
-    res = TauSweepResult(list(taus), [], [])
-    idx = ng + nr
-    for _ in taus:
-        gap = results[idx:idx + ng]
-        reg = results[idx + ng:idx + ng + nr]
-        idx += ng + nr
-        res.gap_speedup.append(geomean([speedup(b, s)
-                                        for b, s in zip(gap_base, gap)]))
-        res.regular_speedup.append(geomean([speedup(b, s)
-                                            for b, s in zip(reg_base, reg)]))
-    return res
+    ng = len(wls)
+    return _sweep(wls + regular, cfg, tier, length,
+                  [("sdc_lp", _with_lp(cfg, tau_glob=t)) for t in taus],
+                  lambda bases, chunks: TauSweepResult(
+                      list(taus),
+                      [_gmean(bases[:ng], c[:ng]) for c in chunks],
+                      [_gmean(bases[ng:], c[ng:]) for c in chunks]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,30 +346,18 @@ class Fig13Result:
         return geomean(self.sdc_lp), geomean(self.expert)
 
 
-def fig13_expert(workloads=None, config: SystemConfig | None = None,
-                 tier: str = DEFAULT_TIER,
-                 length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                 use_cache: bool = True, progress=None, policy=None,
-                 run_id=None) -> Fig13Result:
+def fig13_expert(wls, cfg, tier, length):
     """Speedups of SDC+LP and Expert Programmer over Baseline (Fig. 13).
 
     The expert cell is the :data:`~repro.experiments.parallel.EXPERT_BEST`
     pseudo-variant: region profiling + the expert run execute (and cache)
     as one unit of work.
     """
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    grid = [Job(wl, v, cfg, tier, length)
-            for wl in wls for v in ("baseline", "sdc_lp", EXPERT_BEST)]
-    results = iter(run_grid(grid, jobs=jobs, use_cache=use_cache,
-                            progress=progress, policy=policy,
-                            run_id=run_id))
-    res = Fig13Result([w.name for w in wls], [], [])
-    for _ in wls:
-        base = next(results)
-        res.sdc_lp.append(speedup(base, next(results)))
-        res.expert.append(speedup(base, next(results)))
-    return res
+    return _per_workload(
+        wls, ("baseline", "sdc_lp", EXPERT_BEST), cfg, tier, length,
+        lambda rows: Fig13Result(_names(wls),
+                                 [speedup(b, s) for b, s, _ in rows],
+                                 [speedup(b, e) for b, _, e in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,45 +379,42 @@ class Fig14Result:
         return {v: self.geomean(v) for v in self.weighted_speedup}
 
 
-def fig14_multicore(num_mixes: int = 50, cores: int = 4,
-                    variants=MULTI_CORE_VARIANTS,
-                    config: SystemConfig | None = None,
-                    tier: str = DEFAULT_TIER,
-                    length: int = DEFAULT_TRACE_LEN // 2,
-                    seed: int = 42, jobs: int = 1, use_cache: bool = True,
-                    progress=None, policy=None,
-                    run_id=None) -> Fig14Result:
+def fig14_multicore(wls, cfg, tier, length, mixes: int = 50,
+                    cores: int = 4, variants=MULTI_CORE_VARIANTS,
+                    seed: int = 42):
     """Weighted speedup of each design over Baseline on random 4-thread
-    mixes (paper Fig. 14, §IV-D methodology)."""
-    cfg = dataclasses.replace(config or default_config(), num_cores=cores)
-    mixes = multicore_mixes(num_mixes, cores, seed)
+    mixes (paper Fig. 14, §IV-D methodology).  Mixes draw from the full
+    suite whatever ``wls`` is, and every core runs ``length // 2``
+    accesses."""
+    length //= 2
+    cfg = dataclasses.replace(cfg, num_cores=cores)
+    mix_list = multicore_mixes(mixes, cores, seed)
     # IPC_single per workload per variant: isolated run on the same
     # system (full shared LLC available to the single thread).
-    needed = sorted({wl.name for mix in mixes for wl in mix})
+    needed = sorted({wl.name for mix in mix_list for wl in mix})
     single_cfg = dataclasses.replace(
         cfg, llc=cfg.llc.resized(cfg.llc.size_bytes * cores), num_cores=1)
     all_variants = ("baseline",) + tuple(variants)
-    single_grid = [Job(name, v, single_cfg, tier, length)
-                   for v in all_variants for name in needed]
-    mix_grid = [Job(tuple(wl.name for wl in mix), v, cfg, tier, length)
-                for mix in mixes for v in all_variants]
-    results = iter(run_grid(single_grid + mix_grid, jobs=jobs,
-                            use_cache=use_cache, progress=progress,
-                            policy=policy, run_id=run_id))
-    singles = {(v, name): next(results).ipc
-               for v in all_variants for name in needed}
+    singles = [(v, name) for v in all_variants for name in needed]
+    grid = [Job(name, v, single_cfg, tier, length) for v, name in singles]
+    grid += [Job(tuple(wl.name for wl in mix), v, cfg, tier, length)
+             for mix in mix_list for v in all_variants]
 
-    res = Fig14Result([], {v: [] for v in variants})
-    for mix in mixes:
-        res.mixes.append("+".join(wl.name for wl in mix))
-        per_variant = {v: next(results) for v in all_variants}
-        base_ws = _weighted_ipc(mix, per_variant["baseline"], "baseline",
-                                singles)
-        for v in variants:
-            ws = _weighted_ipc(mix, per_variant[v], v, singles)
-            res.weighted_speedup[v].append(ws / base_ws - 1.0
-                                           if base_ws else 0.0)
-    return res
+    def reduce(results):
+        ipc = {s: r.ipc for s, r in zip(singles, results)}
+        res = Fig14Result([], {v: [] for v in variants})
+        for mix, row in zip(mix_list, _rows(results[len(singles):],
+                                            len(all_variants))):
+            res.mixes.append("+".join(wl.name for wl in mix))
+            per_variant = dict(zip(all_variants, row))
+            base_ws = _weighted_ipc(mix, per_variant["baseline"],
+                                    "baseline", ipc)
+            for v in variants:
+                ws = _weighted_ipc(mix, per_variant[v], v, ipc)
+                res.weighted_speedup[v].append(ws / base_ws - 1.0
+                                               if base_ws else 0.0)
+        return res
+    return grid, reduce
 
 
 def _weighted_ipc(mix, result, variant, singles) -> float:
@@ -527,11 +441,7 @@ class AblationResult:
         return {v: geomean(sp) for v, sp in self.speedups.items()}
 
 
-def ablation_study(workloads=None, config: SystemConfig | None = None,
-                   tier: str = DEFAULT_TIER,
-                   length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                   use_cache: bool = True, progress=None, policy=None,
-                   run_id=None) -> AblationResult:
+def ablation_study(wls, cfg, tier, length):
     """Decompose SDC+LP's benefit into its ingredients:
 
     * ``victim``      — iso-storage L1 victim cache: is 8 KiB of extra
@@ -543,34 +453,23 @@ def ablation_study(workloads=None, config: SystemConfig | None = None,
       links stripped: quantifies how much of the modelled benefit rides
       on pointer-chase serialization (DESIGN.md §5, substitution #1).
     """
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    labels = list(ABLATION_VARIANTS) + ["sdc_lp/nodep"]
     # Nodep cells run on derived in-memory traces (content-hashed by the
     # cache); the rest are plain workload-spec cells.
     grid = []
     for wl in wls:
-        grid.append(Job(wl, "baseline", cfg, tier, length))
-        grid.extend(Job(wl, v, cfg, tier, length)
-                    for v in ABLATION_VARIANTS)
+        grid += [Job(wl, v, cfg, tier, length)
+                 for v in ("baseline",) + ABLATION_VARIANTS]
         nodep = Trace_without_deps(workload_trace(wl, tier=tier,
                                                   length=length))
-        grid.append(Job(nodep, "baseline", cfg))
-        grid.append(Job(nodep, "sdc_lp", cfg))
-    results = iter(run_grid(grid, jobs=jobs, use_cache=use_cache,
-                            progress=progress, policy=policy,
-                            run_id=run_id))
-    res = AblationResult([w.name for w in wls],
-                         {v: [] for v in labels})
-    for _ in wls:
-        base = next(results)
-        for v in ABLATION_VARIANTS:
-            res.speedups[v].append(speedup(base, next(results)))
-        nodep_base = next(results)
-        nodep_prop = next(results)
-        res.speedups["sdc_lp/nodep"].append(speedup(nodep_base,
-                                                    nodep_prop))
-    return res
+        grid += [Job(nodep, "baseline", cfg), Job(nodep, "sdc_lp", cfg)]
+
+    def reduce(results):
+        rows = _rows(results, len(ABLATION_VARIANTS) + 3)
+        sp = {v: [speedup(row[0], row[i]) for row in rows]
+              for i, v in enumerate(ABLATION_VARIANTS, 1)}
+        sp["sdc_lp/nodep"] = [speedup(row[-2], row[-1]) for row in rows]
+        return AblationResult(_names(wls), sp)
+    return grid, reduce
 
 
 def Trace_without_deps(trace):
@@ -595,43 +494,23 @@ class PolicyStudyResult:
     speedup_geomean: list[float]     # vs the LRU LLC
 
 
-def replacement_study(workloads=None, config: SystemConfig | None = None,
-                      policies=REPLACEMENT_POLICIES,
-                      tier: str = DEFAULT_TIER,
-                      length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                      use_cache: bool = True,
-                      progress=None, policy=None,
-                      run_id=None) -> PolicyStudyResult:
+def replacement_study(wls, cfg, tier, length,
+                      policies=REPLACEMENT_POLICIES):
     """§VI *Replacement Policies*: sophisticated LLC replacement
     (DRRIP, SHiP) barely helps graph workloads, while transpose-driven
     T-OPT does — cache bypassing beats smarter retention."""
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
     sweep = [p for p in policies if p != "lru"]
-    grid = [Job(wl, "baseline", cfg, tier, length) for wl in wls]
-    for repl in sweep:
-        if repl == "topt":
-            grid.extend(Job(wl, "topt", cfg, tier, length) for wl in wls)
-        else:
-            cfg_i = dataclasses.replace(
-                cfg, llc=dataclasses.replace(cfg.llc, replacement=repl))
-            grid.extend(Job(wl, "baseline", cfg_i, tier, length)
-                        for wl in wls)
-    results = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                       progress=progress, policy=policy, run_id=run_id)
-    n = len(wls)
-    bases = results[:n]
-    chunks = {p: results[n * (i + 1):n * (i + 2)]
-              for i, p in enumerate(sweep)}
-    res = PolicyStudyResult(list(policies), [])
-    for repl in policies:
-        if repl == "lru":
-            res.speedup_geomean.append(0.0)
-            continue
-        res.speedup_geomean.append(
-            geomean([speedup(b, s)
-                     for b, s in zip(bases, chunks[repl])]))
-    return res
+    points = [("topt", cfg) if p == "topt" else
+              ("baseline", dataclasses.replace(
+                  cfg, llc=dataclasses.replace(cfg.llc, replacement=p)))
+              for p in sweep]
+
+    def reduce(bases, chunks):
+        by = dict(zip(sweep, chunks))
+        return PolicyStudyResult(list(policies),
+                                 [0.0 if p == "lru" else _gmean(bases, by[p])
+                                  for p in policies])
+    return _sweep(wls, cfg, tier, length, points, reduce)
 
 
 PREFETCHER_CONFIGS = ("none", "next_line", "stride", "spp")
@@ -644,41 +523,19 @@ class PrefetcherStudyResult:
     sdc_lp_speedup: list[float]          # SDC+LP with that SDC prefetcher
 
 
-def prefetcher_study(workloads=None, config: SystemConfig | None = None,
-                     prefetchers=PREFETCHER_CONFIGS,
-                     tier: str = DEFAULT_TIER,
-                     length: int = DEFAULT_TRACE_LEN, jobs: int = 1,
-                     use_cache: bool = True, progress=None,
-                     policy=None, run_id=None) -> PrefetcherStudyResult:
+def prefetcher_study(wls, cfg, tier, length, prefetchers=PREFETCHER_CONFIGS):
     """§VI *Hardware Prefetching*: stride-class prefetchers cannot cover
     indirect graph accesses; and the paper's stated future work — SDC+LP
     *combined* with prefetching — implemented here by swapping the
     SDC/L1D prefetcher."""
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    none_cfg = _with_l1_prefetcher(cfg, None)
-    # The "none" point's baseline cells dedup against this leading row.
-    grid = [Job(wl, "baseline", none_cfg, tier, length) for wl in wls]
-    for pf in prefetchers:
-        cfg_i = _with_l1_prefetcher(cfg, None if pf == "none" else pf)
-        grid.extend(Job(wl, "baseline", cfg_i, tier, length)
-                    for wl in wls)
-        grid.extend(Job(wl, "sdc_lp", cfg_i, tier, length) for wl in wls)
-    results = run_grid(grid, jobs=jobs, use_cache=use_cache,
-                       progress=progress, policy=policy, run_id=run_id)
-    n = len(wls)
-    base_none = results[:n]
-    res = PrefetcherStudyResult(list(prefetchers), [], [])
-    idx = n
-    for _ in prefetchers:
-        base_i = results[idx:idx + n]
-        sdc_i = results[idx + n:idx + 2 * n]
-        idx += 2 * n
-        res.speedup_geomean.append(
-            geomean([speedup(b, s) for b, s in zip(base_none, base_i)]))
-        res.sdc_lp_speedup.append(
-            geomean([speedup(b, s) for b, s in zip(base_none, sdc_i)]))
-    return res
+    # The "none" point's baseline cells dedup against the leading row.
+    points = [(v, _with_l1_prefetcher(cfg, None if pf == "none" else pf))
+              for pf in prefetchers for v in ("baseline", "sdc_lp")]
+    return _sweep(wls, _with_l1_prefetcher(cfg, None), tier, length, points,
+                  lambda bases, chunks: PrefetcherStudyResult(
+                      list(prefetchers),
+                      [_gmean(bases, c) for c in chunks[0::2]],
+                      [_gmean(bases, c) for c in chunks[1::2]]))
 
 
 def _with_l1_prefetcher(cfg: SystemConfig, name: str | None
@@ -700,30 +557,27 @@ class PreprocessingStudyResult:
     sdc_lp_original: float        # SDC+LP on the untouched graph
 
 
-def preprocessing_study(kernel: str = "pr", graph_name: str = "kron",
-                        config: SystemConfig | None = None,
+def preprocessing_study(wls, cfg, tier, length,
                         orderings=("original", "random", "degree", "bfs",
-                                   "rcm"),
-                        tier: str = DEFAULT_TIER,
-                        length: int = DEFAULT_TRACE_LEN
-                        ) -> PreprocessingStudyResult:
+                                   "rcm")) -> PreprocessingStudyResult:
     """§VI *Pre-Processing Algorithms*: locality-improving reordering
     helps the baseline but costs more memory touches than the traversal
-    it accelerates, while SDC+LP gets its gains with zero preprocessing."""
+    it accelerates, while SDC+LP gets its gains with zero preprocessing.
+    Characterized on one workload, pr.kron."""
     from repro.graphs.reorder import ORDERINGS, apply_order, estimated_cost
     from repro.graphs.suite import load_graph
     from repro.kernels.common import KERNEL_TABLE
     from repro.trace.kernels import generate_trace
-    cfg = config or default_config()
-    weighted = KERNEL_TABLE[kernel].weighted_input
-    g0 = load_graph(graph_name, tier=tier, weighted=weighted)
+    [wl] = wls
+    weighted = KERNEL_TABLE[wl.kernel].weighted_input
+    g0 = load_graph(wl.graph, tier=tier, weighted=weighted)
 
     res = PreprocessingStudyResult([], [], [], 0.0)
     base_cycles = None
     for name in orderings:
         order = ORDERINGS[name](g0)
         g = g0 if name == "original" else apply_order(g0, order, name)
-        trace = generate_trace(kernel, g, max_accesses=length * 3)
+        trace = generate_trace(wl.kernel, g, max_accesses=length * 3)
         if len(trace) > length:
             trace = trace.slice(len(trace) - length, len(trace))
         stats = run_variant(trace, "baseline", cfg)
@@ -747,11 +601,8 @@ class ContextSwitchResult:
     speedup_geomean: list[float]     # SDC+LP speedup over baseline
 
 
-def context_switch_study(workloads=None,
-                         config: SystemConfig | None = None,
-                         intervals=(0, 50_000, 10_000, 2_000),
-                         tier: str = DEFAULT_TIER,
-                         length: int = DEFAULT_TRACE_LEN
+def context_switch_study(wls, cfg, tier, length,
+                         intervals=(0, 50_000, 10_000, 2_000)
                          ) -> ContextSwitchResult:
     """§III-E: the SDC is VIPT, so context switches need no flush.
 
@@ -764,12 +615,10 @@ def context_switch_study(workloads=None,
     where τ_glob=8 over-routes to the SDC, because a cleared table
     predicts "regular" until strides re-accumulate.
     """
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
+    from repro.core.system import SingleCoreSystem
     res = ContextSwitchResult(list(intervals), [])
     traces = [workload_trace(wl, tier=tier, length=length) for wl in wls]
     bases = [run_variant(t, "baseline", cfg) for t in traces]
-    from repro.core.system import SingleCoreSystem
     for interval in intervals:
         sps = []
         for trace, base in zip(traces, bases):
@@ -800,10 +649,8 @@ class EnergyStudyResult:
         return geomean(vals)
 
 
-def energy_study(workloads=None, config: SystemConfig | None = None,
-                 tier: str = DEFAULT_TIER,
-                 length: int = DEFAULT_TRACE_LEN) -> EnergyStudyResult:
-    """Dynamic energy of Baseline vs SDC+LP.
+def energy_study(wls, cfg, tier, length):
+    """Dynamic energy of Baseline vs SDC+LP, from Fig. 8's cells.
 
     SDC+LP replaces L2C+LLC lookups on cache-averse accesses with one
     1-cycle SDC probe, an LP consult and (on miss) a directory message —
@@ -811,19 +658,102 @@ def energy_study(workloads=None, config: SystemConfig | None = None,
     quantifies the resulting on-chip energy saving.
     """
     from repro.core.energy import energy_of, energy_per_kilo_instruction
-    cfg = config or default_config()
-    wls = _workload_list(workloads)
-    res = EnergyStudyResult([], [], [], [], [])
-    for wl in wls:
-        trace = workload_trace(wl, tier=tier, length=length)
-        base = run_variant(trace, "baseline", cfg)
-        prop = run_variant(trace, "sdc_lp", cfg)
-        res.workloads.append(wl.name)
-        res.baseline_epki.append(energy_per_kilo_instruction(base))
-        res.sdc_lp_epki.append(energy_per_kilo_instruction(prop))
-        res.baseline_onchip_mj.append(energy_of(base).on_chip)
-        res.sdc_lp_onchip_mj.append(energy_of(prop).on_chip)
-    return res
+    grid, _ = mpki_compare(wls, cfg, tier, length)
+
+    def reduce(results):
+        base, prop = results[0::2], results[1::2]
+        return EnergyStudyResult(
+            _names(wls),
+            [energy_per_kilo_instruction(s) for s in base],
+            [energy_per_kilo_instruction(s) for s in prop],
+            [energy_of(s).on_chip for s in base],
+            [energy_of(s).on_chip for s in prop])
+    return grid, reduce
+
+
+# ---------------------------------------------------------------------------
+# The registry.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure or study command.
+
+    ``plan(workloads, config, tier, length, **params)`` returns the grid
+    and its reducer, or, for a direct study (``grid=False``), the result
+    itself.  ``workloads`` fixes a study's subject: ``--quick`` keeps it.
+    """
+
+    plan: Callable
+    render: Callable
+    grid: bool = True
+    workloads: tuple | None = None
+
+
+FIGURES: dict[str, Figure] = {
+    "fig2": Figure(fig2_mpki, report.render_fig2),
+    "fig3": Figure(fig3_stride_dram, report.render_fig3, grid=False,
+                   workloads=("cc.friendster",)),
+    "fig7": Figure(fig7_speedups, report.render_fig7),
+    "fig8": Figure(partial(mpki_compare, caches=("l2c", "llc")),
+                   partial(report.render_mpki_compare, caches=("l2c", "llc"),
+                           title="Fig. 8 — L2C/LLC MPKI, Baseline vs "
+                                 "SDC+LP")),
+    "fig9": Figure(partial(mpki_compare, caches=("l1d", "sdc")),
+                   partial(report.render_mpki_compare, caches=("l1d", "sdc"),
+                           title="Fig. 9 — L1D/SDC MPKI, Baseline vs "
+                                 "SDC+LP")),
+    "fig10": Figure(fig10_sdc_size, report.render_fig10),
+    "fig11": Figure(fig11_lp_entries,
+                    partial(report.render_sweep, xlabel="entries")),
+    "fig12": Figure(fig12_lp_assoc,
+                    partial(report.render_sweep, xlabel="ways")),
+    "tau": Figure(tau_sweep, report.render_tau_sweep),
+    "fig13": Figure(fig13_expert, report.render_fig13),
+    "fig14": Figure(fig14_multicore, report.render_fig14),
+    "ablation": Figure(ablation_study, report.render_ablation),
+    "replacement": Figure(replacement_study, report.render_policy_study),
+    "prefetchers": Figure(prefetcher_study,
+                          report.render_prefetcher_study),
+    "preprocessing": Figure(preprocessing_study,
+                            report.render_preprocessing_study, grid=False,
+                            workloads=("pr.kron",)),
+    "energy": Figure(energy_study, report.render_energy_study),
+    "context": Figure(context_switch_study,
+                      report.render_context_switch_study, grid=False),
+}
+
+
+def plan_figure(name: str, workloads=None,
+                config: SystemConfig | None = None,
+                tier: str = DEFAULT_TIER, length: int = DEFAULT_TRACE_LEN,
+                **params):
+    """Call one entry's plan: ``(grid, reduce)`` for a grid entry, the
+    result for a direct study.  ``workloads`` defaults to the entry's
+    subject, else all 36; ``config`` to :func:`default_config`."""
+    fig = FIGURES[name]
+    return fig.plan(_workload_list(workloads or fig.workloads),
+                    config or default_config(), tier, length, **params)
+
+
+def run_figure(name: str, workloads=None,
+               config: SystemConfig | None = None,
+               tier: str = DEFAULT_TIER, length: int = DEFAULT_TRACE_LEN,
+               jobs: int = 1, use_cache: bool = True, progress=None,
+               policy=None, run_id=None, **params):
+    """Run one :data:`FIGURES` entry and return its result object.
+
+    A grid entry runs its cells through one ``run_grid`` call, which
+    takes ``jobs``/``use_cache``/``progress``/``policy``/``run_id``; a
+    direct study ignores them.  ``params`` are the figure's own (e.g.
+    fig7's ``variants``, fig14's ``mixes``).
+    """
+    out = plan_figure(name, workloads, config, tier, length, **params)
+    if not FIGURES[name].grid:
+        return out
+    grid, reduce = out
+    return reduce(run_grid(grid, jobs=jobs, use_cache=use_cache,
+                           progress=progress, policy=policy, run_id=run_id))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from repro.core.batch import load_kernel, resolve_backend
 from repro.experiments import parallel
 from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
-from repro.experiments.runner import default_config
 from repro.experiments.workloads import WORKLOADS, cache_dir
 from repro.service import schemas
 from repro.service import worker as service_worker
@@ -210,27 +209,19 @@ class Orchestrator:
     # -- intake ------------------------------------------------------------
 
     def _compile_sweep(self, req: JobRequest) -> list[parallel.Job]:
-        """The same grid the CLI builds for a fig7-style sweep, so the
-        cells' content-addressed keys match the CLI's exactly."""
-        from repro.cli import QUICK_WORKLOADS
-        from repro.experiments.figures import SINGLE_CORE_VARIANTS
-        if req.workloads == "quick":
-            wls = list(QUICK_WORKLOADS)
-        elif req.workloads is None:
-            wls = [w.name for w in WORKLOADS]
-        else:
-            wls = list(req.workloads)
+        """The fig7 entry's grid, so the cells' content-addressed keys
+        match the CLI's exactly."""
+        from repro.experiments.figures import QUICK_WORKLOADS, plan_figure
+        wls = QUICK_WORKLOADS if req.workloads == "quick" else req.workloads
         known = {w.name for w in WORKLOADS}
-        unknown = [w for w in wls if w not in known]
+        unknown = [w for w in wls or () if w not in known]
         if unknown:
             raise ValueError("unknown workload(s): "
                              + ", ".join(sorted(unknown)))
-        variants = tuple(req.variants) or SINGLE_CORE_VARIANTS
-        all_variants = ("baseline",) + tuple(
-            v for v in variants if v != "baseline")
-        cfg = default_config()
-        return [parallel.Job(wl, v, cfg, req.tier, req.length)
-                for wl in wls for v in all_variants]
+        params = {"variants": tuple(req.variants)} if req.variants else {}
+        grid, _ = plan_figure("fig7", wls, tier=req.tier, length=req.length,
+                              **params)
+        return grid
 
     def submit(self, req: JobRequest) -> SubmitResponse:
         """Register one job; cheap cells (warm cache) settle inline.

@@ -27,19 +27,21 @@ import json
 import numbers
 from dataclasses import asdict, dataclass, field
 
+from repro.core.system import VARIANTS
+from repro.experiments.parallel import EXPERT_BEST
+from repro.graphs.suite import SIZE_TIERS
+
 #: Job state machine.  ``queued`` jobs have registered cells but no
 #: completed work yet; ``running`` jobs have at least one settled cell.
 JOB_STATES = ("queued", "running", "complete", "failed", "cancelled")
 
 TERMINAL_JOB_STATES = ("complete", "failed", "cancelled")
 
-#: Sweep variants a job may request (the design points of the paper's
-#: fig7-style grids plus the ablation/expert variants).
-KNOWN_VARIANTS = ("baseline", "sdc_lp", "topt", "distill", "l1iso",
-                  "llc2x", "expert", "expert_best", "victim",
-                  "lp_bypass")
+#: Sweep variants a job may request: every variant the model runs,
+#: plus the grid engine's profiled-expert pseudo-variant.
+KNOWN_VARIANTS = VARIANTS + (EXPERT_BEST,)
 
-KNOWN_TIERS = ("tiny", "small", "medium", "large")
+KNOWN_TIERS = tuple(SIZE_TIERS)
 
 KNOWN_BACKENDS = ("ref", "batch")
 

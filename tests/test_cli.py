@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import QUICK_WORKLOADS, main
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.workloads import WORKLOADS
 
 
@@ -59,11 +60,36 @@ class TestQuickSubset:
 
 
 class TestFigureCommand:
-    def test_fig2_micro(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_figure_micro(self, name, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["fig2", "--quick", "--tier", "tiny",
-                     "--length", "3000"]) == 0
-        assert "MPKI" in capsys.readouterr().out
+        params = {"mixes": 1} if name == "fig14" else {}
+        extra = ["--mixes", "1"] if params else []
+        assert main([name, "--quick", "--tier", "tiny",
+                     "--length", "3000"] + extra) == 0
+        # The command prints its entry's report of the same run: the
+        # quick subset, unless the study has a fixed subject.
+        fig = FIGURES[name]
+        wls = None if fig.workloads else QUICK_WORKLOADS
+        res = run_figure(name, wls, tier="tiny", length=3000, **params)
+        assert capsys.readouterr().out == fig.render(res) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--shard", "0/2", "--resume", "r"],
+        ["preprocessing", "--jobs", "2"],
+        ["context", "--no-cache"],
+        ["run", "pr.urand", "--telemetry", "d"],
+    ], ids=["fig3", "preprocessing", "context", "run"])
+    def test_non_grid_commands_refuse_grid_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_rejects_unknown_variant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "pr.urand", "--variant", "nope"])
+        assert exc.value.code == 2
 
     def test_run_command(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -92,11 +92,12 @@ class TestRunner:
 
 
 class TestFigureEntryPoints:
-    """Each figure function must run end-to-end on micro inputs and
+    """Each FIGURES entry must run end-to-end on micro inputs and
     produce structurally complete results."""
 
     def test_fig2(self, micro_cfg):
-        res = figures.fig2_mpki(["pr.urand", "cc.road"], micro_cfg, **MICRO)
+        res = figures.run_figure("fig2", ["pr.urand", "cc.road"], micro_cfg,
+                                 **MICRO)
         assert len(res.workloads) == 2
         assert all(m >= 0 for m in res.l1d)
         a1, a2, a3 = res.averages
@@ -105,14 +106,14 @@ class TestFigureEntryPoints:
         assert "AVERAGE" in text
 
     def test_fig3(self, micro_cfg):
-        res = figures.fig3_stride_dram("pr.urand", micro_cfg, **MICRO)
+        res = figures.run_figure("fig3", ["pr.urand"], micro_cfg, **MICRO)
         assert len(res.labels) == len(res.dram_probability)
         assert sum(res.access_counts) <= MICRO["length"]
         assert "P(DRAM)" in report.render_fig3(res)
 
     def test_fig7(self, micro_cfg):
-        res = figures.fig7_single_core(
-            ["pr.urand"], variants=("llc2x", "sdc_lp"), config=micro_cfg,
+        res = figures.run_figure(
+            "fig7", ["pr.urand"], micro_cfg, variants=("llc2x", "sdc_lp"),
             **MICRO)
         assert set(res.speedups) == {"llc2x", "sdc_lp"}
         assert len(res.speedups["llc2x"]) == 1
@@ -121,33 +122,33 @@ class TestFigureEntryPoints:
         assert "GEOMEAN" in report.render_fig7(res)
 
     def test_fig8_fig9(self, micro_cfg):
-        res8 = figures.fig8_l2_llc_mpki(["pr.urand"], micro_cfg, **MICRO)
+        res8 = figures.run_figure("fig8", ["pr.urand"], micro_cfg, **MICRO)
         assert set(res8.baseline) == {"l2c", "llc"}
-        res9 = figures.fig9_l1_sdc_mpki(["pr.urand"], micro_cfg, **MICRO)
+        res9 = figures.run_figure("fig9", ["pr.urand"], micro_cfg, **MICRO)
         assert set(res9.sdc_lp) == {"l1d", "sdc"}
         text = report.render_mpki_compare(res9, ("l1d", "sdc"), "t")
         assert "AVERAGE" in text
 
     def test_fig10(self, micro_cfg):
-        res = figures.fig10_sdc_size(["pr.urand"], micro_cfg, **MICRO)
+        res = figures.run_figure("fig10", ["pr.urand"], micro_cfg, **MICRO)
         assert len(res.sizes_kib) == 3
         assert res.sizes_kib[1] == 2 * res.sizes_kib[0]
         assert "SDC size" in report.render_fig10(res)
 
     def test_fig11(self, micro_cfg):
-        res = figures.fig11_lp_entries(["pr.urand"], micro_cfg,
-                                       entries=(8, 32), **MICRO)
+        res = figures.run_figure("fig11", ["pr.urand"], micro_cfg,
+                                 entries=(8, 32), **MICRO)
         assert res.points == [8, 32]
         assert len(res.speedup_geomean) == 2
 
     def test_fig12(self, micro_cfg):
-        res = figures.fig12_lp_assoc(["pr.urand"], micro_cfg,
-                                     ways=(1, 8), **MICRO)
+        res = figures.run_figure("fig12", ["pr.urand"], micro_cfg,
+                                 ways=(1, 8), **MICRO)
         assert res.points == [1, 8]
 
     def test_tau_sweep(self, micro_cfg):
-        res = figures.tau_sweep(["pr.urand"], micro_cfg, taus=(0, 256),
-                                regular_len=4000, **MICRO)
+        res = figures.run_figure("tau", ["pr.urand"], micro_cfg,
+                                 taus=(0, 256), regular_len=4000, **MICRO)
         assert res.taus == [0, 256]
         assert len(res.regular_speedup) == 2
         # tau=256 is near-baseline for regular workloads.
@@ -155,58 +156,58 @@ class TestFigureEntryPoints:
         assert "tau_glob" in report.render_tau_sweep(res)
 
     def test_fig13(self, micro_cfg):
-        res = figures.fig13_expert(["pr.urand"], micro_cfg, **MICRO)
+        res = figures.run_figure("fig13", ["pr.urand"], micro_cfg, **MICRO)
         assert len(res.sdc_lp) == len(res.expert) == 1
         assert "Expert" in report.render_fig13(res)
 
     def test_fig14(self, micro_cfg):
-        res = figures.fig14_multicore(num_mixes=1, cores=2,
-                                      variants=("sdc_lp",),
-                                      config=micro_cfg, tier="tiny",
-                                      length=4000)
+        # fig14 gives each core half the window: 4000 accesses here.
+        res = figures.run_figure("fig14", config=micro_cfg, mixes=1,
+                                 cores=2, variants=("sdc_lp",),
+                                 tier="tiny", length=8000)
         assert len(res.mixes) == 1
         assert len(res.weighted_speedup["sdc_lp"]) == 1
         assert "GEOMEAN" in report.render_fig14(res)
 
     def test_ablation(self, micro_cfg):
-        res = figures.ablation_study(["pr.urand"], micro_cfg, **MICRO)
+        res = figures.run_figure("ablation", ["pr.urand"], micro_cfg, **MICRO)
         assert set(res.speedups) == {"victim", "lp_bypass", "sdc_lp",
                                      "sdc_lp/nodep"}
         assert "Ablation" in report.render_ablation(res)
 
     def test_replacement_study(self, micro_cfg):
-        res = figures.replacement_study(["pr.urand"], micro_cfg,
-                                        policies=("lru", "drrip"), **MICRO)
+        res = figures.run_figure("replacement", ["pr.urand"], micro_cfg,
+                                 policies=("lru", "drrip"), **MICRO)
         assert res.policies == ["lru", "drrip"]
         assert res.speedup_geomean[0] == 0.0
         assert "replacement" in report.render_policy_study(res)
 
     def test_prefetcher_study(self, micro_cfg):
-        res = figures.prefetcher_study(["pr.urand"], micro_cfg,
-                                       prefetchers=("none", "stride"),
-                                       **MICRO)
+        res = figures.run_figure("prefetchers", ["pr.urand"], micro_cfg,
+                                 prefetchers=("none", "stride"), **MICRO)
         assert len(res.speedup_geomean) == 2
         assert res.speedup_geomean[0] == 0.0
         assert "prefetch" in report.render_prefetcher_study(res)
 
     def test_preprocessing_study(self, micro_cfg):
-        res = figures.preprocessing_study(
-            "pr", "urand", micro_cfg, orderings=("original", "degree"),
-            tier="tiny", length=6000)
+        res = figures.run_figure(
+            "preprocessing", ["pr.urand"], micro_cfg,
+            orderings=("original", "degree"), tier="tiny", length=6000)
         assert res.orderings == ["original", "degree"]
         assert res.cost_ratio[0] == 0.0
         assert res.cost_ratio[1] > 0
         assert "reordering" in report.render_preprocessing_study(res)
 
     def test_energy_study(self, micro_cfg):
-        res = figures.energy_study(["pr.urand"], micro_cfg, **MICRO)
+        res = figures.run_figure("energy", ["pr.urand"], micro_cfg, **MICRO)
         assert len(res.baseline_epki) == 1
         assert res.baseline_epki[0] > 0
         assert "energy" in report.render_energy_study(res)
 
     def test_context_switch_study(self, micro_cfg):
-        res = figures.context_switch_study(
-            ["pr.urand"], micro_cfg, intervals=(0, 2000), **MICRO)
+        res = figures.run_figure(
+            "context", ["pr.urand"], micro_cfg, intervals=(0, 2000),
+            **MICRO)
         assert res.intervals == [0, 2000]
         assert len(res.speedup_geomean) == 2
         assert "context" in report.render_context_switch_study(res)

@@ -224,28 +224,41 @@ def _boom(spec):
     raise AssertionError("simulation ran despite a warm cache")
 
 
+#: Per-figure parameters that keep the warm-rerun grids small.
+WARM_PARAMS = {
+    "fig7": dict(variants=("sdc_lp",)),
+    "fig14": dict(mixes=1, cores=2, variants=("sdc_lp",)),
+    "tau": dict(taus=(0, 8), regular_len=2000),
+}
+
+
 class TestWarmFigureRerun:
-    def test_fig7_warm_rerun_runs_zero_simulations(self, cache,
-                                                   monkeypatch):
-        cfg = default_config()
+    @pytest.mark.parametrize("name", [name for name, fig
+                                      in figures.FIGURES.items() if fig.grid])
+    def test_warm_rerun_runs_zero_simulations(self, name, cache,
+                                              monkeypatch):
         wls = ["pr.urand", "cc.urand"]
+        kw = dict(MICRO, **WARM_PARAMS.get(name, {}))
         # Point the engine's default cache at this test's tmp cache.
         monkeypatch.setattr(rc, "ResultsCache", lambda: cache)
-        first = figures.fig7_single_core(
-            wls, variants=("sdc_lp",), config=cfg, **MICRO)
-        assert cache.stores == len(wls) * 2
+        first = figures.run_figure(name, wls, **kw)
+        grid, _ = figures.plan_figure(name, wls, **kw)
+        assert cache.stores == len({
+            parallel._job_spec(job, backend=resolve_backend())[1]
+            for job in grid})
         # Warm rerun: every cell must come from the cache — any call
         # into the simulation path fails the test.
         monkeypatch.setattr(parallel, "_execute", _boom)
-        warm = figures.fig7_single_core(
-            wls, variants=("sdc_lp",), config=cfg, **MICRO)
-        assert warm.speedups == first.speedups
-        assert warm.baseline_cycles == first.baseline_cycles
+        warm = figures.run_figure(name, wls, **kw)
+        assert warm == first
+        render = figures.FIGURES[name].render
+        assert render(warm) == render(first)
 
     def test_fig2_parallel_matches_serial(self, tmp_path):
         wls = ["pr.urand", "cc.urand"]
-        serial = figures.fig2_mpki(wls, use_cache=False, **MICRO)
-        par = figures.fig2_mpki(wls, jobs=2, use_cache=False, **MICRO)
+        serial = figures.run_figure("fig2", wls, use_cache=False, **MICRO)
+        par = figures.run_figure("fig2", wls, jobs=2, use_cache=False,
+                                 **MICRO)
         assert serial == par
 
 

@@ -19,10 +19,12 @@ from contextlib import contextmanager
 import pytest
 
 from repro import faults
+from repro.core.system import VARIANTS
 from repro.experiments import parallel
+from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
-from repro.experiments.runner import default_config
-from repro.experiments.workloads import cache_dir
+from repro.experiments.runner import default_config, run_variant
+from repro.experiments.workloads import cache_dir, workload_trace
 from repro.service import (JobRequest, Orchestrator, ServiceConfig,
                            ServiceClient, ServiceError)
 from repro.service.api import serve_in_thread
@@ -115,6 +117,20 @@ class TestHappyPath:
             assert [client.status(resp.job_id).job_id] == \
                 [j.job_id for j in client.list_jobs()]
 
+    def test_sdc_clp_job_matches_reference_loop(self):
+        req = JobRequest(workloads=list(WLS), variants=("sdc_clp",),
+                         **MICRO)
+        with service() as (orc, client):
+            resp = client.submit(req)
+            status = client.wait(resp.job_id, timeout=120.0)
+            assert status.state == "complete"
+            rows = client.results(resp.job_id)
+        trace = workload_trace(WLS[0], **MICRO)
+        assert {r["label"]: r["payload_sha"] for r in rows} == {
+            f"{WLS[0]}/{v}": rc.payload_checksum(run_variant(
+                trace, v, default_config(), backend="ref").to_payload())
+            for v in ("baseline", "sdc_clp")}
+
     def test_results_follow_streams_until_terminal(self):
         with service() as (orc, client):
             resp = client.submit(REQ)
@@ -188,10 +204,14 @@ class TestApiContract:
              "length": -1}) == [
             "variants: unknown variant 'nope' (expected one of "
             "baseline, sdc_lp, topt, distill, l1iso, llc2x, expert, "
-            "expert_best, victim, lp_bypass)",
+            "victim, lp_bypass, sdc_clp, sdc_lp_tagless, expert_best)",
             "tier: 'galactic' not one of tiny, small, medium, large",
             "length: must be a positive integer (accesses)",
         ]
+
+    def test_every_model_variant_validates(self):
+        for v in VARIANTS:
+            assert validate_job_request({"variants": [v]}) == [], v
 
     def test_bad_body_http_400(self):
         import urllib.error
