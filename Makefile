@@ -3,7 +3,7 @@
 SHELL := /bin/bash
 PY := PYTHONPATH=src python
 
-# Fault set for check-faults: all, exc, crash, hang or corrupt.
+# Fault set for check-faults: all, exc, crash, hang, corrupt or lease.
 FAULT_SET ?= all
 
 # Workload/variant for the timeline target.
@@ -43,6 +43,10 @@ check-faults:         ## fault-injected grids must match the fault-free run
 	if want hang; then \
 	  REPRO_FAULTS='seed=11,hang:0.1:1:60' $$cmd --no-cache --jobs 2 \
 	    --timeout 15 | strip > "$$work/got.txt"; \
+	  diff "$$work/clean.txt" "$$work/got.txt"; fi; \
+	if want lease; then \
+	  REPRO_FAULTS='seed=7,lease_loss:0.3' $$cmd --no-cache --jobs 2 \
+	    | strip > "$$work/got.txt"; \
 	  diff "$$work/clean.txt" "$$work/got.txt"; fi; \
 	if want corrupt; then \
 	  REPRO_CACHE_DIR="$$work/cache" REPRO_FAULTS='seed=7,corrupt:1.0' \

@@ -21,6 +21,7 @@ from pathlib import Path
 from repro.core.system import VARIANTS
 from repro.experiments import figures, report
 from repro.experiments.figures import FIGURES, QUICK_WORKLOADS
+from repro.experiments.supervisor import LEASE_TTL
 from repro.experiments.workloads import DEFAULT_TRACE_LEN
 
 
@@ -226,11 +227,11 @@ def main(argv=None) -> int:
     psv.add_argument("--queue-depth", type=int, default=16,
                      help="max active jobs before submissions get 429 "
                           "backpressure")
-    psv.add_argument("--lease-ttl", type=float, default=15.0,
+    psv.add_argument("--lease-ttl", type=float, default=LEASE_TTL,
                      metavar="SEC",
                      help="cell lease TTL; a worker that stops "
                           "heartbeating for this long forfeits its "
-                          "cell (default 15s)")
+                          "cell (default %(default)gs)")
     psv.add_argument("--timeout", type=float, default=None,
                      metavar="SEC",
                      help="per-cell wall deadline; hung workers are "

@@ -10,28 +10,27 @@ independent.  :func:`run_grid` is the one engine behind all of them:
 * **Result caching** — finished cells are stored in the on-disk
   :class:`repro.experiments.results_cache.ResultsCache`; a warm rerun
   of a figure performs zero simulations.
-* **Process parallelism** — with ``jobs > 1`` the remaining cells run
-  under a ``ProcessPoolExecutor``.  Workers receive either a workload
-  *spec* — they ``np.memmap`` the trace from the shared on-disk v8
-  trace store (:mod:`repro.trace.store`), so every worker shares one
-  page-cache copy of each trace instead of holding a private
-  deserialized clone — or a pickled in-memory trace, and return the
-  lossless ``SystemStats`` payload dict.  Serial runs round-trip
-  through the same payload encoding, so ``jobs=N`` is bit-identical to
-  ``jobs=1`` for every N.
-* **Fault tolerance** — each cell runs under per-cell supervision
-  governed by a :class:`RunPolicy`: bounded retries with exponential
-  backoff + deterministic jitter, a per-cell timeout with hung-worker
-  detection (the pool is rebuilt and the stranded workers terminated),
-  ``BrokenProcessPool`` recovery that requeues only unfinished cells,
-  and graceful degradation to in-process serial execution when the
-  pool breaks repeatedly.  Every grid execution checkpoints per-cell
-  state to a :class:`repro.experiments.manifest.RunManifest`, so an
-  interrupted sweep resumes via ``run_grid(run_id=...)`` with zero
-  redundant simulation; ^C raises :class:`GridInterrupted` carrying
-  the resume id instead of a bare traceback.  All failure modes are
-  reproducible in tests through :mod:`repro.faults` (see
-  docs/RESILIENCE.md).
+* **Process parallelism** — cells go through the lease queue of
+  :mod:`repro.experiments.supervisor`, the same supervisor the job
+  service runs on.  With ``jobs > 1`` they are leased to worker
+  processes.  Workers receive either a workload *spec* — they
+  ``np.memmap`` the trace from the shared on-disk v8 trace store
+  (:mod:`repro.trace.store`), so every worker shares one page-cache
+  copy of each trace instead of holding a private deserialized clone —
+  or a pickled in-memory trace, and return the lossless ``SystemStats``
+  payload dict.  With ``jobs <= 1`` the supervisor claims and runs the
+  cells itself through the same payload encoding, so ``jobs=N`` is
+  bit-identical to ``jobs=1`` for every N.
+* **Fault tolerance** — governed by a :class:`RunPolicy`: bounded
+  retries behind the queue's deterministic exponential backoff, a
+  per-cell timeout that reaps a hung worker, and a dead worker's cell
+  requeued alone (its siblings run on).  Every grid execution
+  checkpoints per-cell state to a
+  :class:`repro.experiments.manifest.RunManifest`, so an interrupted
+  sweep resumes via ``run_grid(run_id=...)`` with zero redundant
+  simulation; ^C raises :class:`GridInterrupted` carrying the resume id
+  instead of a bare traceback.  All failure modes are reproducible in
+  tests through :mod:`repro.faults` (see docs/RESILIENCE.md).
 * **Telemetry** — with a :class:`repro.telemetry.TelemetryConfig`
   (explicit argument or the ambient one the CLI's ``--telemetry``
   installs), every manifest transition is mirrored into a
@@ -49,15 +48,9 @@ names/``Workload``s (one per core — a multi-core mix returning a
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import math
 import sys
 import time
-from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, wait)
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import faults
@@ -71,6 +64,9 @@ from repro.experiments import sharding
 from repro.experiments import workloads
 from repro.experiments.manifest import RunManifest
 from repro.experiments.runner import default_config, run_variant
+from repro.experiments.supervisor import (DEFAULT_POLICY, Cell,
+                                          LeaseQueue, RunPolicy,
+                                          Supervisor)
 from repro.experiments.workloads import (DEFAULT_TIER, DEFAULT_TRACE_LEN,
                                          Workload, workload_trace)
 from repro.telemetry import events as tele_events
@@ -119,13 +115,6 @@ class Progress:
 ProgressFn = Callable[[Progress], None]
 
 
-def print_progress(p: Progress) -> None:
-    """Minimal progress printer (one line per finished cell)."""
-    note = "" if p.source == "run" else f"  [{p.source}]"
-    print(f"  [{p.done}/{p.total}] {p.label}  {p.seconds:.1f}s{note}",
-          flush=True)
-
-
 class ProgressPrinter:
     """Stateful CLI progress printer with throughput and ETA.
 
@@ -157,36 +146,6 @@ class ProgressPrinter:
                   f"{p.seconds:.1f}s{note}  "
                   f"({rate:.2f} cells/s, ETA {eta})\n")
         out.flush()
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """Failure-handling policy for one grid execution.
-
-    ``timeout`` is per-cell wall seconds and only enforced for
-    parallel runs (a single process cannot preempt itself);
-    ``retries`` bounds *additional* attempts after the first, so a
-    cell executes at most ``1 + retries`` times.  Backoff before the
-    n-th retry is ``min(backoff_max, backoff * 2**(n-1))`` scaled by a
-    deterministic jitter in ``[1, 1 + jitter)`` keyed on the cell, so
-    retry schedules are reproducible.  After ``max_pool_rebuilds``
-    pool failures the engine degrades to in-process serial execution.
-    ``fail_fast`` aborts the grid on the first permanent cell failure;
-    ``allow_partial`` returns ``None`` for permanently failed cells
-    instead of raising :class:`GridError` at the end.
-    """
-
-    timeout: float | None = None
-    retries: int = 2
-    backoff: float = 0.25
-    backoff_max: float = 30.0
-    jitter: float = 0.5
-    max_pool_rebuilds: int = 3
-    fail_fast: bool = False
-    allow_partial: bool = False
-
-
-DEFAULT_POLICY = RunPolicy()
 
 
 class GridError(RuntimeError):
@@ -422,70 +381,193 @@ def _materialize(payload: dict):
 
 # -- engine ----------------------------------------------------------------
 
-class _ManifestEvents:
-    """RunManifest decorator mirroring cell state changes into the
-    telemetry event log, so supervision code keeps its single
-    checkpoint call site and events can never drift from the manifest.
-    A ``None`` event log degrades it to a transparent pass-through.
+@dataclass
+class Intake:
+    """A grid compiled to unique cells: what to run and what is known.
+
+    ``keys``/``sources`` are per grid cell (source ``run``, ``cache``,
+    ``dedup`` or ``elsewhere``); ``labels`` and ``fanout`` are per
+    unique key in grid order, ``specs`` holds the cells left to run and
+    ``hits`` the cached payloads, ``quarantined`` the keys whose cache
+    entry was found corrupt while probing.
     """
 
+    keys: list = field(default_factory=list)
+    sources: list = field(default_factory=list)
+    labels: dict = field(default_factory=dict)
+    fanout: dict = field(default_factory=dict)
+    specs: dict = field(default_factory=dict)
+    hits: dict = field(default_factory=dict)
+    quarantined: list = field(default_factory=list)
+
+
+def intake(grid: list[Job], backend: str, window: int = 0,
+           cache: rc.ResultsCache | None = None,
+           claimed: Callable[[str], bool] | None = None) -> Intake:
+    """Compile ``grid`` to specs and cache keys, dedup repeated keys
+    (the first cell wins, ``fanout`` counts them all) and probe
+    ``cache`` once per key.  Keys ``claimed`` rejects belong to a
+    sibling shard: ``elsewhere``, never probed.  The one intake of
+    ``run_grid`` and the job service."""
+    out = Intake()
+    for job in grid:
+        spec, key = _job_spec(job, window, backend=backend)
+        out.keys.append(key)
+        out.fanout[key] = out.fanout.get(key, 0) + 1
+        if claimed is not None and not claimed(key):
+            out.labels.setdefault(key, job.label)
+            out.sources.append("elsewhere")
+            continue
+        if key in out.labels:
+            out.sources.append("dedup")
+            continue
+        out.labels[key] = job.label
+        if cache is not None:
+            corrupt_before = cache.corrupt
+            hit = cache.get(key)
+            if cache.corrupt > corrupt_before:
+                out.quarantined.append(key)
+            if hit is not None:
+                out.hits[key] = hit
+                out.sources.append("cache")
+                continue
+        out.specs[key] = spec
+        out.sources.append("run")
+    return out
+
+
+#: Worker id of cells the grid's own process runs.
+_INLINE = "inline"
+
+#: Scheduler wake-up bound (seconds) while workers run: how promptly a
+#: dead or hung worker is noticed when no message arrives.
+_POLL = 0.1
+
+
+class _GridRun(Supervisor):
+    """``run_grid``'s client of the supervisor: settles each cell into
+    the run manifest, the results cache and the progress report.  Every
+    manifest transition is mirrored into the telemetry event log (when
+    one is open) at its one call site, so events can never drift from
+    the manifest."""
+
     _MARK_EVENTS = {"running": "cell_started", "retrying": "cell_retried",
-                    "failed": "cell_failed", "done": "cell_done",
-                    "pending": "cell_requeued"}
+                    "failed": "cell_failed", "done": "cell_done"}
 
-    def __init__(self, manifest: RunManifest,
-                 events: tele_events.EventLog | None):
-        self._manifest = manifest
-        self._events = events
+    def __init__(self, cells: Intake, manifest: RunManifest,
+                 events: tele_events.EventLog | None, policy: RunPolicy,
+                 cache: rc.ResultsCache | None, report, tele_ctx):
+        queue = LeaseQueue(policy)
+        for key, spec in cells.specs.items():
+            queue.add(manifest.run_id, key, cells.labels[key], spec=spec)
+        super().__init__(queue, tele_ctx)
+        self.manifest = manifest
+        self.events = events
+        self.cache = cache
+        self.report = report
+        self.payloads: dict[str, dict] = {}
+        self.failures: dict[str, str] = {}      # key -> error
+        self._first: dict[str, float] = {}      # key -> first grant time
 
-    @property
-    def run_id(self) -> str:
-        return self._manifest.run_id
+    def run_inline(self) -> None:
+        """Claim and run every cell in this process, sleeping out
+        backoff gates; no worker processes."""
+        while True:
+            now = time.monotonic()
+            cell = self.queue.claim(_INLINE, now)
+            if cell is None:
+                wake = self.queue.next_wakeup(now)
+                if wake is None:
+                    return
+                time.sleep(wake - now)
+                continue
+            self._on_leased(cell)
+            token = cell.lease.token
+            try:
+                payload = _execute_cell(cell.spec, cell.key, token)
+            except Exception as exc:
+                self._on_error(_INLINE, cell.key, token, _errstr(exc))
+            else:
+                self._on_done(_INLINE, cell.key, token, payload)
 
-    def save(self) -> None:
-        self._manifest.save()
+    def run_workers(self, count: int) -> None:
+        """Lease every cell to ``count`` worker processes."""
+        self._start_workers(count)
+        try:
+            while not self.queue.job_settled(self.manifest.run_id):
+                self._dispatch(self._settle(self._receive(_POLL)))
+        finally:
+            self._shutdown_workers()
 
-    def finalize(self, status: str) -> None:
-        self._manifest.finalize(status)
+    def register(self, key: str, label: str, source: str, fanout: int,
+                 shard: int | None) -> None:
+        """Record one grid cell as :func:`intake` found it."""
+        if source == "dedup":
+            self._emit("cell_dedup", key=key, label=label)
+        elif source == "elsewhere":     # a sibling shard's story
+            self.manifest.register(key, label, status=source,
+                                   fanout=fanout, shard=shard)
+        else:
+            cached = source == "cache"
+            self.manifest.register(
+                key, label, status="done" if cached else "pending",
+                source="cache" if cached else None, fanout=fanout,
+                shard=shard)
+            self._emit("cell_cached" if cached else "cell_queued",
+                       key=key, label=label)
 
-    def summary(self) -> str:
-        return self._manifest.summary()
-
-    def engine_event(self, event: str, **fields) -> None:
-        """Emit a non-cell engine event (pool rebuilds, degradation)."""
-        if self._events is not None:
-            self._events.emit(event, **fields)
-
-    def register(self, key: str, label: str, status: str = "pending",
-                 source: str | None = None, fanout: int = 1,
-                 shard: int | None = None) -> None:
-        self._manifest.register(key, label, status=status, source=source,
-                                fanout=fanout, shard=shard)
-        if self._events is None or status == "elsewhere":
-            return      # sibling-owned cells are the sibling's story
-        event = "cell_cached" if status == "done" else "cell_queued"
-        self._events.emit(event, key=key, label=label)
-
-    def mark(self, key: str, status: str, attempts: int | None = None,
-             error: str | None = None, seconds: float | None = None,
-             source: str | None = None, save: bool = True) -> None:
-        self._manifest.mark(key, status, attempts=attempts, error=error,
-                            seconds=seconds, source=source, save=save)
-        event = self._MARK_EVENTS.get(status)
-        if self._events is None or event is None:
+    def _mark(self, cell: Cell, status: str, attempt: int,
+              **kw) -> None:
+        self.manifest.mark(cell.key, status, attempts=attempt, **kw)
+        if self.events is None:
             return
-        cell = self._manifest.cells.get(key, {})
-        fields = {"key": key, "label": cell.get("label", "?")}
-        if event in ("cell_started", "cell_retried", "cell_failed"):
-            fields["attempt"] = (attempts if attempts is not None
-                                 else cell.get("attempts", 0))
-        if event in ("cell_retried", "cell_failed"):
-            fields["error"] = error or "unknown error"
-        if event == "cell_done":
-            fields["source"] = source or cell.get("source") or "run"
-            fields["seconds"] = round(seconds, 3) \
-                if seconds is not None else 0.0
-        self._events.emit(event, **fields)
+        fields = {"key": cell.key, "label": cell.label}
+        if status == "done":
+            fields.update(source="run", seconds=round(kw["seconds"], 3))
+        else:
+            fields["attempt"] = attempt
+            if "error" in kw:
+                fields["error"] = kw["error"]
+        self.events.emit(self._MARK_EVENTS[status], **fields)
+
+    def _on_leased(self, cell: Cell) -> None:
+        self._first.setdefault(cell.key, time.monotonic())
+        self._mark(cell, "running", cell.attempts)
+
+    def _on_done(self, wid, key, token, payload) -> None:
+        if not self.queue.complete(key, wid, token):
+            return                      # a revoked lease's late result
+        cell = self.queue.cells[key]
+        self.payloads[key] = payload
+        if self.cache is not None:
+            # Stored as each cell finishes, so an interrupted sweep
+            # keeps every completed simulation.
+            self.cache.put(key, payload)
+        seconds = time.monotonic() - self._first[key]
+        self._mark(cell, "done", token, seconds=seconds, source="run")
+        self.report(cell.label, seconds, "run")
+
+    def _on_error(self, wid, key, token, err) -> None:
+        disp = self.queue.fail(key, wid, token, err, time.monotonic())
+        if disp != "stale":
+            self._after_release(self.queue.cells[key], token, disp)
+
+    def _after_release(self, cell: Cell, attempt: int,
+                       disposition: str | None) -> None:
+        if disposition == "retry":
+            self._mark(cell, "retrying", attempt, error=cell.error)
+            return
+        if disposition != "failed":
+            return
+        self.failures[cell.key] = cell.error
+        self._mark(cell, "failed", attempt, error=cell.error)
+        self.report(cell.label, time.monotonic() - self._first[cell.key],
+                    "failed")
+        if self.queue.policy.fail_fast:
+            raise GridError(f"cell {cell.label} failed (--fail-fast): "
+                            f"{cell.error}",
+                            failures={cell.label: cell.error},
+                            run_id=self.manifest.run_id)
 
 
 def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
@@ -505,10 +587,11 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
     ``backend`` selects the simulation engine for every cell
     (``"batch"`` / ``"ref"``; ``None`` defers to ``REPRO_BACKEND``,
     default batch), resolved once here and pinned into each worker spec
-    and cache key; a batch grid loads the kernel here, before any pool
-    forks, so workers inherit the handle instead of compiling it.
-    ``policy`` configures retries/timeout/failure handling (defaults to
-    :data:`DEFAULT_POLICY`); ``run_id`` names the checkpoint manifest —
+    and cache key; a batch grid loads the kernel here, before any
+    worker forks, so workers inherit the handle instead of compiling
+    it.  ``policy`` configures retries/timeout/failure handling
+    (defaults to :data:`DEFAULT_POLICY`); ``run_id`` names the
+    checkpoint manifest —
     pass the id of an interrupted run to resume it, re-simulating only
     cells the manifest + cache do not already settle.  ``telemetry``
     (default: the ambient :func:`repro.telemetry.active` config, which
@@ -550,89 +633,39 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
     if cache is None and use_cache:
         cache = rc.ResultsCache()
 
-    raw_manifest = RunManifest.open(run_id, manifest_dir, shard=shard)
+    manifest = RunManifest.open(run_id, manifest_dir, shard=shard)
     # The shard fault site/attempt are fixed before any work: attempt
     # counts shard executions (resumes + 1), so an injected shard loss
     # or duplicate claim hits the first run and its --resume re-run
     # deterministically survives.
     claimed = None
     if shard is not None:
-        site = sharding.shard_site(raw_manifest.run_id, shard)
-        shard_attempt = raw_manifest.data.get("resumes", 0) + 1
-        claimed = {shard[0]}
+        site = sharding.shard_site(manifest.run_id, shard)
+        shard_attempt = manifest.data.get("resumes", 0) + 1
+        owned = {shard[0]}
         if faults.shard_duplicates(site, shard_attempt):
-            claimed.add((shard[0] + 1) % shard[1])
-
-    payloads: dict[str, dict] = {}          # key -> payload
-    keys: list[str] = []                    # per-cell key, grid order
-    cell_sources: list[str] = []    # "run"/"cache"/"dedup"/"elsewhere"
-    pending: dict[str, dict] = {}           # key -> spec (first wins)
-    owners: dict[str, str] = {}             # key -> owning cell's label
-    quarantined: list[tuple[str, str]] = []  # (key, label) during scan
-    shard_owner: dict[str, int] = {}        # key -> owning shard index
-    done = 0
-
-    for job in grid:
-        spec, key = _job_spec(job, tele_window, backend=backend)
-        keys.append(key)
-        if shard is not None:
-            shard_owner[key] = sharding.shard_of(key, shard[1])
-            if shard_owner[key] not in claimed:
-                cell_sources.append("elsewhere")
-                continue
-        if key in payloads or key in pending:
-            cell_sources.append("dedup")
-            continue
-        if use_cache:
-            corrupt_before = cache.corrupt
-            hit = cache.get(key)
-            if cache.corrupt > corrupt_before:
-                quarantined.append((key, job.label))
-            if hit is not None:
-                payloads[key] = hit
-                cell_sources.append("cache")
-                continue
-        pending[key] = spec
-        owners[key] = job.label         # each cell registers its own label
-        cell_sources.append("run")
+            owned.add((shard[0] + 1) % shard[1])
+        claimed = lambda key: sharding.shard_of(key, shard[1]) in owned
+    cells = intake(grid, backend, tele_window,
+                   cache if use_cache else None, claimed)
 
     events: tele_events.EventLog | None = None
     tele_ctx: tuple | None = None
     if tcfg is not None and tcfg.directory is not None:
-        events = tele_events.EventLog(tcfg.directory,
-                                      raw_manifest.run_id, shard=shard)
-        tele_ctx = (str(tcfg.directory), raw_manifest.run_id, shard)
-    manifest = _ManifestEvents(raw_manifest, events)
-    if events is not None:
+        events = tele_events.EventLog(tcfg.directory, manifest.run_id,
+                                      shard=shard)
+        tele_ctx = (str(tcfg.directory), manifest.run_id, shard)
         events.emit("grid_started", total_cells=total,
-                    unique_cells=len(pending), jobs=jobs,
+                    unique_cells=len(cells.specs), jobs=jobs,
                     window=tele_window)
         if shard is not None:
             events.emit("shard_started", shard=shard[0],
-                        shard_count=shard[1], cells=len(pending))
-        for key, label in quarantined:
-            events.emit("cell_quarantined", key=key, label=label)
-    fanout: dict[str, int] = {}
-    for key in keys:
-        fanout[key] = fanout.get(key, 0) + 1
-    registered_elsewhere: set[str] = set()
-    for job, key, source in zip(grid, keys, cell_sources):
-        if source == "run":
-            manifest.register(key, job.label, fanout=fanout[key],
-                              shard=shard_owner.get(key))
-        elif source == "cache":
-            manifest.register(key, job.label, status="done",
-                              source="cache", fanout=fanout[key],
-                              shard=shard_owner.get(key))
-        elif source == "elsewhere":
-            if key not in registered_elsewhere:
-                registered_elsewhere.add(key)
-                manifest.register(key, job.label, status="elsewhere",
-                                  fanout=fanout[key],
-                                  shard=shard_owner[key])
-        elif events is not None:        # dedup'd onto an earlier cell
-            events.emit("cell_dedup", key=key, label=job.label)
-    manifest.save()
+                        shard_count=shard[1], cells=len(cells.specs))
+        for key in cells.quarantined:
+            events.emit("cell_quarantined", key=key,
+                        label=cells.labels[key])
+
+    done = 0
 
     def report(label: str, seconds: float, source: str) -> None:
         nonlocal done
@@ -640,17 +673,19 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
         if progress is not None:
             progress(Progress(done, total, label, seconds, source))
 
-    def store(key: str) -> None:
-        # Store each cell as soon as it finishes, so an interrupted
-        # sweep keeps every completed simulation.
-        if use_cache:
-            cache.put(key, payloads[key])
+    run = _GridRun(cells, manifest, events, policy,
+                   cache if use_cache else None, report, tele_ctx)
+    registered: set[str] = set()        # a sibling shard's keys repeat
+    for job, key, source in zip(grid, cells.keys, cells.sources):
+        if source == "dedup" or key not in registered:
+            registered.add(key)
+            run.register(key, job.label, source, cells.fanout[key],
+                         None if shard is None
+                         else sharding.shard_of(key, shard[1]))
+    manifest.save()
 
-    failures: dict[str, str] = {}           # key -> error (permanent)
-
-    # Arm worker-side event emission in this process too, covering the
-    # serial path and pool degradation (pool workers are armed through
-    # the pool initializer with the same context).
+    # Arm worker-side event emission in this process too, for cells
+    # run in-process (worker processes get the same context at spawn).
     if tele_ctx is not None:
         tele_events.worker_init(tele_ctx)
     try:
@@ -660,16 +695,12 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
                 # checkpointed (status "running"), so the merge step
                 # detects the loss and a --resume re-run survives.
                 faults.inject_shard_loss(site, shard_attempt)
-            if pending:
-                if jobs > 1 and len(pending) > 1:
-                    if backend == "batch":
-                        load_kernel()
-                    _run_parallel(pending, payloads, jobs, report, owners,
-                                  store, policy, manifest, failures,
-                                  tele_ctx=tele_ctx)
-                else:
-                    _run_serial(list(pending), pending, payloads, report,
-                                owners, store, policy, manifest, failures)
+            if jobs > 1 and len(cells.specs) > 1:
+                if backend == "batch":
+                    load_kernel()
+                run.run_workers(min(jobs, len(cells.specs)))
+            else:
+                run.run_inline()
         except GridError:
             manifest.finalize("failed")
             raise
@@ -680,25 +711,27 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
 
         # Report cache hits and dedup'd cells after the real work so
         # the done/total counter stays monotonic.
-        for job, source in zip(grid, cell_sources):
+        for job, source in zip(grid, cells.sources):
             if source != "run":
                 report(job.label, 0.0, source)
 
-        if failures:
+        if run.failures:
             manifest.finalize("failed")
             if not policy.allow_partial:
                 raise GridError(
-                    f"{len(failures)} of {len(pending)} simulated "
-                    f"cell(s) failed permanently after {policy.retries} "
+                    f"{len(run.failures)} of {len(cells.specs)} "
+                    f"simulated cell(s) failed permanently after "
+                    f"{policy.retries} "
                     f"retr{'y' if policy.retries == 1 else 'ies'} "
                     f"(run {manifest.run_id})",
-                    failures={owners[k]: err
-                              for k, err in failures.items()},
+                    failures={cells.labels[k]: err
+                              for k, err in run.failures.items()},
                     run_id=manifest.run_id)
         else:
             manifest.finalize("complete")
+        payloads = {**cells.hits, **run.payloads}
         results = [_materialize(payloads[key]) if key in payloads
-                   else None for key in keys]
+                   else None for key in cells.keys]
         if shard is not None:
             raise ShardComplete(manifest.run_id, shard,
                                 manifest.summary(), results)
@@ -707,258 +740,10 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
         if tele_ctx is not None:
             tele_events.worker_init(None)
         if events is not None:
-            events.emit("grid_finished",
-                        status=raw_manifest.data["status"])
+            events.emit("grid_finished", status=manifest.data["status"])
             events.merge_worker_shards()
             events.close()
 
 
 def _errstr(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _backoff_delay(policy: RunPolicy, key: str, attempt: int) -> float:
-    """Exponential backoff with deterministic per-(cell, attempt) jitter."""
-    base = min(policy.backoff_max, policy.backoff * 2.0 ** (attempt - 1))
-    h = hashlib.sha256(f"backoff|{key}|{attempt}".encode()).digest()
-    unit = int.from_bytes(h[:8], "big") / 2.0 ** 64
-    return base * (1.0 + policy.jitter * unit)
-
-
-def _engine_event(manifest, event: str, **fields) -> None:
-    """Emit a supervision event when the manifest carries an event log
-    (plain ``RunManifest`` instances, as tests construct, don't)."""
-    emit = getattr(manifest, "engine_event", None)
-    if emit is not None:
-        emit(event, **fields)
-
-
-def _run_serial(order: list[str], pending: dict, payloads: dict, report,
-                owners: dict, store, policy: RunPolicy,
-                manifest, failures: dict,
-                attempts: dict | None = None) -> None:
-    """In-process executor with the same retry semantics as the pool
-    path (also the degradation target when the pool keeps breaking)."""
-    if attempts is None:
-        attempts = dict.fromkeys(order, 0)
-    for key in order:
-        t0 = time.perf_counter()
-        while True:
-            attempts[key] += 1
-            manifest.mark(key, "running", attempts=attempts[key])
-            try:
-                payload = _execute_cell(pending[key], key, attempts[key])
-            except Exception as exc:
-                err = _errstr(exc)
-                if policy.fail_fast or attempts[key] > policy.retries:
-                    failures[key] = err
-                    manifest.mark(key, "failed", attempts=attempts[key],
-                                  error=err)
-                    report(owners[key], time.perf_counter() - t0,
-                           "failed")
-                    if policy.fail_fast:
-                        raise GridError(
-                            f"cell {owners[key]} failed "
-                            f"(--fail-fast): {err}",
-                            failures={owners[key]: err},
-                            run_id=manifest.run_id) from exc
-                    break
-                manifest.mark(key, "retrying", attempts=attempts[key],
-                              error=err)
-                time.sleep(_backoff_delay(policy, key, attempts[key]))
-            else:
-                payloads[key] = payload
-                store(key)
-                seconds = time.perf_counter() - t0
-                manifest.mark(key, "done", attempts=attempts[key],
-                              seconds=seconds, source="run")
-                report(owners[key], seconds, "run")
-                break
-
-
-def _worker_init(fault_plan, tele_ctx=None) -> None:
-    """Pool-process initializer: arm fault injection and telemetry."""
-    faults.worker_init(fault_plan)
-    tele_events.worker_init(tele_ctx)
-
-
-def _new_pool(max_workers: int, tele_ctx=None) -> ProcessPoolExecutor:
-    """Worker pool whose processes know the active fault plan and
-    telemetry context (passed explicitly so any multiprocessing start
-    method behaves alike)."""
-    return ProcessPoolExecutor(max_workers=max_workers,
-                               initializer=_worker_init,
-                               initargs=(faults.active_plan(), tele_ctx))
-
-
-def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on hung workers.
-
-    ``shutdown(wait=False)`` alone would leave a hung worker sleeping
-    (and block interpreter exit on its join), so the worker processes
-    are terminated outright — safe because results are only consumed
-    from completed futures and cache writes are atomic.
-    """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-
-
-def _run_parallel(pending: dict, payloads: dict, jobs: int, report,
-                  owners: dict, store, policy: RunPolicy,
-                  manifest, failures: dict, tele_ctx=None) -> None:
-    """Supervised pool executor: per-cell timeout, retry with backoff,
-    broken-pool recovery, and serial degradation."""
-    max_workers = min(jobs, len(pending))
-    ready: deque = deque(pending)
-    delayed: list = []                  # (due, seq, key) heap
-    attempts = dict.fromkeys(pending, 0)
-    t_first: dict[str, float] = {}      # key -> first-submit wall clock
-    inflight: dict = {}                 # future -> key
-    deadlines: dict[str, float] = {}    # key -> monotonic deadline
-    rebuilds = 0
-    seq = 0
-    pool = _new_pool(max_workers, tele_ctx)
-
-    def fail_or_retry(key: str, err: str) -> None:
-        nonlocal seq
-        if not policy.fail_fast and attempts[key] <= policy.retries:
-            manifest.mark(key, "retrying", attempts=attempts[key],
-                          error=err)
-            seq += 1
-            heapq.heappush(delayed,
-                           (time.monotonic()
-                            + _backoff_delay(policy, key, attempts[key]),
-                            seq, key))
-            return
-        failures[key] = err
-        manifest.mark(key, "failed", attempts=attempts[key], error=err)
-        report(owners[key],
-               time.monotonic() - t_first.get(key, time.monotonic()),
-               "failed")
-        if policy.fail_fast:
-            raise GridError(f"cell {owners[key]} failed "
-                            f"(--fail-fast): {err}",
-                            failures={owners[key]: err},
-                            run_id=manifest.run_id)
-
-    def settle(fut, key) -> bool:
-        """Consume one completed future; True when it broke the pool."""
-        try:
-            payload = fut.result()
-        except BrokenExecutor:
-            # The pool died under this cell (or an innocent
-            # neighbour); which worker crashed is unknowable, so
-            # every completed-broken cell spends one attempt.
-            fail_or_retry(key, "worker crashed (process pool broken)")
-            return True
-        except Exception as exc:
-            fail_or_retry(key, _errstr(exc))
-        else:
-            payloads[key] = payload
-            store(key)
-            seconds = time.monotonic() - t_first[key]
-            manifest.mark(key, "done", attempts=attempts[key],
-                          seconds=seconds, source="run")
-            report(owners[key], seconds, "run")
-        return False
-
-    try:
-        while ready or delayed or inflight:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                ready.append(heapq.heappop(delayed)[2])
-            broken = False
-            # Submit at most max_workers cells so everything in flight
-            # is actually running — a queued cell must not "time out".
-            while ready and len(inflight) < max_workers:
-                key = ready.popleft()
-                attempts[key] += 1
-                t_first.setdefault(key, time.monotonic())
-                manifest.mark(key, "running", attempts=attempts[key])
-                try:
-                    fut = pool.submit(_execute_cell, pending[key], key,
-                                      attempts[key])
-                except BrokenExecutor:
-                    # A worker died between submits; requeue this cell
-                    # untouched and go handle the break.
-                    attempts[key] -= 1
-                    ready.appendleft(key)
-                    broken = True
-                    break
-                inflight[fut] = key
-                deadlines[key] = (time.monotonic() + policy.timeout
-                                  if policy.timeout else math.inf)
-            if not broken:
-                if not inflight:
-                    if delayed:     # everything is backing off
-                        time.sleep(max(0.0, delayed[0][0]
-                                       - time.monotonic()))
-                    continue
-                bound = min(deadlines[k] for k in inflight.values())
-                if delayed:
-                    bound = min(bound, delayed[0][0])
-                wait_t = (None if bound == math.inf
-                          else max(0.01, bound - time.monotonic()))
-                finished, _ = wait(set(inflight), timeout=wait_t,
-                                   return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    broken |= settle(fut, inflight.pop(fut))
-                # Hung-worker detection: a running cell past its
-                # deadline cannot be cancelled, so abandon its future
-                # and rebuild the pool (terminating stranded workers).
-                now = time.monotonic()
-                overdue = [fut for fut, key in inflight.items()
-                           if deadlines[key] <= now]
-                if overdue:
-                    broken = True
-                    for fut in overdue:
-                        key = inflight.pop(fut)
-                        fail_or_retry(key, "timeout: no result after "
-                                           f"{policy.timeout:.1f}s "
-                                           "(worker hung or overloaded)")
-            if broken:
-                rebuilds += 1
-                # Futures that completed while the pool collapsed get
-                # settled normally; the rest are abandoned with their
-                # attempt refunded, so the fault schedule replays
-                # exactly on the rebuilt pool.
-                for fut, key in list(inflight.items()):
-                    if fut.done():
-                        settle(fut, key)
-                    else:
-                        attempts[key] -= 1
-                        manifest.mark(key, "pending",
-                                      attempts=attempts[key],
-                                      save=False)
-                        ready.append(key)
-                manifest.save()
-                inflight.clear()
-                _shutdown_pool(pool)
-                if rebuilds > policy.max_pool_rebuilds:
-                    print(f"  [engine] process pool failed {rebuilds} "
-                          "times; degrading to in-process serial "
-                          "execution", file=sys.stderr, flush=True)
-                    _engine_event(manifest, "degraded_serial",
-                                  rebuilds=rebuilds)
-                    remaining = list(ready) + [k for _, _, k in
-                                               sorted(delayed)]
-                    ready.clear()
-                    delayed.clear()
-                    _run_serial(remaining, pending, payloads, report,
-                                owners, store, policy, manifest,
-                                failures, attempts=attempts)
-                    return
-                print(f"  [engine] rebuilding process pool "
-                      f"(failure {rebuilds}/{policy.max_pool_rebuilds})",
-                      file=sys.stderr, flush=True)
-                _engine_event(manifest, "pool_rebuilt", rebuilds=rebuilds)
-                pool = _new_pool(max_workers, tele_ctx)
-    finally:
-        _shutdown_pool(pool)

@@ -3,16 +3,19 @@
 A :class:`FaultPlan` describes *which* failures to inject and *where*:
 every decision is a pure function of ``(seed, kind, site, attempt)``, so
 a plan reproduces the exact same failure schedule on every run — which
-is what makes the engine's recovery paths (retry, pool rebuild,
-checkpoint/resume, cache quarantine) testable in CI rather than only
-observable in multi-hour production sweeps.
+is what makes the engine's recovery paths (retry, dead- and hung-worker
+reaping, lease fencing, checkpoint/resume, cache quarantine) testable
+in CI rather than only observable in multi-hour production sweeps.
 
 Fault kinds
 -----------
 
 ``crash``
-    The worker process dies abruptly (``os._exit``), breaking the
-    process pool.  In-process (serial) execution raises
+    The worker process dies abruptly (``os._exit``) mid-cell, without a
+    word: the supervisor (:mod:`repro.experiments.supervisor`, behind
+    both ``run_grid --jobs N`` and the service) sees it dead, revokes
+    its lease, requeues that one cell with its attempt spent, and
+    spawns a replacement.  In-process execution raises
     :class:`FaultInjected` instead — killing the caller would defeat
     the point of testing recovery.
 ``hang``
@@ -44,17 +47,12 @@ Fault kinds
     (``(I+1) mod N``), simulating a mispartitioned host; the merge's
     overlap detection must refuse to stitch, and a re-run of the
     offending shard repairs its manifest.
-``worker_vanish``
-    A :mod:`repro.service` worker process dies silently
-    (``os._exit``) just before executing a leased cell — no error
-    message, no result, no broken-pool signal.  The orchestrator must
-    notice the lost worker, expire its lease, and requeue the cell
-    with its attempt count preserved.
 ``lease_loss``
-    The orchestrator revokes a freshly granted cell lease (simulating
-    a lease store that lost state): the worker keeps running, but its
-    result arrives carrying a stale lease token and is discarded; the
-    cell is requeued exactly once with its attempt spent.
+    The supervisor revokes a cell lease it just granted to a worker
+    process (simulating a lease store that lost state): the worker
+    keeps running, but its result arrives carrying a stale lease token
+    and is discarded; the cell is requeued exactly once with its
+    attempt spent.
 ``orchestrator_crash``
     The orchestrator process dies (``os._exit`` in a real ``repro
     serve`` process, :class:`FaultInjected` in-process) right after
@@ -104,7 +102,7 @@ DEFAULT_SLOW_SECONDS = 0.05
 
 KINDS = ("crash", "hang", "slow", "exc", "corrupt", "truncate",
          "shard_loss", "duplicate_shard",
-         "worker_vanish", "lease_loss", "orchestrator_crash")
+         "lease_loss", "orchestrator_crash")
 
 #: Fault kinds applied at cell-execution time (by the engine) versus at
 #: artifact-write time (:func:`repro.store.fault_hook`: results-cache
@@ -114,10 +112,10 @@ KINDS = ("crash", "hang", "slow", "exc", "corrupt", "truncate",
 EXECUTION_KINDS = ("crash", "hang", "slow", "exc")
 CACHE_KINDS = ("corrupt", "truncate")
 SHARD_KINDS = ("shard_loss", "duplicate_shard")
-#: Fault kinds applied by the :mod:`repro.service` orchestrator and its
-#: worker processes (lease revocation, silent worker death, and
-#: orchestrator crash-recovery — see docs/SERVICE.md).
-SERVICE_KINDS = ("worker_vanish", "lease_loss", "orchestrator_crash")
+#: Fault kinds applied by the supervisor to a worker's lease (in
+#: ``run_grid --jobs N`` and the service alike) and by the
+#: :mod:`repro.service` orchestrator to itself (docs/SERVICE.md).
+SERVICE_KINDS = ("lease_loss", "orchestrator_crash")
 
 
 class FaultInjected(RuntimeError):
@@ -231,8 +229,9 @@ def active_plan() -> FaultPlan | None:
 
 
 def worker_init(plan: FaultPlan | None) -> None:
-    """Process-pool initializer: mark this process as a worker and hand
-    it the parent's plan (robust to any multiprocessing start method)."""
+    """Worker-process start-up: mark this process as a worker and hand
+    it the supervisor's plan (robust to any multiprocessing start
+    method)."""
     global _in_worker
     _in_worker = True
     activate(plan)
@@ -288,27 +287,14 @@ def inject_shard_loss(site: str, attempt: int = 1) -> None:
                             f"(attempt {attempt})")
 
 
-def worker_vanishes(site: str, attempt: int = 1) -> bool:
-    """Whether a ``worker_vanish`` fault kills this service worker just
-    before it executes a leased cell.
-
-    ``site`` is the cell's content-addressed cache key and ``attempt``
-    the lease attempt, so the same plan vanishes the same worker at the
-    same cell on every run; with the default ``max_attempt=1`` the
-    requeued attempt deterministically survives.  The caller performs
-    the actual ``os._exit`` (the decision is separated from the death
-    so in-process tests can observe it).  False without an active plan.
-    """
-    plan = active_plan()
-    return plan is not None and plan.fires("worker_vanish", site, attempt)
-
-
 def lease_lost(site: str, attempt: int = 1) -> bool:
     """Whether a ``lease_loss`` fault revokes this freshly granted
-    lease (same decision scheme as :func:`worker_vanishes`: ``site`` is
-    the cell key, ``attempt`` the lease attempt).  The orchestrator
-    requeues the cell and discards the revoked worker's stale-token
-    result.  False without an active plan."""
+    lease.  ``site`` is the cell's content-addressed cache key and
+    ``attempt`` the lease attempt, so the same plan revokes the same
+    grant on every run; with the default ``max_attempt=1`` the requeued
+    attempt deterministically survives.  The supervisor requeues the
+    cell and discards the revoked worker's stale-token result.  False
+    without an active plan."""
     plan = active_plan()
     return plan is not None and plan.fires("lease_loss", site, attempt)
 

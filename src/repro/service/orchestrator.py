@@ -1,23 +1,19 @@
 """Crash-tolerant job orchestrator: sweep jobs as a long-running service.
 
 One :class:`Orchestrator` owns the durable state under
-``$REPRO_CACHE_DIR/service/`` — the queue :class:`~repro.service.queue.
-Journal`, per-job records (``jobs/<id>.json``, atomic writes), and the
-JSONL result feeds (``feeds/<id>.jsonl``) — plus a pool of worker
-processes (:mod:`repro.service.worker`) executing cells through the
-exact ``run_grid`` worker code path.  Every simulated byte still flows
-through the proven manifest/results-cache machinery: a job's cells are
-compiled with :func:`repro.experiments.parallel._job_spec`, so their
-content-addressed keys — and therefore their cached payloads — are
-byte-identical to the same sweep run via the CLI.
+``$REPRO_CACHE_DIR/service/`` — the :class:`~repro.service.queue.Journal`,
+per-job records (``jobs/<id>.json``, atomic writes), and the JSONL
+result feeds (``feeds/<id>.jsonl``).  It is a client of
+:class:`repro.experiments.supervisor.Supervisor`, the lease queue and
+worker processes ``run_grid`` runs on, so a job's cells go through
+``run_grid``'s own intake (:func:`repro.experiments.parallel.intake`):
+their content-addressed keys — and therefore their cached payloads —
+are byte-identical to the same sweep run via the CLI.
 
-Robustness model (docs/SERVICE.md):
+What the service adds on top of the supervisor (docs/SERVICE.md):
 
-* **lease-based claims** — a worker holds one cell at a time under a
-  TTL'd lease (fencing token = attempt number) renewed by heartbeat;
-  a crashed/vanished worker's lease expires and its cell is requeued
-  exactly once with the attempt count preserved and the engine's
-  deterministic backoff, bounded by ``RunPolicy.retries``;
+* **jobs** — many sweeps share one queue; a cell several jobs want runs
+  once, and a job's settled cells leave the queue when it ends;
 * **orchestrator crash recovery** — startup replays the queue journal
   (generation count, job registry) and re-opens each active job's run
   manifest (``runs/<job_id>.service.json``); cells whose results are
@@ -30,14 +26,12 @@ Robustness model (docs/SERVICE.md):
   raise :class:`QueueFull`, which the HTTP layer maps to ``429`` with
   ``Retry-After``.
 
-Faults ``worker_vanish`` / ``lease_loss`` / ``orchestrator_crash``
+Faults ``crash`` / ``lease_loss`` / ``orchestrator_crash``
 (:mod:`repro.faults`) exercise each path deterministically.
 """
 
 from __future__ import annotations
 
-import os
-import queue as stdlib_queue
 import threading
 import time
 import uuid
@@ -49,11 +43,13 @@ from repro.core.batch import load_kernel, resolve_backend
 from repro.experiments import parallel
 from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
+from repro.experiments.supervisor import (CANCELLED, DONE, FAILED,
+                                          LEASE_TTL, LEASED, PENDING,
+                                          Cell, LeaseQueue, RunPolicy,
+                                          Supervisor)
 from repro.experiments.workloads import WORKLOADS, cache_dir
 from repro.service import schemas
-from repro.service import worker as service_worker
-from repro.service.queue import (CANCELLED, DONE, FAILED, LEASED,
-                                 PENDING, Journal, LeaseQueue)
+from repro.service.queue import Journal
 from repro.service.schemas import (CellResult, Health, JobProgress,
                                    JobRequest, JobStatus, SubmitResponse)
 from repro.store import atomic_write
@@ -90,9 +86,8 @@ class ServiceConfig:
     port: int = 0                       # 0 = ephemeral
     workers: int = 2
     queue_depth: int = 16               # max active (queued+running) jobs
-    lease_ttl: float = 15.0
-    policy: parallel.RunPolicy = field(
-        default_factory=parallel.RunPolicy)
+    lease_ttl: float = LEASE_TTL
+    policy: RunPolicy = field(default_factory=RunPolicy)
     telemetry_dir: Path | None = None
     hard_crash: bool = False            # orchestrator_crash: os._exit
 
@@ -124,24 +119,13 @@ class _Job:
     progress_snapshot: JobProgress | None = None    # frozen at finish
 
 
-@dataclass
-class _Worker:
-    wid: str
-    proc: object
-    task_q: object
-    last_beat: float
-    ready: bool = False
-    current: tuple | None = None        # (key, token) while executing
-
-
-class Orchestrator:
+class Orchestrator(Supervisor):
     """See module docstring.  Thread-safety: the HTTP handler threads
     and the scheduler loop share ``self._lock``; worker processes only
     touch the multiprocessing queues."""
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self._lock = threading.RLock()
         self._dir = service_dir()
         self._jobs_dir = self._dir / "jobs"
         self._feeds_dir = self._dir / "feeds"
@@ -149,20 +133,17 @@ class Orchestrator:
             d.mkdir(parents=True, exist_ok=True)
         self.journal = Journal(self._dir / "journal.jsonl")
         self.generation = self.journal.generation() + 1
-        self.queue = LeaseQueue(policy=self.config.policy,
-                                lease_ttl=self.config.lease_ttl)
         self.cache = rc.ResultsCache()
         self.jobs: dict[str, _Job] = {}
         self.events: tele_events.EventLog | None = None
-        self._tele_ctx = None
+        tele_ctx = None
         if self.config.telemetry_dir is not None:
             tdir = Path(self.config.telemetry_dir)
             self.events = tele_events.EventLog(tdir, SERVICE_RUN_ID)
-            self._tele_ctx = (str(tdir), SERVICE_RUN_ID, None)
-        self._mp = __import__("multiprocessing").get_context()
-        self._result_q = self._mp.Queue()
-        self._workers: dict[str, _Worker] = {}
-        self._worker_seq = 0
+            tele_ctx = (str(tdir), SERVICE_RUN_ID, None)
+        super().__init__(LeaseQueue(policy=self.config.policy,
+                                    lease_ttl=self.config.lease_ttl),
+                         tele_ctx)
         self._draining = False
         self._stopped = False
         self._http = None               # set by repro.service.api
@@ -171,12 +152,6 @@ class Orchestrator:
         self._emit("service_started", generation=self.generation,
                    workers=self.config.workers)
         self._recover()
-
-    # -- telemetry ---------------------------------------------------------
-
-    def _emit(self, event: str, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(event, **fields)
 
     # -- durable job records -----------------------------------------------
 
@@ -257,37 +232,31 @@ class Orchestrator:
             self._check_job_done(job)
             # Wake the scheduler, which otherwise sleeps out its poll
             # before leasing the new job's first cell.
-            self._result_q.put(("wake", None))
+            if self._result_q is not None:
+                self._result_q.put(("wake", None))
             return SubmitResponse(job_id=job.id, state=job.state,
                                   cells=len(job.keys), run_id=job.id)
 
     def _register_cells(self, job: _Job, grid: list[parallel.Job],
                         backend: str, resumed: bool = False) -> None:
-        """Compile the grid to unique cells, probe the cache, seed the
-        queue and the job's service manifest (``run_grid``'s intake,
-        minus in-grid execution)."""
+        """Run ``run_grid``'s intake on the grid, then seed the queue
+        and the job's service manifest with its unique cells."""
         job.manifest = RunManifest.open(job.id, service=True)
-        fanout: dict[str, int] = {}
-        order: list[tuple[str, str]] = []       # (key, label) unique
-        for cell in grid:
-            spec, key = parallel._job_spec(cell, backend=backend)
-            if key not in fanout:
-                order.append((key, cell.label))
-                self._specs[key] = spec
-            fanout[key] = fanout.get(key, 0) + 1
-        for key, label in order:
-            job.keys.append(key)
-            job.labels[key] = label
+        cells = parallel.intake(grid, backend, cache=self.cache)
+        job.labels = cells.labels
+        job.keys = list(cells.labels)
+        for key, label in cells.labels.items():
+            fanout = cells.fanout[key]
             prior = job.manifest.cells.get(key, {})
             attempts = prior.get("attempts", 0) if resumed else 0
-            hit = self.cache.get(key)
+            cell = self.queue.add(job.id, key, label, attempts=attempts,
+                                  spec=cells.specs.get(key))
+            hit = cells.hits.get(key)
             if hit is not None:
                 job.cached_keys.add(key)
-                self.queue.add(job.id, key, label, attempts=attempts)
                 self.queue.settle(key, DONE)
                 job.manifest.register(key, label, status="done",
-                                      source="cache",
-                                      fanout=fanout[key])
+                                      source="cache", fanout=fanout)
                 self._emit("cell_cached", key=key, label=label)
                 self._feed(job, CellResult(
                     key=key, label=label, status="done",
@@ -296,16 +265,14 @@ class Orchestrator:
                 continue
             if resumed and prior.get("status") == "failed":
                 # Retry budget already spent before the crash; keep it.
-                self.queue.add(job.id, key, label, attempts=attempts)
                 self.queue.settle(key, FAILED)
-                self.queue.cells[key].error = prior.get("error")
+                cell.error = prior.get("error")
                 job.manifest.register(key, label, status="failed",
-                                      fanout=fanout[key])
+                                      fanout=fanout)
                 job.manifest.cells[key]["attempts"] = attempts
                 job.manifest.cells[key]["error"] = prior.get("error")
                 continue
-            self.queue.add(job.id, key, label, attempts=attempts)
-            job.manifest.register(key, label, fanout=fanout[key])
+            job.manifest.register(key, label, fanout=fanout)
             job.manifest.cells[key]["attempts"] = attempts
             self._emit("cell_queued", key=key, label=label)
         job.manifest.save()
@@ -320,13 +287,16 @@ class Orchestrator:
         job.state = "running"
         job.started = time.time()
         self._save_job(job)
+        self._watch_merge(job)
+        return SubmitResponse(job_id=job.id, state=job.state,
+                              cells=0, run_id=job.request.run_id)
+
+    def _watch_merge(self, job: _Job) -> None:
         thread = threading.Thread(target=self._run_merge,
                                   args=(job.id,), daemon=True,
                                   name=f"merge-{job.id}")
         self._merge_threads.append(thread)
         thread.start()
-        return SubmitResponse(job_id=job.id, state=job.state,
-                              cells=0, run_id=job.request.run_id)
 
     def _run_merge(self, job_id: str) -> None:
         from repro.experiments.sharding import (ShardMergeError,
@@ -411,6 +381,7 @@ class Orchestrator:
                     key=key, label=job.labels.get(key, "?"),
                     status="cancelled"))
             job.progress_snapshot = self._progress(job)
+            self.queue.forget_job(job_id)
             job.state = "cancelled"
             job.finished = time.time()
             if job.manifest is not None:
@@ -434,13 +405,10 @@ class Orchestrator:
 
     # -- recovery ----------------------------------------------------------
 
-    _specs: dict     # key -> picklable work spec (rebuilt at intake)
-
     def _recover(self) -> None:
         """Replay the journal + job records + manifests + cache: every
         in-flight job resumes with zero redundant simulation."""
         import json
-        self._specs = {}
         if self.events is not None:
             # Fold worker shards a dead predecessor never merged.
             self.events.merge_worker_shards()
@@ -467,16 +435,10 @@ class Orchestrator:
             if job.request.kind == "merge":
                 # Re-arm the watcher; wait_for_shards is idempotent.
                 job.state = "running"
-                thread = threading.Thread(target=self._run_merge,
-                                          args=(job.id,), daemon=True,
-                                          name=f"merge-{job.id}")
-                self._merge_threads.append(thread)
-                thread.start()
+                self._watch_merge(job)
                 continue
             grid = self._compile_sweep(job.request)
             backend = resolve_backend(job.request.backend)
-            job.keys, job.labels = [], {}
-            job.cached_keys = set()
             self._register_cells(job, grid, backend, resumed=True)
             self.journal.append("job_resumed", job_id=job.id,
                                 generation=self.generation)
@@ -484,53 +446,20 @@ class Orchestrator:
             self._save_job(job)
             self._check_job_done(job)
 
-    # -- workers -----------------------------------------------------------
-
-    def _spawn_worker(self) -> None:
-        if resolve_backend() == "batch":
-            # Compile/load once here (a no-op after the first call):
-            # workers inherit the handle instead of each compiling it.
-            load_kernel()
-        self._worker_seq += 1
-        wid = f"w{self._worker_seq}"
-        task_q = self._mp.Queue()
-        proc = self._mp.Process(
-            target=_worker_entry, name=f"repro-service-{wid}",
-            args=(wid, task_q, self._result_q, self.config.lease_ttl,
-                  faults.active_plan(), self._tele_ctx, os.getpid()),
-            daemon=True)
-        proc.start()
-        self._workers[wid] = _Worker(wid=wid, proc=proc, task_q=task_q,
-                                     last_beat=time.monotonic())
-        self._emit("worker_spawned", worker=wid)
+    # -- workers and scheduling --------------------------------------------
 
     def start(self) -> None:
-        """Spawn the worker pool and the HTTP server (if configured)."""
+        """Spawn the worker pool."""
         with self._lock:
-            for _ in range(self.config.workers):
-                self._spawn_worker()
+            if resolve_backend() == "batch":
+                # Compile/load once here (a no-op after the first
+                # call): workers inherit the handle instead of each
+                # compiling it.
+                load_kernel()
+            self._start_workers(self.config.workers)
 
-    def _reap_worker(self, w: _Worker, reason: str) -> None:
-        """A worker died or hung: revoke its leases, replace it."""
-        self._emit("worker_lost", worker=w.wid, reason=reason)
-        self.journal.append("worker_lost", worker=w.wid, reason=reason)
-        for cell in self.queue.leases_of(w.wid):
-            attempt = cell.lease.token
-            disp = self.queue.revoke(
-                cell.key, f"worker {w.wid} {reason}", time.monotonic())
-            self._emit("lease_expired", key=cell.key, worker=w.wid,
-                       attempt=attempt, reason=reason)
-            self._after_release(cell.key, attempt, disp)
-        try:
-            if w.proc.is_alive():
-                w.proc.terminate()
-        except Exception:
-            pass
-        del self._workers[w.wid]
-        if not self._draining and not self._stopped:
-            self._spawn_worker()
-
-    # -- scheduler loop ----------------------------------------------------
+    def _respawns(self) -> bool:
+        return not self._draining and not self._stopped
 
     def run(self, poll: float = 0.2) -> None:
         """Blocking scheduler loop; returns after a completed drain."""
@@ -553,133 +482,48 @@ class Orchestrator:
 
     def step(self, poll: float = 0.2) -> None:
         """One scheduler iteration (exposed for in-process tests)."""
-        try:
-            msg = self._result_q.get(timeout=poll)
-        except stdlib_queue.Empty:
-            msg = None
+        msgs = self._receive(poll)
         with self._lock:
-            while True:
-                if msg is not None:
-                    self._on_message(msg)
-                try:
-                    msg = self._result_q.get_nowait()
-                except stdlib_queue.Empty:
-                    break
-            now = time.monotonic()
-            for cell, disp, worker in self.queue.expire(now):
-                self._emit("lease_expired", key=cell.key,
-                           worker=worker, attempt=cell.attempts,
-                           reason="ttl")
-                self.journal.append("lease_expired", key=cell.key,
-                                    worker=worker,
-                                    attempt=cell.attempts)
-                self._after_release(cell.key, cell.attempts, disp)
-            self._check_workers(now)
+            now = self._settle(msgs)
             if not self._draining:
                 self._dispatch(now)
             elif not any(c.state == LEASED
                          for c in self.queue.cells.values()):
                 self._complete_drain()
 
-    def _check_workers(self, now: float) -> None:
-        timeout = self.config.policy.timeout
-        for w in list(self._workers.values()):
-            if not w.proc.is_alive():
-                self._reap_worker(w, "vanished")
-                continue
-            if timeout is not None and w.current is not None:
-                key, _token = w.current
-                cell = self.queue.cells.get(key)
-                if (cell is not None and cell.state == LEASED
-                        and cell.lease.worker == w.wid
-                        and now - cell.lease.granted > timeout):
-                    self._reap_worker(w, "hung")
-
     def _dispatch(self, now: float) -> None:
-        for w in self._workers.values():
-            if not w.ready or not w.proc.is_alive():
-                continue
-            cell = self.queue.claim(w.wid, now)
-            if cell is None:
-                return              # nothing claimable right now
-            w.ready = False
-            w.current = (cell.key, cell.lease.token)
-            for job_id in sorted(cell.jobs):
-                job = self.jobs.get(job_id)
-                if job is not None and job.state == "queued":
-                    job.state = "running"
-                    job.started = time.time()
-                    self._emit("job_started", job_id=job.id)
-                    self._save_job(job)
-            self._emit("cell_leased", key=cell.key, worker=w.wid,
-                       attempt=cell.attempts)
-            self.journal.append("lease", key=cell.key, worker=w.wid,
-                                attempt=cell.attempts)
-            self._mark_manifests(cell.key, "running",
-                                 attempts=cell.attempts)
-            w.task_q.put((cell.key, self._specs[cell.key],
-                          cell.attempts, cell.lease.token))
-            if faults.lease_lost(cell.key, cell.attempts):
-                # Simulated lease-store loss: the worker runs on, but
-                # its token is now stale; the cell is requeued (the
-                # spent attempt preserved) and the late result dropped.
-                attempt = cell.attempts
-                disp = self.queue.revoke(cell.key,
-                                         "lease lost (injected)", now)
-                self._emit("lease_expired", key=cell.key, worker=w.wid,
-                           attempt=attempt, reason="revoked")
-                self.journal.append("lease_revoked", key=cell.key,
-                                    worker=w.wid, attempt=attempt)
-                self._after_release(cell.key, attempt, disp)
+        # Spelled out on this class so perfbench can time it (its span
+        # hooks wrap methods a class defines, not inherited ones).
+        super()._dispatch(now)
 
-    def _on_message(self, msg: tuple) -> None:
-        kind, wid = msg[0], msg[1]
-        w = self._workers.get(wid)
-        if kind == "heartbeat":
-            if w is not None:
-                w.last_beat = time.monotonic()
-                for cell in self.queue.leases_of(wid):
-                    if self.queue.renew(cell.key, wid,
-                                        cell.lease.token,
-                                        time.monotonic()):
-                        self._emit("lease_renewed", key=cell.key,
-                                   worker=wid)
-            return
-        if kind == "ready":
-            if w is not None:
-                w.ready = True
-                w.current = None
-            return
-        if kind in ("started", "wake"):
-            return      # informational / submit's nudge: step dispatches
-        if kind == "done":
-            _, _, key, token, payload = msg
-            self._on_done(wid, key, token, payload)
-            return
-        if kind == "error":
-            _, _, key, token, err = msg
-            self._on_error(wid, key, token, err)
+    def _on_leased(self, cell: Cell) -> None:
+        for job_id in sorted(cell.jobs):
+            job = self.jobs.get(job_id)
+            if job is not None and job.state == "queued":
+                job.state = "running"
+                job.started = time.time()
+                self._emit("job_started", job_id=job.id)
+                self._save_job(job)
+        self._mark_manifests(cell.key, "running", attempts=cell.attempts)
 
     def _on_done(self, wid: str, key: str, token: int,
                  payload: dict) -> None:
         cell = self.queue.cells.get(key)
+        lease = cell.lease if cell is not None else None
         attempt = token
-        seconds = None
-        if cell is not None and cell.state == LEASED \
-                and cell.lease is not None:
-            seconds = time.monotonic() - cell.lease.granted
         if not self.queue.complete(key, wid, token):
             # Stale fencing token (lease expired or was revoked): the
             # result is discarded — the re-leased attempt owns the cell.
             self.journal.append("stale_result", key=key, worker=wid,
                                 attempt=attempt)
             return
+        seconds = time.monotonic() - lease.granted
         self.cache.put(key, payload)
         self.journal.append("cell_done", key=key, worker=wid,
                             attempt=attempt)
-        label = self._label_of(key)
+        label = cell.label
         self._emit("cell_done", key=key, label=label, source="run",
-                   seconds=round(seconds, 3) if seconds else 0.0)
+                   seconds=round(seconds, 3))
         self._mark_manifests(key, "done", attempts=attempt,
                              seconds=seconds, source="run")
         sha = rc.payload_checksum(payload)
@@ -696,47 +540,37 @@ class Orchestrator:
 
     def _on_error(self, wid: str, key: str, token: int,
                   err: str) -> None:
+        cell = self.queue.cells.get(key)
         disp = self.queue.fail(key, wid, token, err, time.monotonic())
         if disp == "stale":
             return
         self.journal.append("cell_error", key=key, worker=wid,
                             attempt=token, error=err,
                             disposition=disp)
-        label = self._label_of(key)
         if disp == "retry":
-            self._emit("cell_retried", key=key, label=label,
+            self._emit("cell_retried", key=key, label=cell.label,
                        attempt=token, error=err)
             self._mark_manifests(key, "retrying", attempts=token,
                                  error=err)
             return
-        self._emit("cell_failed", key=key, label=label, attempt=token,
-                   error=err)
-        self._mark_manifests(key, "failed", attempts=token, error=err)
-        for job in self._jobs_of(key):
-            self._feed(job, CellResult(key=key, label=label,
-                                       status="failed",
-                                       attempts=token, error=err))
-            self._check_job_done(job)
+        self._cell_failed(cell, token, err)
 
-    def _after_release(self, key: str, attempt: int,
-                       disp: str | None) -> None:
+    def _after_release(self, cell: Cell, attempt: int,
+                       disposition: str | None) -> None:
         """Manifest/feed bookkeeping after an expiry or revocation."""
-        if disp is None:
-            return
-        label = self._label_of(key)
-        if disp == "retry":
-            self._emit("cell_requeued", key=key, label=label)
-            self._mark_manifests(key, "pending", attempts=attempt)
-            return
-        cell = self.queue.cells.get(key)
-        err = (cell.error if cell is not None else None) \
-            or "lease expired"
-        self._emit("cell_failed", key=key, label=label,
+        if disposition == "retry":
+            self._emit("cell_requeued", key=cell.key, label=cell.label)
+            self._mark_manifests(cell.key, "pending", attempts=attempt)
+        elif disposition == "failed":
+            self._cell_failed(cell, attempt, cell.error or "lease expired")
+
+    def _cell_failed(self, cell: Cell, attempt: int, err: str) -> None:
+        self._emit("cell_failed", key=cell.key, label=cell.label,
                    attempt=attempt, error=err)
-        self._mark_manifests(key, "failed", attempts=attempt,
+        self._mark_manifests(cell.key, "failed", attempts=attempt,
                              error=err)
-        for job in self._jobs_of(key):
-            self._feed(job, CellResult(key=key, label=label,
+        for job in self._jobs_of(cell.key):
+            self._feed(job, CellResult(key=cell.key, label=cell.label,
                                        status="failed",
                                        attempts=attempt, error=err))
             self._check_job_done(job)
@@ -750,12 +584,6 @@ class Orchestrator:
         return [self.jobs[j] for j in sorted(cell.jobs)
                 if j in self.jobs
                 and self.jobs[j].state in ("queued", "running")]
-
-    def _label_of(self, key: str) -> str:
-        cell = self.queue.cells.get(key)
-        if cell is not None:
-            return cell.label
-        return "?"
 
     def _mark_manifests(self, key: str, status: str, **kw) -> None:
         for job in self._jobs_of(key):
@@ -790,6 +618,7 @@ class Orchestrator:
         if job.manifest is not None:
             job.manifest.finalize(
                 "complete" if state == "complete" else "failed")
+        self.queue.forget_job(job.id)
         self.journal.append("job_finished", job_id=job.id, status=state)
         self._emit("job_finished", job_id=job.id, status=state)
         self._save_job(job)
@@ -810,38 +639,3 @@ class Orchestrator:
         self._stopped = True
         self.journal.append("stopped", generation=self.generation)
         self._emit("service_stopped", status="drained")
-
-    def _shutdown_workers(self) -> None:
-        with self._lock:
-            workers = list(self._workers.values())
-            self._workers.clear()
-        for w in workers:
-            try:
-                w.task_q.put(None)
-            except Exception:
-                pass
-        deadline = time.monotonic() + 5.0
-        for w in workers:
-            w.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if w.proc.is_alive():
-                try:
-                    w.proc.terminate()
-                except Exception:
-                    pass
-
-
-def _worker_entry(wid, task_q, result_q, lease_ttl, fault_plan,
-                  tele_ctx, parent_pid) -> None:
-    """Child-process entry: die with the parent (an orchestrator crash
-    must not leave orphan workers mining CPU), then run the loop."""
-    import threading as _threading
-
-    def watch_parent() -> None:
-        while True:
-            time.sleep(0.5)
-            if os.getppid() != parent_pid:
-                os._exit(0)
-    _threading.Thread(target=watch_parent, daemon=True).start()
-    service_worker.worker_main(wid, task_q, result_q, lease_ttl,
-                               fault_plan=fault_plan,
-                               tele_ctx=tele_ctx)

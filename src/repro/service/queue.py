@@ -1,42 +1,12 @@
-"""Lease-based work queue: the crash-tolerant core of ``repro.service``.
+"""The service's durable journal.
 
-The queue tracks one :class:`Cell` per unique content-addressed cache
-key across every submitted job.  A worker obtains a cell by *claiming a
-lease* — an exclusive, time-bounded grant identified by a fencing
-``token`` — and must renew the lease (heartbeat) before ``lease_ttl``
-elapses.  The state machine per cell::
-
-                      claim                       complete
-        pending ───────────────▶ leased ─────────────────────▶ done
-           ▲                       │ fail (attempts left)
-           │      expire/revoke    │──────────▶ pending (backoff)
-           └───────────────────────┘ fail/expire (retries spent)
-                                   └──────────▶ failed
-
-Correctness properties (asserted by ``tests/test_service_queue.py``
-over arbitrary interleavings of claim/renew/expire/requeue):
-
-* **mutual exclusion** — at most one active lease per cell, ever; a
-  claim is only granted on a ``pending`` cell.
-* **fencing** — every lease grant carries a strictly increasing token
-  (the cell's attempt count), and ``complete``/``fail`` with a stale
-  token are rejected, so a worker whose lease was revoked (the
-  ``lease_loss`` fault) or expired cannot smuggle in a late result
-  after the cell was handed to someone else.
-* **no lost cells** — expiry requeues a cell exactly once per lease
-  (``attempts`` preserved), and every cell ends ``done``, ``failed``
-  or ``cancelled``; nothing is dropped.
-* **bounded work** — a cell is leased at most ``1 + retries`` times,
-  mirroring :class:`repro.experiments.parallel.RunPolicy`; the backoff
-  before a re-claim is the engine's deterministic
-  exponential-backoff-with-jitter schedule.
-
-The queue itself is a pure in-memory structure with an injectable
-clock (the orchestrator passes ``time.monotonic``); durability comes
-from the :class:`Journal` (append-only JSONL under
-``$REPRO_CACHE_DIR/service/``) and the per-job run manifests the
-orchestrator writes through the same atomic-save path as ``run_grid``
-(docs/SERVICE.md § Durability).
+The lease queue the service schedules with lives in
+:mod:`repro.experiments.supervisor`, shared with ``run_grid``; this
+module holds what only the long-running service needs on top of it: an
+append-only JSONL record of its state transitions under
+``$REPRO_CACHE_DIR/service/``, replayed on startup alongside the
+per-job run manifests and the results cache (docs/SERVICE.md §
+Durability).
 """
 
 from __future__ import annotations
@@ -44,232 +14,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.parallel import RunPolicy, _backoff_delay
-
-#: Cell states.  ``cancelled`` is terminal and only reachable while
-#: ``pending`` (a leased cell finishes its in-flight attempt; the
-#: result is still cached and harmless).
-PENDING, LEASED, DONE, FAILED, CANCELLED = (
-    "pending", "leased", "done", "failed", "cancelled")
-
-TERMINAL = (DONE, FAILED, CANCELLED)
-
-
-@dataclass
-class Lease:
-    """One active, exclusive, time-bounded grant of a cell."""
-
-    worker: str
-    token: int                  # fencing token == attempts at grant
-    expiry: float               # renewal deadline (queue clock)
-    granted: float              # grant time (hang deadline base)
-
-
-@dataclass
-class Cell:
-    """One unique unit of work (a content-addressed grid cell)."""
-
-    key: str
-    label: str
-    jobs: set = field(default_factory=set)      # job ids wanting it
-    state: str = PENDING
-    attempts: int = 0           # lease grants so far (== last token)
-    error: str | None = None
-    not_before: float = 0.0     # backoff gate for the next claim
-    lease: Lease | None = None
-
-
-class LeaseQueue:
-    """In-memory lease table + FIFO dispatch order (see module doc)."""
-
-    def __init__(self, policy: RunPolicy | None = None,
-                 lease_ttl: float = 30.0):
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
-        self.policy = policy or RunPolicy()
-        self.lease_ttl = lease_ttl
-        self.cells: dict[str, Cell] = {}        # key -> Cell, FIFO order
-
-    # -- intake ------------------------------------------------------------
-
-    def add(self, job_id: str, key: str, label: str,
-            attempts: int = 0) -> Cell:
-        """Register one cell for ``job_id``; idempotent across jobs.
-
-        A key already present (another job wants the same cell, or a
-        recovery replay) just gains the job membership — its state and
-        attempt count are untouched.  ``attempts`` seeds the counter
-        for recovered cells so a restarted orchestrator preserves the
-        retry budget already spent.
-        """
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = Cell(key=key, label=label)
-            cell.attempts = attempts
-            self.cells[key] = cell
-        cell.jobs.add(job_id)
-        return cell
-
-    def settle(self, key: str, state: str = DONE) -> None:
-        """Force a cell terminal without a lease cycle (recovery found
-        its result already in the cache, or intake served it warm)."""
-        cell = self.cells[key]
-        if cell.state not in TERMINAL:
-            cell.state = state
-            cell.lease = None
-
-    # -- lease lifecycle ---------------------------------------------------
-
-    def claim(self, worker: str, now: float) -> Cell | None:
-        """Grant the oldest claimable cell to ``worker``, or None.
-
-        Claimable: ``pending``, past its backoff gate, with retry
-        budget left.  The grant moves the cell to ``leased``, spends
-        one attempt, and stamps a fresh fencing token.
-        """
-        for cell in self.cells.values():
-            if cell.state != PENDING or cell.not_before > now:
-                continue
-            cell.attempts += 1
-            cell.state = LEASED
-            cell.error = None
-            cell.lease = Lease(worker=worker, token=cell.attempts,
-                               expiry=now + self.lease_ttl, granted=now)
-            return cell
-        return None
-
-    def _holds(self, key: str, worker: str, token: int) -> Cell | None:
-        """The cell iff ``(worker, token)`` holds its active lease."""
-        cell = self.cells.get(key)
-        if (cell is None or cell.lease is None
-                or cell.lease.worker != worker
-                or cell.lease.token != token):
-            return None
-        return cell
-
-    def renew(self, key: str, worker: str, token: int,
-              now: float) -> bool:
-        """Heartbeat: extend the lease TTL; False when the lease is no
-        longer held (expired, revoked, or re-granted elsewhere)."""
-        cell = self._holds(key, worker, token)
-        if cell is None:
-            return False
-        cell.lease.expiry = now + self.lease_ttl
-        return True
-
-    def complete(self, key: str, worker: str, token: int) -> bool:
-        """Settle a leased cell as done; False for a stale token (the
-        late result of a lost lease must be discarded by the caller)."""
-        cell = self._holds(key, worker, token)
-        if cell is None:
-            return False
-        cell.state = DONE
-        cell.lease = None
-        cell.error = None
-        return True
-
-    def fail(self, key: str, worker: str, token: int, error: str,
-             now: float) -> str:
-        """Record a failed attempt under a held lease.
-
-        Returns ``"retry"`` (requeued behind the deterministic backoff
-        gate), ``"failed"`` (retry budget spent — terminal), or
-        ``"stale"`` (token no longer holds the lease; ignore)."""
-        cell = self._holds(key, worker, token)
-        if cell is None:
-            return "stale"
-        return self._release(cell, error, now)
-
-    def _release(self, cell: Cell, error: str, now: float) -> str:
-        """Drop the active lease; requeue or fail by retry budget."""
-        cell.lease = None
-        cell.error = error
-        if cell.attempts > self.policy.retries:
-            cell.state = FAILED
-            return "failed"
-        cell.state = PENDING
-        cell.not_before = now + _backoff_delay(self.policy, cell.key,
-                                               cell.attempts)
-        return "retry"
-
-    def expire(self, now: float) -> list[tuple[Cell, str, str]]:
-        """Requeue every cell whose lease outlived its TTL.
-
-        Returns ``(cell, disposition, worker)`` triples (disposition
-        ``"retry"`` or ``"failed"``) for the orchestrator to journal
-        and log.  Each expired lease is released exactly once — the
-        cell is already ``pending`` (or ``failed``) on the next sweep.
-        """
-        out = []
-        for cell in self.cells.values():
-            if (cell.state == LEASED
-                    and cell.lease.expiry <= now):
-                worker = cell.lease.worker
-                out.append((cell, self._release(
-                    cell, f"lease expired (worker {worker} lost)",
-                    now), worker))
-        return out
-
-    def revoke(self, key: str, reason: str, now: float) -> str | None:
-        """Force-release one active lease (``lease_loss`` fault, hung-
-        worker kill, dead-worker detection).  Returns the disposition
-        (``"retry"``/``"failed"``) or None when nothing was leased."""
-        cell = self.cells.get(key)
-        if cell is None or cell.state != LEASED:
-            return None
-        return self._release(cell, reason, now)
-
-    def leases_of(self, worker: str) -> list[Cell]:
-        """Cells currently leased to ``worker``."""
-        return [c for c in self.cells.values()
-                if c.state == LEASED and c.lease.worker == worker]
-
-    # -- job views ---------------------------------------------------------
-
-    def cancel_job(self, job_id: str) -> list[str]:
-        """Withdraw ``job_id``: pending cells no other job wants are
-        cancelled (terminal); leased cells finish their in-flight
-        attempt (the cached result is harmless).  Returns the
-        cancelled keys."""
-        out = []
-        for cell in self.cells.values():
-            cell.jobs.discard(job_id)
-            if not cell.jobs and cell.state == PENDING:
-                cell.state = CANCELLED
-                out.append(cell.key)
-        return out
-
-    def counts_for(self, job_id: str) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for cell in self.cells.values():
-            if job_id in cell.jobs:
-                out[cell.state] = out.get(cell.state, 0) + 1
-        return out
-
-    def job_settled(self, job_id: str) -> bool:
-        """Every cell of ``job_id`` is terminal."""
-        return all(c.state in TERMINAL for c in self.cells.values()
-                   if job_id in c.jobs)
-
-    def next_wakeup(self, now: float) -> float | None:
-        """Soonest future instant queue state can change on its own (a
-        backoff gate opening or a lease TTL expiring); None when idle."""
-        soonest = None
-        for cell in self.cells.values():
-            t = None
-            if cell.state == PENDING and cell.not_before > now:
-                t = cell.not_before
-            elif cell.state == LEASED:
-                t = cell.lease.expiry
-            if t is not None and (soonest is None or t < soonest):
-                soonest = t
-        return soonest
-
-
-# -- durable journal --------------------------------------------------------
 
 class Journal:
     """Append-only JSONL journal of service state transitions.

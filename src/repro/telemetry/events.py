@@ -9,7 +9,8 @@ telemetry directory.  Every line is a self-contained JSON object::
 
 The **supervisor** (the process running ``run_grid``) emits lifecycle
 events — grid start/finish, cell queued/started/retried/failed/done/
-cached/quarantined, pool rebuilds.  **Workers** additionally emit
+cached/quarantined, lease grants and expiries, worker processes spawned
+and lost.  **Workers** additionally emit
 ``cell_exec_started``/``cell_exec_finished`` pairs into private shard
 files (``events-<run_id>.w<pid>.jsonl`` — one writer per file, so no
 interleaving or locking), which the supervisor merges into the main
@@ -38,12 +39,12 @@ EVENT_NAMES = (
     "cell_failed", "cell_done", "cell_cached", "cell_dedup",
     "cell_quarantined",
     "cell_exec_started", "cell_exec_finished",
-    "pool_rebuilt", "degraded_serial",
+    # -- the supervisor's leases and worker processes --
+    "cell_leased", "lease_renewed", "lease_expired",
+    "worker_spawned", "worker_lost",
     # -- repro.service lifecycle (docs/SERVICE.md) --
     "service_started", "service_stopped", "service_drain",
     "job_submitted", "job_started", "job_finished", "job_cancelled",
-    "cell_leased", "lease_renewed", "lease_expired",
-    "worker_spawned", "worker_lost",
 )
 
 

@@ -44,8 +44,12 @@ EVENT_REQUIRED_FIELDS = {
     "cell_quarantined": ("key", "label"),
     "cell_exec_started": ("key", "attempt"),
     "cell_exec_finished": ("key", "attempt", "seconds", "ok"),
-    "pool_rebuilt": ("rebuilds",),
-    "degraded_serial": ("rebuilds",),
+    # -- the supervisor's leases and worker processes --
+    "cell_leased": ("key", "worker", "attempt"),
+    "lease_renewed": ("key", "worker"),
+    "lease_expired": ("key", "worker", "attempt", "reason"),
+    "worker_spawned": ("worker",),
+    "worker_lost": ("worker", "reason"),
     # -- repro.service lifecycle (docs/SERVICE.md) --
     "service_started": ("generation", "workers"),
     "service_stopped": ("status",),
@@ -54,11 +58,6 @@ EVENT_REQUIRED_FIELDS = {
     "job_started": ("job_id",),
     "job_finished": ("job_id", "status"),
     "job_cancelled": ("job_id",),
-    "cell_leased": ("key", "worker", "attempt"),
-    "lease_renewed": ("key", "worker"),
-    "lease_expired": ("key", "worker", "attempt", "reason"),
-    "worker_spawned": ("worker",),
-    "worker_lost": ("worker", "reason"),
 }
 
 #: event name -> {optional field: admissible values}.  Logs written

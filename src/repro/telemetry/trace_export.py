@@ -3,8 +3,8 @@
 Renders one whole sweep as a trace loadable in ``chrome://tracing`` or
 https://ui.perfetto.dev: one process lane per worker pid, one span per
 cell *attempt* (so a fault-retried cell shows as several distinct
-spans), instant markers for cache hits/dedups/quarantines and pool
-rebuilds on the supervisor lane.
+spans), instant markers for cache hits/dedups/quarantines and lost
+worker processes on the supervisor lane.
 
 Two sources, best first:
 
@@ -133,10 +133,11 @@ def trace_from_events(records: list[dict]) -> dict:
                 f"quarantined {r.get('label', '?')}", "quarantine",
                 us(ts), lane_of(r), SUPERVISOR_TID,
                 key=r.get("key")))
-        elif ev in ("pool_rebuilt", "degraded_serial"):
+        elif ev == "worker_lost":
             events.append(_instant(ev, "engine", us(ts),
                                    lane_of(r), SUPERVISOR_TID,
-                                   rebuilds=r.get("rebuilds")))
+                                   worker=r.get("worker"),
+                                   reason=r.get("reason")))
         elif ev in ("grid_started", "grid_finished",
                     "shard_started", "shard_merged"):
             args = {}

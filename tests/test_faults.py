@@ -224,8 +224,7 @@ class TestWorkerCrash:
         cache = rc.ResultsCache(tmp_path / "c")
         try:
             run_grid(grid, jobs=2, cache=cache,
-                     policy=RunPolicy(retries=1, max_pool_rebuilds=2,
-                                      **FAST),
+                     policy=RunPolicy(retries=1, **FAST),
                      manifest_dir=tmp_path / "runs", run_id="crashed")
         except GridError:
             pass
@@ -233,19 +232,47 @@ class TestWorkerCrash:
         done = m.settled_keys()
         assert all(cache.get(k) is not None for k in done)
 
-    def test_degrades_to_serial_after_repeated_pool_failures(
-            self, grid, clean, tmp_path, capsys):
-        # Crash every first attempt of every cell: the pool breaks
-        # until the engine gives up on it; the serial fallback turns
-        # crashes into in-process FaultInjected and the retry succeeds.
+    def test_crash_charges_only_the_crashed_cell(self, grid, clean,
+                                                 tmp_path):
+        # One worker dies under the first cell while its sibling runs
+        # in the other worker: only the dead worker's lease is spent.
+        keys = grid_keys(grid)
+        plan_of = lambda s: faults.FaultPlan.parse(f"seed={s},crash:0.3")
+        seed = find_seed(lambda s: [
+            k for k in keys if plan_of(s).fires("crash", k)] == keys[:1])
+        faults.activate(plan_of(seed))
+        res = run_grid(grid, jobs=2,
+                       cache=rc.ResultsCache(tmp_path / "a"),
+                       policy=RunPolicy(retries=0, allow_partial=True,
+                                        **FAST),
+                       manifest_dir=tmp_path / "runs", run_id="once")
+        assert [r is None for r in res] == [True, False, False, False]
+        m = RunManifest.load("once", tmp_path / "runs")
+        assert [k for k, c in m.cells.items()
+                if c["status"] == "failed"] == keys[:1]
+
+        res = run_grid(grid, jobs=2,
+                       cache=rc.ResultsCache(tmp_path / "b"),
+                       policy=RunPolicy(retries=2, **FAST),
+                       manifest_dir=tmp_path / "runs", run_id="retried")
+        assert_identical(res, clean)
+        m = RunManifest.load("retried", tmp_path / "runs")
+        assert {k: c["attempts"] for k, c in m.cells.items()} == \
+            {k: 2 if k == keys[0] else 1 for k in keys}
+
+    def test_every_first_attempt_crashing_recovers_in_two_attempts(
+            self, grid, clean, tmp_path):
+        # Every cell's first attempt kills its worker; each replacement
+        # worker runs the retry, which survives.
         faults.activate(faults.FaultPlan.parse("seed=4,crash:1.0"))
         res = run_grid(grid, jobs=2,
                        cache=rc.ResultsCache(tmp_path / "c"),
-                       policy=RunPolicy(retries=2, max_pool_rebuilds=1,
-                                        **FAST),
-                       manifest_dir=tmp_path / "runs")
+                       policy=RunPolicy(retries=2, **FAST),
+                       manifest_dir=tmp_path / "runs", run_id="crashy")
         assert_identical(res, clean)
-        assert "degrading to in-process serial" in capsys.readouterr().err
+        m = RunManifest.load("crashy", tmp_path / "runs")
+        assert [c["attempts"] for c in m.cells.values()] == \
+            [2] * len(grid)
 
 
 class TestHungWorker:

@@ -3,7 +3,7 @@
 Real orchestrator + real worker processes + real HTTP over loopback,
 driven through the typed urllib client.  The centerpiece mirrors the
 acceptance criterion of the service: a sweep submitted through the
-API — with ``worker_vanish``, ``lease_loss`` and ``orchestrator_crash``
+API — with ``crash``, ``lease_loss`` and ``orchestrator_crash``
 faults firing, the orchestrator dying and restarting mid-job —
 completes byte-identically to the fault-free CLI ``run_grid`` run,
 with no cell executed beyond its bounded retry budget (asserted from
@@ -24,12 +24,12 @@ from repro.experiments import parallel
 from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
 from repro.experiments.runner import default_config, run_variant
+from repro.experiments.supervisor import LEASED
 from repro.experiments.workloads import cache_dir, workload_trace
 from repro.service import (JobRequest, Orchestrator, ServiceConfig,
                            ServiceClient, ServiceError)
 from repro.service.api import serve_in_thread
 from repro.service.orchestrator import SERVICE_RUN_ID
-from repro.service.queue import LEASED
 from repro.service.schemas import (TERMINAL_JOB_STATES,
                                    validate_job_request)
 from repro.telemetry import events as tele_events
@@ -189,6 +189,26 @@ class TestScheduling:
             orc._shutdown_workers()
             orc.journal.close()
 
+    def test_queue_holds_only_live_jobs(self):
+        """Finished jobs leave no cell (and no spec) in the queue, a
+        cached rerun and a cancelled job included."""
+        with service() as (orc, client):
+            for length in (4_000, 4_100, 4_000):
+                resp = client.submit(JobRequest(
+                    workloads=list(WLS), variants=("sdc_lp",),
+                    tier="tiny", length=length))
+                assert client.wait(resp.job_id,
+                                   timeout=120.0).state == "complete"
+            with orc._lock:
+                assert orc.queue.cells == {}
+        with paused_service() as (orc, client):
+            resp = client.submit(JobRequest(
+                workloads=list(WLS), variants=("sdc_lp",), tier="tiny",
+                length=4_200))
+            assert len(orc.queue.cells) == 2
+            client.cancel(resp.job_id)
+            assert orc.queue.cells == {}
+
 
 class TestApiContract:
     def test_invalid_request_is_400_with_every_error(self):
@@ -290,12 +310,6 @@ class TestFaults:
         self._complete_under_faults("seed=3,crash:1.0:1",
                                     expect_attempts=2)
 
-    def test_worker_vanish_requeues_and_completes(self):
-        # Silent death just before execution — no error message ever
-        # arrives; only lease/liveness machinery can notice.
-        self._complete_under_faults("seed=3,worker_vanish:1.0:1",
-                                    expect_attempts=2)
-
     def test_lease_loss_discards_stale_result_and_requeues(self):
         self._complete_under_faults("seed=3,lease_loss:1.0:1",
                                     expect_attempts=2)
@@ -309,8 +323,7 @@ class TestFaults:
         assert done and all(r["attempt"] == 2 for r in done)
 
     def test_dead_worker_is_replaced(self):
-        faults.activate(faults.FaultPlan.parse(
-            "seed=3,worker_vanish:1.0:1"))
+        faults.activate(faults.FaultPlan.parse("seed=3,crash:1.0:1"))
         with service(workers=1) as (orc, client):
             resp = client.submit(REQ)
             assert client.wait(resp.job_id,
@@ -318,7 +331,7 @@ class TestFaults:
             with orc._lock:
                 alive = [w for w in orc._workers.values()
                          if w.proc.is_alive()]
-            assert len(alive) == 1      # vanished worker was respawned
+            assert len(alive) == 1      # crashed worker was respawned
 
 
 class TestCrashRecovery:
@@ -329,7 +342,7 @@ class TestCrashRecovery:
             self, tmp_path):
         tdir = tmp_path / "telemetry"
         faults.activate(faults.FaultPlan.parse(
-            "seed=11,worker_vanish:0.5:1,lease_loss:0.3:1,"
+            "seed=11,crash:0.5:1,lease_loss:0.3:1,"
             "orchestrator_crash:1.0:1"))
         req = JobRequest(workloads=["pr.urand", "cc.urand"],
                          variants=("sdc_lp",), **MICRO)

@@ -1,4 +1,5 @@
-"""Tests for the service lease queue (repro/service/queue.py).
+"""Tests for the lease queue (repro/experiments/supervisor.py) and the
+service journal (repro/service/queue.py).
 
 The property under test is the queue's whole reason to exist: under
 ANY interleaving of claim / renew / expire / revoke / complete / fail,
@@ -20,9 +21,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  rule)
 
 from repro.experiments.parallel import RunPolicy
-from repro.service.queue import (CANCELLED, DONE, FAILED, LEASED,
-                                 PENDING, TERMINAL, Journal,
-                                 LeaseQueue)
+from repro.experiments.supervisor import (CANCELLED, DONE, FAILED,
+                                          LEASED, PENDING, TERMINAL,
+                                          LeaseQueue)
+from repro.service.queue import Journal
 
 FAST = RunPolicy(retries=2, backoff=0.01, backoff_max=0.02, jitter=0.0)
 

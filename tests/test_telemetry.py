@@ -646,6 +646,48 @@ class TestRunGridTelemetry:
         # each cell contributes one failed span and one retry span.
         assert "retry" in cats and "failed" in cats
 
+    def test_worker_crash_exports_as_supervisor_instant(self, tmp_path,
+                                                        cache):
+        from repro import faults
+        from repro.core.batch import resolve_backend
+        from repro.experiments.parallel import RunPolicy, _job_spec
+        tdir = tmp_path / "tele"
+        tcfg = tele.TelemetryConfig(directory=tdir, window=500)
+        grid = self.micro_grid()[:2]
+        keys = [_job_spec(job, 500, backend=resolve_backend(None))[1]
+                for job in grid]
+        plan_of = lambda s: faults.FaultPlan.parse(f"seed={s},crash:0.5")
+        seed = next(s for s in range(500) if [
+            k for k in keys if plan_of(s).fires("crash", k)] == keys[:1])
+        faults.activate(plan_of(seed))
+        try:
+            results = run_grid(grid, jobs=2, cache=cache, telemetry=tcfg,
+                               policy=RunPolicy(retries=1,
+                                                backoff=0.001))
+        finally:
+            faults.activate(None)
+        assert all(r is not None for r in results)
+        records = tele_events.read_events(tele_events.events_path(
+            tdir, tele_events.latest_run_id(tdir)))
+        assert tele_schema.validate_events(records) == []
+        lost = [r for r in records if r["event"] == "worker_lost"]
+        assert [r["reason"] for r in lost] == ["died"]
+        trace = trace_export.trace_from_events(records)
+        assert tele_schema.validate_trace(trace) == []
+        supervisor = next(r["pid"] for r in records
+                          if r["event"] == "grid_started")
+        [instant] = [e for e in trace["traceEvents"]
+                     if e["ph"] == "i" and e["name"] == "worker_lost"]
+        assert instant["pid"] == supervisor
+        assert instant["tid"] == trace_export.SUPERVISOR_TID
+        assert instant["args"] == {"worker": lost[0]["worker"],
+                                   "reason": "died"}
+        # The killed attempt is a truncated failed span, its retry a
+        # retry span; the sibling ran once.
+        cats = sorted(e["cat"] for e in trace["traceEvents"]
+                      if e["ph"] == "X" and e["args"]["key"] == keys[0])
+        assert cats == ["failed", "retry"]
+
     def test_quarantine_event_on_corrupt_entry(self, tmp_path, cache):
         tdir = tmp_path / "tele"
         tcfg = tele.TelemetryConfig(directory=tdir, window=500)

@@ -3,7 +3,7 @@
 
 The full acceptance scenario, with real processes:
 
-1. start `repro serve` with ``worker_vanish`` + ``lease_loss`` +
+1. start `repro serve` with ``crash`` + ``lease_loss`` +
    ``orchestrator_crash`` faults armed (hard crashes: the orchestrator
    process really dies);
 2. submit the quick fig7 sweep over the HTTP API;
@@ -40,7 +40,7 @@ from repro.service import JobRequest, ServiceClient       # noqa: E402
 from repro.service.queue import Journal                   # noqa: E402
 from repro.telemetry import events as tele_events         # noqa: E402
 
-FAULTS = ("seed=11,worker_vanish:0.5:1,lease_loss:0.3:1,"
+FAULTS = ("seed=11,crash:0.5:1,lease_loss:0.3:1,"
           "orchestrator_crash:1.0:1")
 RETRIES = 2
 FIG = ("fig7", "--quick", "--tier", "tiny")
