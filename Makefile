@@ -3,7 +3,8 @@
 SHELL := /bin/bash
 PY := PYTHONPATH=src python
 
-# Fault set for check-faults: all, exc, crash, hang, corrupt or lease.
+# Fault set for check-faults: all, exc, crash, hang, corrupt, lease or
+# kill.
 FAULT_SET ?= all
 
 # Workload/variant for the timeline target.
@@ -53,6 +54,24 @@ check-faults:         ## fault-injected grids must match the fault-free run
 	    $$cmd --jobs 2 | strip > /dev/null; \
 	  REPRO_CACHE_DIR="$$work/cache" $$cmd > "$$work/got.txt"; \
 	  diff "$$work/clean.txt" "$$work/got.txt"; fi; \
+	if want kill; then \
+	  kcmd="env REPRO_CACHE_DIR=$$work/kill $$cmd --jobs 2 --resume killed"; \
+	  REPRO_FAULTS='seed=7,slow:1.0:1:0.5' $$kcmd > "$$work/killed.txt" & \
+	  pid=$$!; \
+	  for _ in $$(seq 300); do \
+	    [ "$$(grep -c '^  \[' "$$work/killed.txt")" -ge 4 ] && break; \
+	    sleep 0.1; done; \
+	  kill -9 "$$pid" || { echo "kill: run ended before SIGKILL"; exit 1; }; \
+	  { wait "$$pid"; } 2> /dev/null || true; \
+	  $$kcmd > "$$work/resumed.txt"; \
+	  strip < "$$work/resumed.txt" > "$$work/got.txt"; \
+	  diff "$$work/clean.txt" "$$work/got.txt"; \
+	  ran() { grep '^  \[' "$$1" | grep -v '\[cache\]\|\[dedup\]' \
+	    | awk '{print $$2}' | sort; }; \
+	  again=$$(comm -12 <(ran "$$work/killed.txt") \
+	    <(ran "$$work/resumed.txt")); \
+	  [ -z "$$again" ] || { echo "kill: resume re-simulated" $$again; \
+	    exit 1; }; fi; \
 	echo "check-faults[$(FAULT_SET)]: fault-injected output identical to fault-free"
 
 check-shards:         ## sharded sweeps must merge bit-identical to single-host

@@ -256,10 +256,17 @@ class SystemConfig:
         field change (a resized cache, a different tau) produces a
         different one.  Used by the experiment result cache to key
         simulation outputs on the exact system being simulated.
+        Computed once per object: the config is frozen, so the digest
+        is memoised outside the dataclass fields (``replace`` builds a
+        new object; copies and pickles carry an equal config's value).
         """
-        payload = dataclasses.asdict(self)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
+                              separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def describe(self) -> str:
         """Human-readable configuration dump (cf. paper Table I)."""

@@ -737,6 +737,7 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
                                 manifest.summary(), results)
         return results
     finally:
+        manifest.close()
         if tele_ctx is not None:
             tele_events.worker_init(None)
         if events is not None:

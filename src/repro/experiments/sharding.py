@@ -29,7 +29,7 @@ Execution
 --resume <run_id>`` — simulates only the cells hashing to shard ``I``,
 records the rest as ``elsewhere`` in a per-shard manifest
 (``runs/<run_id>.shard-I-of-N.json``, written through the same
-atomic-save path as ordinary manifests), and raises
+snapshot-and-log path as ordinary manifests), and raises
 :class:`repro.experiments.parallel.ShardComplete` instead of returning
 a full result set.
 
@@ -63,12 +63,11 @@ the ``shard_loss`` / ``duplicate_shard`` fault kinds in
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.manifest import MANIFEST_VERSION, RunManifest, runs_dir
+from repro.experiments.manifest import RunManifest, runs_dir
 
 #: ``<run_id>.shard-<index>-of-<count>.json`` manifest file names.
 _SHARD_FILE_RE = re.compile(r"\.shard-(\d+)-of-(\d+)\.json$")
@@ -170,18 +169,6 @@ def list_shard_manifests(run_id: str, directory: Path | None = None
     return out
 
 
-def _load_manifest_data(path: Path) -> dict | None:
-    """Parse one shard manifest; None when vanished or unreadable."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if data.get("version") != MANIFEST_VERSION:
-        return None
-    return data
-
-
 def merge_shards(run_id: str, directory: Path | None = None,
                  cache=None, telemetry_dir=None) -> ShardMergeReport:
     """Validate and stitch the shard manifests of one run.
@@ -220,8 +207,9 @@ def merge_shards(run_id: str, directory: Path | None = None,
                             f"({seen[index].name}, {path.name})")
             continue
         seen[index] = path
-        data = _load_manifest_data(path)
-        if data is None:
+        try:
+            data = RunManifest.load(run_id, d, shard=(index, n)).data
+        except (OSError, ValueError):
             problems.append(f"shard {index}: manifest {path.name} "
                             "unreadable or vanished")
             continue
@@ -352,9 +340,12 @@ def shards_status(run_id: str, directory: Path | None = None
                        + ", ".join(f"N={c}" for c in counts) + ")")
     count = counts[0]
     status: dict[int, str] = {}
-    for path, index, _ in entries:
-        data = _load_manifest_data(path)
-        status[index] = (data or {}).get("status", "unreadable")
+    for _, index, n in entries:
+        try:
+            data = RunManifest.load(run_id, directory, shard=(index, n)).data
+        except (OSError, ValueError):
+            data = {}
+        status[index] = data.get("status", "unreadable")
     missing = sorted(set(range(count)) - set(status))
     incomplete = sorted(i for i, s in status.items() if s != "complete")
     if not missing and not incomplete:

@@ -469,6 +469,10 @@ class Orchestrator(Supervisor):
                 self.step(poll)
         finally:
             self._shutdown_workers()
+            with self._lock:
+                for job in self.jobs.values():
+                    if job.manifest is not None:
+                        job.manifest.close()
             if self._http is not None:
                 try:
                     self._http.shutdown()

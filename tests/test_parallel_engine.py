@@ -7,7 +7,11 @@ a warm cache makes a figure rerun simulation-free.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import hashlib
+import json
+import pickle
 
 import pytest
 
@@ -77,6 +81,27 @@ class TestConfigDigest:
             cfg, lp=dataclasses.replace(cfg.lp, tau_glob=cfg.lp.tau_glob
                                         + 1))
         assert tweaked.digest() != cfg.digest()
+
+    def test_memoised_digest_equals_a_fresh_computation(self):
+        def fresh(c):
+            blob = json.dumps(dataclasses.asdict(c), sort_keys=True,
+                              separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+        cfg = default_config()
+        cfg.digest()                    # memoised before any copy
+        tweaked = dataclasses.replace(
+            cfg, lp=dataclasses.replace(cfg.lp, tau_glob=cfg.lp.tau_glob
+                                        + 1))
+        copies = (cfg, tweaked, copy.deepcopy(cfg),
+                  pickle.loads(pickle.dumps(cfg)),
+                  pickle.loads(pickle.dumps(tweaked)))
+        for c in copies:
+            assert c.digest() == fresh(c)
+        assert tweaked.digest() != cfg.digest()
+        # The memo is not a field: equality and asdict ignore it.
+        assert copies[2] == cfg
+        assert "_digest" not in dataclasses.asdict(cfg)
 
 
 class TestResultsCache:
