@@ -4,13 +4,14 @@
 seam in ``SingleCoreSystem.run``.  It either simulates the whole trace
 through the compiled structure-of-arrays kernel (``kernel.c``) and
 returns a ``SystemStats`` that is bit-identical to what the reference
-Python loop would have produced — including post-run cache/predictor/
-TLB/DRAM/replacement-policy state written back into the live Python
-objects — or returns ``None``, in which case the caller falls back to
-the reference path.  Every refusal is counted per process by its
-:func:`unsupported_reason` (see :func:`fallback_counts`), and a kernel
-that returns an error raises :class:`KernelError` instead of falling
-back.
+Python loop would have produced, built straight from the kernel's
+buffers — with ``keep_state`` (the default), post-run cache/predictor/
+TLB/DRAM/replacement-policy state is also written back into the live
+Python objects — or returns ``None``, in which case the caller falls
+back to the reference path.  Every refusal is counted per process by
+its :func:`unsupported_reason` (see :func:`fallback_counts`), and a
+kernel that returns an error raises :class:`KernelError` instead of
+falling back.
 
 Refusal rules (any one triggers ``None``):
 
@@ -147,13 +148,17 @@ class _CacheSoA:
         return [self.tags, self.prio, self.seq, self.dirty, self.pf,
                 self.occ, self.stats]
 
-    def writeback(self, order: str, clock: int) -> np.ndarray:
+    def cache_stats(self) -> CacheStats:
+        return CacheStats(*self.stats.tolist())
+
+    def writeback(self, order: str, clock: int,
+                  stats: CacheStats) -> np.ndarray:
         cache = self.cache
         slots = cache.import_soa(
             {"tags": self.tags, "prio": self.prio, "seq": self.seq,
              "dirty": self.dirty, "pf": self.pf},
             order=order, clock=clock)
-        cache.stats = CacheStats(*self.stats.tolist())
+        cache.stats = stats
         return slots
 
 
@@ -321,12 +326,21 @@ def _aux_arrays(system, trace, blocks):
 # ---------------------------------------------------------------------------
 
 def try_run_batch(system, trace, record_levels=False, warmup=0,
-                  flush_sdc_every=None):
+                  flush_sdc_every=None, keep_state=True):
     """Run the trace through the C kernel; None when unsupported.
+
+    The returned ``SystemStats`` is built from the kernel's buffers.
+    With ``keep_state`` (the default) the post-run state is also
+    written back into the system's Python objects, and the system's
+    stats objects are the returned ones: a batch run followed by a
+    reference run equals two reference runs.  ``keep_state=False``
+    skips that writeback, for callers that drop the system after one
+    run; the system is then spent, and a later run on it raises.
 
     Raises :class:`KernelError` when the kernel returns an error code;
     the Python objects are untouched then.
     """
+    system.check_not_spent()
     reason = unsupported_reason(system, trace)
     if reason is not None:
         record_fallback(reason)
@@ -516,14 +530,41 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
                           f"({KERNEL_ERRORS.get(rc, 'unknown error')}) "
                           f"for variant {system.variant!r}")
 
-    # ---- write state and stats back into the Python objects ----------
+    # ---- the result, built once from the kernel's buffers ------------
+    from repro.core.system import SystemStats
     misc_l = misc.tolist()
-    c_l1.writeback("prio", misc_l[3])
-    c_l2.writeback("prio", misc_l[4])
+    timeline = None
+    if tele_every:
+        probe = WindowProbe(tele_every, lambda: None)
+        for row in tele[:misc_l[1] * 11].reshape(-1, 11).tolist():
+            snap = _Snapshot(*row)
+            probe._snap_fn = (lambda s=snap: s)
+            probe.sample()
+        timeline = probe.timeline()
+    stats = SystemStats(
+        variant=system.variant,
+        instructions=misc_l[0],
+        cycles=max(float(dmisc[0]), float(dmisc[1])),
+        l1d=c_l1.cache_stats(),
+        l2c=c_l2.cache_stats(),
+        llc=(CacheStats(*dstats.tolist()) if distill
+             else c_l3.cache_stats()),
+        sdc=c_sd.cache_stats() if system.sdc is not None else None,
+        dram=DRAMStats(*dram_stats.tolist()),
+        lp=LPStats(*pt_stats.tolist()) if pt is not None else None,
+        levels=levels if record_levels else None,
+        tlb=TLBStats(*tlb_stats.tolist()) if tlb_on else None,
+        timeline=timeline)
+    if not keep_state:
+        system._spent = True
+        return stats
+
+    # ---- write the post-run state back into the Python objects -------
+    c_l1.writeback("prio", misc_l[3], stats.l1d)
+    c_l2.writeback("prio", misc_l[4], stats.l2c)
     if distill:
-        c_l3.cache = llc.loc
-        c_l3.writeback("prio", misc_l[5])
-        llc.stats = CacheStats(*dstats.tolist())
+        c_l3.writeback("prio", misc_l[5], c_l3.cache_stats())
+        llc.stats = stats.llc
         llc._clock = misc_l[7]
         llc.woc_hits = misc_l[15]
         for si in range(llc.num_sets):
@@ -543,7 +584,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     else:
         # Non-LRU sets keep install order (no move-to-end).
         slots = c_l3.writeback("prio" if llc_kind == LLC_LRU else "seq",
-                               misc_l[5])
+                               misc_l[5], stats.llc)
         if llc_kind == LLC_BELADY:
             policy._clock = misc_l[6]
         elif llc_kind == LLC_DRRIP:
@@ -557,15 +598,15 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
             policy._reused = dict(zip(
                 keys, (ship_reused[slots] != 0).tolist()))
     if system.sdc is not None:
-        c_sd.writeback("prio", misc_l[8])
+        c_sd.writeback("prio", misc_l[8], stats.sdc)
     if system.victim is not None:
-        c_vc.writeback("prio", misc_l[9])
+        c_vc.writeback("prio", misc_l[9], c_vc.cache_stats())
 
-    dram.stats = DRAMStats(*dram_stats.tolist())
+    dram.stats = stats.dram
     dram.open_rows = dram_rows.tolist()
 
     if pt is not None:
-        pt.stats = LPStats(*pt_stats.tolist())
+        pt.stats = stats.lp
         pt._clock = misc_l[10]
         pt.sets[:] = ptab.rebuild(
             LPEntry if lp is not None
@@ -578,7 +619,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         sdcdir.sets[:] = dtab.rebuild(lambda *e: list(e),
                                       order=dtab.cols[2])
     if tlb_on:
-        tlb.stats = TLBStats(*tlb_stats.tolist())
+        tlb.stats = stats.tlb
         tlb.l1._clock, tlb.l2._clock = misc_l[13], misc_l[14]
         tlb.l1.sets[:] = t1.rebuild()
         tlb.l2.sets[:] = t2.rebuild()
@@ -600,26 +641,4 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
                         for sig, m in zip(sig_l, lens.tolist())}
         pf2.totals = dict(zip(sig_l, sp_tot[sigs].tolist()))
 
-    # ---- assemble the result (mirrors the reference run()'s tail) ----
-    from repro.core.system import SystemStats
-    timeline = None
-    if tele_every:
-        probe = WindowProbe(tele_every, lambda: None)
-        for row in tele[:misc_l[1] * 11].reshape(-1, 11).tolist():
-            snap = _Snapshot(*row)
-            probe._snap_fn = (lambda s=snap: s)
-            probe.sample()
-        timeline = probe.timeline()
-    return SystemStats(
-        variant=system.variant,
-        instructions=misc_l[0],
-        cycles=max(float(dmisc[0]), float(dmisc[1])),
-        l1d=h.l1d.stats,
-        l2c=h.l2c.stats,
-        llc=h.llc.stats,
-        sdc=system.sdc.stats if system.sdc else None,
-        dram=dram.stats,
-        lp=pt.stats if pt is not None else None,
-        levels=levels if record_levels else None,
-        tlb=tlb.stats if tlb else None,
-        timeline=timeline)
+    return stats

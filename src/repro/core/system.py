@@ -285,6 +285,10 @@ class SingleCoreSystem:
         # Windowed telemetry (repro.telemetry): 0 = off, same contract.
         self._telemetry_every = telemetry_interval(telemetry_every)
         self._ledger_valid = True
+        # Set by a kernel run that skipped the state writeback
+        # (keep_state=False): the Python objects still hold the
+        # pre-run state, so the system cannot run again.
+        self._spent = False
         base = config or SystemConfig()
         self.config = variant_config(base, variant)
         self.expert_regions = expert_regions or set()
@@ -621,9 +625,18 @@ class SingleCoreSystem:
         return DRAM, latency
 
     # -- main loop -----------------------------------------------------------
+    def check_not_spent(self) -> None:
+        """Raise if a kernel run left this system's state behind."""
+        if self._spent:
+            raise RuntimeError(
+                "this system is spent: its last run used keep_state=False, "
+                "so its post-run state was never written back; build a "
+                "new system to run again")
+
     def run(self, trace: Trace, record_levels: bool = False,
             warmup: int = 0, flush_sdc_every: int | None = None,
-            backend: str | None = None) -> SystemStats:
+            backend: str | None = None,
+            keep_state: bool = True) -> SystemStats:
         """Simulate a trace; ``warmup`` leading accesses touch state but
         are excluded from the timing/stat windows (paper §IV-C).
 
@@ -645,11 +658,21 @@ class SingleCoreSystem:
         and counts the refusal in
         ``repro.core.batch.fallback_counts``; a kernel error raises
         ``repro.core.batch.KernelError``.
+
+        ``keep_state`` (default True) leaves the post-run state in the
+        system's objects, so a later run continues from it: a batch run
+        followed by a reference run equals two reference runs.  Callers
+        that drop the system after one run pass False, and a kernel run
+        then builds its stats from the kernel's buffers without writing
+        the state back; the system is spent, and a later ``run`` raises.
+        The reference loop keeps its state in place either way.
         """
+        self.check_not_spent()
         if resolve_backend(backend) == "batch":
             stats = try_run_batch(self, trace, record_levels=record_levels,
                                   warmup=warmup,
-                                  flush_sdc_every=flush_sdc_every)
+                                  flush_sdc_every=flush_sdc_every,
+                                  keep_state=keep_state)
             if stats is not None:
                 return stats
         acc = trace.accesses

@@ -57,11 +57,11 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as stdlib_queue
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 
 from repro import faults
 from repro.telemetry import events as tele_events
@@ -358,7 +358,7 @@ class Supervisor:
 
     Message protocol (plain tuples, first element the message name)::
 
-        worker -> supervisor
+        worker -> supervisor (its private one-way result pipe)
             ("ready",     wid)                       # idle, dispatch to me
             ("heartbeat", wid)                       # every ttl/4
             ("done",      wid, key, token, payload)  # cell result
@@ -367,6 +367,14 @@ class Supervisor:
         supervisor -> worker (its private task queue)
             (key, spec, attempt, token)              # execute one cell
             None                                     # drain: exit cleanly
+
+    Each worker writes to a pipe of its own: the supervisor closes its
+    copy of the write end, and a lock inside the worker keeps its
+    heartbeat thread and main thread from interleaving messages.  No
+    lock is shared across processes, because a worker terminated while
+    holding one would never release it and would silence every other
+    worker.  :meth:`_receive` waits on every open pipe at once, and
+    drops a pipe at EOF — its worker has exited.
 
     A worker that dies (crash, OOM-kill) is seen dead and reaped; its
     lease is revoked, so only its own cell spends an attempt.  A hung
@@ -381,12 +389,15 @@ class Supervisor:
     queue's disposition).  It may set ``events`` (the
     :class:`repro.telemetry.events.EventLog` ``_emit`` writes to) and
     ``journal`` (a :class:`repro.service.queue.Journal` recording
-    grants, expiries, revocations and lost workers), and override
-    ``_respawns`` (whether a reaped worker is replaced).
+    grants, expiries, revocations and lost workers) and ``_wake_r``
+    (the read end of a pipe whose messages only cut a :meth:`_receive`
+    wait short), and override ``_respawns`` (whether a reaped worker is
+    replaced).
     """
 
     events = None
     journal = None
+    _wake_r = None
 
     def __init__(self, queue: LeaseQueue, tele_ctx: tuple | None = None):
         self.queue = queue
@@ -395,7 +406,9 @@ class Supervisor:
         self._workers: dict[str, _Worker] = {}
         self._worker_seq = 0
         self._mp = None
-        self._result_q = None           # created with the first worker
+        # Read ends of the workers' result pipes (a reaped worker's is
+        # kept until its EOF).
+        self._readers: list = []
 
     def _respawns(self) -> bool:
         return True
@@ -412,9 +425,8 @@ class Supervisor:
 
     def _start_workers(self, count: int) -> None:
         with self._lock:
-            if self._result_q is None:
+            if self._mp is None:
                 self._mp = multiprocessing.get_context()
-                self._result_q = self._mp.Queue()
             for _ in range(count):
                 self._spawn_worker()
 
@@ -422,12 +434,16 @@ class Supervisor:
         self._worker_seq += 1
         wid = f"w{self._worker_seq}"
         task_q = self._mp.Queue()
+        reader, writer = self._mp.Pipe(duplex=False)
         proc = self._mp.Process(
             target=_worker_main, name=f"repro-worker-{wid}",
-            args=(wid, task_q, self._result_q, self.queue.lease_ttl,
+            args=(wid, task_q, writer, self.queue.lease_ttl,
                   faults.active_plan(), self._tele_ctx, os.getpid()),
             daemon=True)
         proc.start()
+        # The worker now holds the only write end: its exit reads as EOF.
+        writer.close()
+        self._readers.append(reader)
         self._workers[wid] = _Worker(wid=wid, proc=proc, task_q=task_q)
         self._emit("worker_spawned", worker=wid)
 
@@ -467,21 +483,34 @@ class Supervisor:
             w.proc.join(timeout=max(0.1, deadline - time.monotonic()))
             if w.proc.is_alive():
                 w.proc.terminate()
+        for reader in self._readers:
+            reader.close()
+        self._readers.clear()
 
     # -- scheduling --------------------------------------------------------
 
     def _receive(self, poll: float) -> list[tuple]:
-        """Worker messages: waits up to ``poll`` seconds for the first,
-        then takes whatever else is already queued."""
-        try:
-            msgs = [self._result_q.get(timeout=poll)]
-        except stdlib_queue.Empty:
-            return []
-        while True:
+        """Worker messages: waits up to ``poll`` seconds for any result
+        pipe (or ``_wake_r``, when set), then takes whatever every ready
+        pipe already holds.  A pipe at EOF is closed and dropped."""
+        msgs = []
+        conns = self._readers if self._wake_r is None \
+            else self._readers + [self._wake_r]
+        ready = mp_connection.wait(conns, timeout=poll)
+        for conn in ready:
             try:
-                msgs.append(self._result_q.get_nowait())
-            except stdlib_queue.Empty:
-                return msgs
+                while True:
+                    msg = conn.recv()
+                    if conn is not self._wake_r:
+                        msgs.append(msg)
+                    if not conn.poll():
+                        break
+            except (EOFError, OSError):
+                # The worker exited, perhaps mid-message (a torn
+                # message reads as OSError).
+                self._readers.remove(conn)
+                conn.close()
+        return msgs
 
     def _settle(self, msgs: list[tuple]) -> float:
         """Apply worker messages, expire lapsed leases and reap dead or
@@ -521,7 +550,7 @@ class Supervisor:
             return
         w = self._workers.get(wid)
         if w is None:
-            return              # a reaped worker's last words, or a wake
+            return              # a reaped worker's last words
         if kind == "ready":
             w.ready, w.current = True, None
         elif kind == "heartbeat" and w.current is not None:
@@ -560,7 +589,7 @@ class Supervisor:
                 self._after_release(cell, attempt, disp)
 
 
-def _worker_main(wid: str, task_q, result_q, lease_ttl: float,
+def _worker_main(wid: str, task_q, result_w, lease_ttl: float,
                  fault_plan, tele_ctx, parent_pid: int) -> None:
     """One worker process: run leased cells until a ``None`` sentinel.
 
@@ -573,7 +602,8 @@ def _worker_main(wid: str, task_q, result_q, lease_ttl: float,
     a cell runs.  ^C is left to the supervisor, and the worker dies
     with it (a crashed supervisor must not leave orphans mining CPU).
     The heartbeat comes from a daemon thread, so it keeps flowing while
-    the main thread simulates.
+    the main thread simulates; both send on the worker's own result
+    pipe ``result_w``, one whole message at a time.
     """
     from repro.experiments import parallel
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -581,6 +611,11 @@ def _worker_main(wid: str, task_q, result_q, lease_ttl: float,
     tele_events.worker_init(tele_ctx)
     stop = threading.Event()
     interval = max(0.05, lease_ttl * HEARTBEAT_FRACTION)
+    send_lock = threading.Lock()
+
+    def send(msg: tuple) -> None:
+        with send_lock:
+            result_w.send(msg)
 
     def watch_parent() -> None:
         while not stop.wait(0.5):
@@ -590,14 +625,14 @@ def _worker_main(wid: str, task_q, result_q, lease_ttl: float,
     def beat() -> None:
         while not stop.wait(interval):
             try:
-                result_q.put(("heartbeat", wid))
+                send(("heartbeat", wid))
             except Exception:
-                return      # queue torn down: the supervisor is gone
+                return      # pipe torn down: the supervisor is gone
     for target in (watch_parent, beat):
         threading.Thread(target=target, daemon=True).start()
 
     try:
-        result_q.put(("ready", wid))
+        send(("ready", wid))
         while True:
             task = task_q.get()
             if task is None:
@@ -606,10 +641,9 @@ def _worker_main(wid: str, task_q, result_q, lease_ttl: float,
             try:
                 payload = parallel._execute_cell(spec, key, attempt)
             except Exception as exc:
-                result_q.put(("error", wid, key, token,
-                              parallel._errstr(exc)))
+                send(("error", wid, key, token, parallel._errstr(exc)))
             else:
-                result_q.put(("done", wid, key, token, payload))
-            result_q.put(("ready", wid))
+                send(("done", wid, key, token, payload))
+            send(("ready", wid))
     finally:
         stop.set()

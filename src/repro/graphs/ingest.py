@@ -78,6 +78,7 @@ import itertools
 import os
 import shutil
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,8 +196,9 @@ def iter_edge_chunks(path: str | os.PathLike,
                      chunk_edges: int = DEFAULT_CHUNK_EDGES):
     """Yield ``(src, dst, weights)`` int64 arrays in bounded chunks.
 
-    ``weights`` is ``None`` for unweighted formats.  ``#`` comment and
-    blank lines are skipped; a row whose column count does not match
+    ``weights`` is ``None`` for unweighted formats.  ``#`` comments and
+    blank lines are skipped (by ``np.loadtxt`` itself, which also drops
+    inline comments); a row whose column count does not match
     the format raises ``ValueError`` (never silently dropped columns).
     A truncated ``.gz`` file surfaces as the underlying
     ``EOFError``/``gzip.BadGzipFile`` mid-stream.
@@ -210,12 +212,14 @@ def iter_edge_chunks(path: str | os.PathLike,
             lines = list(itertools.islice(fh, chunk_edges))
             if not lines:
                 break
-            lines = [ln for ln in lines
-                     if ln.strip() and not ln.lstrip().startswith("#")]
-            if not lines:
-                continue
             try:
-                data = np.loadtxt(lines, dtype=np.int64, ndmin=2)
+                with warnings.catch_warnings():
+                    # A chunk of only comments and blank lines is empty,
+                    # not suspicious.
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data",
+                        UserWarning)
+                    data = np.loadtxt(lines, dtype=np.int64, ndmin=2)
             except ValueError as exc:     # ragged rows inside a chunk
                 raise ValueError(
                     f"{path.name}: expected {cols} columns "

@@ -32,6 +32,7 @@ Faults ``crash`` / ``lease_loss`` / ``orchestrator_crash``
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 import uuid
@@ -146,6 +147,7 @@ class Orchestrator(Supervisor):
                          tele_ctx)
         self._draining = False
         self._stopped = False
+        self._wake_w = None             # set by start(), see _wake
         self._http = None               # set by repro.service.api
         self._merge_threads: list[threading.Thread] = []
         self.journal.append("generation", generation=self.generation)
@@ -232,8 +234,7 @@ class Orchestrator(Supervisor):
             self._check_job_done(job)
             # Wake the scheduler, which otherwise sleeps out its poll
             # before leasing the new job's first cell.
-            if self._result_q is not None:
-                self._result_q.put(("wake", None))
+            self._wake()
             return SubmitResponse(job_id=job.id, state=job.state,
                                   cells=len(job.keys), run_id=job.id)
 
@@ -456,7 +457,26 @@ class Orchestrator(Supervisor):
                 # call): workers inherit the handle instead of each
                 # compiling it.
                 load_kernel()
+            if self._wake_w is None:
+                self._wake_r, self._wake_w = multiprocessing.Pipe(
+                    duplex=False)
             self._start_workers(self.config.workers)
+
+    def _wake(self) -> None:
+        """Cut the scheduler's current ``_receive`` wait short (a
+        message on the self-pipe it also waits on); a no-op before
+        :meth:`start` and after shutdown."""
+        with self._lock:
+            if self._wake_w is not None:
+                self._wake_w.send(None)
+
+    def _shutdown_workers(self) -> None:
+        super()._shutdown_workers()
+        with self._lock:
+            if self._wake_w is not None:
+                self._wake_r.close()
+                self._wake_w.close()
+                self._wake_r = self._wake_w = None
 
     def _respawns(self) -> bool:
         return not self._draining and not self._stopped

@@ -234,6 +234,10 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     counters, float cycles, per-access serving levels and the windowed
     telemetry payload — must be bit-identical to the reference.
 
+    The kernel runs twice: once writing its post-run state back into
+    the Python objects (the default) and once with ``keep_state=False``,
+    the stats-only path grid cells take; both must match the reference.
+
     Raises :class:`RuntimeError` when the kernel cannot be loaded on
     this host (no C compiler): callers skip rather than fail, while the
     CI gate runs on hosts that are guaranteed a compiler.
@@ -250,22 +254,27 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     ref = SingleCoreSystem(cfg, variant, telemetry_every=telemetry_every,
                            **kwargs).run(
         trace, record_levels=True, warmup=warmup, backend="ref")
-    batch_system = SingleCoreSystem(cfg, variant,
-                                    telemetry_every=telemetry_every,
-                                    **kwargs)
-    batch = try_run_batch(batch_system, trace, record_levels=True,
-                          warmup=warmup)
-    if batch is None:
-        raise DifferentialMismatch(
-            f"ref vs batch [{variant}]: batch backend refused the run "
-            f"({unsupported_reason(batch_system, trace)})")
-    assert_stats_equal(ref, batch, f"ref vs batch [{variant}]")
     ta = ref.timeline.to_payload() if ref.timeline is not None else None
-    tb = batch.timeline.to_payload() if batch.timeline is not None else None
-    if ta != tb:
-        raise DifferentialMismatch(
-            f"ref vs batch [{variant}]: telemetry timeline diverged")
-    return ref, batch
+    runs = {}
+    for keep_state in (True, False):
+        label = f"ref vs batch [{variant}, keep_state={keep_state}]"
+        batch_system = SingleCoreSystem(cfg, variant,
+                                        telemetry_every=telemetry_every,
+                                        **kwargs)
+        got = try_run_batch(batch_system, trace, record_levels=True,
+                            warmup=warmup, keep_state=keep_state)
+        if got is None:
+            raise DifferentialMismatch(
+                f"{label}: batch backend refused the run "
+                f"({unsupported_reason(batch_system, trace)})")
+        assert_stats_equal(ref, got, label)
+        tb = got.timeline.to_payload() if got.timeline is not None \
+            else None
+        if ta != tb:
+            raise DifferentialMismatch(
+                f"{label}: telemetry timeline diverged")
+        runs[keep_state] = got
+    return ref, runs[True]
 
 
 def run_differential_suite(trace: Trace,

@@ -30,10 +30,12 @@ from repro.core.batch import (BACKENDS, KernelError, backend,
                               unsupported_reason)
 from repro.core.multicore import MULTICORE_FALLBACK, MultiCoreSystem
 from repro.core.system import VARIANTS, SingleCoreSystem
+from repro.experiments import figures
 from repro.experiments import results_cache as rc
 from repro.experiments.parallel import (Job, RunPolicy, _engine_fields,
                                         _job_spec, run_grid)
 from repro.experiments.runner import default_config
+from repro.mem.cache import SetAssocCache
 from repro.telemetry import events as tele_events
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
@@ -334,6 +336,48 @@ class TestPolicyBitIdentity:
         mixed.run(policy_trace, backend="batch")
         got = mixed.run(policy_trace, backend="ref")
         assert want.to_payload() == got.to_payload()
+
+
+@needs_kernel
+class TestDroppedState:
+    """A run that drops its system skips the state writeback
+    (``keep_state=False``); the system is spent afterwards."""
+
+    def test_second_run_on_a_spent_system_raises(self, trace, cfg):
+        system = SingleCoreSystem(cfg, "sdc_lp")
+        system.run(trace, backend="batch", keep_state=False)
+        with pytest.raises(RuntimeError, match="spent"):
+            system.run(trace, backend="ref")
+        with pytest.raises(RuntimeError, match="spent"):
+            try_run_batch(system, trace)
+
+    def test_reference_loop_keeps_its_state_either_way(self, trace, cfg):
+        twice = SingleCoreSystem(cfg, "sdc_lp")
+        twice.run(trace, backend="ref")
+        want = twice.run(trace, backend="ref")
+        dropped = SingleCoreSystem(cfg, "sdc_lp")
+        dropped.run(trace, backend="ref", keep_state=False)
+        assert dropped.run(trace, backend="ref").to_payload() == \
+            want.to_payload()
+
+    def test_quick_fig7_grid_writes_no_state_back(self, tmp_path,
+                                                  monkeypatch):
+        grid, _ = figures.plan_figure("fig7", figures.QUICK_WORKLOADS,
+                                      tier="tiny", length=3000)
+        want = run_grid(grid, cache=rc.ResultsCache(tmp_path / "ref"),
+                        manifest_dir=tmp_path / "runs", backend="ref")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("post-run state written back into a "
+                                 "system the cell drops")
+
+        monkeypatch.setattr(SetAssocCache, "import_soa", refuse)
+        monkeypatch.setattr(backend._Table, "rebuild", refuse)
+        got = run_grid(grid, cache=rc.ResultsCache(tmp_path / "batch"),
+                       manifest_dir=tmp_path / "runs", backend="batch",
+                       policy=RunPolicy(retries=0))
+        assert [r.to_payload() for r in got] == \
+            [r.to_payload() for r in want]
 
 
 @needs_kernel

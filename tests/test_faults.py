@@ -10,12 +10,15 @@ completed work is never lost or repeated (docs/RESILIENCE.md).
 from __future__ import annotations
 
 import json
+import threading
+import time
+from multiprocessing import connection
 
 import pytest
 
 from repro import faults
 from repro.core.batch import resolve_backend
-from repro.experiments import parallel
+from repro.experiments import parallel, supervisor
 from repro.experiments import results_cache as rc
 from repro.experiments.manifest import RunManifest
 from repro.experiments.parallel import (GridError, GridInterrupted, Job,
@@ -317,6 +320,41 @@ class TestHungWorker:
         m = RunManifest.load("perma", tmp_path / "runs")
         failed = [c for c in m.cells.values() if c["status"] == "failed"]
         assert len(failed) == 1 and "timeout" in failed[0]["error"]
+
+    def test_worker_reaped_mid_send_does_not_stall_siblings(
+            self, grid, clean, tmp_path, monkeypatch):
+        """A hung worker whose heartbeat is stuck mid-send on its result
+        channel is terminated; the other workers' results still arrive
+        (a cross-process lock on a shared channel would stay held)."""
+        hung_key = grid_keys(grid)[0]
+        execute = parallel._execute_cell
+
+        def stuck_then_execute(spec, key, attempt=1):
+            if key == hung_key and attempt == 1:
+                # From here on, every send this worker starts stalls
+                # before its first byte: the heartbeat thread's next
+                # one holds the channel until the worker is reaped.
+                connection.Connection._send_bytes = \
+                    lambda conn, buf: time.sleep(3600)
+                time.sleep(3600)
+            return execute(spec, key, attempt)
+
+        monkeypatch.setattr(parallel, "_execute_cell", stuck_then_execute)
+        # Beat every 0.15 s, well inside the 1 s cell timeout.
+        monkeypatch.setattr(supervisor, "HEARTBEAT_FRACTION", 0.01)
+        out = {}
+
+        def sweep():
+            out["res"] = run_grid(
+                grid, jobs=2, cache=rc.ResultsCache(tmp_path / "c"),
+                policy=RunPolicy(timeout=1.0, retries=2, **FAST),
+                manifest_dir=tmp_path / "runs", run_id="midsend")
+
+        t = threading.Thread(target=sweep, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "grid stalled after a reaped worker"
+        assert_identical(out["res"], clean)
 
 
 class TestCacheCorruption:

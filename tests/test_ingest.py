@@ -10,6 +10,7 @@ downstream (traces, stats, results cache).
 from __future__ import annotations
 
 import gzip
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestParsing:
         p.write_bytes(data[:len(data) // 2])
         with pytest.raises((OSError, EOFError)):
             load_edgelist(p)
+
+    def test_comment_only_chunk_is_skipped_silently(self, tmp_path):
+        p = tmp_path / "c.el"
+        p.write_text("0 1\n1 2\n# a\n\n  # b\n2 3  # inline\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunks = list(ingest.iter_edge_chunks(p, chunk_edges=2))
+        src = np.concatenate([c[0] for c in chunks])
+        dst = np.concatenate([c[1] for c in chunks])
+        assert list(zip(src.tolist(), dst.tolist())) == \
+            [(0, 1), (1, 2), (2, 3)]
 
     def test_chunking_is_invisible(self, tmp_path):
         edges = messy_edges()

@@ -189,6 +189,17 @@ class TestScheduling:
             orc._shutdown_workers()
             orc.journal.close()
 
+    def test_shutdown_closes_the_wake_pipe(self):
+        """The wake-up pipe lives from start to shutdown; a wake after
+        shutdown writes nowhere and raises nothing."""
+        orc = Orchestrator(config(workers=1))
+        orc.start()
+        wake_r = orc._wake_r
+        orc._shutdown_workers()
+        orc.journal.close()
+        assert wake_r.closed and orc._wake_r is None
+        orc._wake()
+
     def test_queue_holds_only_live_jobs(self):
         """Finished jobs leave no cell (and no spec) in the queue, a
         cached rerun and a cancelled job included."""

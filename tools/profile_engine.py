@@ -5,6 +5,21 @@ on kron(12,8), 50k-access window) with :mod:`cProfile` and prints the
 top-20 functions by cumulative and by self time, then times both
 backends with ``timeit``-style best-of-N wall clocks for a quick A/B.
 
+Last, it times a grid cell on the kernel the way ``run_grid`` runs one
+(``runner.run_variant``: build a system, run it once), with the
+post-run state kept (``keep_state=True``, the default of a direct
+``run`` call) and dropped (``keep_state=False``, what a grid cell
+does).  Each cell splits into four phases: *construct* (the
+``SingleCoreSystem``), *set-up* (``run`` up to the C call: gating, SoA
+buffers, config slots), the *C call*, and the *tail* (stats, timeline
+and, when kept, the state writeback).  Cells are pr.kron, bfs.urand
+and cc.friendster (the DSE's workloads, tiny tier) under Baseline and
+the five Fig. 7 designs at 4,000, 8,000 and 20,000 accesses; kept and
+dropped alternate within each round, and the table reports per-cell
+medians over ``ROUNDS`` rounds (each round's mean over its 18 cells)
+with the interquartile range.  ``--no-batch`` skips this timing along
+with the batch A/B, since both need the kernel.
+
 Usage::
 
     make profile-engine                        # or:
@@ -22,6 +37,7 @@ import argparse
 import cProfile
 import io
 import pstats
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -76,6 +92,96 @@ def time_backends(trace, cfg, variant: str, repeats: int,
         print(f"  batch speedup: {best['ref'] / best['batch']:.1f}x")
 
 
+CELL_WORKLOADS = ("pr.kron", "bfs.urand", "cc.friendster")
+CELL_VARIANTS = ("baseline", "l1iso", "distill", "topt", "llc2x", "sdc_lp")
+CELL_LENGTHS = (4_000, 8_000, 20_000)
+PHASES = ("construct", "set-up", "C call", "tail")
+ROUNDS = 7
+
+
+def _stamping_kernel(marks: dict):
+    """A stand-in for the loaded kernel whose one C call stamps
+    ``marks["call"]`` on entry and ``marks["ret"]`` on return."""
+    from repro.core.batch import load_kernel
+    lib = load_kernel()
+
+    class _Stamped:
+        def repro_batch_run(self, icfg, bufs):
+            marks["call"] = time.perf_counter()
+            rc = lib.repro_batch_run(icfg, bufs)
+            marks["ret"] = time.perf_counter()
+            return rc
+    return _Stamped()
+
+
+def time_cell(trace, cfg, variant: str, keep_state: bool,
+              marks: dict) -> list[float]:
+    """One cell as ``run_variant`` runs it, split into PHASES (s)."""
+    from repro.core.system import SingleCoreSystem
+    marks.clear()
+    t0 = time.perf_counter()
+    system = SingleCoreSystem(cfg, variant)
+    t1 = time.perf_counter()
+    system.run(trace, backend="batch", keep_state=keep_state)
+    t2 = time.perf_counter()
+    if "call" not in marks:
+        raise RuntimeError(f"the kernel refused the {variant} cell")
+    return [t1 - t0, marks["call"] - t1, marks["ret"] - marks["call"],
+            t2 - marks["ret"]]
+
+
+def time_grid_cells() -> None:
+    from repro.core.batch import backend, kernel_available
+    from repro.experiments.runner import default_config
+    from repro.experiments.workloads import workload_trace
+    if not kernel_available():
+        print("\n(batch kernel unavailable — no grid-cell timing)")
+        return
+    cfg = default_config()
+    traces = {n: [workload_trace(wl, tier="tiny", length=n)
+                  for wl in CELL_WORKLOADS] for n in CELL_LENGTHS}
+    marks: dict = {}
+    # per (length, state): one [phase sums] row per round
+    rows = {(n, ks): [] for n in CELL_LENGTHS for ks in (True, False)}
+    real = backend.load_kernel
+    stamped = _stamping_kernel(marks)
+    backend.load_kernel = lambda: stamped
+    try:
+        for r in range(ROUNDS):
+            order = (True, False) if r % 2 == 0 else (False, True)
+            for n in CELL_LENGTHS:
+                sums = {ks: [0.0] * len(PHASES) for ks in order}
+                for trace in traces[n]:
+                    for variant in CELL_VARIANTS:
+                        for ks in order:
+                            phases = time_cell(trace, cfg, variant, ks,
+                                               marks)
+                            sums[ks] = [a + b for a, b in
+                                        zip(sums[ks], phases)]
+                cells = len(CELL_WORKLOADS) * len(CELL_VARIANTS)
+                for ks in order:
+                    rows[(n, ks)].append([x / cells for x in sums[ks]])
+    finally:
+        backend.load_kernel = real
+    print(f"\n== grid cell on the kernel, per-cell median over {ROUNDS} "
+          f"interleaved rounds (ms; [q1, q3] for the cell) " + "=" * 4)
+    print("| accesses | state | " + " | ".join(PHASES)
+          + " | cell | [q1, q3] |")
+    print("|---:|---|" + "---:|" * (len(PHASES) + 2))
+    for n in CELL_LENGTHS:
+        for ks in (True, False):
+            per_round = rows[(n, ks)]
+            phases = [statistics.median(r[i] for r in per_round) * 1e3
+                      for i in range(len(PHASES))]
+            cell = [sum(r) * 1e3 for r in per_round]
+            q1, _, q3 = (statistics.quantiles(cell, n=4, method="inclusive")
+                         if len(cell) > 1 else cell * 3)
+            print(f"| {n:,} | {'kept' if ks else 'dropped'} | "
+                  + " | ".join(f"{x:.2f}" for x in phases)
+                  + f" | {statistics.median(cell):.2f} "
+                  f"| [{q1:.2f}, {q3:.2f}] |")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--variant", default="sdc_lp")
@@ -83,7 +189,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--top", type=int, default=20)
     ap.add_argument("--no-batch", action="store_true",
-                    help="skip the batch-backend wall-clock A/B")
+                    help="skip the batch-backend wall-clock A/B and "
+                         "the grid-cell timing")
     args = ap.parse_args(argv)
 
     from repro.config import scaled_config
@@ -93,6 +200,8 @@ def main(argv=None) -> int:
     profile_reference(trace, cfg, args.variant, top=args.top)
     time_backends(trace, cfg, args.variant, args.repeats,
                   with_batch=not args.no_batch)
+    if not args.no_batch:
+        time_grid_cells()
     return 0
 
 
