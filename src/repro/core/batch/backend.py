@@ -1,17 +1,18 @@
-"""Batch backend driver: SoA state, kernel dispatch, result rebuild.
+"""Batch backend: fresh SoA buffers, kernel dispatch, stats.
 
 :func:`try_run_batch` is the single entry point behind the dispatch
 seam in ``SingleCoreSystem.run``.  It either simulates the whole trace
 through the compiled structure-of-arrays kernel (``kernel.c``) and
 returns a ``SystemStats`` that is bit-identical to what the reference
-Python loop would have produced, built straight from the kernel's
-buffers — with ``keep_state`` (the default), post-run cache/predictor/
-TLB/DRAM/replacement-policy state is also written back into the live
-Python objects — or returns ``None``, in which case the caller falls
-back to the reference path.  Every refusal is counted per process by
-its :func:`unsupported_reason` (see :func:`fallback_counts`), and a
-kernel that returns an error raises :class:`KernelError` instead of
-falling back.
+Python loop would have produced, or returns ``None``, in which case the
+caller falls back to the reference path.  The kernel starts from
+buffers sized by each structure's geometry alone (the system must be
+fresh) and its stats are built straight from those buffers; no state
+flows back into the Python objects, so the run leaves the system spent
+(``SingleCoreSystem.spend``): each structure raises on any read.  Every
+refusal is counted per process by its :func:`unsupported_reason` (see
+:func:`fallback_counts`), and a kernel that returns an error raises
+:class:`KernelError` instead of falling back.
 
 Refusal rules (any one triggers ``None``):
 
@@ -31,17 +32,15 @@ from __future__ import annotations
 
 import ctypes
 from collections import Counter
-from itertools import islice
 
 import numpy as np
 
 from repro.config import BLOCK_BITS
 from repro.core.batch.build import load_kernel
-from repro.core.clp import LEVEL_WEIGHTS, CLPEntry
-from repro.core.lp import LPEntry, LPStats
+from repro.core.clp import LEVEL_WEIGHTS
+from repro.core.lp import LPStats
 from repro.core.sdcdir import SDCDirStats
-from repro.mem.cache import (CacheStats, SetAssocCache, group_sets,
-                             ordered_slots)
+from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMStats
 from repro.mem.prefetch import NextLinePrefetcher, SPPPrefetcher
@@ -119,26 +118,23 @@ def _full(n, value, dtype=_I64):
 
 
 class _CacheSoA:
-    """Flat arrays for one set-associative cache (or a dummy)."""
+    """Fresh flat arrays for one set-associative cache (or a dummy)."""
 
     def __init__(self, cache: SetAssocCache | None):
-        self.cache = cache
         if cache is None:
             self.sets, self.ways = 1, 1
             self.latency, self.mask, self.bits = 0, 0, 0
-            soa = None
         else:
             self.sets, self.ways = cache.num_sets, cache.ways
             self.latency = cache.latency
             self.mask, self.bits = cache._set_mask, cache._set_bits
-            soa = cache.export_soa()
         n = self.sets * self.ways
-        self.tags = soa["tags"] if soa else _full(n, -1)
-        self.prio = soa["prio"] if soa else _zeros(n)
-        self.seq = soa["seq"] if soa else _zeros(n)
-        self.dirty = soa["dirty"] if soa else _zeros(n, _U8)
-        self.pf = soa["pf"] if soa else _zeros(n, _U8)
-        self.occ = soa["occ"] if soa else _zeros(self.sets)
+        self.tags = _full(n, -1)
+        self.prio = _zeros(n)
+        self.seq = _zeros(n)
+        self.dirty = _zeros(n, _U8)
+        self.pf = _zeros(n, _U8)
+        self.occ = _zeros(self.sets)
         self.stats = _zeros(9)
 
     def geometry(self):
@@ -150,16 +146,6 @@ class _CacheSoA:
 
     def cache_stats(self) -> CacheStats:
         return CacheStats(*self.stats.tolist())
-
-    def writeback(self, order: str, clock: int,
-                  stats: CacheStats) -> np.ndarray:
-        cache = self.cache
-        slots = cache.import_soa(
-            {"tags": self.tags, "prio": self.prio, "seq": self.seq,
-             "dirty": self.dirty, "pf": self.pf},
-            order=order, clock=clock)
-        cache.stats = stats
-        return slots
 
 
 class _Table:
@@ -174,16 +160,6 @@ class _Table:
         self.cols = [_zeros(n) for _ in range(values)]
         self.order = _zeros(n)
         self.occ = _zeros(sets)
-
-    def rebuild(self, make=None, order=None) -> list[dict]:
-        """Per-set dicts ``key -> make(*cols)`` (``cols[0]`` alone when
-        ``make`` is None), in ``order`` (default: the order column)."""
-        slots, set_ids = ordered_slots(
-            self.keys, self.order if order is None else order, self.ways)
-        cols = [c[slots].tolist() for c in self.cols]
-        values = cols[0] if make is None else list(map(make, *cols))
-        return group_sets(self.sets, set_ids, self.keys[slots].tolist(),
-                          values)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +302,17 @@ def _aux_arrays(system, trace, blocks):
 # ---------------------------------------------------------------------------
 
 def try_run_batch(system, trace, record_levels=False, warmup=0,
-                  flush_sdc_every=None, keep_state=True):
+                  flush_sdc_every=None):
     """Run the trace through the C kernel; None when unsupported.
 
-    The returned ``SystemStats`` is built from the kernel's buffers.
-    With ``keep_state`` (the default) the post-run state is also
-    written back into the system's Python objects, and the system's
-    stats objects are the returned ones: a batch run followed by a
-    reference run equals two reference runs.  ``keep_state=False``
-    skips that writeback, for callers that drop the system after one
-    run; the system is then spent, and a later run on it raises.
+    The returned ``SystemStats`` is built from the kernel's buffers,
+    and nothing is written back: the system is spent afterwards
+    (``SingleCoreSystem.spend``), so reading any of its structures or
+    running it again raises.  A caller that needs the post-run state
+    runs the system with ``backend="ref"``.
 
     Raises :class:`KernelError` when the kernel returns an error code;
-    the Python objects are untouched then.
+    the system is untouched then.
     """
     system.check_not_spent()
     reason = unsupported_reason(system, trace)
@@ -555,90 +529,5 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         levels=levels if record_levels else None,
         tlb=TLBStats(*tlb_stats.tolist()) if tlb_on else None,
         timeline=timeline)
-    if not keep_state:
-        system._spent = True
-        return stats
-
-    # ---- write the post-run state back into the Python objects -------
-    c_l1.writeback("prio", misc_l[3], stats.l1d)
-    c_l2.writeback("prio", misc_l[4], stats.l2c)
-    if distill:
-        c_l3.writeback("prio", misc_l[5], c_l3.cache_stats())
-        llc.stats = stats.llc
-        llc._clock = misc_l[7]
-        llc.woc_hits = misc_l[15]
-        for si in range(llc.num_sets):
-            base = si * woc_slots
-            llc.woc[si] = {
-                (int(woc_block[base + k]), int(woc_word[base + k])):
-                    int(woc_stamp[base + k])
-                for k in range(int(woc_len[si]))}
-        llc.usage = {}
-        loc = llc.loc
-        for si in range(loc.num_sets):
-            for w in range(loc.ways):
-                j = si * loc.ways + w
-                if c_l3.tags[j] >= 0 and usage[j]:
-                    llc.usage[loc._join(si, int(c_l3.tags[j]))] = \
-                        int(usage[j])
-    else:
-        # Non-LRU sets keep install order (no move-to-end).
-        slots = c_l3.writeback("prio" if llc_kind == LLC_LRU else "seq",
-                               misc_l[5], stats.llc)
-        if llc_kind == LLC_BELADY:
-            policy._clock = misc_l[6]
-        elif llc_kind == LLC_DRRIP:
-            policy.psel, policy._brrip_tick, policy._set_idx = \
-                misc_l[22:25]
-        elif ship:
-            policy.shct = shct.tolist()
-            keys = [id(line) for lines in llc.sets
-                    for line in lines.values()]
-            policy._sig = dict(zip(keys, ship_sig[slots].tolist()))
-            policy._reused = dict(zip(
-                keys, (ship_reused[slots] != 0).tolist()))
-    if system.sdc is not None:
-        c_sd.writeback("prio", misc_l[8], stats.sdc)
-    if system.victim is not None:
-        c_vc.writeback("prio", misc_l[9], c_vc.cache_stats())
-
-    dram.stats = stats.dram
-    dram.open_rows = dram_rows.tolist()
-
-    if pt is not None:
-        pt.stats = stats.lp
-        pt._clock = misc_l[10]
-        pt.sets[:] = ptab.rebuild(
-            LPEntry if lp is not None
-            else lambda _, ctr, stamp: CLPEntry(ctr, stamp))
-    if sdcdir is not None:
-        st = sdcdir.stats
-        st.lookups, st.hits, st.inserts, st.evictions = dir_stats.tolist()
-        sdcdir._clock = misc_l[12]
-        # SDCDir sets stay in stamp (recency) order.
-        sdcdir.sets[:] = dtab.rebuild(lambda *e: list(e),
-                                      order=dtab.cols[2])
-    if tlb_on:
-        tlb.stats = stats.tlb
-        tlb.l1._clock, tlb.l2._clock = misc_l[13], misc_l[14]
-        tlb.l1.sets[:] = t1.rebuild()
-        tlb.l2.sets[:] = t2.rebuild()
-    if l2_spp:
-        pf2 = h.l2_prefetcher
-        live = np.flatnonzero(tk_page != -1)
-        pf2.trackers = dict(zip(
-            tk_page[live].tolist(),
-            map(list, zip(tk_off[live].tolist(), tk_sig[live].tolist()))))
-        # Each live signature's first len entries of its 127-slot row,
-        # gathered into one flat run, then cut back into per-row dicts.
-        sigs = np.flatnonzero(sp_len | sp_tot)
-        lens = sp_len[sigs]
-        flat = (np.repeat(sigs * 127 - (np.cumsum(lens) - lens), lens)
-                + np.arange(int(lens.sum())))
-        entries = zip(sp_deltas[flat].tolist(), sp_counts[flat].tolist())
-        sig_l = sigs.tolist()
-        pf2.patterns = {sig: dict(islice(entries, m))
-                        for sig, m in zip(sig_l, lens.tolist())}
-        pf2.totals = dict(zip(sig_l, sp_tot[sigs].tolist()))
-
+    system.spend()
     return stats

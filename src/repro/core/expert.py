@@ -43,8 +43,7 @@ def profile_regions(trace: Trace, config: SystemConfig | None = None,
     if levels is None:
         from repro.core.system import SingleCoreSystem
         system = SingleCoreSystem(config, variant="baseline")
-        levels = system.run(trace, record_levels=True,
-                            keep_state=False).levels
+        levels = system.run(trace, record_levels=True).levels
     space = trace.address_space
     rids = space.classify_addresses(trace.accesses["addr"].astype(np.int64))
     names = list(space.regions)
@@ -94,7 +93,7 @@ def expert_regions_best(trace: Trace, config: SystemConfig | None = None,
     for cand in sorted(candidates, key=sorted):
         system = SingleCoreSystem(config, variant="expert",
                                   expert_regions=set(cand))
-        cycles = system.run(trace, keep_state=False).cycles
+        cycles = system.run(trace).cycles
         if best_cycles is None or cycles < best_cycles:
             best_cycles = cycles
             best = set(cand)

@@ -264,8 +264,33 @@ def expert_block_mask(trace: Trace, regions: set[int]) -> np.ndarray:
     return out
 
 
+SPENT_MESSAGE = (
+    "this system is spent: it ran on the batch kernel, which returns "
+    "only the stats and keeps no Python state; build a new system, and "
+    "run it with backend=\"ref\" to inspect its structures or run it "
+    "again")
+
+
+class _Spent:
+    """Stands in for every structure of a system that ran on the
+    kernel: reading any attribute raises instead of returning state
+    the kernel never wrote back."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        raise RuntimeError(SPENT_MESSAGE)
+
+
+SPENT = _Spent()
+
+
 class SingleCoreSystem:
     """One core, one trace, one design variant."""
+
+    #: The structures a kernel run replaces with :data:`SPENT`.
+    STRUCTURES = ("hierarchy", "tlb", "sdc", "lp", "clp", "sdcdir",
+                  "victim")
 
     def __init__(self, config: SystemConfig | None = None,
                  variant: str = "baseline",
@@ -285,10 +310,6 @@ class SingleCoreSystem:
         # Windowed telemetry (repro.telemetry): 0 = off, same contract.
         self._telemetry_every = telemetry_interval(telemetry_every)
         self._ledger_valid = True
-        # Set by a kernel run that skipped the state writeback
-        # (keep_state=False): the Python objects still hold the
-        # pre-run state, so the system cannot run again.
-        self._spent = False
         base = config or SystemConfig()
         self.config = variant_config(base, variant)
         self.expert_regions = expert_regions or set()
@@ -625,18 +646,21 @@ class SingleCoreSystem:
         return DRAM, latency
 
     # -- main loop -----------------------------------------------------------
+    def spend(self) -> None:
+        """Replace every structure with :data:`SPENT` after a kernel
+        run, which kept its state in the kernel's own buffers."""
+        for name in self.STRUCTURES:
+            if getattr(self, name) is not None:
+                setattr(self, name, SPENT)
+
     def check_not_spent(self) -> None:
-        """Raise if a kernel run left this system's state behind."""
-        if self._spent:
-            raise RuntimeError(
-                "this system is spent: its last run used keep_state=False, "
-                "so its post-run state was never written back; build a "
-                "new system to run again")
+        """Raise if a kernel run has spent this system."""
+        if self.hierarchy is SPENT:
+            raise RuntimeError(SPENT_MESSAGE)
 
     def run(self, trace: Trace, record_levels: bool = False,
             warmup: int = 0, flush_sdc_every: int | None = None,
-            backend: str | None = None,
-            keep_state: bool = True) -> SystemStats:
+            backend: str | None = None) -> SystemStats:
         """Simulate a trace; ``warmup`` leading accesses touch state but
         are excluded from the timing/stat windows (paper §IV-C).
 
@@ -659,20 +683,18 @@ class SingleCoreSystem:
         ``repro.core.batch.fallback_counts``; a kernel error raises
         ``repro.core.batch.KernelError``.
 
-        ``keep_state`` (default True) leaves the post-run state in the
-        system's objects, so a later run continues from it: a batch run
-        followed by a reference run equals two reference runs.  Callers
-        that drop the system after one run pass False, and a kernel run
-        then builds its stats from the kernel's buffers without writing
-        the state back; the system is spent, and a later ``run`` raises.
-        The reference loop keeps its state in place either way.
+        A kernel run returns the stats and keeps no Python state: it
+        leaves the system spent, each structure replaced by
+        :data:`SPENT`, so reading one or running again raises.  The
+        reference loop keeps its state in place, so a system run with
+        ``backend="ref"`` stays inspectable and a later run continues
+        from it.
         """
         self.check_not_spent()
         if resolve_backend(backend) == "batch":
             stats = try_run_batch(self, trace, record_levels=record_levels,
                                   warmup=warmup,
-                                  flush_sdc_every=flush_sdc_every,
-                                  keep_state=keep_state)
+                                  flush_sdc_every=flush_sdc_every)
             if stats is not None:
                 return stats
         acc = trace.accesses

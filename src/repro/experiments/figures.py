@@ -623,8 +623,7 @@ def context_switch_study(wls, cfg, tier, length,
         sps = []
         for trace, base in zip(traces, bases):
             system = SingleCoreSystem(cfg, "sdc_lp")
-            stats = system.run(trace, flush_sdc_every=interval or None,
-                               keep_state=False)
+            stats = system.run(trace, flush_sdc_every=interval or None)
             sps.append(speedup(base, stats))
         res.speedup_geomean.append(geomean(sps))
     return res

@@ -38,8 +38,7 @@ def run_variant(trace: Trace, variant: str,
     rides on ``SystemStats.timeline``.  ``backend`` selects the
     execution engine behind ``SingleCoreSystem.run`` (``"batch"`` /
     ``"ref"``; None defers to ``REPRO_BACKEND``, default batch).  The
-    system is dropped after the run, so its post-run state is not
-    written back (``keep_state=False``).
+    system is built for this one run and dropped after it.
     """
     cfg = config or default_config()
     if variant == "expert" and expert_regions is None:
@@ -48,7 +47,7 @@ def run_variant(trace: Trace, variant: str,
                               expert_regions=expert_regions,
                               telemetry_every=telemetry_every)
     return system.run(trace, record_levels=record_levels,
-                      backend=backend, keep_state=False)
+                      backend=backend)
 
 
 def run_workload(wl: Workload | str, variant: str = "baseline",

@@ -18,8 +18,10 @@ share one array set between CSR and CSC.  Vertex ids are ``int32``
 :func:`from_edges` applies GAP's loader semantics — infer ``n`` as the
 max endpoint + 1, drop self-loops, keep the *first* occurrence of each
 duplicate edge (and its weight), optionally add every reverse edge —
-and the streaming ingestion path (:mod:`repro.graphs.ingest`)
-reproduces those semantics byte-for-byte out of core:
+with one sort of the packed ``src * n + dst`` keys, and refuses a
+vertex id outside ``[0, n)``.  The streaming ingestion path
+(:mod:`repro.graphs.ingest`) reproduces those semantics byte-for-byte
+out of core:
 
 >>> import numpy as np
 >>> g = from_edges(np.array([[0, 1], [1, 2], [1, 1], [0, 1]]))
@@ -146,16 +148,30 @@ class CSRGraph:
                           shape=(self.num_vertices, self.num_vertices))
 
 
-def _compress(sources: np.ndarray, dests: np.ndarray, n: int,
-              weights: np.ndarray | None):
-    """Build (OA, NA[, W]) sorted by source then destination."""
-    order = np.lexsort((dests, sources))
-    s, d = sources[order], dests[order]
-    w = weights[order] if weights is not None else None
-    counts = np.bincount(s, minlength=n).astype(OFFSET_DTYPE)
+def check_vertex_ids(lo: int, hi: int, n: int) -> None:
+    """Raise ``ValueError`` unless every vertex id in ``[lo, hi]`` lies
+    in ``[0, n)``, naming the first offending id and the count."""
+    bad = lo if lo < 0 else hi if hi >= n else None
+    if bad is not None:
+        raise ValueError(f"vertex id {bad} is outside [0, {n}) for "
+                         f"num_vertices={n}")
+
+
+def _sort(keys: np.ndarray, w: np.ndarray | None):
+    """Sort packed edge keys.  Weights ride along through a stable
+    argsort, so equal keys keep their input order."""
+    if w is None:
+        return np.sort(keys), None
+    order = np.argsort(keys, kind="stable")
+    return keys[order], w[order]
+
+
+def _split(keys: np.ndarray, n: int):
+    """(OA, rows, cols) of sorted ``row * n + col`` keys."""
+    rows, cols = np.divmod(keys, max(n, 1))
     oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(counts, out=oa[1:])
-    return oa, d.astype(VERTEX_DTYPE), w
+    np.cumsum(np.bincount(rows, minlength=n), out=oa[1:])
+    return oa, rows, cols
 
 
 def from_edges(edges: np.ndarray, num_vertices: int | None = None,
@@ -164,13 +180,18 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None,
                name: str = "graph") -> CSRGraph:
     """Build a :class:`CSRGraph` from an ``(m, 2)`` edge array.
 
+    Each edge is packed into one key, ``src * n + dst``, and the keys
+    are sorted once: the sorted keys, repeats dropped, are the CSR, and
+    a directed graph's CSC is one more sort of the swapped keys.
+
     Parameters
     ----------
     edges:
         Integer array of shape ``(m, 2)``; row ``(u, v)`` is the directed
         edge ``u -> v``.
     num_vertices:
-        Vertex count; inferred as ``edges.max() + 1`` when omitted.
+        Vertex count; inferred as ``edges.max() + 1`` when omitted.  An
+        id outside ``[0, num_vertices)`` raises ``ValueError``.
     weights:
         Optional per-edge weights (same length as ``edges``).
     symmetrize:
@@ -181,32 +202,41 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None,
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must have shape (m, 2)")
-    if num_vertices is None:
-        num_vertices = int(edges.max()) + 1 if len(edges) else 0
-    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
+    n = num_vertices
+    if n is None:
+        n = int(edges.max()) + 1 if len(edges) else 0
+    if len(edges):
+        check_vertex_ids(int(edges.min()), int(edges.max()), n)
+    src, dst = edges[:, 0], edges[:, 1]
     w = None if weights is None else np.asarray(weights, dtype=WEIGHT_DTYPE)
 
+    keys = src * n + dst
+    keep = src != dst
     if symmetrize:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        keys = np.concatenate([keys, dst * n + src])
+        keep = np.concatenate([keep, keep])
         if w is not None:
             w = np.concatenate([w, w])
-
     if dedup:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
+        keys = keys[keep]
         if w is not None:
             w = w[keep]
-        key = src * num_vertices + dst
-        _, idx = np.unique(key, return_index=True)
-        src, dst = src[idx], dst[idx]
+    keys, w = _sort(keys, w)
+    if dedup and len(keys):
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         if w is not None:
-            w = w[idx]
+            w = w[first]
 
-    out_oa, out_na, out_w = _compress(src, dst, num_vertices, w)
+    out_oa, src, dst = _split(keys, n)
+    out_na, out_w = dst.astype(VERTEX_DTYPE), w
     if symmetrize:
         in_oa, in_na, in_w = out_oa, out_na, out_w
     else:
-        in_oa, in_na, in_w = _compress(dst, src, num_vertices, w)
+        in_keys, in_w = _sort(dst * n + src, w)
+        in_oa, _, in_src = _split(in_keys, n)
+        in_na = in_src.astype(VERTEX_DTYPE)
 
     g = CSRGraph(out_oa=out_oa, out_na=out_na, in_oa=in_oa, in_na=in_na,
                  out_weights=out_w, in_weights=in_w,

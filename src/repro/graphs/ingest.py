@@ -32,8 +32,8 @@ truncated (a ``.el`` row with three fields raises, matching
    concatenation order exactly.
 3. *Compact pass* — per vertex range: drop self-loops, stable-sort by
    ``(src, dst)`` and keep the first occurrence of each duplicate
-   (GAP's cleanup, byte-identical to ``from_edges``'s
-   ``np.unique(key, return_index=True)`` + lexsort).
+   (GAP's cleanup, byte-identical to ``from_edges``'s one stable sort
+   of the packed ``src * n + dst`` keys).
 4. *CSC pass* — stream the finished out-CSR to build the in-adjacency
    (skipped for symmetrized graphs, which share arrays).
 5. *Store write* — stream the sections into one store file atomically.
@@ -86,7 +86,7 @@ import numpy as np
 
 from repro import store as artifact
 from repro.graphs.csr import (CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE,
-                              WEIGHT_DTYPE)
+                              WEIGHT_DTYPE, check_vertex_ids)
 
 STORE_VERSION = 1
 
@@ -338,6 +338,7 @@ def ingest_graph(path: str | os.PathLike, name: str | None = None,
             deg[:hi] += np.bincount(dst, minlength=hi)[:hi]
         raw_rows += len(src)
     n = num_vertices if num_vertices is not None else observed_n
+    check_vertex_ids(0, observed_n - 1, n)
     deg = deg[:n] if len(deg) >= n else np.concatenate(
         [deg, np.zeros(n - len(deg), dtype=np.int64)])
     raw_m = int(deg.sum())

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import CacheConfig
 from repro.mem.replacement import LRUPolicy, make_policy
 
@@ -285,80 +283,3 @@ class SetAssocCache:
         for s in self.sets:
             self.stats.invalidations += len(s)
             s.clear()
-
-    # -- structure-of-arrays state exchange (batch backend) ----------------
-    def export_soa(self) -> dict:
-        """Snapshot the cache's line state as flat slot-major arrays.
-
-        Layout: slot ``set_idx * ways + w`` holds the set's ``w``-th
-        dict entry (dict order — LRU order for inlined-LRU caches,
-        install order otherwise).  Empty slots carry tag ``-1``.  The
-        companion ``seq`` array records dict position as a global
-        running counter so install-order victim tie-breaks survive the
-        round-trip; ``clock`` is the replacement policy's stamp clock.
-        """
-        n = self.num_sets * self.ways
-        tags = np.full(n, -1, dtype=np.int64)
-        prio = np.zeros(n, dtype=np.int64)
-        seq = np.zeros(n, dtype=np.int64)
-        dirty = np.zeros(n, dtype=np.uint8)
-        pf = np.zeros(n, dtype=np.uint8)
-        occ = np.zeros(self.num_sets, dtype=np.int64)
-        seqc = 0
-        for set_idx, lines in enumerate(self.sets):
-            base = set_idx * self.ways
-            occ[set_idx] = len(lines)
-            for w, (tag, line) in enumerate(lines.items()):
-                seqc += 1
-                tags[base + w] = tag
-                prio[base + w] = line[0]
-                seq[base + w] = seqc
-                dirty[base + w] = 1 if line[1] else 0
-                pf[base + w] = 1 if line[2] else 0
-        return {"tags": tags, "prio": prio, "seq": seq, "dirty": dirty,
-                "pf": pf, "occ": occ, "seqc": seqc,
-                "clock": getattr(self.policy, "_clock", 0)}
-
-    def import_soa(self, soa: dict, order: str = "prio",
-                   clock: int | None = None) -> np.ndarray:
-        """Rebuild the per-set dicts from :meth:`export_soa`-layout
-        arrays, restoring dict order by sorting on ``order`` (``prio``
-        for LRU recency order, ``seq`` for install order).
-
-        Returns the slot index of every rebuilt line, in the order the
-        rebuilt dicts hold them (set by set).
-        """
-        tags = soa["tags"]
-        slots, set_ids = ordered_slots(tags, soa[order], self.ways)
-        lines = list(map(list, zip(soa["prio"][slots].tolist(),
-                                   soa["dirty"][slots].tolist(),
-                                   soa["pf"][slots].tolist())))
-        self.sets[:] = group_sets(self.num_sets, set_ids,
-                                  tags[slots].tolist(), lines)
-        if clock is not None and hasattr(self.policy, "_clock"):
-            self.policy._clock = int(clock)
-        return slots
-
-
-def ordered_slots(keys: np.ndarray, order: np.ndarray, ways: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied slots (``keys >= 0``) of a slot-major table, set by set
-    and by ascending ``order`` within a set, with each slot's set."""
-    valid = np.flatnonzero(keys >= 0)
-    set_ids = valid // ways
-    perm = np.lexsort((order[valid], set_ids))
-    return valid[perm], set_ids[perm]
-
-
-def group_sets(num_sets: int, set_ids: np.ndarray, keys: list,
-               values: list) -> list[dict]:
-    """One dict per set from key/value lists grouped by ascending
-    ``set_ids``, inserted in list order."""
-    out: list[dict] = [{} for _ in range(num_sets)]
-    counts = np.bincount(set_ids, minlength=num_sets)
-    ends = np.cumsum(counts)
-    used = np.flatnonzero(counts)
-    for s, end, count in zip(used.tolist(), ends[used].tolist(),
-                             counts[used].tolist()):
-        out[s] = dict(zip(keys[end - count:end], values[end - count:end]))
-    return out

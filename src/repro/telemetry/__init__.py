@@ -3,9 +3,9 @@
 The observability layer of the experiment stack (docs/OBSERVABILITY.md),
 in four parts:
 
-* :mod:`repro.telemetry.metrics` — ``Counter``/``Gauge``/``Histogram``
-  and the ring-buffered windowed ``TimeSeries``, each with a no-op
-  null twin so instrumented paths cost ~nothing when telemetry is off;
+* :mod:`repro.telemetry.metrics` — the ``Counter`` the stores count
+  with, the ring-buffered windowed ``TimeSeries`` and the
+  ``Stopwatch``/``format_eta`` clock behind progress lines;
 * :mod:`repro.telemetry.probes` — :class:`WindowProbe`/:class:`Timeline`:
   per-window L1D/L2C/LLC MPKI, SDC hit rate, LP cache-averse fraction,
   bypass fraction and DRAM traffic sampled from the run loops and
@@ -29,16 +29,15 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     MetricRegistry, Stopwatch,
-                                     TimeSeries, format_eta)
+from repro.telemetry.metrics import (Counter, Stopwatch, TimeSeries,
+                                     format_eta)
 from repro.telemetry.probes import (TIMELINE_METRICS, Timeline,
                                     WindowProbe)
 
 __all__ = [
     "DEFAULT_WINDOW",
-    "Counter", "Gauge", "Histogram", "MetricRegistry", "Stopwatch",
-    "TimeSeries", "Timeline", "WindowProbe", "TIMELINE_METRICS",
+    "Counter", "Stopwatch", "TimeSeries", "Timeline", "WindowProbe",
+    "TIMELINE_METRICS",
     "TelemetryConfig", "activate", "active", "deactivate",
     "default_telemetry_dir", "format_eta", "telemetry_interval",
 ]

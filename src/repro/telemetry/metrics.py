@@ -1,13 +1,10 @@
-"""Metrics core: counters, gauges, histograms and windowed series.
+"""Metrics core: a counter, a windowed series and a clock.
 
-Instruments are deliberately tiny — a method call and an attribute
-update — because they sit next to (never *inside*) simulator hot
-loops.  Every instrument has a **null twin** with the same interface
-whose methods are no-ops, and :class:`MetricRegistry` hands out one or
-the other depending on whether telemetry is enabled, so instrumented
-code is written once and costs approximately nothing when telemetry is
-off (the same zero-cost-when-disabled contract as
-``repro.validate``'s ``check_every=0``).
+:class:`Counter` is a deliberately tiny instrument — a method call and
+an attribute update — because counters sit next to (never *inside*)
+simulator hot loops; each :mod:`repro.store` artifact kind counts its
+opens, writes and damage with it.  :class:`Stopwatch` and :func:`format_eta` are the clock and
+rendering behind sweep progress lines.
 
 :class:`TimeSeries` is the windowed workhorse behind
 :class:`repro.telemetry.probes.WindowProbe`: a ring buffer (bounded
@@ -18,7 +15,6 @@ arbitrarily long simulation can stay instrumented in bounded memory.
 
 from __future__ import annotations
 
-import bisect
 import time
 from collections import deque
 
@@ -37,60 +33,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """Last-observed value (occupancy, queue depth, rate)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """Bucketed distribution with fixed, sorted upper bounds.
-
-    ``observe(x)`` lands in the first bucket whose bound is ``>= x``;
-    values above every bound land in the implicit overflow bucket.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, bounds, name: str = ""):
-        self.name = name
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("Histogram needs at least one bucket bound")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the q-quantile (the last
-        bound for overflow observations)."""
-        if not self.total:
-            return 0.0
-        target = q * self.total
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= target:
-                return bound
-        return self.bounds[-1]
 
 
 class TimeSeries:
@@ -124,98 +66,6 @@ class TimeSeries:
 
     def __iter__(self):
         return iter(self._ring)
-
-
-class _NullInstrument:
-    """No-op twin for every instrument type (one shared instance)."""
-
-    __slots__ = ()
-    name = ""
-    value = 0
-    total = 0
-    sum = 0.0
-    mean = 0.0
-    dropped = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def append(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def values(self) -> list:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def __bool__(self) -> bool:
-        # Lets call sites guard larger blocks with ``if metric:``.
-        return False
-
-
-NULL = _NullInstrument()
-
-
-class MetricRegistry:
-    """Factory + namespace for instruments, real or null.
-
-    ``MetricRegistry(enabled=False)`` hands out :data:`NULL` for every
-    request, so instrumented code needs no ``if telemetry:`` branches
-    of its own.  Instruments are memoized by name — asking twice
-    returns the same object, which is what lets one registry be shared
-    between a producer and a reporter.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._metrics: dict = {}
-
-    def _get(self, name: str, factory):
-        if not self.enabled:
-            return NULL
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = factory()
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name))
-
-    def histogram(self, name: str, bounds) -> Histogram:
-        return self._get(name, lambda: Histogram(bounds, name))
-
-    def series(self, name: str,
-               capacity: int = DEFAULT_CAPACITY) -> TimeSeries:
-        return self._get(name, lambda: TimeSeries(capacity, name))
-
-    def snapshot(self) -> dict:
-        """Flat name -> value dump of every live instrument."""
-        out = {}
-        for name, m in self._metrics.items():
-            if isinstance(m, Counter) or isinstance(m, Gauge):
-                out[name] = m.value
-            elif isinstance(m, Histogram):
-                out[name] = {"total": m.total, "mean": m.mean,
-                             "counts": list(m.counts)}
-            elif isinstance(m, TimeSeries):
-                out[name] = m.values()
-        return out
 
 
 class Stopwatch:

@@ -234,10 +234,6 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     counters, float cycles, per-access serving levels and the windowed
     telemetry payload — must be bit-identical to the reference.
 
-    The kernel runs twice: once writing its post-run state back into
-    the Python objects (the default) and once with ``keep_state=False``,
-    the stats-only path grid cells take; both must match the reference.
-
     Raises :class:`RuntimeError` when the kernel cannot be loaded on
     this host (no C compiler): callers skip rather than fail, while the
     CI gate runs on hosts that are guaranteed a compiler.
@@ -254,55 +250,19 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     ref = SingleCoreSystem(cfg, variant, telemetry_every=telemetry_every,
                            **kwargs).run(
         trace, record_levels=True, warmup=warmup, backend="ref")
+    label = f"ref vs batch [{variant}]"
+    batch_system = SingleCoreSystem(cfg, variant,
+                                    telemetry_every=telemetry_every,
+                                    **kwargs)
+    got = try_run_batch(batch_system, trace, record_levels=True,
+                        warmup=warmup)
+    if got is None:
+        raise DifferentialMismatch(
+            f"{label}: batch backend refused the run "
+            f"({unsupported_reason(batch_system, trace)})")
+    assert_stats_equal(ref, got, label)
     ta = ref.timeline.to_payload() if ref.timeline is not None else None
-    runs = {}
-    for keep_state in (True, False):
-        label = f"ref vs batch [{variant}, keep_state={keep_state}]"
-        batch_system = SingleCoreSystem(cfg, variant,
-                                        telemetry_every=telemetry_every,
-                                        **kwargs)
-        got = try_run_batch(batch_system, trace, record_levels=True,
-                            warmup=warmup, keep_state=keep_state)
-        if got is None:
-            raise DifferentialMismatch(
-                f"{label}: batch backend refused the run "
-                f"({unsupported_reason(batch_system, trace)})")
-        assert_stats_equal(ref, got, label)
-        tb = got.timeline.to_payload() if got.timeline is not None \
-            else None
-        if ta != tb:
-            raise DifferentialMismatch(
-                f"{label}: telemetry timeline diverged")
-        runs[keep_state] = got
-    return ref, runs[True]
-
-
-def run_differential_suite(trace: Trace,
-                           config: SystemConfig | None = None,
-                           variants: tuple[str, ...] = ("baseline",
-                                                        "sdc_lp")
-                           ) -> dict[str, str]:
-    """Run every differential pair; returns {pair-name: "ok"}.
-
-    Raises :class:`DifferentialMismatch` on the first divergence.
-    """
-    results: dict[str, str] = {}
-    for variant in variants:
-        diff_inlined_vs_generic_lru(trace, config, variant)
-        results[f"inlined-vs-generic-lru[{variant}]"] = "ok"
-        diff_pow2_vs_divmod(trace, config, variant)
-        results[f"pow2-vs-divmod[{variant}]"] = "ok"
-        diff_multicore1_vs_single(trace, config, variant)
-        results[f"multicore1-vs-single[{variant}]"] = "ok"
-    diff_access_vs_access_fast(trace, config)
-    results["access-vs-access_fast"] = "ok"
-    from repro.core.batch import kernel_available
-    if kernel_available():
-        cfg = config or SystemConfig()
-        for policy in LLC_POLICIES:
-            policy_cfg = dataclasses.replace(cfg, llc=dataclasses.replace(
-                cfg.llc, replacement=policy))
-            for variant in variants:
-                diff_ref_vs_batch(trace, policy_cfg, variant)
-                results[f"ref-vs-batch[{variant}/{policy}]"] = "ok"
-    return results
+    tb = got.timeline.to_payload() if got.timeline is not None else None
+    if ta != tb:
+        raise DifferentialMismatch(f"{label}: telemetry timeline diverged")
+    return ref, got

@@ -4,9 +4,10 @@ The contract under test: every run the batch kernel accepts — every
 single-core variant under every LLC replacement policy the DSE samples
 — must produce a ``SystemStats`` payload (counters, float cycles,
 per-access levels, telemetry timeline) bit-identical to the reference
-Python loop and leave the same post-run state behind; everything it
-cannot accept falls back to the reference loop and is counted by
-reason; a code the kernel does not implement is a loud error.
+Python loop, and leaves a spent system whose structures raise on any
+read; everything it cannot accept falls back to the reference loop and
+is counted by reason; a code the kernel does not implement is a loud
+error.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from repro.core.batch import (BACKENDS, KernelError, backend,
                               resolve_backend, try_run_batch,
                               unsupported_reason)
 from repro.core.multicore import MULTICORE_FALLBACK, MultiCoreSystem
-from repro.core.system import VARIANTS, SingleCoreSystem
-from repro.experiments import figures
+from repro.core.system import (SPENT, SPENT_MESSAGE, VARIANTS,
+                               SingleCoreSystem)
 from repro.experiments import results_cache as rc
 from repro.experiments.parallel import (Job, RunPolicy, _engine_fields,
                                         _job_spec, run_grid)
 from repro.experiments.runner import default_config
-from repro.mem.cache import SetAssocCache
 from repro.telemetry import events as tele_events
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
@@ -110,43 +110,6 @@ def policy_config(policy="lru", ways=2):
 
 def payload(stats):
     return dataclasses.replace(stats, levels=None).to_payload()
-
-
-def post_run_state(system):
-    """Everything a later run reads, dict order included where the
-    simulator depends on it."""
-    h = system.hierarchy
-    caches = [h.l1d, h.l2c, h.llc] + [c for c in (system.sdc,)
-                                      if c is not None]
-    state = {"caches": [[list(s.items()) for s in c.sets] for c in caches]}
-    pol = h.llc.policy
-    state["policy"] = {k: getattr(pol, k) for k in
-                       ("_clock", "psel", "_brrip_tick", "_set_idx",
-                        "shct") if hasattr(pol, k)}
-    if hasattr(pol, "_sig"):
-        # Keyed by id(line): compare per live line (the reference also
-        # keeps entries of invalidated lines, which nothing reads).
-        state["ship"] = [(pol._sig[id(line)], pol._reused[id(line)])
-                         for lines in h.llc.sets for line in lines.values()]
-    for name in ("lp", "clp"):
-        pred = getattr(system, name)
-        if pred is not None:
-            state[name] = (pred._clock, [
-                [(tag, tuple(getattr(e, f) for f in e.__slots__))
-                 for tag, e in s.items()] for s in pred.sets])
-    d = system.sdcdir
-    if d is not None:
-        state["sdcdir"] = (d._clock, [list(s.items()) for s in d.sets])
-    state["tlb"] = [(lvl._clock, [list(s.items()) for s in lvl.sets])
-                    for lvl in (system.tlb.l1, system.tlb.l2)]
-    pf = h.l2_prefetcher
-    # A signature whose histogram decayed to nothing reads as absent.
-    state["spp"] = (pf.trackers,
-                    {s: list(p.items()) for s, p in pf.patterns.items()
-                     if p},
-                    {s: t for s, t in pf.totals.items() if t})
-    state["dram"] = h.dram.open_rows
-    return state
 
 
 @pytest.fixture(scope="module")
@@ -235,18 +198,6 @@ class TestBitIdentity:
         assert got is not None
         assert want.to_payload() == got.to_payload()
 
-    def test_back_to_back_runs_share_state_correctly(self, trace, cfg):
-        """The kernel writes post-run state back into the Python
-        objects, so a second (reference) run on the same system must
-        continue exactly where a pure-reference pair would."""
-        twice_ref = SingleCoreSystem(cfg, "baseline")
-        twice_ref.run(trace, backend="ref")
-        want = twice_ref.run(trace, backend="ref")
-        mixed = SingleCoreSystem(cfg, "baseline")
-        mixed.run(trace, backend="batch")
-        got = mixed.run(trace, backend="ref")
-        assert want.to_payload() == got.to_payload()
-
 
 @needs_kernel
 class TestPropertyEquivalence:
@@ -313,71 +264,50 @@ class TestPolicyBitIdentity:
             policy_trace, backend="batch", flush_sdc_every=700)
         assert a.to_payload() == b.to_payload()
 
-    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
-    def test_post_run_state_matches_reference(self, policy_trace,
-                                              variant, policy):
-        ref = SingleCoreSystem(policy_config(policy), variant)
-        ref.run(policy_trace, backend="ref")
-        batch = SingleCoreSystem(policy_config(policy), variant)
-        batch.run(policy_trace, backend="batch")
-        assert post_run_state(batch) == post_run_state(ref)
-
-    @pytest.mark.parametrize("variant,policy", POLICY_CASES)
-    def test_batch_then_ref_equals_ref_then_ref(self, policy_trace,
-                                                variant, policy):
-        """Post-run state written back (caches, predictor table, RRIP
-        RRPVs, DRRIP selector, SHiP counters and line signatures) lets a
-        reference run continue exactly where a reference run would."""
-        cfg = policy_config(policy)
-        twice_ref = SingleCoreSystem(cfg, variant)
-        twice_ref.run(policy_trace, backend="ref")
-        want = twice_ref.run(policy_trace, backend="ref")
-        mixed = SingleCoreSystem(cfg, variant)
-        mixed.run(policy_trace, backend="batch")
-        got = mixed.run(policy_trace, backend="ref")
-        assert want.to_payload() == got.to_payload()
-
 
 @needs_kernel
 class TestDroppedState:
-    """A run that drops its system skips the state writeback
-    (``keep_state=False``); the system is spent afterwards."""
+    """A kernel run returns the stats and keeps no Python state: the
+    system is spent afterwards, and each of its structures says so."""
 
     def test_second_run_on_a_spent_system_raises(self, trace, cfg):
         system = SingleCoreSystem(cfg, "sdc_lp")
-        system.run(trace, backend="batch", keep_state=False)
+        system.run(trace, backend="batch")
         with pytest.raises(RuntimeError, match="spent"):
             system.run(trace, backend="ref")
         with pytest.raises(RuntimeError, match="spent"):
             try_run_batch(system, trace)
 
-    def test_reference_loop_keeps_its_state_either_way(self, trace, cfg):
-        twice = SingleCoreSystem(cfg, "sdc_lp")
-        twice.run(trace, backend="ref")
-        want = twice.run(trace, backend="ref")
-        dropped = SingleCoreSystem(cfg, "sdc_lp")
-        dropped.run(trace, backend="ref", keep_state=False)
-        assert dropped.run(trace, backend="ref").to_payload() == \
-            want.to_payload()
+    def test_every_structure_of_a_spent_system_raises(self, trace, cfg):
+        seen = set()
+        for variant in ("sdc_lp", "sdc_clp", "victim"):
+            system = SingleCoreSystem(cfg, variant)
+            present = [name for name in SingleCoreSystem.STRUCTURES
+                       if getattr(system, name) is not None]
+            system.run(trace, backend="batch")
+            for name in present:
+                attr = "l1d" if name == "hierarchy" else "stats"
+                with pytest.raises(RuntimeError) as err:
+                    getattr(getattr(system, name), attr)
+                assert str(err.value) == SPENT_MESSAGE
+                assert 'backend="ref"' in str(err.value)
+            seen.update(present)
+        assert seen == set(SingleCoreSystem.STRUCTURES)
 
-    def test_quick_fig7_grid_writes_no_state_back(self, tmp_path,
-                                                  monkeypatch):
-        grid, _ = figures.plan_figure("fig7", figures.QUICK_WORKLOADS,
-                                      tier="tiny", length=3000)
-        want = run_grid(grid, cache=rc.ResultsCache(tmp_path / "ref"),
-                        manifest_dir=tmp_path / "runs", backend="ref")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("post-run state written back into a "
-                                 "system the cell drops")
-
-        monkeypatch.setattr(SetAssocCache, "import_soa", refuse)
-        monkeypatch.setattr(backend._Table, "rebuild", refuse)
-        got = run_grid(grid, cache=rc.ResultsCache(tmp_path / "batch"),
-                       manifest_dir=tmp_path / "runs", backend="batch",
-                       policy=RunPolicy(retries=0))
-        assert [r.to_payload() for r in got] == \
-            [r.to_payload() for r in want]
+    def test_reference_run_stays_inspectable_and_runnable(self, trace,
+                                                          cfg):
+        system = SingleCoreSystem(cfg, "sdc_lp")
+        first = system.run(trace, backend="ref")
+        assert all(getattr(system, name) is not SPENT
+                   for name in SingleCoreSystem.STRUCTURES)
+        assert system.hierarchy.l1d.stats is first.l1d
+        assert system.sdc.occupancy > 0
+        assert first.tlb.accesses == len(trace)
+        # Warm now, so the default engine runs it on the reference loop,
+        # which continues from the first run's state.
+        second = system.run(trace)
+        assert second.tlb is first.tlb
+        assert second.tlb.accesses == 2 * len(trace)
 
 
 @needs_kernel
@@ -632,16 +562,3 @@ class TestDefaultEngine:
         engines = [r["engine"] for r in records
                    if r["event"] == "cell_exec_finished"]
         assert engines == ["batch"] * len(grid)
-
-
-@needs_kernel
-class TestSoARoundTrip:
-    def test_export_import_identity(self, trace, cfg):
-        system = SingleCoreSystem(cfg, "baseline")
-        system.run(trace, backend="ref")
-        l1 = system.hierarchy.l1d
-        before = [dict(s) for s in l1.sets]
-        soa = l1.export_soa()
-        l1.import_soa(soa, clock=soa["clock"])
-        assert [dict(s) for s in l1.sets] == before
-        assert dataclasses.asdict(l1.stats)  # stats untouched by export

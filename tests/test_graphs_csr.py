@@ -77,6 +77,32 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             from_edges(np.array([1, 2, 3]))
 
+    def test_id_past_num_vertices_raises(self):
+        edges = np.array([[0, 1], [1, 9], [2, 3]])
+        with pytest.raises(ValueError, match=r"vertex id 9 is outside "
+                                             r"\[0, 5\) for num_vertices=5"):
+            from_edges(edges, num_vertices=5)
+
+    @pytest.mark.parametrize("num_vertices", (None, 4))
+    def test_negative_id_raises(self, num_vertices):
+        edges = np.array([[0, 1], [-2, 3]])
+        with pytest.raises(ValueError, match="vertex id -2 is outside"):
+            from_edges(edges, num_vertices=num_vertices)
+
+    def test_weighted_duplicates_keep_the_first_weight(self):
+        g = from_edges(np.array([[1, 0], [0, 1], [1, 0], [0, 1]]),
+                       weights=np.array([5, 6, 7, 8]))
+        assert list(g.out_weights) == [6, 5]
+        assert list(g.in_weights) == [5, 6]
+
+    def test_no_dedup_keeps_input_order_of_repeats(self):
+        g = from_edges(np.array([[0, 1], [1, 1], [0, 1], [1, 0]]),
+                       weights=np.array([5, 6, 7, 8]), dedup=False)
+        assert list(g.out_na) == [1, 1, 0, 1]
+        assert list(g.out_weights) == [5, 7, 8, 6]
+        assert list(g.in_na) == [1, 0, 0, 1]
+        assert list(g.in_weights) == [8, 5, 7, 6]
+
 
 class TestTranspose:
     def test_transpose_swaps_directions(self):

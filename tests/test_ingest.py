@@ -160,6 +160,21 @@ class TestBuildEquivalence:
         assert_graphs_equal(got, from_edges(
             np.array([[0, 1], [1, 2]]), num_vertices=100))
 
+    def test_id_past_num_vertices_raises(self, tmp_path):
+        p = write_el(tmp_path / "r.el", [(0, 1), (1, 9), (2, 3)])
+        with pytest.raises(ValueError, match=r"vertex id 9 is outside "
+                                             r"\[0, 5\) for num_vertices=5"):
+            ingest.ingest_graph(p, name="r", num_vertices=5)
+        assert not ingest.has_ingested("r")
+
+    def test_cli_exits_1_on_an_id_past_num_vertices(self, tmp_path,
+                                                    capsys):
+        from repro.cli import main
+        p = write_el(tmp_path / "r.el", [(0, 1), (1, 9), (2, 3)])
+        assert main(["ingest", str(p), "--num-vertices", "5"]) == 1
+        assert "ingest failed: vertex id 9 is outside [0, 5)" in \
+            capsys.readouterr().err
+
     def test_mapped_and_in_memory_views_agree(self, tmp_path):
         p = write_el(tmp_path / "v.el", messy_edges())
         ingest.ingest_graph(p, name="v")

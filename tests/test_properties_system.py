@@ -69,7 +69,7 @@ class TestInvariants:
         cfg = scaled_config(64)
         trace = build_trace(ops)
         system = SingleCoreSystem(cfg, "sdc_lp")
-        system.run(trace)
+        system.run(trace, backend="ref")    # the kernel keeps no state
         h = system.hierarchy
         hier = (set(h.l1d.resident_blocks()) | set(h.l2c.resident_blocks())
                 | set(h.llc.resident_blocks()))

@@ -138,7 +138,7 @@ class TestSDCRouting:
         dirty copy is exclusive; SDC contents are SDCDir-tracked."""
         trace = synthetic_trace("mixed", n=6000)
         system = SingleCoreSystem(cfg, "sdc_lp")
-        system.run(trace)
+        system.run(trace, backend="ref")    # the kernel keeps no state
         h = system.hierarchy
         hier_blocks = (set(h.l1d.resident_blocks())
                        | set(h.l2c.resident_blocks())

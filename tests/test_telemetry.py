@@ -19,9 +19,8 @@ from repro.experiments.workloads import workload_trace
 from repro.telemetry import events as tele_events
 from repro.telemetry import schema as tele_schema
 from repro.telemetry import trace_export
-from repro.telemetry.metrics import (NULL, Counter, Gauge, Histogram,
-                                     MetricRegistry, Stopwatch,
-                                     TimeSeries, format_eta)
+from repro.telemetry.metrics import (Counter, Stopwatch, TimeSeries,
+                                     format_eta)
 from repro.telemetry.probes import (TIMELINE_METRICS, Timeline,
                                     WindowProbe, _Snapshot)
 from repro.telemetry.render import bar_chart, render_timeline, sparkline
@@ -32,28 +31,11 @@ MICRO = dict(tier="tiny", length=6_000)
 # -- metrics core ----------------------------------------------------------
 
 class TestInstruments:
-    def test_counter_and_gauge(self):
+    def test_counter(self):
         c = Counter("hits")
         c.inc()
         c.inc(4)
         assert c.value == 5
-        g = Gauge("depth")
-        g.set(3.5)
-        assert g.value == 3.5
-
-    def test_histogram_buckets_mean_quantile(self):
-        h = Histogram((1, 10, 100), "lat")
-        for v in (0.5, 2, 2, 50, 500):
-            h.observe(v)
-        assert h.total == 5
-        assert h.counts == [1, 2, 1, 1]      # <=1, <=10, <=100, overflow
-        assert h.mean == pytest.approx(554.5 / 5)
-        assert h.quantile(0.5) == 10
-        assert h.quantile(1.0) == 100        # overflow clamps to last bound
-
-    def test_histogram_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(())
 
     def test_timeseries_ring_drops_oldest(self):
         ts = TimeSeries(capacity=3)
@@ -62,30 +44,6 @@ class TestInstruments:
         assert ts.values() == [2.0, 3.0, 4.0]
         assert ts.dropped == 2
         assert len(ts) == 3
-
-    def test_null_twin_is_inert_and_falsy(self):
-        NULL.inc()
-        NULL.set(1.0)
-        NULL.observe(2.0)
-        NULL.append(3.0)
-        assert NULL.value == 0
-        assert NULL.values() == []
-        assert not NULL
-
-    def test_registry_disabled_hands_out_null(self):
-        reg = MetricRegistry(enabled=False)
-        assert reg.counter("x") is NULL
-        assert reg.histogram("y", (1, 2)) is NULL
-        assert reg.snapshot() == {}
-
-    def test_registry_memoizes_by_name(self):
-        reg = MetricRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        reg.counter("x").inc(3)
-        reg.series("s").append(1.0)
-        snap = reg.snapshot()
-        assert snap["x"] == 3
-        assert snap["s"] == [1.0]
 
     def test_stopwatch_with_fake_clock(self):
         t = [10.0]

@@ -12,7 +12,9 @@ The acceptance scenario, end to end with real subprocesses:
    printed stats against the same cells run from the in-memory build —
    mapped and in-memory inputs must be indistinguishable downstream;
 4. corrupt the store file in place and assert the next load
-   quarantines it and rebuilds from the recorded source exactly once.
+   quarantines it and rebuilds from the recorded source exactly once;
+5. ingest an edge list whose largest vertex id is past
+   ``--num-vertices`` and assert the command exits 1 naming that id.
 
 Run from the repo root: ``PYTHONPATH=src python tools/ingest_smoke.py``
 (options: ``--edges``, ``--keep``).
@@ -44,17 +46,18 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def run(cmd: list[str], cache: Path) -> str:
+def run(cmd: list[str], cache: Path,
+        expect: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ,
                PYTHONPATH=f"src{os.pathsep}" + os.environ.get(
                    "PYTHONPATH", ""),
                REPRO_CACHE_DIR=str(cache))
     proc = subprocess.run(cmd, cwd=REPO, env=env, text=True,
                           capture_output=True)
-    if proc.returncode != 0:
-        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
+    if proc.returncode != expect:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}, not {expect}:\n"
              f"{proc.stdout}\n{proc.stderr}")
-    return proc.stdout
+    return proc
 
 
 def main() -> None:
@@ -82,7 +85,7 @@ def main() -> None:
         log(f"wrote {args.edges:,} edges to {el.name}")
 
         out = run([sys.executable, "-m", "repro", "ingest", str(el),
-                   "--name", "smoke", "--symmetrize"], cache)
+                   "--name", "smoke", "--symmetrize"], cache).stdout
         log(out.strip().splitlines()[0])
 
         # 2. mapped store == in-memory from_edges, byte for byte.
@@ -106,7 +109,7 @@ def main() -> None:
         for fam in FAMILIES:
             out_cli = run([sys.executable, "-m", "repro", "run",
                            f"{fam}.smoke", "--variant", "sdc_lp",
-                           "--length", "20000"], cache)
+                           "--length", "20000"], cache).stdout
             t_mem = generate_trace(fam, ref, max_accesses=20000)
             t_map = generate_trace(fam, mapped, max_accesses=20000)
             if t_mem.accesses.tobytes() != t_map.accesses.tobytes():
@@ -137,8 +140,18 @@ def main() -> None:
             fail("corrupt store file was not quarantined")
         log("corrupt store quarantined and rebuilt from source")
 
-        log("OK: ingest pipeline, family cells, and quarantine "
-            "recovery all verified")
+        # 5. an id past --num-vertices is refused, never remapped.
+        bad = work / "bad.el"
+        bad.write_text("0 1\n1 9\n2 3\n")
+        err = run([sys.executable, "-m", "repro", "ingest", str(bad),
+                   "--num-vertices", "5"], cache, expect=1).stderr
+        want = "ingest failed: vertex id 9 is outside [0, 5)"
+        if want not in err:
+            fail(f"out-of-range id: expected {want!r}, got {err!r}")
+        log("vertex id past --num-vertices refused with exit 1")
+
+        log("OK: ingest pipeline, family cells, quarantine recovery "
+            "and the vertex-range check all verified")
     finally:
         if args.keep:
             log(f"scratch kept at {work}")

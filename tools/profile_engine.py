@@ -6,19 +6,16 @@ top-20 functions by cumulative and by self time, then times both
 backends with ``timeit``-style best-of-N wall clocks for a quick A/B.
 
 Last, it times a grid cell on the kernel the way ``run_grid`` runs one
-(``runner.run_variant``: build a system, run it once), with the
-post-run state kept (``keep_state=True``, the default of a direct
-``run`` call) and dropped (``keep_state=False``, what a grid cell
-does).  Each cell splits into four phases: *construct* (the
-``SingleCoreSystem``), *set-up* (``run`` up to the C call: gating, SoA
-buffers, config slots), the *C call*, and the *tail* (stats, timeline
-and, when kept, the state writeback).  Cells are pr.kron, bfs.urand
-and cc.friendster (the DSE's workloads, tiny tier) under Baseline and
-the five Fig. 7 designs at 4,000, 8,000 and 20,000 accesses; kept and
-dropped alternate within each round, and the table reports per-cell
-medians over ``ROUNDS`` rounds (each round's mean over its 18 cells)
-with the interquartile range.  ``--no-batch`` skips this timing along
-with the batch A/B, since both need the kernel.
+(``runner.run_variant``: build a system, run it once).  Each cell
+splits into four phases: *construct* (the ``SingleCoreSystem``),
+*set-up* (``run`` up to the C call: gating, fresh SoA buffers, config
+slots), the *C call*, and the *tail* (stats and timeline built from
+the kernel's buffers).  Cells are pr.kron, bfs.urand and cc.friendster
+(the DSE's workloads, tiny tier) under Baseline and the five Fig. 7
+designs at 4,000, 8,000 and 20,000 accesses; the table reports
+per-cell medians over ``ROUNDS`` rounds (each round's mean over its 18
+cells) with the interquartile range.  ``--no-batch`` skips this timing
+along with the batch A/B, since both need the kernel.
 
 Usage::
 
@@ -114,15 +111,14 @@ def _stamping_kernel(marks: dict):
     return _Stamped()
 
 
-def time_cell(trace, cfg, variant: str, keep_state: bool,
-              marks: dict) -> list[float]:
+def time_cell(trace, cfg, variant: str, marks: dict) -> list[float]:
     """One cell as ``run_variant`` runs it, split into PHASES (s)."""
     from repro.core.system import SingleCoreSystem
     marks.clear()
     t0 = time.perf_counter()
     system = SingleCoreSystem(cfg, variant)
     t1 = time.perf_counter()
-    system.run(trace, backend="batch", keep_state=keep_state)
+    system.run(trace, backend="batch")
     t2 = time.perf_counter()
     if "call" not in marks:
         raise RuntimeError(f"the kernel refused the {variant} cell")
@@ -141,45 +137,37 @@ def time_grid_cells() -> None:
     traces = {n: [workload_trace(wl, tier="tiny", length=n)
                   for wl in CELL_WORKLOADS] for n in CELL_LENGTHS}
     marks: dict = {}
-    # per (length, state): one [phase sums] row per round
-    rows = {(n, ks): [] for n in CELL_LENGTHS for ks in (True, False)}
+    # per length: one [phase means] row per round
+    rows = {n: [] for n in CELL_LENGTHS}
     real = backend.load_kernel
     stamped = _stamping_kernel(marks)
     backend.load_kernel = lambda: stamped
+    cells = len(CELL_WORKLOADS) * len(CELL_VARIANTS)
     try:
-        for r in range(ROUNDS):
-            order = (True, False) if r % 2 == 0 else (False, True)
+        for _ in range(ROUNDS):
             for n in CELL_LENGTHS:
-                sums = {ks: [0.0] * len(PHASES) for ks in order}
+                sums = [0.0] * len(PHASES)
                 for trace in traces[n]:
                     for variant in CELL_VARIANTS:
-                        for ks in order:
-                            phases = time_cell(trace, cfg, variant, ks,
-                                               marks)
-                            sums[ks] = [a + b for a, b in
-                                        zip(sums[ks], phases)]
-                cells = len(CELL_WORKLOADS) * len(CELL_VARIANTS)
-                for ks in order:
-                    rows[(n, ks)].append([x / cells for x in sums[ks]])
+                        phases = time_cell(trace, cfg, variant, marks)
+                        sums = [a + b for a, b in zip(sums, phases)]
+                rows[n].append([x / cells for x in sums])
     finally:
         backend.load_kernel = real
     print(f"\n== grid cell on the kernel, per-cell median over {ROUNDS} "
-          f"interleaved rounds (ms; [q1, q3] for the cell) " + "=" * 4)
-    print("| accesses | state | " + " | ".join(PHASES)
-          + " | cell | [q1, q3] |")
-    print("|---:|---|" + "---:|" * (len(PHASES) + 2))
+          f"rounds (ms; [q1, q3] for the cell) " + "=" * 16)
+    print("| accesses | " + " | ".join(PHASES) + " | cell | [q1, q3] |")
+    print("|---:|" + "---:|" * (len(PHASES) + 2))
     for n in CELL_LENGTHS:
-        for ks in (True, False):
-            per_round = rows[(n, ks)]
-            phases = [statistics.median(r[i] for r in per_round) * 1e3
-                      for i in range(len(PHASES))]
-            cell = [sum(r) * 1e3 for r in per_round]
-            q1, _, q3 = (statistics.quantiles(cell, n=4, method="inclusive")
-                         if len(cell) > 1 else cell * 3)
-            print(f"| {n:,} | {'kept' if ks else 'dropped'} | "
-                  + " | ".join(f"{x:.2f}" for x in phases)
-                  + f" | {statistics.median(cell):.2f} "
-                  f"| [{q1:.2f}, {q3:.2f}] |")
+        per_round = rows[n]
+        phases = [statistics.median(r[i] for r in per_round) * 1e3
+                  for i in range(len(PHASES))]
+        cell = [sum(r) * 1e3 for r in per_round]
+        q1, _, q3 = (statistics.quantiles(cell, n=4, method="inclusive")
+                     if len(cell) > 1 else cell * 3)
+        print(f"| {n:,} | " + " | ".join(f"{x:.2f}" for x in phases)
+              + f" | {statistics.median(cell):.2f} "
+              f"| [{q1:.2f}, {q3:.2f}] |")
 
 
 def main(argv=None) -> int:
