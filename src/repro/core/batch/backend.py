@@ -1,18 +1,23 @@
-"""Batch backend: fresh SoA buffers, kernel dispatch, stats.
+"""Batch backend: support gating, kernel dispatch, stats.
 
 :func:`try_run_batch` is the single entry point behind the dispatch
 seam in ``SingleCoreSystem.run``.  It either simulates the whole trace
 through the compiled structure-of-arrays kernel (``kernel.c``) and
 returns a ``SystemStats`` that is bit-identical to what the reference
 Python loop would have produced, or returns ``None``, in which case the
-caller falls back to the reference path.  The kernel starts from
-buffers sized by each structure's geometry alone (the system must be
-fresh) and its stats are built straight from those buffers; no state
-flows back into the Python objects, so the run leaves the system spent
-(``SingleCoreSystem.spend``): each structure raises on any read.  Every
-refusal is counted per process by its :func:`unsupported_reason` (see
-:func:`fallback_counts`), and a kernel that returns an error raises
-:class:`KernelError` instead of falling back.
+caller falls back to the reference path.  The kernel owns its state: it
+allocates every structure's arrays from the geometry slots of the
+config vector, starting them as a fresh system holds them (the system
+must be fresh), and frees them before it returns.  What crosses the
+seam is the trace's per-access columns, the aux columns and DRRIP's
+leader roles going in, and one counter vector, the two cycle doubles,
+the telemetry rows and the per-access levels coming out; the stats are
+built from those.  No state flows back into the Python objects, so the
+run leaves the system spent (``SingleCoreSystem.spend``): each
+structure raises on any read.  Every refusal is counted per process by
+its :func:`unsupported_reason` (see :func:`fallback_counts`), and a
+kernel that returns an error raises :class:`KernelError` instead of
+falling back.
 
 Refusal rules (any one triggers ``None``):
 
@@ -49,8 +54,15 @@ from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, SHiPPolicy,
 from repro.mem.tlb import TLBStats
 from repro.telemetry.probes import WindowProbe, _Snapshot
 
-NBUF = 91
+NBUF = 15
 ICFG_LEN = 88
+
+#: Slots of the kernel's counter vector (kernel.c ``OUT_*``): the
+#: CacheStats of the L1D, L2C, LLC (the distill cache's own when it is
+#: one) and SDC, then DRAMStats, LPStats, TLBStats, instructions and
+#: telemetry rows.
+_L1, _L2, _LLC, _SDC, _DRAM, _PRED, _TLB = 0, 9, 18, 27, 36, 41, 46
+_INSTRUCTIONS, _TELE_ROWS, N_COUNTERS = 50, 51, 52
 
 _I64 = np.int64
 _U8 = np.uint8
@@ -77,7 +89,7 @@ _RRIP_KINDS = {SRRIPPolicy: LLC_SRRIP, DRRIPPolicy: LLC_DRRIP,
 
 #: Nonzero returns of ``repro_batch_run``.
 KERNEL_ERRORS = {
-    1: "timer buffer allocation failed",
+    1: "state allocation failed",
     2: "telemetry buffer overflow",
     3: "unknown path code",
     4: "unknown LLC kind",
@@ -113,53 +125,12 @@ def _zeros(n, dtype=_I64):
     return np.zeros(max(int(n), 1), dtype=dtype)
 
 
-def _full(n, value, dtype=_I64):
-    return np.full(max(int(n), 1), value, dtype=dtype)
-
-
-class _CacheSoA:
-    """Fresh flat arrays for one set-associative cache (or a dummy)."""
-
-    def __init__(self, cache: SetAssocCache | None):
-        if cache is None:
-            self.sets, self.ways = 1, 1
-            self.latency, self.mask, self.bits = 0, 0, 0
-        else:
-            self.sets, self.ways = cache.num_sets, cache.ways
-            self.latency = cache.latency
-            self.mask, self.bits = cache._set_mask, cache._set_bits
-        n = self.sets * self.ways
-        self.tags = _full(n, -1)
-        self.prio = _zeros(n)
-        self.seq = _zeros(n)
-        self.dirty = _zeros(n, _U8)
-        self.pf = _zeros(n, _U8)
-        self.occ = _zeros(self.sets)
-        self.stats = _zeros(9)
-
-    def geometry(self):
-        return [self.sets, self.ways, self.latency, self.mask, self.bits]
-
-    def buffers(self):
-        return [self.tags, self.prio, self.seq, self.dirty, self.pf,
-                self.occ, self.stats]
-
-    def cache_stats(self) -> CacheStats:
-        return CacheStats(*self.stats.tolist())
-
-
-class _Table:
-    """Flat arrays for one fresh set-associative index table (LP/CLP,
-    SDCDir, a TLB level): a key column (-1 = empty), value columns, a
-    dict-order column, per-set occupancy."""
-
-    def __init__(self, sets: int, ways: int, values: int):
-        n = sets * ways
-        self.sets, self.ways = sets, ways
-        self.keys = _full(n, -1)
-        self.cols = [_zeros(n) for _ in range(values)]
-        self.order = _zeros(n)
-        self.occ = _zeros(sets)
+def _geometry(cache: SetAssocCache | None) -> list[int]:
+    """A cache's five geometry slots; a 1x1 dummy when it is absent."""
+    if cache is None:
+        return [1, 1, 0, 0, 0]
+    return [cache.num_sets, cache.ways, cache.latency, cache._set_mask,
+            cache._set_bits]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +276,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
                   flush_sdc_every=None):
     """Run the trace through the C kernel; None when unsupported.
 
-    The returned ``SystemStats`` is built from the kernel's buffers,
+    The returned ``SystemStats`` is built from the kernel's outputs,
     and nothing is written back: the system is spent afterwards
     (``SingleCoreSystem.spend``), so reading any of its structures or
     running it again raises.  A caller that needs the post-run state
@@ -330,9 +301,9 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     writes = np.ascontiguousarray(acc["write"], dtype=_U8)
     gaps = np.ascontiguousarray(acc["gap"], dtype=_I64)
     deps = np.ascontiguousarray(acc["dep"], dtype=_I64)
-    tlb_on = system.tlb is not None
+    tlb = system.tlb
     pages = np.ascontiguousarray(acc["addr"] >> 12, dtype=_I64) \
-        if tlb_on else _zeros(1)
+        if tlb is not None else _zeros(1)
 
     aux_mode, aux_next, aux_irr, aux_word = _aux_arrays(
         system, trace, blocks)
@@ -347,119 +318,58 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     llc = h.llc
     llc_kind = _llc_kind(llc)
     distill = llc_kind == LLC_DISTILL
+    l3 = llc.loc if distill else llc
     policy = None if distill else llc.policy
-
-    c_l1 = _CacheSoA(h.l1d)
-    c_l2 = _CacheSoA(h.l2c)
-    c_l3 = _CacheSoA(llc.loc if distill else llc)
-    c_sd = _CacheSoA(system.sdc)
-    c_vc = _CacheSoA(system.victim)
-    l3_n = c_l3.sets * c_l3.ways
-
-    # Distill WOC (dummy-sized when the LLC is not a distill cache).
-    woc_cap = llc.woc_capacity if distill else 1
-    woc_slots = woc_cap + 8
-    woc_n = (c_l3.sets if distill else 1) * woc_slots
-    woc_block = _zeros(woc_n)
-    woc_word = _zeros(woc_n)
-    woc_stamp = _zeros(woc_n)
-    woc_len = _zeros(c_l3.sets if distill else 1)
-    dstats = _zeros(9)
-
-    # RRIP-family LLC state: DRRIP's leader role per set, SHiP's SHCT
-    # and per-slot signature/reuse bits (dummies for other kinds).
-    llc_role = _zeros(c_l3.sets if llc_kind == LLC_DRRIP else 1, _U8)
+    llc_role = _zeros(l3.num_sets if llc_kind == LLC_DRRIP else 1, _U8)
     if llc_kind == LLC_DRRIP:
         for role, leaders in ((1, policy._srrip_leaders),
                               (2, policy._brrip_leaders)):
-            llc_role[[s for s in leaders if s < c_l3.sets]] = role
-    ship = llc_kind == LLC_SHIP
-    shct = np.array(policy.shct, dtype=_I64) if ship else _zeros(1)
-    ship_sig = _zeros(l3_n if ship else 1)
-    ship_reused = _zeros(l3_n if ship else 1, _U8)
-
-    dram = h.dram
-    dram_rows = _full(dram._banks, -1)
-    dram_stats = _zeros(5)
-
-    # One predictor table: the LP (addr, s_acc, stamp) or the CLP
-    # (its counter in the s_acc column, addr unused).
-    lp, clp = system.lp, system.clp
-    pt = lp if lp is not None else clp
-    ptab = _Table(pt.num_sets if pt is not None else 1,
-                  pt.ways if pt is not None else 1, 3)
-    pt_max = (lp._s_acc_max if lp is not None
-              else clp._ctr_max if clp is not None else 0)
-    pt_stats = _zeros(5)
-
-    sdcdir = system.sdcdir
-    dir_sets = sdcdir.num_sets if sdcdir is not None else 1
-    dir_ways = sdcdir.ways if sdcdir is not None else 1
-    dtab = _Table(dir_sets, dir_ways, 3)      # sharers, dirty core, stamp
-    dir_stats = _zeros(4)
-
-    tlb = system.tlb
-    t1 = _Table(tlb.l1.num_sets if tlb_on else 1,
-                tlb.l1.ways if tlb_on else 1, 1)
-    t2 = _Table(tlb.l2.num_sets if tlb_on else 1,
-                tlb.l2.ways if tlb_on else 1, 1)
-    tlb_stats = _zeros(4)
-
-    l2_spp = h.l2_prefetcher is not None
-    sp_deltas = _zeros(4096 * 127 if l2_spp else 1, np.int8)
-    sp_counts = _zeros(4096 * 127 if l2_spp else 1, np.int16)
-    sp_len = _zeros(4096 if l2_spp else 1, np.int32)
-    sp_tot = _zeros(4096 if l2_spp else 1, np.int32)
-    tk_page = _full(16384 if l2_spp else 1, -1)
-    tk_off = _zeros(16384 if l2_spp else 1)
-    tk_sig = _zeros(16384 if l2_spp else 1)
+            llc_role[[s for s in leaders if s < l3.num_sets]] = role
 
     tele_every = system._telemetry_every
     tele_capacity = (n // tele_every + 2) if tele_every else 1
+    counters = _zeros(N_COUNTERS)
+    cycles = _zeros(2, np.float64)
     tele = _zeros(tele_capacity * 11)
-    misc = _zeros(32)
-    dmisc = _zeros(4, np.float64)
     levels = _zeros(n if record_levels else 1, _U8)
-    completions = _zeros(n, np.float64)
 
+    # The LP or the CLP: the kernel runs either in one predictor table.
+    lp, clp = system.lp, system.clp
+    pt = lp if lp is not None else clp
+    sdcdir = system.sdcdir
+    dram = h.dram
     core = config.core
     icfg_vals = [0] * ICFG_LEN
     icfg_vals[0:16] = [
         n, _PATHS[system.variant], llc_kind, pred,
         1 if lp is not None and lp.config.tagless else 0,
         min(warmup, n), 1 if warmup else 0, flush_sdc_every or 0,
-        tele_every, 1 if record_levels else 0, 1 if tlb_on else 0,
-        1 if h.l1_prefetcher is not None else 0, 1 if l2_spp else 0,
+        tele_every, 1 if record_levels else 0, 1 if tlb is not None else 0,
+        1 if h.l1_prefetcher is not None else 0,
+        1 if h.l2_prefetcher is not None else 0,
         1 if config.sdc.prefetcher is not None else 0,
         aux_mode, config.sdc_miss_dir_latency,
     ]
-    icfg_vals[16:21] = c_l1.geometry()
-    icfg_vals[21:26] = c_l2.geometry()
-    icfg_vals[26:31] = c_l3.geometry()
-    icfg_vals[31:36] = c_sd.geometry()
-    icfg_vals[36:41] = c_vc.geometry()
-    icfg_vals[41] = woc_cap
-    icfg_vals[42] = woc_slots
-    icfg_vals[43:47] = [
-        dir_sets, dir_ways,
-        sdcdir._set_mask if sdcdir is not None else 0,
-        sdcdir.latency if sdcdir is not None else 0,
-    ]
+    icfg_vals[16:21] = _geometry(h.l1d)
+    icfg_vals[21:26] = _geometry(h.l2c)
+    icfg_vals[26:31] = _geometry(l3)
+    icfg_vals[31:36] = _geometry(system.sdc)
+    icfg_vals[36:41] = _geometry(system.victim)
+    woc_cap = llc.woc_capacity if distill else 1
+    icfg_vals[41:43] = [woc_cap, woc_cap + 8]
+    icfg_vals[43:47] = [sdcdir.num_sets, sdcdir.ways, sdcdir._set_mask,
+                        sdcdir.latency] if sdcdir is not None else [1, 1, 0, 0]
     icfg_vals[47:53] = [
-        ptab.sets, ptab.ways,
-        pt._set_bits if pt is not None else 0,
-        pt._set_mask if pt is not None else 0,
-        pt.tau if pt is not None else 0,
-        pt_max,
-    ]
+        pt.num_sets, pt.ways, pt._set_bits, pt._set_mask, pt.tau,
+        lp._s_acc_max if lp is not None else clp._ctr_max,
+    ] if pt is not None else [1, 1, 0, 0, 0, 0]
     icfg_vals[53:58] = [dram._banks, dram._row_bits, dram._lat_hit,
                         dram._lat_miss, dram._lat_conflict]
-    icfg_vals[58:61] = [t1.sets, t1.ways,
-                        tlb.l1._set_mask if tlb_on else 0]
-    icfg_vals[61:64] = [t2.sets, t2.ways,
-                        tlb.l2._set_mask if tlb_on else 0]
-    icfg_vals[64] = tlb.l2.config.latency if tlb_on else 0
-    icfg_vals[65] = tlb.walk_latency if tlb_on else 0
+    icfg_vals[58:66] = [
+        tlb.l1.num_sets, tlb.l1.ways, tlb.l1._set_mask,
+        tlb.l2.num_sets, tlb.l2.ways, tlb.l2._set_mask,
+        tlb.l2.config.latency, tlb.walk_latency,
+    ] if tlb is not None else [1, 1, 0, 1, 1, 0, 0, 0]
     icfg_vals[66] = core.width
     icfg_vals[67] = max(8, core.rob_entries // 4)
     icfg_vals[68] = config.l1d.mshr_entries
@@ -470,31 +380,13 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     if llc_kind == LLC_DRRIP:
         icfg_vals[73:77] = [policy.psel, policy._psel_max,
                             policy._brrip_tick, policy.BRRIP_EPSILON]
-    if ship:
+    if llc_kind == LLC_SHIP:
         icfg_vals[77:79] = [policy.TABLE_SIZE, policy.COUNTER_MAX]
     icfg_vals[79:84] = LEVEL_WEIGHTS[:5]
 
-    usage = _zeros(l3_n, _U8)
-    buffers = (
-        c_l1.buffers() + c_l2.buffers() + c_l3.buffers()
-        + c_sd.buffers() + c_vc.buffers()
-        + [usage]
-        + [woc_block, woc_word, woc_stamp, woc_len, dstats,
-           dram_rows, dram_stats,
-           ptab.keys, *ptab.cols, ptab.order, ptab.occ, pt_stats,
-           dtab.keys, *dtab.cols, dtab.occ, dir_stats,
-           t1.keys, *t1.cols, t1.order, t1.occ,
-           t2.keys, *t2.cols, t2.order, t2.occ, tlb_stats,
-           sp_deltas, sp_counts, sp_len, sp_tot,
-           tk_page, tk_off, tk_sig,
-           tele, misc, dmisc,
-           blocks, pcs, writes, gaps, deps, pages,
-           aux_next, aux_irr, aux_word, expert_irr,
-           levels, completions,
-           llc_role, shct, ship_sig, ship_reused]
-    )
-    assert len(buffers) == NBUF
-
+    buffers = [blocks, pcs, writes, gaps, deps, pages,
+               aux_next, aux_irr, aux_word, expert_irr, llc_role,
+               counters, cycles, tele, levels]
     icfg_c = (ctypes.c_int64 * ICFG_LEN)(*icfg_vals)
     bufs_c = (ctypes.c_void_p * NBUF)(
         *[b.__array_interface__["data"][0] for b in buffers])
@@ -504,30 +396,29 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
                           f"({KERNEL_ERRORS.get(rc, 'unknown error')}) "
                           f"for variant {system.variant!r}")
 
-    # ---- the result, built once from the kernel's buffers ------------
+    # ---- the result, built once from the kernel's outputs ------------
     from repro.core.system import SystemStats
-    misc_l = misc.tolist()
+    c = counters.tolist()
     timeline = None
     if tele_every:
-        probe = WindowProbe(tele_every, lambda: None)
-        for row in tele[:misc_l[1] * 11].reshape(-1, 11).tolist():
-            snap = _Snapshot(*row)
-            probe._snap_fn = (lambda s=snap: s)
+        rows = tele[:c[_TELE_ROWS] * 11].reshape(-1, 11).tolist()
+        snapshots = (_Snapshot(*row) for row in rows)
+        probe = WindowProbe(tele_every, snapshots.__next__)
+        for _ in rows:
             probe.sample()
         timeline = probe.timeline()
     stats = SystemStats(
         variant=system.variant,
-        instructions=misc_l[0],
-        cycles=max(float(dmisc[0]), float(dmisc[1])),
-        l1d=c_l1.cache_stats(),
-        l2c=c_l2.cache_stats(),
-        llc=(CacheStats(*dstats.tolist()) if distill
-             else c_l3.cache_stats()),
-        sdc=c_sd.cache_stats() if system.sdc is not None else None,
-        dram=DRAMStats(*dram_stats.tolist()),
-        lp=LPStats(*pt_stats.tolist()) if pt is not None else None,
+        instructions=c[_INSTRUCTIONS],
+        cycles=max(cycles.tolist()),
+        l1d=CacheStats(*c[_L1:_L2]),
+        l2c=CacheStats(*c[_L2:_LLC]),
+        llc=CacheStats(*c[_LLC:_SDC]),
+        sdc=CacheStats(*c[_SDC:_DRAM]) if system.sdc is not None else None,
+        dram=DRAMStats(*c[_DRAM:_PRED]),
+        lp=LPStats(*c[_PRED:_TLB]) if pt is not None else None,
         levels=levels if record_levels else None,
-        tlb=TLBStats(*tlb_stats.tolist()) if tlb_on else None,
+        tlb=TLBStats(*c[_TLB:_INSTRUCTIONS]) if tlb is not None else None,
         timeline=timeline)
     system.spend()
     return stats

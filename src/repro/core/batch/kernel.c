@@ -1,9 +1,11 @@
 /* Batched structure-of-arrays simulation kernel.
  *
  * A C transliteration of the single-core reference state machine
- * (repro.core.system / repro.mem.*) operating on flat arrays owned by
- * the Python driver (repro.core.batch.backend).  Bit-identity with the
- * reference is a hard contract: every counter update, recency bump,
+ * (repro.core.system / repro.mem.*).  The kernel owns its state: each
+ * run allocates every structure fresh from the geometry slots of icfg
+ * and frees it before returning, so only icfg and the B_* buffers
+ * cross to repro.core.batch.backend.  Bit-identity with the reference
+ * is a hard contract: every counter an output carries, recency bump,
  * victim pick and float operation mirrors the Python source exactly.
  * Compile with -ffp-contract=off so the interval-timer float math
  * cannot be fused into FMA (CPython never fuses).
@@ -20,15 +22,16 @@
  *   - heapq pop order is determined by the value multiset alone;
  *   - C IEEE-754 doubles replicate CPython float arithmetic.
  *
- * The run refuses, with a nonzero return before touching any buffer,
- * every path, LLC-kind or predictor code it does not implement.
+ * The run refuses, with a nonzero return before it allocates anything,
+ * every path, LLC-kind or predictor code it does not implement, and
+ * returns ERR_ALLOC before touching any buffer if an allocation fails.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI_VERSION 2
+#define ABI_VERSION 3
 
 /* CacheStats slots (field order of repro.mem.cache.CacheStats). */
 enum { ACC = 0, HIT, MISS, PFF, PFH, WB, EV, FILL, INV };
@@ -45,19 +48,31 @@ enum { PRED_NONE = 0, PRED_LP, PRED_EXPERT, PRED_CLP, N_PREDICTORS };
 enum { ERR_ALLOC = 1, ERR_TELEMETRY, ERR_PATH, ERR_LLC_KIND,
        ERR_PREDICTOR };
 
+/* repro_batch_run's buffers, in order: the per-access trace columns,
+ * the aux columns and DRRIP's leader roles it reads, then the outputs
+ * it writes (repro.core.batch.backend builds the same list). */
+enum { B_BLOCKS = 0, B_PCS, B_WRITES, B_GAPS, B_DEPS, B_PAGES,
+       B_AUX_NEXT, B_AUX_IRR, B_AUX_WORD, B_EXPERT_IRR, B_LLC_ROLE,
+       B_COUNTERS, B_CYCLES, B_TELE, B_LEVELS, N_BUFS };
+/* Slots of the B_COUNTERS vector: CacheStats of the L1D, L2C, LLC (the
+ * distill cache's own when it is one) and SDC, DRAMStats, LPStats and
+ * TLBStats, then instructions and telemetry rows. */
+enum { OUT_L1 = 0, OUT_L2 = 9, OUT_LLC = 18, OUT_SDC = 27, OUT_DRAM = 36,
+       OUT_PRED = 41, OUT_TLB = 46, OUT_INSTRUCTIONS = 50, OUT_TELE_ROWS,
+       N_OUT };
+
 static const int64_t NEVER = (int64_t)1 << 62;
 
 typedef struct {
     int64_t sets, ways, latency, mask, bits;
-    int64_t *tags, *prio, *seq, *occ, *stats;
+    int64_t *tags, *prio, *seq, *occ;
     uint8_t *dirty, *pf;
     int64_t clock, seqc;
+    int64_t stats[9];
 } Cache;
 
 /* ---- global kernel state (single-threaded, one run per call) ---- */
 static Cache L1, L2, L3, SD, VC;
-static const int64_t *g_icfg;
-static void **g_bufs;
 
 static int64_t g_path, g_llc_kind, g_pred, g_lp_tagless;
 static int64_t g_l1_next_line, g_l2_spp, g_sdc_pf, g_aux_mode;
@@ -65,42 +80,41 @@ static int64_t g_sdc_miss_dir_lat, g_llc_lat, g_dir_lat;
 
 /* distill */
 static uint8_t *g_usage;
-static int64_t *g_wb, *g_ww, *g_ws, *g_wlen, *g_dstats;
-static int64_t g_woc_cap, g_woc_slots, g_dclock, g_woc_hits;
+static int64_t *g_wb, *g_ww, *g_ws, *g_wlen, g_dstats[9];
+static int64_t g_woc_cap, g_woc_slots, g_dclock;
 static int64_t g_belady_clock;
 
 /* dram */
-static int64_t *g_rows, *g_dram;
+static int64_t *g_rows, g_dram[5];
 static int64_t g_banks, g_row_bits, g_lat_hit, g_lat_miss, g_lat_conf;
 
 /* predictor table: the LP, or the CLP (its counter rides g_lp_sacc) */
-static int64_t *g_lp_tag, *g_lp_addr, *g_lp_sacc, *g_lp_stamp, *g_lp_ord;
-static int64_t *g_lp_occ, *g_lp_stats;
+static int64_t *g_lp_tag, *g_lp_addr, *g_lp_sacc, *g_lp_stamp;
+static int64_t *g_lp_occ, g_lp_stats[5];
 static int64_t g_lp_sets, g_lp_ways, g_lp_set_bits, g_lp_set_mask;
-static int64_t g_lp_tau, g_lp_smax, g_lp_clock, g_lp_ordc;
+static int64_t g_lp_tau, g_lp_smax, g_lp_clock;
 static int64_t g_clp_weight[5], g_clp_slot;
 
 /* RRIP-family LLC (SRRIP/DRRIP/SHiP in repro.mem.replacement) */
 #define MAX_RRPV 3
 static const uint8_t *g_llc_role;   /* DRRIP: 1 SRRIP leader, 2 BRRIP */
 static int64_t g_psel, g_psel_max, g_brrip_tick, g_brrip_eps;
-static int64_t g_drrip_set;
 static int64_t *g_shct, *g_ship_sig;  /* SHiP: SHCT, per-slot signature */
 static uint8_t *g_ship_reused;
 static int64_t g_shct_mask, g_shct_max;
 static const int64_t *g_pcs;
 
 /* sdcdir */
-static int64_t *g_db, *g_dsh, *g_ddc, *g_dst, *g_docc, *g_dirstats;
+static int64_t *g_db, *g_dsh, *g_ddc, *g_dst, *g_docc;
 static int64_t g_dir_sets, g_dir_ways, g_dir_mask, g_dir_clock;
 
 /* tlb */
 typedef struct {
-    int64_t sets, ways, mask, clock, ordc;
-    int64_t *page, *stamp, *ord, *occ;
+    int64_t sets, ways, mask, clock;
+    int64_t *page, *stamp, *occ;
 } TLBLevel;
 static TLBLevel T1, T2;
-static int64_t *g_tlb_stats;
+static int64_t g_tlb_stats[4];
 static int64_t g_tlb_l2_lat, g_tlb_walk_lat;
 
 /* spp */
@@ -110,6 +124,7 @@ static int32_t *g_sp_len, *g_sp_tot;
 static int64_t *g_tk_page, *g_tk_off, *g_tk_sig;
 static int64_t g_tk_count;
 #define TK_CAP 16384
+#define SP_SIGS 4096
 #define SP_SLOTS 127
 
 /* aux / trace columns */
@@ -240,8 +255,6 @@ static int64_t c_access_k(Cache *c, int64_t b, int write, int kind,
     int64_t s = c_set(c, b), t = c_tagof(c, b);
     int64_t i = c_find(c, s, t);
     c->stats[ACC]++;
-    if (kind == LLC_DRRIP)
-        g_drrip_set = s;
     if (i >= 0) {
         c->stats[HIT]++;
         if (c->pf[i]) {
@@ -272,8 +285,6 @@ static int c_fill_k(Cache *c, int64_t b, int dirty, int pf, int kind,
     int64_t s = c_set(c, b), t = c_tagof(c, b);
     int64_t base = s * c->ways;
     int64_t i = c_find(c, s, t), w, slot = -1;
-    if (kind == LLC_DRRIP)
-        g_drrip_set = s;
     if (i >= 0) {
         if (dirty)
             c->dirty[i] = 1;
@@ -494,7 +505,6 @@ static int dist_access(int64_t b, int write, int64_t word) {
             g_dclock++;
             g_ws[base + k] = g_dclock;
             g_dstats[HIT]++;
-            g_woc_hits++;
             return 1;
         }
     }
@@ -778,7 +788,6 @@ static int64_t pt_slot(int64_t pc, int64_t block, int *hit) {
     g_lp_addr[slot] = block;
     g_lp_sacc[slot] = 0;
     g_lp_stamp[slot] = g_lp_clock;
-    g_lp_ord[slot] = ++g_lp_ordc;
     *hit = 0;
     return slot;
 }
@@ -829,6 +838,9 @@ static void clp_update(int level) {
 /* SDC directory (repro.core.sdcdir.SDCDirectory), core id 0 only.   */
 /* ---------------------------------------------------------------- */
 
+/* No output carries SDCDirStats, so the kernel keeps none: the miss
+ * path's touch-free lookup, which only counts, has no counterpart. */
+
 static inline int64_t dir_setof(int64_t b) {
     return g_dir_mask >= 0 ? (b & g_dir_mask) : (b % g_dir_sets);
 }
@@ -839,12 +851,6 @@ static int64_t dir_find(int64_t b) {
         if (g_db[base + w] == b)
             return base + w;
     return -1;
-}
-
-static void dir_lookup_notouch(int64_t b) {
-    g_dirstats[0]++;                                    /* lookups */
-    if (dir_find(b) >= 0)
-        g_dirstats[1]++;                                /* hits */
 }
 
 /* Returns 1 and fills dis* when a victim entry was displaced. */
@@ -860,7 +866,6 @@ static int dir_insert(int64_t b, int dirty, int64_t *disb,
         g_dst[slot] = g_dir_clock;
         return 0;
     }
-    g_dirstats[2]++;                                    /* inserts */
     int displaced = 0;
     if (g_docc[si] >= g_dir_ways) {
         /* dict order == stamp order; victim = min stamp */
@@ -874,7 +879,6 @@ static int dir_insert(int64_t b, int dirty, int64_t *disb,
                 best = j;
             }
         }
-        g_dirstats[3]++;                                /* evictions */
         *disb = g_db[best];
         *dissh = g_dsh[best];
         *disdc = g_ddc[best];
@@ -981,7 +985,6 @@ static void tlb_level_fill(TLBLevel *L, int64_t page) {
     }
     L->page[slot] = page;
     L->stamp[slot] = L->clock;
-    L->ord[slot] = ++L->ordc;
 }
 
 static int64_t tlb_translate(int64_t page) {
@@ -1143,7 +1146,6 @@ static int access_via_sdc(int64_t b, int write, int64_t *lat) {
         return SDC_LV;
     }
     latency += g_sdc_miss_dir_lat;
-    dir_lookup_notouch(b);
     if (write) {
         if (h_extract(b, &plat)) {
             latency += plat;
@@ -1432,20 +1434,20 @@ static double timer_access(int64_t gap, int64_t latency, int has_dep,
 /* Warm-up reset / context-switch flush                              */
 /* ---------------------------------------------------------------- */
 
+/* Zero every counter, at the start of a run and at the warm-up
+ * boundary (SingleCoreSystem._reset_stats, which leaves the distill
+ * LOC's and the victim cache's own counters alone: no output reads
+ * them). */
 static void reset_stats(void) {
-    memset(L1.stats, 0, 9 * sizeof(int64_t));
-    memset(L2.stats, 0, 9 * sizeof(int64_t));
-    if (g_llc_kind == LLC_DISTILL)
-        memset(g_dstats, 0, 9 * sizeof(int64_t));
-    else
-        memset(L3.stats, 0, 9 * sizeof(int64_t));
-    memset(g_dram, 0, 5 * sizeof(int64_t));
-    if (g_path == PATH_SDC)
-        memset(SD.stats, 0, 9 * sizeof(int64_t));
-    if (g_pred == PRED_LP || g_pred == PRED_CLP)
-        memset(g_lp_stats, 0, 5 * sizeof(int64_t));
-    if (g_icfg[10])
-        memset(g_tlb_stats, 0, 4 * sizeof(int64_t));
+    memset(L1.stats, 0, sizeof L1.stats);
+    memset(L2.stats, 0, sizeof L2.stats);
+    memset(L3.stats, 0, sizeof L3.stats);
+    memset(SD.stats, 0, sizeof SD.stats);
+    memset(VC.stats, 0, sizeof VC.stats);
+    memset(g_dstats, 0, sizeof g_dstats);
+    memset(g_dram, 0, sizeof g_dram);
+    memset(g_lp_stats, 0, sizeof g_lp_stats);
+    memset(g_tlb_stats, 0, sizeof g_tlb_stats);
 }
 
 static void flush_sdc_state(void) {
@@ -1476,22 +1478,136 @@ int64_t repro_batch_abi(void) {
     return ABI_VERSION;
 }
 
-static void bind_cache(Cache *c, const int64_t *g, void **bufs,
-                       int64_t at) {
+/* ---- state arrays: allocated per run, released on every return ---- */
+
+#define MAX_OWNED 80
+
+typedef struct {
+    void *p;
+    size_t bytes;
+    int neg1;           /* starts at -1 (every byte 0xff), else at 0 */
+} Owned;
+
+static Owned g_owned[MAX_OWNED];
+static int g_nowned, g_alloc_failed;
+
+/* count elements (at least one) of size bytes; NULL, which fails the
+ * run, when count * size overflows, the table is full or malloc
+ * fails. */
+static void *own(int64_t count, size_t size, int neg1) {
+    void *p = NULL;
+    size_t bytes = 0;
+    if (count < 1)
+        count = 1;
+    if (g_nowned < MAX_OWNED && (uint64_t)count <= SIZE_MAX / size) {
+        bytes = (size_t)count * size;
+        p = neg1 ? malloc(bytes) : calloc((size_t)count, size);
+    }
+    if (!p) {
+        g_alloc_failed = 1;
+        return NULL;
+    }
+    g_owned[g_nowned++] = (Owned){ p, bytes, neg1 };
+    return p;
+}
+
+static void release_state(void) {
+    while (g_nowned > 0)
+        free(g_owned[--g_nowned].p);
+    g_alloc_failed = 0;
+}
+
+/* A cache from its five geometry slots g. */
+static void own_cache(Cache *c, const int64_t *g) {
+    const int64_t slots = g[0] * g[1];
     c->sets = g[0];
     c->ways = g[1];
     c->latency = g[2];
     c->mask = g[3];
     c->bits = g[4];
-    c->tags = (int64_t *)bufs[at];
-    c->prio = (int64_t *)bufs[at + 1];
-    c->seq = (int64_t *)bufs[at + 2];
-    c->dirty = (uint8_t *)bufs[at + 3];
-    c->pf = (uint8_t *)bufs[at + 4];
-    c->occ = (int64_t *)bufs[at + 5];
-    c->stats = (int64_t *)bufs[at + 6];
     c->clock = 0;
     c->seqc = 0;
+    c->tags = own(slots, sizeof(int64_t), 1);
+    c->prio = own(slots, sizeof(int64_t), 0);
+    c->seq = own(slots, sizeof(int64_t), 0);
+    c->dirty = own(slots, sizeof(uint8_t), 0);
+    c->pf = own(slots, sizeof(uint8_t), 0);
+    c->occ = own(c->sets, sizeof(int64_t), 0);
+}
+
+/* A TLB level from its three geometry slots g. */
+static void own_tlb(TLBLevel *L, const int64_t *g) {
+    L->sets = g[0];
+    L->ways = g[1];
+    L->mask = g[2];
+    L->clock = 0;
+    L->page = own(L->sets * L->ways, sizeof(int64_t), 1);
+    L->stamp = own(L->sets * L->ways, sizeof(int64_t), 0);
+    L->occ = own(L->sets, sizeof(int64_t), 0);
+}
+
+/* Allocate every state array of a run, sized from icfg's geometry
+ * slots, and start it as a fresh Python system holds it: tags, keys
+ * and tracker pages at -1, the SHCT at its initial counter, the rest
+ * at 0; an absent structure is a 1x1 dummy.  On failure every array
+ * is released, none touched, and ERR_ALLOC returned. */
+static int64_t alloc_state(const int64_t *icfg, double **completions) {
+    own_cache(&L1, icfg + 16);
+    own_cache(&L2, icfg + 21);
+    own_cache(&L3, icfg + 26);
+    own_cache(&SD, icfg + 31);
+    own_cache(&VC, icfg + 36);
+    own_tlb(&T1, icfg + 58);
+    own_tlb(&T2, icfg + 61);
+    const int64_t l3_slots = L3.sets * L3.ways;
+    const int64_t woc_sets = g_llc_kind == LLC_DISTILL ? L3.sets : 1;
+    const int ship = g_llc_kind == LLC_SHIP;
+    const int64_t dir_slots = g_dir_sets * g_dir_ways;
+    const int64_t lp_slots = g_lp_sets * g_lp_ways;
+    const int64_t sigs = g_l2_spp ? SP_SIGS : 1;
+    const int64_t trackers = g_l2_spp ? TK_CAP : 1;
+    int k;
+    g_usage = own(l3_slots, sizeof(uint8_t), 0);
+    g_wb = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
+    g_ww = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
+    g_ws = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
+    g_wlen = own(woc_sets, sizeof(int64_t), 0);
+    g_shct = own(ship ? g_shct_mask + 1 : 1, sizeof(int64_t), 0);
+    g_ship_sig = own(ship ? l3_slots : 1, sizeof(int64_t), 0);
+    g_ship_reused = own(ship ? l3_slots : 1, sizeof(uint8_t), 0);
+    g_rows = own(g_banks, sizeof(int64_t), 1);
+    g_lp_tag = own(lp_slots, sizeof(int64_t), 1);
+    g_lp_addr = own(lp_slots, sizeof(int64_t), 0);
+    g_lp_sacc = own(lp_slots, sizeof(int64_t), 0);
+    g_lp_stamp = own(lp_slots, sizeof(int64_t), 0);
+    g_lp_occ = own(g_lp_sets, sizeof(int64_t), 0);
+    g_db = own(dir_slots, sizeof(int64_t), 1);
+    g_dsh = own(dir_slots, sizeof(int64_t), 0);
+    g_ddc = own(dir_slots, sizeof(int64_t), 0);
+    g_dst = own(dir_slots, sizeof(int64_t), 0);
+    g_docc = own(g_dir_sets, sizeof(int64_t), 0);
+    g_sp_d = own(sigs * SP_SLOTS, sizeof(int8_t), 0);
+    g_sp_c = own(sigs * SP_SLOTS, sizeof(int16_t), 0);
+    g_sp_len = own(sigs, sizeof(int32_t), 0);
+    g_sp_tot = own(sigs, sizeof(int32_t), 0);
+    g_tk_page = own(trackers, sizeof(int64_t), 1);
+    g_tk_off = own(trackers, sizeof(int64_t), 0);
+    g_tk_sig = own(trackers, sizeof(int64_t), 0);
+    g_timer.out[0].a = own(g_timer.limits[0] + 1, sizeof(double), 0);
+    g_timer.out[1].a = own(g_timer.limits[1] + 1, sizeof(double), 0);
+    g_timer.rob = own(g_timer.rob_window, sizeof(double), 0);
+    *completions = own(icfg[0], sizeof(double), 0);
+    if (g_alloc_failed) {
+        release_state();
+        return ERR_ALLOC;
+    }
+    for (k = 0; k < g_nowned; k++)
+        if (g_owned[k].neg1)
+            memset(g_owned[k].p, 0xff, g_owned[k].bytes);
+    if (ship)
+        for (k = 0; k <= g_shct_mask; k++)
+            g_shct[k] = g_shct_max / 2;     /* SHiPPolicy: COUNTER_MAX // 2 */
+    return 0;
 }
 
 static int64_t pymod(int64_t x, int64_t m) {
@@ -1518,8 +1634,6 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     if (bad)
         return bad;
     int64_t i;
-    g_icfg = icfg;
-    g_bufs = bufs;
 
     const int64_t n = icfg[0];
     g_path = icfg[1];
@@ -1538,11 +1652,6 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_aux_mode = icfg[14];
     g_sdc_miss_dir_lat = icfg[15];
 
-    bind_cache(&L1, icfg + 16, bufs, 0);
-    bind_cache(&L2, icfg + 21, bufs, 7);
-    bind_cache(&L3, icfg + 26, bufs, 14);
-    bind_cache(&SD, icfg + 31, bufs, 21);
-    bind_cache(&VC, icfg + 36, bufs, 28);
     g_woc_cap = icfg[41];
     g_woc_slots = icfg[42];
     g_dir_sets = icfg[43];
@@ -1560,14 +1669,13 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_lat_hit = icfg[55];
     g_lat_miss = icfg[56];
     g_lat_conf = icfg[57];
-    T1.sets = icfg[58];
-    T1.ways = icfg[59];
-    T1.mask = icfg[60];
-    T2.sets = icfg[61];
-    T2.ways = icfg[62];
-    T2.mask = icfg[63];
     g_tlb_l2_lat = icfg[64];
     g_tlb_walk_lat = icfg[65];
+    g_timer.width = icfg[66];
+    g_timer.rob_window = icfg[67];
+    g_timer.limits[0] = icfg[68];
+    g_timer.limits[1] = icfg[69];
+    g_timer.hit_latency = icfg[70];
     const int64_t tele_capacity = icfg[71];
     g_llc_lat = icfg[72];
     g_psel = icfg[73];
@@ -1579,95 +1687,31 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     for (i = 0; i < 5; i++)
         g_clp_weight[i] = icfg[79 + i];
 
-    g_usage = (uint8_t *)bufs[35];
-    g_wb = (int64_t *)bufs[36];
-    g_ww = (int64_t *)bufs[37];
-    g_ws = (int64_t *)bufs[38];
-    g_wlen = (int64_t *)bufs[39];
-    g_dstats = (int64_t *)bufs[40];
-    g_rows = (int64_t *)bufs[41];
-    g_dram = (int64_t *)bufs[42];
-    g_lp_tag = (int64_t *)bufs[43];
-    g_lp_addr = (int64_t *)bufs[44];
-    g_lp_sacc = (int64_t *)bufs[45];
-    g_lp_stamp = (int64_t *)bufs[46];
-    g_lp_ord = (int64_t *)bufs[47];
-    g_lp_occ = (int64_t *)bufs[48];
-    g_lp_stats = (int64_t *)bufs[49];
-    g_db = (int64_t *)bufs[50];
-    g_dsh = (int64_t *)bufs[51];
-    g_ddc = (int64_t *)bufs[52];
-    g_dst = (int64_t *)bufs[53];
-    g_docc = (int64_t *)bufs[54];
-    g_dirstats = (int64_t *)bufs[55];
-    T1.page = (int64_t *)bufs[56];
-    T1.stamp = (int64_t *)bufs[57];
-    T1.ord = (int64_t *)bufs[58];
-    T1.occ = (int64_t *)bufs[59];
-    T2.page = (int64_t *)bufs[60];
-    T2.stamp = (int64_t *)bufs[61];
-    T2.ord = (int64_t *)bufs[62];
-    T2.occ = (int64_t *)bufs[63];
-    g_tlb_stats = (int64_t *)bufs[64];
-    g_sp_d = (int8_t *)bufs[65];
-    g_sp_c = (int16_t *)bufs[66];
-    g_sp_len = (int32_t *)bufs[67];
-    g_sp_tot = (int32_t *)bufs[68];
-    g_tk_page = (int64_t *)bufs[69];
-    g_tk_off = (int64_t *)bufs[70];
-    g_tk_sig = (int64_t *)bufs[71];
-    int64_t *tele = (int64_t *)bufs[72];
-    int64_t *misc = (int64_t *)bufs[73];
-    double *dmisc = (double *)bufs[74];
-    const int64_t *blocks = (const int64_t *)bufs[75];
-    const int64_t *pcs = (const int64_t *)bufs[76];
-    const uint8_t *writes = (const uint8_t *)bufs[77];
-    const int64_t *gaps = (const int64_t *)bufs[78];
-    const int64_t *deps = (const int64_t *)bufs[79];
-    const int64_t *pages = (const int64_t *)bufs[80];
-    g_aux_next = (const int64_t *)bufs[81];
-    g_aux_irr = (const uint8_t *)bufs[82];
-    g_aux_word = (const int64_t *)bufs[83];
-    g_expert_irr = (const uint8_t *)bufs[84];
-    uint8_t *levels = (uint8_t *)bufs[85];
-    double *completions = (double *)bufs[86];
-    g_llc_role = (const uint8_t *)bufs[87];
-    g_shct = (int64_t *)bufs[88];
-    g_ship_sig = (int64_t *)bufs[89];
-    g_ship_reused = (uint8_t *)bufs[90];
+    double *completions;
+    if (alloc_state(icfg, &completions))
+        return ERR_ALLOC;
+
+    const int64_t *blocks = bufs[B_BLOCKS];
+    const int64_t *pcs = bufs[B_PCS];
+    const uint8_t *writes = bufs[B_WRITES];
+    const int64_t *gaps = bufs[B_GAPS];
+    const int64_t *deps = bufs[B_DEPS];
+    const int64_t *pages = bufs[B_PAGES];
+    g_aux_next = bufs[B_AUX_NEXT];
+    g_aux_irr = bufs[B_AUX_IRR];
+    g_aux_word = bufs[B_AUX_WORD];
+    g_expert_irr = bufs[B_EXPERT_IRR];
+    g_llc_role = bufs[B_LLC_ROLE];
+    int64_t *tele = bufs[B_TELE];
+    uint8_t *levels = bufs[B_LEVELS];
     g_pcs = pcs;
 
     g_belady_clock = 0;
     g_dclock = 0;
-    g_woc_hits = 0;
     g_lp_clock = 0;
-    g_lp_ordc = 0;
     g_dir_clock = 0;
-    T1.clock = 0;
-    T1.ordc = 0;
-    T2.clock = 0;
-    T2.ordc = 0;
     g_tk_count = 0;
-    g_drrip_set = 0;
-
-    /* timer */
-    g_timer.width = icfg[66];
-    g_timer.rob_window = icfg[67];
-    g_timer.limits[0] = icfg[68];
-    g_timer.limits[1] = icfg[69];
-    g_timer.hit_latency = icfg[70];
-    g_timer.out[0].a = (double *)malloc(
-        (size_t)(g_timer.limits[0] + 1) * sizeof(double));
-    g_timer.out[1].a = (double *)malloc(
-        (size_t)(g_timer.limits[1] + 1) * sizeof(double));
-    g_timer.rob = (double *)malloc(
-        (size_t)g_timer.rob_window * sizeof(double));
-    if (!g_timer.out[0].a || !g_timer.out[1].a || !g_timer.rob) {
-        free(g_timer.out[0].a);
-        free(g_timer.out[1].a);
-        free(g_timer.rob);
-        return ERR_ALLOC;
-    }
+    reset_stats();
     timer_reset();
 
     int64_t tele_rows = 0;
@@ -1742,36 +1786,21 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
         }
     }
 
-    misc[0] = g_timer.instructions;
-    misc[1] = tele_rows;
-    misc[2] = err;
-    misc[3] = L1.clock;
-    misc[4] = L2.clock;
-    misc[5] = L3.clock;
-    misc[6] = g_belady_clock;
-    misc[7] = g_dclock;
-    misc[8] = SD.clock;
-    misc[9] = VC.clock;
-    misc[10] = g_lp_clock;
-    misc[11] = g_lp_ordc;
-    misc[12] = g_dir_clock;
-    misc[13] = T1.clock;
-    misc[14] = T2.clock;
-    misc[15] = g_woc_hits;
-    misc[16] = g_tk_count;
-    misc[17] = L1.seqc;
-    misc[18] = L2.seqc;
-    misc[19] = L3.seqc;
-    misc[20] = SD.seqc;
-    misc[21] = VC.seqc;
-    misc[22] = g_psel;
-    misc[23] = g_brrip_tick;
-    misc[24] = g_drrip_set;
-    dmisc[0] = g_timer.issue_time;
-    dmisc[1] = g_timer.finish_time;
+    int64_t *out = bufs[B_COUNTERS];
+    double *cycles = bufs[B_CYCLES];
+    memcpy(out + OUT_L1, L1.stats, sizeof L1.stats);
+    memcpy(out + OUT_L2, L2.stats, sizeof L2.stats);
+    memcpy(out + OUT_LLC, g_llc_kind == LLC_DISTILL ? g_dstats : L3.stats,
+           sizeof g_dstats);
+    memcpy(out + OUT_SDC, SD.stats, sizeof SD.stats);
+    memcpy(out + OUT_DRAM, g_dram, sizeof g_dram);
+    memcpy(out + OUT_PRED, g_lp_stats, sizeof g_lp_stats);
+    memcpy(out + OUT_TLB, g_tlb_stats, sizeof g_tlb_stats);
+    out[OUT_INSTRUCTIONS] = g_timer.instructions;
+    out[OUT_TELE_ROWS] = tele_rows;
+    cycles[0] = g_timer.issue_time;
+    cycles[1] = g_timer.finish_time;
 
-    free(g_timer.out[0].a);
-    free(g_timer.out[1].a);
-    free(g_timer.rob);
+    release_state();
     return err;
 }

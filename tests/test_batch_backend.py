@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.experiments import results_cache as rc
 from repro.experiments.parallel import (Job, RunPolicy, _engine_fields,
                                         _job_spec, run_grid)
 from repro.experiments.runner import default_config
+from repro.experiments.workloads import workload_trace
 from repro.telemetry import events as tele_events
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
@@ -368,6 +370,18 @@ class TestKernelErrors:
         assert load_kernel().repro_batch_run(icfg, bufs) == 5
 
     @needs_kernel
+    @pytest.mark.parametrize("ways", [1 << 20, 1 << 22])
+    def test_unallocatable_state_returns_error(self, ways):
+        # Valid codes and an L1 of 2^40 sets: its tags need 2^63 bytes
+        # at 2^20 ways and more than a size_t can count at 2^22.  Null
+        # buffers: the kernel fails the run before touching any.
+        icfg = (ctypes.c_int64 * backend.ICFG_LEN)()
+        icfg[16], icfg[17] = 1 << 40, ways
+        bufs = (ctypes.c_void_p * backend.NBUF)()
+        assert load_kernel().repro_batch_run(icfg, bufs) == 1
+        assert backend.KERNEL_ERRORS[1] == "state allocation failed"
+
+    @needs_kernel
     def test_unknown_path_raises_not_falls_back(self, trace, cfg,
                                                 monkeypatch):
         monkeypatch.setitem(backend._PATHS, "baseline", 9)
@@ -396,6 +410,34 @@ class TestKernelErrors:
         reason = unsupported_reason(system, trace)
         assert reason is not None
         assert "not implemented" in reason or reason == "kernel unavailable"
+
+
+class TestKernelState:
+    """kernel.c allocates each run's state itself and frees all of it."""
+
+    @needs_kernel
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_repeated_cells_do_not_grow_the_process(self):
+        # The default config's L2 runs SPP, so an sdc_lp cell holds
+        # about 2 MB of state: 300 cells that kept theirs would grow
+        # the process by about 600 MB.
+        cfg = default_config()
+        trace = workload_trace("pr.kron", tier="tiny", length=2000)
+        page = os.sysconf("SC_PAGE_SIZE")
+
+        def process_bytes():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[0]) * page
+
+        def cells(count):
+            for _ in range(count):
+                SingleCoreSystem(cfg, "sdc_lp").run(trace, backend="batch")
+
+        cells(10)
+        before = process_bytes()
+        cells(300)
+        assert process_bytes() - before < 64 << 20
 
 
 class TestFallbackCounts:
