@@ -25,10 +25,9 @@ Refusal rules (any one triggers ``None``):
 * invariant checking is armed (``check_every != 0`` — the per-access
   hooks need the Python loop);
 * a structure uses a policy/prefetcher outside the supported set
-  (inlined LRU everywhere but the LLC, which may also run T-OPT Belady,
+  (LRU everywhere but the LLC, which may also run T-OPT Belady,
   distill LOC+WOC, SRRIP, DRRIP or SHiP; next-line and SPP
-  prefetchers) — notably the generic-LRU differential twin
-  (``_lru is None``) falls back, keeping that twin meaningful;
+  prefetchers);
 * the system is not fresh (non-empty caches or non-zero counters):
   the kernel starts all stamp clocks from zero.
 """
@@ -49,8 +48,8 @@ from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMStats
 from repro.mem.prefetch import NextLinePrefetcher, SPPPrefetcher
-from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, SHiPPolicy,
-                                   SRRIPPolicy)
+from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, LRUPolicy,
+                                   SHiPPolicy, SRRIPPolicy)
 from repro.mem.tlb import TLBStats
 from repro.telemetry.probes import WindowProbe, _Snapshot
 
@@ -125,12 +124,19 @@ def _zeros(n, dtype=_I64):
     return np.zeros(max(int(n), 1), dtype=dtype)
 
 
+def _set_mask(num_sets: int) -> int:
+    """The kernel's set mask for a set count: ``num_sets - 1`` when it is
+    a power of two (shift/mask indexing), else -1 (div/mod)."""
+    return num_sets - 1 if num_sets & (num_sets - 1) == 0 else -1
+
+
 def _geometry(cache: SetAssocCache | None) -> list[int]:
     """A cache's five geometry slots; a 1x1 dummy when it is absent."""
     if cache is None:
         return [1, 1, 0, 0, 0]
-    return [cache.num_sets, cache.ways, cache.latency, cache._set_mask,
-            cache._set_bits]
+    mask = _set_mask(cache.num_sets)
+    return [cache.num_sets, cache.ways, cache.latency, mask,
+            mask.bit_length() if mask > 0 else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +150,16 @@ def _cache_fresh(cache: SetAssocCache) -> bool:
 
 
 def _plain_lru_ok(cache: SetAssocCache) -> bool:
-    return (cache._lru is not None and cache._policy_bind is None
-            and cache._policy_miss is None)
+    return type(cache.policy) is LRUPolicy
 
 
 def _llc_kind(llc) -> int | None:
     """The kernel's code for an LLC, None when it has no model of it."""
     if isinstance(llc, DistillCache):
         return LLC_DISTILL
-    if llc._lru is not None:
-        return LLC_LRU
     pol = llc.policy
+    if type(pol) is LRUPolicy:
+        return LLC_LRU
     if type(pol) is BeladyOPT:
         return LLC_BELADY if pol.irregular_only else None
     return _RRIP_KINDS.get(type(pol))
@@ -180,7 +185,7 @@ def unsupported_reason(system, trace) -> str | None:
 
     for name, cache in (("l1d", h.l1d), ("l2c", h.l2c)):
         if not _plain_lru_ok(cache):
-            return f"{name} policy not inlined LRU"
+            return f"{name} policy not LRU"
         if not _cache_fresh(cache):
             return f"{name} not fresh"
 
@@ -188,7 +193,7 @@ def unsupported_reason(system, trace) -> str | None:
     kind = _llc_kind(llc)
     if kind == LLC_DISTILL:
         if not _plain_lru_ok(llc.loc):
-            return "distill LOC policy not inlined LRU"
+            return "distill LOC policy not LRU"
         if not _cache_fresh(llc.loc):
             return "distill LOC not fresh"
         if (llc._clock or llc.woc_hits or llc.usage
@@ -202,7 +207,7 @@ def unsupported_reason(system, trace) -> str | None:
     for name, extra in (("sdc", system.sdc), ("victim", system.victim)):
         if extra is not None:
             if not _plain_lru_ok(extra):
-                return f"{name} policy not inlined LRU"
+                return f"{name} policy not LRU"
             if not _cache_fresh(extra):
                 return f"{name} not fresh"
 
@@ -357,8 +362,9 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     icfg_vals[36:41] = _geometry(system.victim)
     woc_cap = llc.woc_capacity if distill else 1
     icfg_vals[41:43] = [woc_cap, woc_cap + 8]
-    icfg_vals[43:47] = [sdcdir.num_sets, sdcdir.ways, sdcdir._set_mask,
-                        sdcdir.latency] if sdcdir is not None else [1, 1, 0, 0]
+    icfg_vals[43:47] = [sdcdir.num_sets, sdcdir.ways,
+                        _set_mask(sdcdir.num_sets), sdcdir.latency] \
+        if sdcdir is not None else [1, 1, 0, 0]
     icfg_vals[47:53] = [
         pt.num_sets, pt.ways, pt._set_bits, pt._set_mask, pt.tau,
         lp._s_acc_max if lp is not None else clp._ctr_max,
@@ -366,8 +372,8 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     icfg_vals[53:58] = [dram._banks, dram._row_bits, dram._lat_hit,
                         dram._lat_miss, dram._lat_conflict]
     icfg_vals[58:66] = [
-        tlb.l1.num_sets, tlb.l1.ways, tlb.l1._set_mask,
-        tlb.l2.num_sets, tlb.l2.ways, tlb.l2._set_mask,
+        tlb.l1.num_sets, tlb.l1.ways, _set_mask(tlb.l1.num_sets),
+        tlb.l2.num_sets, tlb.l2.ways, _set_mask(tlb.l2.num_sets),
         tlb.l2.config.latency, tlb.walk_latency,
     ] if tlb is not None else [1, 1, 0, 1, 1, 0, 0, 0]
     icfg_vals[66] = core.width

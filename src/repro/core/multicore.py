@@ -29,9 +29,8 @@ from repro.core.batch import record_fallback, resolve_backend
 from repro.core.clp import CacheLevelPredictor
 from repro.core.lp import LargePredictor
 from repro.core.sdcdir import SDCDirectory
-from repro.core.system import (SDC_VARIANTS, SystemStats, VARIANTS,
-                               irregular_access_mask, next_use_indices,
-                               variant_config)
+from repro.core.system import (SDC_VARIANTS, VARIANTS, SingleCoreSystem,
+                               SystemStats, variant_config)
 from repro.mem.cache import SetAssocCache
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMModel
@@ -185,17 +184,16 @@ class MultiCoreSystem:
             self.dram.write(evicted[0])
 
     # -- per-core access paths -------------------------------------------------
-    def _access_hierarchy(self, core: int, block: int, write: bool, aux
-                          ) -> tuple[int, int]:
+    def _access_hierarchy(self, core: int, block: int, write: bool, aux,
+                          pc: int) -> tuple[int, int]:
         h = self.cores[core]
         latency = h.l1d.latency
         l1_hit = h.l1d.access(block, write)
-        if h.l1_prefetcher is not None:
-            for pf in h.l1_prefetcher.on_access(block, l1_hit):
-                if (not h.l1d.contains(pf) and not self._in_sdc(pf)
-                        and not self._remote_dirty(pf, core)):
-                    h._fill_l1(pf, prefetch=True)
-                    self._dir_entry(pf)[0] |= 1 << core
+        for pf in h.l1_prefetches(block, l1_hit, pc):
+            if (not h.l1d.contains(pf) and not self._in_sdc(pf)
+                    and not self._remote_dirty(pf, core)):
+                h._fill_l1(pf, prefetch=True)
+                self._dir_entry(pf)[0] |= 1 << core
         if l1_hit:
             if write:
                 entry = self._dir_entry(block)
@@ -481,20 +479,13 @@ class MultiCoreSystem:
             blocks = (acc["addr"] >> BLOCK_BITS).astype(np.int64)
             if offset_address_spaces:
                 blocks = blocks + c * (CORE_ADDR_STRIDE >> BLOCK_BITS)
-            aux = None
-            if self.variant == "topt":
-                nxt = next_use_indices(blocks)
-                irr = irregular_access_mask(trace)
-                aux = list(zip(nxt.tolist(), irr.tolist()))
-            elif self.variant == "distill":
-                aux = ((acc["addr"] >> 3) & 7).astype(np.int64).tolist()
+            # The aux feeds and expert flags are the single-core loop's:
+            # next-use indices do not move under the per-core offset.
             expert_irr = None
             if self.variant == "expert":
-                space = trace.address_space
-                rids = space.classify_addresses(acc["addr"].astype(np.int64))
-                regions = (self.expert_regions[c]
-                           if self.expert_regions else set())
-                expert_irr = np.isin(rids, list(regions)).tolist()
+                expert_irr = SingleCoreSystem._expert_block_classifier(
+                    trace, self.expert_regions[c]
+                    if self.expert_regions else set())
             streams.append({
                 "pcs": acc["pc"].astype(np.int64).tolist(),
                 "blocks": blocks.tolist(),
@@ -502,7 +493,8 @@ class MultiCoreSystem:
                 "writes": acc["write"].tolist(),
                 "gaps": acc["gap"].tolist(),
                 "deps": acc["dep"].tolist(),
-                "aux": aux,
+                "aux": SingleCoreSystem._precompute_aux(
+                    trace, self.variant, self.config),
                 "expert_irr": expert_irr,
                 "n": len(acc),
             })
@@ -554,13 +546,13 @@ class MultiCoreSystem:
                     level, latency = self._access_via_sdc(core, block, write)
                     pool = 1
                 else:
-                    level, latency = self._access_hierarchy(core, block,
-                                                            write, aux)
+                    level, latency = self._access_hierarchy(
+                        core, block, write, aux, s["pcs"][i])
                 if clp is not None:
                     clp.update(s["pcs"][i], level)
             else:
-                level, latency = self._access_hierarchy(core, block, write,
-                                                        aux)
+                level, latency = self._access_hierarchy(
+                    core, block, write, aux, s["pcs"][i])
             latency += self.tlbs[core].translate_page(s["pages"][i])
             dep = s["deps"][i]
             dep_c = completions[core][dep] if dep >= 0 and not wrapped[core] \

@@ -38,19 +38,11 @@ class SDCDirectory:
         # dirty_core is -1 when clean, else the owning core id.
         self.sets: list[dict[int, list[int]]] = [dict()
                                                  for _ in range(self.num_sets)]
-        # Power-of-two set counts (the common case) index with a mask;
-        # sentinel -1 selects the mod fallback.
-        if self.num_sets & (self.num_sets - 1) == 0:
-            self._set_mask = self.num_sets - 1
-        else:
-            self._set_mask = -1
         self._clock = 0
         self.stats = SDCDirStats()
 
     def _lines(self, block: int) -> dict[int, list[int]]:
-        mask = self._set_mask
-        return self.sets[block & mask if mask >= 0
-                         else block % self.num_sets]
+        return self.sets[block % self.num_sets]
 
     def lookup(self, block: int, touch: bool = True) -> list[int] | None:
         """Probe without allocation; returns the entry or None.

@@ -51,7 +51,7 @@ from repro.mem.hierarchy import (DRAM, L1D, L2C, LLC, SDC_LEVEL,
                                  MemoryHierarchy)
 from repro.mem.replacement import BeladyOPT
 from repro.mem.timing import CoreTimer
-from repro.mem.tlb import TLBHierarchy, TLBStats
+from repro.mem.tlb import PAGE_BITS, TLBHierarchy, TLBStats
 from repro.telemetry import telemetry_interval
 from repro.telemetry.probes import (Timeline, WindowProbe,
                                     single_core_snapshot)
@@ -382,17 +382,8 @@ class SingleCoreSystem:
         sdc = self.sdc
         if self.config.sdc.prefetcher is None:
             return
-        # Inlined residency probes (SDC, then L1D/L2C/LLC) using each
-        # cache's precomputed shift/mask split — this guard runs on
-        # every SDC demand access, the install below only on the miss.
-        h = self.hierarchy
-        for cache in (sdc, h.l1d, h.l2c, h.llc):
-            m = cache._set_mask
-            if m >= 0:
-                if (block >> cache._set_bits) in cache.sets[block & m]:
-                    return
-            elif cache.contains(block):
-                return
+        if sdc.contains(block) or self.hierarchy.contains(block):
+            return
         displaced = self.sdcdir.insert(block, 0, False)
         if displaced is not None:
             was, was_dirty = sdc.invalidate(displaced[0])
@@ -464,25 +455,17 @@ class SingleCoreSystem:
         serve_latency = None
         was_dirty = False
         for cache in (h.l1d, h.l2c, h.llc):
-            # Inlined contains + clear_dirty (one split, one dict get).
-            m = cache._set_mask
-            if m >= 0:
-                line = cache.sets[block & m].get(block >> cache._set_bits)
-            else:
-                line = cache.sets[block % cache.num_sets].get(
-                    block // cache.num_sets)
-            if line is not None:
+            if cache.contains(block):
                 if serve_latency is None:
                     serve_latency = cache.latency
-                if line[1]:
-                    line[1] = 0
+                if cache.clear_dirty(block):
                     was_dirty = True
         if was_dirty:
             h.dram.write(block)
         return serve_latency
 
     def _access_regular_with_sdc(self, block: int, write: bool, aux,
-                                 pc: int = 0) -> tuple[int, int]:
+                                 pc: int) -> tuple[int, int]:
         """Regular path when an SDC exists: the SDCDir is probed in
         parallel with the L2C on an L1D miss; an SDC-resident block is
         transferred back into the L1D."""
@@ -491,38 +474,15 @@ class SingleCoreSystem:
         sdc = self.sdc
         latency = l1d.latency
         l1_hit = l1d.access(block, write)
-        if h._l1_next_line:
-            # Inlined l1d/sdc residency probes for the next-line
-            # candidate (runs on every access on this path).
-            pf = block + 1
-            m = l1d._set_mask
-            resident = ((pf >> l1d._set_bits) in l1d.sets[pf & m]
-                        if m >= 0 else l1d.contains(pf))
-            if not resident:
-                m = sdc._set_mask
-                resident = ((pf >> sdc._set_bits) in sdc.sets[pf & m]
-                            if m >= 0 else sdc.contains(pf))
-            if not resident:
+        for pf in h.l1_prefetches(block, l1_hit, pc):
+            if not l1d.contains(pf) and not sdc.contains(pf):
                 h._fill_l1(pf, prefetch=True)
-        elif h.l1_prefetcher is not None:
-            candidates = (h._l1_pf_pc(pc, block, l1_hit)
-                          if h._l1_pf_pc is not None
-                          else h.l1_prefetcher.on_access(block, l1_hit))
-            for pf in candidates:
-                if not l1d.contains(pf) and not sdc.contains(pf):
-                    h._fill_l1(pf, prefetch=True)
         if l1_hit:
-            if write:
-                # A write claims the single valid copy (§III-C): a clean
-                # duplicate the SDC may hold (left by an earlier shared
-                # read) is now stale and must be dropped.  Inlined
-                # residency probe — this runs on every L1 write hit.
-                m = sdc._set_mask
-                resident = ((block >> sdc._set_bits) in sdc.sets[block & m]
-                            if m >= 0 else sdc.contains(block))
-                if resident:
-                    sdc.invalidate(block)
-                    self.sdcdir.remove_sharer(block, 0)
+            # A write claims the single valid copy (§III-C): a clean
+            # duplicate the SDC may hold (left by an earlier shared
+            # read) is now stale and must be dropped.
+            if write and sdc.invalidate(block)[0]:
+                self.sdcdir.remove_sharer(block, 0)
             return L1D, latency
         if sdc.contains(block):
             # Parallel SDCDir hit: serve from the SDC.  A read leaves a
@@ -579,15 +539,14 @@ class SingleCoreSystem:
             if vev is not None and vev[1]:
                 self.hierarchy._writeback_to_l2(vev[0])
 
-    def _access_victim(self, block: int, write: bool, aux
+    def _access_victim(self, block: int, write: bool, aux, pc: int
                        ) -> tuple[int, int]:
         h = self.hierarchy
         latency = h.l1d.latency
         l1_hit = h.l1d.access(block, write)
-        if h.l1_prefetcher is not None:
-            for pf in h.l1_prefetcher.on_access(block, l1_hit):
-                if not h.l1d.contains(pf) and not self.victim.contains(pf):
-                    self._fill_l1_victim(pf, prefetch=True)
+        for pf in h.l1_prefetches(block, l1_hit, pc):
+            if not h.l1d.contains(pf) and not self.victim.contains(pf):
+                self._fill_l1_victim(pf, prefetch=True)
         if l1_hit:
             return L1D, latency
         latency += self.victim.latency
@@ -616,17 +575,16 @@ class SingleCoreSystem:
         self._fill_l1_victim(block, dirty=write)
         return DRAM, latency
 
-    def _access_lp_bypass(self, block: int, write: bool
+    def _access_lp_bypass(self, block: int, write: bool, pc: int
                           ) -> tuple[int, int]:
         """Irregular path of the SDC-less ablation: skip the L2C/LLC
         lookups, go to DRAM after a directory check, fill only the L1D."""
         h = self.hierarchy
         latency = h.l1d.latency
         l1_hit = h.l1d.access(block, write)
-        if h.l1_prefetcher is not None:
-            for pf in h.l1_prefetcher.on_access(block, l1_hit):
-                if not h.l1d.contains(pf):
-                    h._fill_l1(pf, prefetch=True)
+        for pf in h.l1_prefetches(block, l1_hit, pc):
+            if not h.l1d.contains(pf):
+                h._fill_l1(pf, prefetch=True)
         if l1_hit:
             return L1D, latency
         latency += self.config.sdc_miss_dir_latency
@@ -697,115 +655,73 @@ class SingleCoreSystem:
                                   flush_sdc_every=flush_sdc_every)
             if stats is not None:
                 return stats
-        acc = trace.accesses
-        n = len(acc)
-        blocks_np = (acc["addr"] >> BLOCK_BITS).astype(np.int64)
-        pcs = acc["pc"].astype(np.int64).tolist()
-        blocks = blocks_np.tolist()
-        writes = acc["write"].tolist()
-        gaps = acc["gap"].tolist()
-        deps = acc["dep"].tolist()
-        # 4 KiB pages for the TLB (precomputed to keep the loop lean).
-        pages = (acc["addr"] >> 12).astype(np.int64).tolist() \
-            if self.tlb is not None else [0] * n
-
-        aux_list = self._precompute_aux(trace, blocks_np)
+        records = trace.accesses.tolist()
+        n = len(records)
+        aux_list = self._precompute_aux(trace, self.variant, self.config)
         if aux_list is None:
             aux_list = [None] * n
+        expert_irr = (self._expert_block_classifier(trace,
+                                                    self.expert_regions)
+                      if self.variant == "expert" else None)
         levels = np.zeros(n, dtype=np.uint8) if record_levels else None
-
-        timer = CoreTimer(self.config.core, self.config.l1d.mshr_entries,
-                          self.config.l1d.latency,
-                          sdc_mshr_entries=self.config.sdc.mshr_entries)
         completions = [0.0] * n
-        hierarchy = self.hierarchy
-        lp = self.lp
-        clp = self.clp
-        has_sdc = self.has_sdc
-        expert = self.variant == "expert"
-        expert_irr = self._expert_block_classifier(trace, blocks_np) \
-            if expert else None
-
-        # Hot loop: every per-access attribute/method lookup is hoisted
-        # into a local, and the record fields stream through one zip
-        # instead of five indexed list reads per iteration.
-        tlb = self.tlb
+        timer = self._new_timer()
         stats_reset_at = min(warmup, n)
-        flush_every = flush_sdc_every or 0
         check_every = self._check_every
         tele_every = self._telemetry_every
         probe = WindowProbe(tele_every,
                             lambda: single_core_snapshot(self, timer)) \
             if tele_every else None
-        probe_sample = probe.sample if probe is not None else None
-        tlb_translate = tlb.translate_page if tlb is not None else None
-        timer_access = timer.access
-        hierarchy_access = hierarchy.access_fast
-        lp_predict = lp.predict_and_update if lp is not None else None
-        clp_predict = clp.predict if clp is not None else None
-        clp_update = clp.update if clp is not None else None
-        sdc_access = self._access_via_sdc
-        regular_access = self._access_regular_with_sdc
-        victim_access = self._access_victim
-        bypass_access = self._access_lp_bypass
-        is_victim = self.victim is not None
-        is_bypass = self.variant == "lp_bypass"
 
-        for i, (block, pc, write, gap, dep, aux, page) in enumerate(
-                zip(blocks, pcs, writes, gaps, deps, aux_list, pages)):
-            if flush_every and i and i % flush_every == 0:
+        for i, ((pc, addr, write, gap, dep), aux) in enumerate(
+                zip(records, aux_list)):
+            if flush_sdc_every and i and i % flush_sdc_every == 0:
                 self._flush_sdc_state()
             if warmup and i == stats_reset_at:
                 self._reset_stats()
-                timer = CoreTimer(
-                    self.config.core, self.config.l1d.mshr_entries,
-                    self.config.l1d.latency,
-                    sdc_mshr_entries=self.config.sdc.mshr_entries)
-                timer_access = timer.access
+                timer = self._new_timer()
                 if probe is not None:
                     # Discard warm-up windows; the timeline measures
                     # the same window the stats do (paper §IV-C).
                     probe = WindowProbe(
                         tele_every,
                         lambda: single_core_snapshot(self, timer))
-                    probe_sample = probe.sample
-            tlb_latency = tlb_translate(page) if tlb_translate is not None \
-                else 0
+            block = addr >> BLOCK_BITS
+            tlb_latency = self.tlb.translate_page(addr >> PAGE_BITS) \
+                if self.tlb is not None else 0
 
             pool = 0
-            if has_sdc:
-                if expert:
+            if self.has_sdc:
+                if expert_irr is not None:
                     irregular = expert_irr[i]
-                elif clp_predict is not None:
-                    irregular = clp_predict(pc)
+                elif self.clp is not None:
+                    irregular = self.clp.predict(pc)
                 else:
-                    irregular = lp_predict(pc, block)
+                    irregular = self.lp.predict_and_update(pc, block)
                 if irregular:
-                    level, latency = sdc_access(block, write)
+                    level, latency = self._access_via_sdc(block, write)
                     pool = 1            # SDC's own MSHR file (Table I)
                 else:
-                    level, latency = regular_access(block, write, aux,
-                                                    pc=pc)
-                if clp_update is not None:
-                    clp_update(pc, level)
-            elif is_victim:
-                level, latency = victim_access(block, write, aux)
-            elif is_bypass:
-                if lp_predict(pc, block):
-                    level, latency = bypass_access(block, write)
-                else:
-                    level, latency = hierarchy_access(block, write, aux,
-                                                      pc)
+                    level, latency = self._access_regular_with_sdc(
+                        block, write, aux, pc)
+                if self.clp is not None:
+                    self.clp.update(pc, level)
+            elif self.victim is not None:
+                level, latency = self._access_victim(block, write, aux, pc)
+            elif self.variant == "lp_bypass" \
+                    and self.lp.predict_and_update(pc, block):
+                level, latency = self._access_lp_bypass(block, write, pc)
             else:
-                level, latency = hierarchy_access(block, write, aux, pc)
+                level, latency = self.hierarchy.access(block, write, aux,
+                                                       pc)
 
-            dep_c = completions[dep] if dep >= 0 else None
-            completions[i] = timer_access(gap, latency + tlb_latency,
-                                          dep_c, pool)
+            completions[i] = timer.access(
+                gap, latency + tlb_latency,
+                completions[dep] if dep >= 0 else None, pool)
             if levels is not None:
                 levels[i] = level
             if tele_every and (i + 1 - stats_reset_at) % tele_every == 0:
-                probe_sample()
+                probe.sample()
             if check_every and (i + 1) % check_every == 0:
                 check_single_core_system(self, {
                     "access": i, "pc": pc, "block": block,
@@ -814,46 +730,54 @@ class SingleCoreSystem:
         if check_every and n:
             check_single_core_system(self, {"access": n - 1,
                                             "position": "end-of-run"})
+        h = self.hierarchy
         return SystemStats(
             variant=self.variant,
             instructions=timer.instructions,
             cycles=timer.cycles,
-            l1d=hierarchy.l1d.stats,
-            l2c=hierarchy.l2c.stats,
-            llc=hierarchy.llc.stats,
+            l1d=h.l1d.stats,
+            l2c=h.l2c.stats,
+            llc=h.llc.stats,
             sdc=self.sdc.stats if self.sdc else None,
-            dram=hierarchy.dram.stats,
-            lp=lp.stats if lp else (clp.stats if clp is not None else None),
+            dram=h.dram.stats,
+            lp=(self.lp.stats if self.lp else
+                self.clp.stats if self.clp is not None else None),
             levels=levels,
-            tlb=tlb.stats if tlb else None,
+            tlb=self.tlb.stats if self.tlb else None,
             timeline=probe.timeline() if probe is not None else None)
 
     # -- helpers ---------------------------------------------------------------
-    def _precompute_aux(self, trace: Trace, blocks: np.ndarray):
-        """Per-access aux values for the LLC policy, by variant.
+    def _new_timer(self) -> CoreTimer:
+        return CoreTimer(self.config.core, self.config.l1d.mshr_entries,
+                         self.config.l1d.latency,
+                         sdc_mshr_entries=self.config.sdc.mshr_entries)
+
+    @staticmethod
+    def _precompute_aux(trace: Trace, variant: str, config: SystemConfig):
+        """Per-access aux values for the LLC policy of a variant under a
+        config (None when the policy takes none); the single- and the
+        multi-core loop both read them from here.
 
         Memoized per trace identity (see ``_trace_aux_memo``) — the aux
         feeds are pure trace functions and dominated short-run startup.
         """
-        if self.variant == "topt":
-            memo = _trace_aux_memo(trace)
+        memo = _trace_aux_memo(trace)
+        if variant == "topt":
             lst = memo.get("topt_list")
             if lst is None:
-                nxt, irr = topt_aux_arrays(trace, blocks)
+                nxt, irr = topt_aux_arrays(trace)
                 lst = list(zip(nxt.tolist(), irr.tolist()))
                 memo["topt_list"] = lst
             return lst
-        if self.variant == "distill":
+        if variant == "distill":
             # Word index within the block (8 B words).
-            memo = _trace_aux_memo(trace)
             lst = memo.get("distill_list")
             if lst is None:
                 lst = distill_aux_words(trace).tolist()
                 memo["distill_list"] = lst
             return lst
-        if self.config.llc.replacement == "ship":
+        if config.llc.replacement == "ship":
             # SHiP keys its hit predictor on the access PC.
-            memo = _trace_aux_memo(trace)
             lst = memo.get("ship_list")
             if lst is None:
                 lst = trace.accesses["pc"].astype(np.int64).tolist()
@@ -861,13 +785,15 @@ class SingleCoreSystem:
             return lst
         return None
 
-    def _expert_block_classifier(self, trace: Trace,
-                                 blocks: np.ndarray) -> list[bool]:
+    @staticmethod
+    def _expert_block_classifier(trace: Trace,
+                                 regions: set[int]) -> list[bool]:
+        """Memoized per-access flags of the expert-routed regions."""
         memo = _trace_aux_memo(trace)
-        key = ("expert_list", frozenset(self.expert_regions))
+        key = ("expert_list", frozenset(regions))
         lst = memo.get(key)
         if lst is None:
-            lst = expert_block_mask(trace, self.expert_regions).tolist()
+            lst = expert_block_mask(trace, regions).tolist()
             memo[key] = lst
         return lst
 

@@ -14,8 +14,7 @@ from repro.graphs.generators import (
     power_law_graph,
     uniform_random_graph,
 )
-from repro.graphs.io import (load_binary, load_edgelist, save_binary,
-                             save_edgelist)
+from repro.graphs.io import load_edgelist, save_edgelist
 from repro.graphs.reorder import ORDERINGS, apply_order
 from repro.graphs.suite import GRAPH_SUITE, GraphSpec, load_graph
 
@@ -32,8 +31,6 @@ __all__ = [
     "load_graph",
     "load_edgelist",
     "save_edgelist",
-    "load_binary",
-    "save_binary",
     "apply_order",
     "ORDERINGS",
 ]

@@ -1,4 +1,4 @@
-"""Graph file I/O: GAP-compatible edge-list formats plus binary caches.
+"""Graph file I/O: GAP-compatible edge-list formats.
 
 Formats (``.gz`` composes with every text format)::
 
@@ -7,16 +7,15 @@ Formats (``.gz`` composes with every text format)::
     .el[.gz]      src dst        GAP plain edge list
     .wel[.gz]     src dst w      GAP weighted edge list
     .txt[.gz]     src dst        SNAP dump (# comments ignored)
-    .npz          CSR arrays     this package's compressed container
-    .graph        CSR arrays     ingest store (v1, mappable)
 
 ``load_edgelist`` streams the file in bounded chunks through
 :func:`repro.graphs.ingest.iter_edge_chunks`, so the raw rows never
 materialize all at once, and rejects rows whose column count does not
 match the format — a three-column row in a ``.el`` file is an error,
-not two silently-kept columns.  ``load_binary`` dispatches on content:
-an ``.npz`` container loads eagerly, a v1 graph-store file can load
-zero-copy (``mapped=True``).
+not two silently-kept columns.  The one binary graph format is the
+``REPROGRF`` store that :func:`repro.graphs.ingest.ingest_graph` writes
+and :func:`repro.graphs.ingest.open_graph` opens (zero-copy with
+``mapped=True``).
 
 >>> import numpy as np, tempfile, os
 >>> from repro.graphs.csr import from_edges
@@ -91,46 +90,3 @@ def save_edgelist(graph: CSRGraph, path) -> Path:
     else:
         np.savetxt(path, np.column_stack([src, dst]), fmt="%d")
     return path
-
-
-def save_binary(graph: CSRGraph, path) -> Path:
-    """Save the CSR/CSC arrays as a compressed ``.npz`` container."""
-    path = Path(path)
-    payload = {
-        "out_oa": graph.out_oa, "out_na": graph.out_na,
-        "in_oa": graph.in_oa, "in_na": graph.in_na,
-        "symmetric": np.array([graph.symmetric]),
-        "name": np.array([graph.name]),
-    }
-    if graph.out_weights is not None:
-        payload["out_weights"] = graph.out_weights
-    if graph.in_weights is not None:
-        payload["in_weights"] = graph.in_weights
-    np.savez_compressed(path, **payload)
-    return path
-
-
-def load_binary(path, mapped: bool = False) -> CSRGraph:
-    """Reload a graph saved by :func:`save_binary` or ``ingest``.
-
-    Dispatches on file content: a v1 graph-store file (magic
-    ``REPROGRF``) opens through :func:`repro.graphs.ingest.open_graph`
-    — pass ``mapped=True`` for zero-copy read-only ``np.memmap``
-    views — while an ``.npz`` container loads eagerly (``mapped`` is
-    ignored; npz is compressed and cannot be mapped).
-    """
-    from repro import store
-    from repro.graphs import ingest
-    path = Path(path)
-    if store.sniff(ingest.GRAPH, path):
-        return ingest.open_graph(path, mapped=mapped)
-    with np.load(path, allow_pickle=False) as z:
-        graph = CSRGraph(
-            out_oa=z["out_oa"], out_na=z["out_na"],
-            in_oa=z["in_oa"], in_na=z["in_na"],
-            out_weights=z["out_weights"] if "out_weights" in z else None,
-            in_weights=z["in_weights"] if "in_weights" in z else None,
-            symmetric=bool(z["symmetric"][0]),
-            name=str(z["name"][0]))
-    graph.validate()
-    return graph

@@ -8,7 +8,7 @@ place of a cycle-accurate OOO pipeline — see DESIGN.md §5.
 from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMModel
-from repro.mem.hierarchy import AccessResult, MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.prefetch import (NextLinePrefetcher, SPPPrefetcher,
                                 StridePrefetcher, make_prefetcher)
 from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, LRUPolicy,
@@ -22,7 +22,6 @@ __all__ = [
     "DistillCache",
     "DRAMModel",
     "MemoryHierarchy",
-    "AccessResult",
     "LRUPolicy",
     "SRRIPPolicy",
     "DRRIPPolicy",

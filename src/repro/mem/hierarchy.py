@@ -6,30 +6,24 @@ describes: an access that misses everywhere pays
 eliminates.  Fills install the block at every level on the way back
 (ChampSim-style fill-on-miss); dirty evictions write back to the next
 level below, allocating there if absent.
+
+:meth:`MemoryHierarchy.access` is the one walk; the SDC, victim-cache
+and bypass paths of :mod:`repro.core.system` and the multi-core walk
+reuse its ``_fill_l*`` helpers and :meth:`~MemoryHierarchy.l1_prefetches`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import SystemConfig
 from repro.mem.cache import SetAssocCache
 from repro.mem.dram import DRAMModel
-from repro.mem.prefetch import NextLinePrefetcher, make_prefetcher
+from repro.mem.prefetch import make_prefetcher
 from repro.mem.replacement import make_policy
 
 # Served-by level codes (used in per-access recording).
 L1D, L2C, LLC, DRAM, SDC_LEVEL, REMOTE = 0, 1, 2, 3, 4, 5
 LEVEL_NAMES = {L1D: "L1D", L2C: "L2C", LLC: "LLC", DRAM: "DRAM",
                SDC_LEVEL: "SDC", REMOTE: "REMOTE"}
-
-
-@dataclass
-class AccessResult:
-    """Outcome of one demand access."""
-
-    level: int       # code of the serving level
-    latency: int     # total core cycles on the critical path
 
 
 class MemoryHierarchy:
@@ -55,10 +49,6 @@ class MemoryHierarchy:
                               if enable_prefetch else None)
         # PC-aware prefetchers (IP-stride) expose on_access_pc.
         self._l1_pf_pc = getattr(self.l1_prefetcher, "on_access_pc", None)
-        # Next-line is the common L1 prefetcher (Table I); flag it so the
-        # hot path can inline `block + 1` instead of allocating a
-        # one-element candidate list per access.
-        self._l1_next_line = type(self.l1_prefetcher) is NextLinePrefetcher
 
     # -- writeback plumbing ------------------------------------------------
     def _writeback_to_l2(self, block: int) -> None:
@@ -91,82 +81,53 @@ class MemoryHierarchy:
         if evicted is not None and evicted[1]:
             self.dram.write(evicted[0])
 
+    def l1_prefetches(self, block: int, hit: bool, pc: int):
+        """The blocks the L1 prefetcher requests after a demand access
+        (empty without one); a PC-aware prefetcher is given the PC.
+
+        Every walk that looks up the L1D calls this once per access and
+        fills the candidates it does not already hold.
+        """
+        if self._l1_pf_pc is not None:
+            return self._l1_pf_pc(pc, block, hit)
+        if self.l1_prefetcher is None:
+            return ()
+        return self.l1_prefetcher.on_access(block, hit)
+
     # -- demand path ---------------------------------------------------------
     def access(self, block: int, write: bool, aux=None,
-               pc: int = 0) -> AccessResult:
-        """One demand access walking the hierarchy; returns serve point."""
-        return AccessResult(*self.access_fast(block, write, aux, pc))
-
-    def access_fast(self, block: int, write: bool, aux=None,
-                    pc: int = 0) -> tuple[int, int]:
-        """Hot-loop variant of :meth:`access` returning a plain
-        ``(level, latency)`` tuple — no per-access result allocation.
-
-        The ``_fill_l*`` wrappers are inlined here (direct ``fill`` calls
-        with the rare dirty-eviction writeback handled in place) and the
-        next-line residency probe uses the cache's precomputed shift/mask
-        split, so the all-hits path does two method calls total.
-        """
+               pc: int = 0) -> tuple[int, int]:
+        """One demand access walking the hierarchy; returns the serving
+        level's code and the latency on the critical path."""
         l1d = self.l1d
-        l1d_fill = l1d.fill
         latency = l1d.latency
         l1_hit = l1d.access(block, write)
-        if self._l1_next_line:
-            pf = block + 1
-            m = l1d._set_mask
-            if m >= 0:
-                resident = (pf >> l1d._set_bits) in l1d.sets[pf & m]
-            else:
-                resident = l1d.contains(pf)
-            if not resident:
-                ev = l1d_fill(pf, prefetch=True)
-                if ev is not None and ev[1]:
-                    self._writeback_to_l2(ev[0])
-        elif self.l1_prefetcher is not None:
-            candidates = (self._l1_pf_pc(pc, block, l1_hit)
-                          if self._l1_pf_pc is not None
-                          else self.l1_prefetcher.on_access(block, l1_hit))
-            for pf in candidates:
-                if not l1d.contains(pf):
-                    self._fill_l1(pf, prefetch=True)
+        for pf in self.l1_prefetches(block, l1_hit, pc):
+            if not l1d.contains(pf):
+                self._fill_l1(pf, prefetch=True)
         if l1_hit:
             return L1D, latency
 
-        l2c = self.l2c
-        latency += l2c.latency
-        l2_hit = l2c.access(block, False)
+        latency += self.l2c.latency
+        l2_hit = self.l2c.access(block, False)
         if self.l2_prefetcher is not None:
             for pf in self.l2_prefetcher.on_access(block, l2_hit):
-                if not l2c.contains(pf):
+                if not self.l2c.contains(pf):
                     self._fill_l2(pf, prefetch=True)
         if l2_hit:
-            ev = l1d_fill(block, dirty=write)
-            if ev is not None and ev[1]:
-                self._writeback_to_l2(ev[0])
+            self._fill_l1(block, dirty=write)
             return L2C, latency
 
-        llc = self.llc
-        latency += llc.latency
-        if llc.access(block, False, aux=aux):
-            ev = l2c.fill(block)
-            if ev is not None and ev[1]:
-                self._writeback_to_llc(ev[0])
-            ev = l1d_fill(block, dirty=write)
-            if ev is not None and ev[1]:
-                self._writeback_to_l2(ev[0])
+        latency += self.llc.latency
+        if self.llc.access(block, False, aux=aux):
+            self._fill_l2(block)
+            self._fill_l1(block, dirty=write)
             return LLC, latency
 
-        dram = self.dram
-        latency += dram.read(block)
-        ev = llc.fill(block, aux=aux)
-        if ev is not None and ev[1]:
-            dram.write(ev[0])
-        ev = l2c.fill(block)
-        if ev is not None and ev[1]:
-            self._writeback_to_llc(ev[0])
-        ev = l1d_fill(block, dirty=write)
-        if ev is not None and ev[1]:
-            self._writeback_to_l2(ev[0])
+        latency += self.dram.read(block)
+        self._fill_llc(block, aux=aux)
+        self._fill_l2(block)
+        self._fill_l1(block, dirty=write)
         return DRAM, latency
 
     # -- coherence helpers (used by the SDC-equipped system) ---------------

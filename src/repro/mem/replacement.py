@@ -2,10 +2,13 @@
 
 A policy manages the per-line ``prio`` slot of the cache's line record
 (``line[0]``) and picks victims from a set's ``{tag: line}`` dict.  The
-cache passes an opaque ``aux`` value through from the caller — the
-T-OPT/Belady policy uses it to receive each access's next-reference
-time, which the experiment harness precomputes from the trace
-(DESIGN.md substitution #4).
+cache calls three hooks: ``on_hit(lines, tag, aux)`` on a hit or a
+re-fill of a resident line, ``on_fill(line, aux)`` on an install (the
+cache then appends the line to its set), and ``victim(lines)`` when a
+full set needs room.  ``aux`` is an opaque value passed through from
+the caller — the T-OPT/Belady policy uses it to receive each access's
+next-reference time, which the experiment harness precomputes from the
+trace (DESIGN.md substitution #4), and SHiP the access's PC.
 
 Line record layout (see :mod:`repro.mem.cache`):
 ``line = [prio, dirty, prefetch]``.
@@ -15,29 +18,32 @@ from __future__ import annotations
 
 
 class LRUPolicy:
-    """Least-recently-used: prio is a monotonically increasing timestamp."""
+    """Least-recently-used, kept in each set's dict order.
+
+    A hit moves the line to the end of its set's dict and a fill is
+    appended there, so every set lists its lines oldest first and the
+    victim is the first key.  ``prio`` holds a stamp from a
+    monotonically increasing clock, which the invariant checks hold
+    against the dict order (``repro.validate.invariants``).
+    """
 
     name = "lru"
 
     def __init__(self) -> None:
         self._clock = 0
 
-    def on_hit(self, line: list, aux) -> None:
+    def on_hit(self, lines: dict, tag: int, aux) -> None:
         self._clock += 1
+        line = lines.pop(tag)
         line[0] = self._clock
+        lines[tag] = line
 
     def on_fill(self, line: list, aux) -> None:
         self._clock += 1
         line[0] = self._clock
 
     def victim(self, lines: dict) -> int:
-        best_tag = -1
-        best_prio = None
-        for tag, line in lines.items():
-            if best_prio is None or line[0] < best_prio:
-                best_prio = line[0]
-                best_tag = tag
-        return best_tag
+        return next(iter(lines))
 
 
 class SRRIPPolicy:
@@ -50,8 +56,8 @@ class SRRIPPolicy:
     name = "srrip"
     MAX_RRPV = 3
 
-    def on_hit(self, line: list, aux) -> None:
-        line[0] = 0
+    def on_hit(self, lines: dict, tag: int, aux) -> None:
+        lines[tag][0] = 0
 
     def on_fill(self, line: list, aux) -> None:
         line[0] = self.MAX_RRPV - 1
@@ -111,8 +117,8 @@ class DRRIPPolicy:
         elif self._set_idx in self._brrip_leaders:
             self.psel = max(0, self.psel - 1)
 
-    def on_hit(self, line: list, aux) -> None:
-        line[0] = 0
+    def on_hit(self, lines: dict, tag: int, aux) -> None:
+        lines[tag][0] = 0
 
     def on_fill(self, line: list, aux) -> None:
         if self._use_brrip():
@@ -158,7 +164,8 @@ class SHiPPolicy:
         pc = aux if isinstance(aux, int) else 0
         return (pc ^ (pc >> 7)) & (self.TABLE_SIZE - 1)
 
-    def on_hit(self, line: list, aux) -> None:
+    def on_hit(self, lines: dict, tag: int, aux) -> None:
+        line = lines[tag]
         line[0] = 0
         key = id(line)
         if key in self._sig and not self._reused.get(key, False):
@@ -224,8 +231,8 @@ class BeladyOPT:
             return next_use
         return aux
 
-    def on_hit(self, line: list, aux) -> None:
-        line[0] = self._prio(aux)
+    def on_hit(self, lines: dict, tag: int, aux) -> None:
+        lines[tag][0] = self._prio(aux)
 
     def on_fill(self, line: list, aux) -> None:
         line[0] = self._prio(aux)

@@ -57,20 +57,10 @@ class _TLBLevel:
         self.ways = config.ways
         self.sets: list[dict[int, int]] = [dict()
                                            for _ in range(self.num_sets)]
-        # Table I geometries have power-of-two set counts, so the set
-        # index is a mask; sentinel -1 selects the mod fallback.
-        if self.num_sets & (self.num_sets - 1) == 0:
-            self._set_mask = self.num_sets - 1
-        else:
-            self._set_mask = -1
         self._clock = 0
 
-    def _lines(self, page: int) -> dict[int, int]:
-        mask = self._set_mask
-        return self.sets[page & mask if mask >= 0 else page % self.num_sets]
-
     def access(self, page: int) -> bool:
-        lines = self._lines(page)
+        lines = self.sets[page % self.num_sets]
         self._clock += 1
         if page in lines:
             lines[page] = self._clock
@@ -78,7 +68,7 @@ class _TLBLevel:
         return False
 
     def fill(self, page: int) -> None:
-        lines = self._lines(page)
+        lines = self.sets[page % self.num_sets]
         self._clock += 1
         if page not in lines and len(lines) >= self.ways:
             victim = min(lines, key=lines.get)
@@ -102,18 +92,10 @@ class TLBHierarchy:
         return self.translate_page(addr >> PAGE_BITS)
 
     def translate_page(self, page: int) -> int:
-        """Translate a pre-shifted page number (hot-loop entry point)."""
+        """Translate a page number (a byte address >> ``PAGE_BITS``)."""
         st = self.stats
         st.accesses += 1
-        # Inlined L1 probe: the DTLB hit is the overwhelmingly common
-        # case and adds zero latency (VIPT overlap), so it pays to skip
-        # two method calls here.
-        l1 = self.l1
-        mask = l1._set_mask
-        lines = l1.sets[page & mask if mask >= 0 else page % l1.num_sets]
-        l1._clock += 1
-        if page in lines:
-            lines[page] = l1._clock
+        if self.l1.access(page):
             st.l1_hits += 1
             return 0
         if self.l2.access(page):

@@ -32,12 +32,9 @@ keeps trace generation tractable).  A builder's ``limit`` (the trace
 window) cuts each stream at the shortest vertex prefix that fills it,
 so records past the window are never built.
 
-**Serialization.** :meth:`Trace.save`/:meth:`Trace.load` round-trip
-the legacy compressed ``.npz`` form (format v7), which the engine
-benchmark compares with the store.  Cached workload traces live in
-the versioned, checksummed, memory-mappable v8 store
-(:mod:`repro.trace.store`, docs/TRACES.md), whose record block is
-this dtype byte-for-byte.
+**Serialization.** Traces have one binary form: the versioned,
+checksummed, memory-mappable v8 store (:mod:`repro.trace.store`,
+docs/TRACES.md), whose record block is this dtype byte-for-byte.
 """
 
 from __future__ import annotations
@@ -126,44 +123,6 @@ class Trace:
                              "strictly backward")
         if (dep < -1).any():
             raise ValueError("dep < -1 encountered")
-
-    # -- serialization (legacy v7 .npz — see repro.trace.store for the
-    # v8 mmap format that cached workload traces actually use) ------------
-    def save(self, path) -> None:
-        """Write the legacy compressed ``.npz`` form (format v7)."""
-        regions = self.address_space.regions
-        names = list(regions)
-        np.savez_compressed(
-            path,
-            accesses=self.accesses,
-            region_names=np.array(names),
-            region_base=np.array([regions[n].base for n in names],
-                                 dtype=np.int64),
-            region_elem=np.array([regions[n].elem_size for n in names],
-                                 dtype=np.int64),
-            region_count=np.array([regions[n].num_elems for n in names],
-                                  dtype=np.int64),
-            region_irr=np.array([regions[n].irregular_hint for n in names]),
-            meta=np.array([self.name, self.kernel, self.graph]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        """Read a legacy v7 ``.npz`` trace."""
-        with np.load(path, allow_pickle=False) as z:
-            space = AddressSpace()
-            # Re-register regions preserving their original bases.
-            for name, base, elem, count, irr in zip(
-                    z["region_names"], z["region_base"], z["region_elem"],
-                    z["region_count"], z["region_irr"]):
-                from repro.trace.layout import Region
-                region = Region(str(name), int(base), int(elem), int(count),
-                                bool(irr))
-                space.regions[str(name)] = region
-                space._starts.append(region.base)
-                space._names.append(str(name))
-            meta = [str(x) for x in z["meta"]]
-            return cls(z["accesses"].copy(), space, *meta)
 
 
 class TraceBuilder:

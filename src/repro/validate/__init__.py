@@ -11,10 +11,9 @@ Two halves (see docs/VALIDATION.md):
   with a diagnostic dump on the first breach.
 
 * :mod:`repro.validate.differential` — drives the same access stream
-  through intentionally-redundant implementations (inlined-LRU fast
-  path vs. generic policy, ``access`` vs. ``access_fast``, shift/mask
-  vs. div/mod indexing, 1-core multi-core vs. single-core) and asserts
-  bit-identical final stats.
+  through two implementations that must agree (the reference loop vs.
+  the batch kernel, a 1-core multi-core system vs. the single-core
+  one) and asserts bit-identical final stats.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""Differential validation: redundant implementations must agree.
+"""Differential validation: implementations that must agree.
 
-PR 1 specialised the simulator's hot paths (dict-order LRU with O(1)
-victim pick, shift/mask set indexing, the inlined ``access_fast`` walk).
-Each specialisation has a generic twin that is deliberately kept alive;
-this module runs the same access stream through both and asserts
-bit-identical final state and stats:
+The reference loop is the spec; these twins run the same access
+stream through two implementations and assert bit-identical final
+stats:
 
-* **inlined LRU vs. generic policy** — the move-to-end dict discipline
-  vs. ``LRUPolicy.victim``'s priority scan;
-* **``access`` vs. ``access_fast``** — the allocation-free inlined walk
-  vs. the result-object API;
-* **shift/mask vs. div/mod indexing** — every pow2 geometry forced onto
-  the ``_set_mask == -1`` fallback paths;
 * **``MultiCoreSystem(num_cores=1)`` vs. ``SingleCoreSystem``** — the
   coherence-protocol walk with one core must degenerate exactly to the
-  single-core system;
+  single-core system, under every LLC policy and L1 prefetcher the
+  single-core loop takes;
 * **reference loop vs. batch kernel** — every single-core variant
   under every LLC replacement policy the DSE samples
   (:data:`LLC_POLICIES`).
 
-The reference-loop twins run with ``backend="ref"``: they police the
-Python loop's specialisations, which the default batch engine would
-otherwise run past.  Used from ``tests/test_validate.py``; any mismatch
-is a bug in one of the twins (the bugfix history lives in CHANGES.md).
+The multi-core twin runs with ``backend="ref"`` on both sides, since
+the kernel has no multi-core model.  Used from ``tests/test_validate.py``
+and ``tests/test_batch_backend.py``; any mismatch is a bug in one of
+the twins (the bugfix history lives in CHANGES.md).  The live-state
+invariants (:mod:`repro.validate.invariants`) police the rest.
 """
 
 from __future__ import annotations
@@ -31,11 +25,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.config import BLOCK_BITS, SystemConfig
+from repro.config import SystemConfig
 from repro.core.multicore import MultiCoreSystem
 from repro.core.system import SingleCoreSystem, SystemStats
-from repro.mem.cache import SetAssocCache
-from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace.record import Trace
 
 
@@ -84,120 +76,8 @@ def assert_stats_equal(a: SystemStats, b: SystemStats, label: str,
 
 
 # ---------------------------------------------------------------------------
-# Twin-selection helpers
-# ---------------------------------------------------------------------------
-
-def _system_caches(system: SingleCoreSystem) -> list[SetAssocCache]:
-    h = system.hierarchy
-    caches = [h.l1d, h.l2c]
-    if isinstance(h.llc, SetAssocCache):
-        caches.append(h.llc)
-    for extra in (system.sdc, system.victim):
-        if extra is not None:
-            caches.append(extra)
-    return caches
-
-
-def use_generic_lru(system: SingleCoreSystem) -> SingleCoreSystem:
-    """Disable the inlined-LRU fast path on every cache of a system.
-
-    The caches keep their ``LRUPolicy`` instances; clearing ``_lru``
-    routes every hit/fill/victim decision through the generic
-    ``on_hit``/``on_fill``/``victim`` protocol instead of the
-    move-to-end dict discipline.
-    """
-    for cache in _system_caches(system):
-        cache._lru = None
-    return system
-
-
-def force_divmod(system) -> object:
-    """Force the div/mod set-indexing fallback on every structure.
-
-    Works on a :class:`SingleCoreSystem` or :class:`MultiCoreSystem`;
-    flips ``_set_mask`` to the sentinel ``-1`` so every inlined
-    shift/mask probe takes its generic branch.
-    """
-    if isinstance(system, MultiCoreSystem):
-        caches: list = []
-        for h in system.cores:
-            caches.extend([h.l1d, h.l2c])
-        if isinstance(system.llc, SetAssocCache):
-            caches.append(system.llc)
-        caches.extend(s for s in system.sdcs if s is not None)
-        dirs = [system.sdcdir] if system.sdcdir is not None else []
-    else:
-        caches = _system_caches(system)
-        dirs = [system.sdcdir] if system.sdcdir is not None else []
-    for cache in caches:
-        cache._set_mask = -1
-        cache._set_bits = 0
-    for d in dirs:
-        d._set_mask = -1
-    return system
-
-
-# ---------------------------------------------------------------------------
 # The differential pairs
 # ---------------------------------------------------------------------------
-
-def diff_inlined_vs_generic_lru(trace: Trace,
-                                config: SystemConfig | None = None,
-                                variant: str = "baseline"
-                                ) -> tuple[SystemStats, SystemStats]:
-    """Inlined dict-order LRU vs. the generic ``LRUPolicy`` protocol."""
-    cfg = config or SystemConfig()
-    fast = SingleCoreSystem(cfg, variant).run(trace, record_levels=True,
-                                              backend="ref")
-    generic_system = use_generic_lru(SingleCoreSystem(cfg, variant))
-    generic = generic_system.run(trace, record_levels=True, backend="ref")
-    assert_stats_equal(fast, generic, "inlined-LRU vs generic-LRU")
-    return fast, generic
-
-
-def diff_access_vs_access_fast(trace: Trace,
-                               config: SystemConfig | None = None) -> None:
-    """``MemoryHierarchy.access`` vs. ``access_fast``, access by access."""
-    cfg = config or SystemConfig()
-    via_result = MemoryHierarchy(cfg)
-    via_fast = MemoryHierarchy(cfg)
-    acc = trace.accesses
-    blocks = (acc["addr"] >> BLOCK_BITS).astype(np.int64).tolist()
-    writes = acc["write"].tolist()
-    pcs = acc["pc"].astype(np.int64).tolist()
-    for i, (block, write, pc) in enumerate(zip(blocks, writes, pcs)):
-        res = via_result.access(block, bool(write), pc=pc)
-        level, latency = via_fast.access_fast(block, bool(write), pc=pc)
-        if (res.level, res.latency) != (level, latency):
-            raise DifferentialMismatch(
-                f"access vs access_fast: access {i} (block {block}) "
-                f"served ({res.level}, {res.latency}) vs "
-                f"({level}, {latency})")
-    for name in ("l1d", "l2c", "llc"):
-        a = dataclasses.asdict(getattr(via_result, name).stats)
-        b = dataclasses.asdict(getattr(via_fast, name).stats)
-        if a != b:
-            raise DifferentialMismatch(
-                f"access vs access_fast: {name} stats diverged: {a} != {b}")
-    if dataclasses.asdict(via_result.dram.stats) != \
-            dataclasses.asdict(via_fast.dram.stats):
-        raise DifferentialMismatch("access vs access_fast: DRAM stats "
-                                   "diverged")
-
-
-def diff_pow2_vs_divmod(trace: Trace, config: SystemConfig | None = None,
-                        variant: str = "baseline"
-                        ) -> tuple[SystemStats, SystemStats]:
-    """Shift/mask indexing vs. the forced div/mod fallback."""
-    cfg = config or SystemConfig()
-    pow2 = SingleCoreSystem(cfg, variant).run(trace, record_levels=True,
-                                              backend="ref")
-    fallback_system = force_divmod(SingleCoreSystem(cfg, variant))
-    fallback = fallback_system.run(trace, record_levels=True,
-                                   backend="ref")
-    assert_stats_equal(pow2, fallback, "pow2 shift/mask vs div/mod")
-    return pow2, fallback
-
 
 def diff_multicore1_vs_single(trace: Trace,
                               config: SystemConfig | None = None,

@@ -4,7 +4,7 @@ Every predicate here is something the design argues must *always* hold
 (paper §III-C coherence rules, structural capacity bounds, counter
 conservation laws).  The checks are written against the public state of
 the structures (``resident_blocks``, ``dirty_blocks``, ``sets``,
-``stats``) so they exercise exactly what the inlined hot paths mutate.
+``stats``) so they exercise exactly what the reference loop mutates.
 
 The catalogue (see docs/VALIDATION.md for the prose version):
 
@@ -13,7 +13,8 @@ The catalogue (see docs/VALIDATION.md for the prose version):
   bounds of Table I/IV).
 * **LRU order** — for LRU-managed caches the per-set dict order must be
   recency order (oldest first) and priorities strictly increasing; the
-  O(1) victim pick (`next(iter(set))`) is only correct under this.
+  O(1) victim pick (``LRUPolicy.victim``, the first key) is only correct
+  under this.
 * **Stats conservation** — ``accesses == hits + misses``,
   ``writebacks ≤ evictions``, ``prefetch_hits ≤ hits``, and the fill
   ledger ``fills - evictions - invalidations == occupancy`` (valid
@@ -39,6 +40,7 @@ hook fired the check, plus the offending structure contents).
 from __future__ import annotations
 
 from repro.mem.cache import SetAssocCache
+from repro.mem.replacement import LRUPolicy
 
 DEFAULT_CHECK_INTERVAL = 4096
 """Accesses between periodic checks under ``REPRO_VALIDATE=1``."""
@@ -104,13 +106,13 @@ def check_lru_order(cache: SetAssocCache, name: str,
                     ctx: dict | None = None) -> None:
     """For LRU caches, dict order must equal recency order.
 
-    The inlined fast path evicts ``next(iter(set))`` in O(1); that is
-    only the LRU victim if every recency bump moved the line to the
-    dict's end, i.e. priorities are strictly increasing in dict order.
+    ``LRUPolicy`` evicts the set's first key in O(1); that is only the
+    LRU victim if every recency bump moved the line to the dict's end,
+    i.e. priorities are strictly increasing in dict order.
     """
-    if cache._lru is None:
+    if type(cache.policy) is not LRUPolicy:
         return
-    clock = cache._lru._clock
+    clock = cache.policy._clock
     for set_idx, lines in enumerate(cache.sets):
         prev = -1
         for tag, line in lines.items():

@@ -42,8 +42,7 @@ from repro.telemetry import events as tele_events
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
 from repro.validate.differential import (FIG7_VARIANTS, LLC_POLICIES,
-                                         diff_ref_vs_batch, force_divmod,
-                                         use_generic_lru)
+                                         diff_ref_vs_batch)
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="no C compiler for the batch "
@@ -192,13 +191,25 @@ class TestBitIdentity:
         assert a.to_payload() == b.to_payload()
 
     def test_divmod_geometry_supported(self, trace, cfg):
-        """force_divmod systems stay inside the batch envelope."""
-        ref = force_divmod(SingleCoreSystem(cfg, "baseline"))
-        want = ref.run(trace, backend="ref")
-        sysb = force_divmod(SingleCoreSystem(cfg, "baseline"))
-        got = try_run_batch(sysb, trace)
-        assert got is not None
-        assert want.to_payload() == got.to_payload()
+        """Non-power-of-two set counts (a 6-set L1D, a 12-set L2C and a
+        12-set SDCDir) take the kernel's div/mod branches and match the
+        reference loop."""
+        def with_sets(c, sets):
+            return c.resized(sets * c.ways * c.block_size)
+
+        odd = dataclasses.replace(
+            cfg, l1d=with_sets(cfg.l1d, 6), l2c=with_sets(cfg.l2c, 12),
+            sdcdir=dataclasses.replace(cfg.sdcdir, entries_per_core=96))
+        for variant in ("baseline", "sdc_lp"):
+            sysb = SingleCoreSystem(odd, variant)
+            assert (sysb.hierarchy.l1d.num_sets,
+                    sysb.hierarchy.l2c.num_sets) == (6, 12)
+            if variant == "sdc_lp":
+                assert sysb.sdcdir.num_sets == 12
+            want = SingleCoreSystem(odd, variant).run(trace, backend="ref")
+            got = try_run_batch(sysb, trace)
+            assert got is not None
+            assert want.to_payload() == got.to_payload()
 
 
 @needs_kernel
@@ -448,10 +459,10 @@ class TestFallbackCounts:
         reset_fallback_counts()
 
     def test_refusal_counted_by_reason(self, trace, cfg):
-        system = use_generic_lru(SingleCoreSystem(cfg, "baseline"))
+        system = SingleCoreSystem(cfg, "baseline", check_every=1000)
         reason = unsupported_reason(system, trace)
         system.run(trace, backend="batch")
-        use_generic_lru(SingleCoreSystem(cfg, "baseline")).run(
+        SingleCoreSystem(cfg, "baseline", check_every=1000).run(
             trace, backend="batch")
         assert fallback_counts() == {reason: 2}
 
@@ -482,13 +493,6 @@ class TestFallbackCounts:
 
 
 class TestFallback:
-    def test_generic_lru_twin_falls_back(self, trace, cfg):
-        """The generic-LRU differential twin must keep exercising the
-        reference loop — the batch kernel refuses it."""
-        system = use_generic_lru(SingleCoreSystem(cfg, "baseline"))
-        assert unsupported_reason(system, trace) is not None
-        assert try_run_batch(system, trace) is None
-
     def test_check_every_falls_back(self, trace, cfg):
         system = SingleCoreSystem(cfg, "baseline", check_every=500)
         assert unsupported_reason(system, trace) is not None

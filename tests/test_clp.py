@@ -213,13 +213,6 @@ class TestVariantWiring:
 
 class TestDifferentialTwins:
     @pytest.mark.parametrize("variant", ["sdc_clp", "sdc_lp_tagless"])
-    def test_inlined_vs_generic_lru(self, variant):
-        from repro.validate.differential import diff_inlined_vs_generic_lru
-        diff_inlined_vs_generic_lru(_trace(2000),
-                                    config=default_config(),
-                                    variant=variant)
-
-    @pytest.mark.parametrize("variant", ["sdc_clp", "sdc_lp_tagless"])
     def test_multicore1_vs_single(self, variant):
         from repro.validate.differential import diff_multicore1_vs_single
         diff_multicore1_vs_single(_trace(2000),

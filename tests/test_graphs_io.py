@@ -1,12 +1,11 @@
-"""Tests for graph file I/O (GAP edge lists + binary container)."""
+"""Tests for graph file I/O (GAP edge lists)."""
 
 import numpy as np
 import pytest
 
 from repro.graphs.csr import from_edges
 from repro.graphs.generators import grid_road_graph, kronecker_graph
-from repro.graphs.io import (load_binary, load_edgelist, save_binary,
-                             save_edgelist)
+from repro.graphs.io import load_edgelist, save_edgelist
 
 
 @pytest.fixture
@@ -59,31 +58,3 @@ class TestEdgeList:
         p = tmp_path / "mygraph.el"
         p.write_text("0 1\n")
         assert load_edgelist(p).name == "mygraph"
-
-
-class TestBinary:
-    def test_roundtrip(self, small):
-        g, tmp = small
-        path = save_binary(g, tmp / "g.npz")
-        loaded = load_binary(path)
-        assert np.array_equal(loaded.out_oa, g.out_oa)
-        assert np.array_equal(loaded.in_na, g.in_na)
-        assert loaded.symmetric == g.symmetric
-        assert loaded.name == g.name
-
-    def test_weights_roundtrip(self, tmp_path):
-        g = grid_road_graph(5, seed=43)
-        loaded = load_binary(save_binary(g, tmp_path / "w.npz"))
-        assert np.array_equal(loaded.out_weights, g.out_weights)
-
-    def test_unweighted_loads_none(self, small):
-        g, tmp = small
-        loaded = load_binary(save_binary(g, tmp / "g.npz"))
-        assert loaded.out_weights is None
-
-    def test_kernels_run_on_loaded_graph(self, small):
-        from repro.kernels import pagerank
-        g, tmp = small
-        loaded = load_binary(save_binary(g, tmp / "g.npz"))
-        assert np.allclose(pagerank(loaded, max_iterations=5),
-                           pagerank(g, max_iterations=5))

@@ -26,16 +26,14 @@ def hier(cfg):
 
 class TestLookupCascade:
     def test_cold_access_reaches_dram(self, hier, cfg):
-        r = hier.access(1000, False)
-        assert r.level == DRAM
-        assert r.latency >= (cfg.l1d.latency + cfg.l2c.latency +
-                             cfg.llc.latency + cfg.dram.row_hit_latency)
+        level, latency = hier.access(1000, False)
+        assert level == DRAM
+        assert latency >= (cfg.l1d.latency + cfg.l2c.latency +
+                           cfg.llc.latency + cfg.dram.row_hit_latency)
 
     def test_second_access_hits_l1(self, hier, cfg):
         hier.access(1000, False)
-        r = hier.access(1000, False)
-        assert r.level == L1D
-        assert r.latency == cfg.l1d.latency
+        assert hier.access(1000, False) == (L1D, cfg.l1d.latency)
 
     def test_fill_installs_all_levels(self, hier):
         hier.access(42, False)
@@ -49,13 +47,13 @@ class TestLookupCascade:
         nsets_l1 = hier.l1d.num_sets
         for i in range(1, hier.l1d.ways + 1):
             hier.access(i * nsets_l1, False)
-        r = hier.access(0, False)
-        assert r.level in (L2C, LLC)
-        assert r.latency >= cfg.l1d.latency + cfg.l2c.latency
+        level, latency = hier.access(0, False)
+        assert level in (L2C, LLC)
+        assert latency >= cfg.l1d.latency + cfg.l2c.latency
 
     def test_latency_monotone_with_depth(self, hier):
-        lat_dram = hier.access(7, False).latency
-        lat_l1 = hier.access(7, False).latency
+        _, lat_dram = hier.access(7, False)
+        _, lat_l1 = hier.access(7, False)
         assert lat_dram > lat_l1
 
 
@@ -81,8 +79,8 @@ class TestWritebacks:
         assert h.dram.stats.writes >= 1
 
     def test_write_allocates(self, hier):
-        r = hier.access(55, True)
-        assert r.level == DRAM
+        level, _ = hier.access(55, True)
+        assert level == DRAM
         assert hier.l1d.contains(55)
 
 
@@ -131,5 +129,5 @@ class TestSharedStructures:
         h1 = MemoryHierarchy(cfg, llc=shared, enable_prefetch=False)
         h2 = MemoryHierarchy(cfg, llc=shared, enable_prefetch=False)
         h1.access(77, False)
-        r = h2.access(77, False)
-        assert r.level == LLC      # h2 hits h1's LLC fill
+        level, _ = h2.access(77, False)
+        assert level == LLC        # h2 hits h1's LLC fill

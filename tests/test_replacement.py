@@ -57,7 +57,7 @@ class TestLRU:
             line = [0, 0, 0]
             p.on_fill(line, None)
             lines[tag] = line
-        p.on_hit(lines[1], None)
+        p.on_hit(lines, 1, None)
         assert p.victim(lines) == 2
 
 
@@ -71,7 +71,7 @@ class TestSRRIP:
     def test_hit_promotes(self):
         p = SRRIPPolicy()
         line = [2, 0, 0]
-        p.on_hit(line, None)
+        p.on_hit({7: line}, 7, None)
         assert line[0] == 0
 
     def test_victim_ages_until_found(self):
@@ -154,10 +154,11 @@ class TestSHiP:
         before = p.shct[sig]
         line = [0, 0, 0]
         p.on_fill(line, pc)
-        p.on_hit(line, pc)
+        lines = {1: line}
+        p.on_hit(lines, 1, pc)
         assert p.shct[sig] == before + 1
         # Second hit on the same line does not double-count.
-        p.on_hit(line, pc)
+        p.on_hit(lines, 1, pc)
         assert p.shct[sig] == before + 1
 
     def test_dead_eviction_trains_counter_down(self):

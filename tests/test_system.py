@@ -13,6 +13,7 @@ from repro.core.system import (SingleCoreSystem, VARIANTS,
 from repro.mem.hierarchy import DRAM, L1D, SDC_LEVEL
 from repro.trace.layout import AddressSpace
 from repro.trace.record import TraceBuilder
+from tests.test_validate import stride_config, stride_trace
 
 
 def synthetic_trace(pattern="mixed", n=5000, seed=0):
@@ -246,6 +247,17 @@ class TestAblationVariants:
         from repro.core.multicore import MultiCoreSystem
         with pytest.raises(ValueError, match="single-core"):
             MultiCoreSystem(cfg, "lp_bypass")
+
+    @pytest.mark.parametrize("variant", ["victim", "lp_bypass"])
+    def test_ablation_walks_give_the_l1_prefetcher_the_pc(self, variant):
+        # Regression: the victim and bypass walks called the L1
+        # prefetcher without the PC, so IP-stride saw one global
+        # stream of two interleaved strides and never prefetched.
+        trace, cfg = stride_trace(), stride_config()
+        base = SingleCoreSystem(cfg, "baseline").run(trace, backend="ref")
+        got = SingleCoreSystem(cfg, variant).run(trace, backend="ref")
+        assert base.l1d.prefetch_fills > len(trace) // 2
+        assert got.l1d.prefetch_fills == base.l1d.prefetch_fills
 
 
 class TestVariantOrdering:

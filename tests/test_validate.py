@@ -1,10 +1,10 @@
 """Tests for the repro.validate harness: invariant checks, the
 periodic run-loop hook, and the differential pairs.
 
-The differential tests are the executable form of PR 1's promise that
-every hot-path specialisation has an equivalent generic twin; the
-invariant tests both exercise the checkers on healthy systems and prove
-they actually fire on corrupted state.
+The multi-core differential tests pin the coherence walk with one core
+to the single-core reference loop under every LLC policy and the PC-
+aware L1 prefetcher; the invariant tests both exercise the checkers on
+healthy systems and prove they actually fire on corrupted state.
 """
 
 import dataclasses
@@ -22,13 +22,10 @@ from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
 from repro.validate import (DEFAULT_CHECK_INTERVAL, InvariantViolation,
                             check_interval, check_single_core_system)
-from repro.validate.differential import (DifferentialMismatch,
+from repro.validate.differential import (LLC_POLICIES,
+                                         DifferentialMismatch,
                                          assert_stats_equal,
-                                         diff_access_vs_access_fast,
-                                         diff_inlined_vs_generic_lru,
-                                         diff_multicore1_vs_single,
-                                         diff_pow2_vs_divmod,
-                                         force_divmod)
+                                         diff_multicore1_vs_single)
 from repro.validate.invariants import (check_cache_stats,
                                        check_lru_order,
                                        check_multicore_system,
@@ -216,31 +213,52 @@ class TestInvariantsFireOnCorruption:
 
 
 # ---------------------------------------------------------------------------
-# Differential pairs: redundant implementations agree bit-for-bit
+# Differential pairs: implementations that must agree, bit-for-bit
 # ---------------------------------------------------------------------------
 
-class TestDifferentialPairs:
-    @pytest.mark.parametrize("variant", ["baseline", "sdc_lp", "victim"])
-    def test_inlined_vs_generic_lru(self, trace, config, variant):
-        fast, generic = diff_inlined_vs_generic_lru(trace, config, variant)
-        assert fast.cycles == generic.cycles
-        assert dataclasses.asdict(fast.l1d) == dataclasses.asdict(
-            generic.l1d)
+def stride_trace(n=4000) -> Trace:
+    """Two interleaved PCs striding 3 and 5 blocks through one region:
+    an IP-stride prefetcher that sees the PCs learns both strides, one
+    that sees a single global stream learns neither."""
+    space = AddressSpace()
+    region = space.add("strided", 64, 1 << 16)
+    k = np.arange(n) // 2
+    acc = np.zeros(n, dtype=ACCESS_DTYPE)
+    acc["addr"] = region.addr(np.where(np.arange(n) % 2 == 0,
+                                       3 * k, (1 << 15) + 5 * k))
+    acc["pc"] = np.where(np.arange(n) % 2 == 0, 0x400010, 0x400020)
+    acc["gap"] = 1
+    acc["dep"] = -1
+    return Trace(acc, space)
 
-    def test_access_vs_access_fast(self, trace, config):
-        diff_access_vs_access_fast(trace, config)
+
+def stride_config():
+    cfg = scaled_config(16)
+    return dataclasses.replace(
+        cfg, l1d=dataclasses.replace(cfg.l1d, prefetcher="stride"))
+
+
+#: (variant, LLC policy) pairs for the multi-core twin; the LRU cases
+#: keep their historical ids.
+MULTICORE_CASES = [
+    pytest.param(v, p, id=v if p == "lru" else f"{v}-{p}")
+    for p in LLC_POLICIES for v in ("baseline", "sdc_lp")
+] + [pytest.param("topt", "lru", id="topt")]
+
+
+class TestDifferentialPairs:
+    @pytest.mark.parametrize("variant,policy", MULTICORE_CASES)
+    def test_multicore1_vs_single(self, trace, config, variant, policy):
+        cfg = dataclasses.replace(config, llc=dataclasses.replace(
+            config.llc, replacement=policy))
+        single, multi = diff_multicore1_vs_single(trace, cfg, variant)
+        assert single.cycles == multi.cycles
 
     @pytest.mark.parametrize("variant", ["baseline", "sdc_lp"])
-    def test_pow2_vs_divmod(self, trace, config, variant):
-        pow2, fallback = diff_pow2_vs_divmod(trace, config, variant)
-        assert pow2.cycles == fallback.cycles
-        assert dataclasses.asdict(pow2.dram) == dataclasses.asdict(
-            fallback.dram)
-
-    @pytest.mark.parametrize("variant", ["baseline", "sdc_lp", "topt"])
-    def test_multicore1_vs_single(self, trace, config, variant):
-        single, multi = diff_multicore1_vs_single(trace, config, variant)
-        assert single.cycles == multi.cycles
+    def test_multicore1_vs_single_stride_prefetcher(self, variant):
+        # Regression: the multi-core walk called the L1 prefetcher
+        # without the PC, so IP-stride saw one global stream there.
+        diff_multicore1_vs_single(stride_trace(), stride_config(), variant)
 
     def test_multicore1_vs_single_without_sdc_prefetcher(self, trace,
                                                          config):
@@ -302,13 +320,9 @@ class TestNonPow2EndToEnd:
         # classes, which would legitimately differ between geometries.
         sys_np = SingleCoreSystem(cfg_np, "baseline",
                                   enable_prefetch=False)
-        # Non-pow2 geometry must auto-select the div/mod fallback.
-        assert sys_np.hierarchy.l1d._set_mask == -1
-        assert sys_np.hierarchy.l2c._set_mask == -1
         a = sys_np.run(trace, record_levels=True)
 
-        sys_p2 = force_divmod(SingleCoreSystem(cfg_p2, "baseline",
-                                               enable_prefetch=False))
+        sys_p2 = SingleCoreSystem(cfg_p2, "baseline", enable_prefetch=False)
         b = sys_p2.run(trace, record_levels=True)
 
         np.testing.assert_array_equal(a.levels, b.levels)
