@@ -494,7 +494,7 @@ def _ingest(args) -> int:
 
     try:
         kwargs = {}
-        if args.chunk_edges:
+        if args.chunk_edges is not None:
             kwargs["chunk_edges"] = args.chunk_edges
         report_ = ingest.ingest_graph(
             args.path, name=args.name, symmetrize=args.symmetrize,

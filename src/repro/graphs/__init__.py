@@ -7,7 +7,7 @@ directions (out-edges as CSR, in-edges as CSC) because the GAP kernels
 switch between push (CSR) and pull (CSC) traversal.
 """
 
-from repro.graphs.csr import CSRGraph, build_graph, from_edges
+from repro.graphs.csr import CSRGraph, from_edges
 from repro.graphs.generators import (
     grid_road_graph,
     kronecker_graph,
@@ -20,7 +20,6 @@ from repro.graphs.suite import GRAPH_SUITE, GraphSpec, load_graph
 
 __all__ = [
     "CSRGraph",
-    "build_graph",
     "from_edges",
     "kronecker_graph",
     "uniform_random_graph",

@@ -18,10 +18,13 @@ share one array set between CSR and CSC.  Vertex ids are ``int32``
 :func:`from_edges` applies GAP's loader semantics — infer ``n`` as the
 max endpoint + 1, drop self-loops, keep the *first* occurrence of each
 duplicate edge (and its weight), optionally add every reverse edge —
-with one sort of the packed ``src * n + dst`` keys, and refuses a
-vertex id outside ``[0, n)``.  The streaming ingestion path
-(:mod:`repro.graphs.ingest`) reproduces those semantics byte-for-byte
-out of core:
+and refuses a vertex id outside ``[0, n)`` or a weight that does not
+fit ``int32``.  There is one builder, :func:`csr_rows`: it sorts the
+packed ``src * n + dst`` keys of a range of rows once and drops
+repeats.  ``from_edges`` is its one-range case, all rows in RAM; the
+streaming ingestion path (:mod:`repro.graphs.ingest`) buckets the keys
+of a file by vertex range on disk and calls it once per range, so the
+two build the same bytes:
 
 >>> import numpy as np
 >>> g = from_edges(np.array([[0, 1], [1, 2], [1, 1], [0, 1]]))
@@ -157,21 +160,41 @@ def check_vertex_ids(lo: int, hi: int, n: int) -> None:
                          f"num_vertices={n}")
 
 
-def _sort(keys: np.ndarray, w: np.ndarray | None):
-    """Sort packed edge keys.  Weights ride along through a stable
-    argsort, so equal keys keep their input order."""
+def check_weights(w: np.ndarray) -> np.ndarray:
+    """``w`` as :data:`WEIGHT_DTYPE` (int32); raises ``ValueError``
+    naming a weight that does not fit."""
+    info = np.iinfo(WEIGHT_DTYPE)
+    for bad in (w.min(initial=0), w.max(initial=0)):
+        if not info.min <= bad <= info.max:
+            raise ValueError(f"edge weight {bad} does not fit in int32")
+    return w.astype(WEIGHT_DTYPE, copy=False)
+
+
+def csr_rows(keys: np.ndarray, w: np.ndarray | None, n: int, v0: int,
+             v1: int, dedup: bool):
+    """CSR rows ``[v0, v1)`` from their packed ``row * n + col`` keys.
+
+    The keys are sorted once.  Weights ride along through a stable
+    argsort, so equal keys keep their input order, and ``dedup`` keeps
+    the first occurrence of each key by comparing neighbours.  Returns
+    ``(oa, keys, w)``: the sorted keys and their weights, and ``oa``
+    offsetting row ``v0 + i`` into them; a key's column is ``key % n``.
+    :func:`from_edges` builds every row in one call;
+    :mod:`repro.graphs.ingest` builds one vertex range per call.
+    """
     if w is None:
-        return np.sort(keys), None
-    order = np.argsort(keys, kind="stable")
-    return keys[order], w[order]
-
-
-def _split(keys: np.ndarray, n: int):
-    """(OA, rows, cols) of sorted ``row * n + col`` keys."""
-    rows, cols = np.divmod(keys, max(n, 1))
-    oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(np.bincount(rows, minlength=n), out=oa[1:])
-    return oa, rows, cols
+        keys = np.sort(keys)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, w = keys[order], w[order]
+    if dedup and len(keys):
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        if w is not None:
+            w = w[first]
+    oa = np.searchsorted(keys, np.arange(v0, v1 + 1) * n)
+    return oa.astype(OFFSET_DTYPE, copy=False), keys, w
 
 
 def from_edges(edges: np.ndarray, num_vertices: int | None = None,
@@ -193,7 +216,8 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None,
         Vertex count; inferred as ``edges.max() + 1`` when omitted.  An
         id outside ``[0, num_vertices)`` raises ``ValueError``.
     weights:
-        Optional per-edge weights (same length as ``edges``).
+        Optional per-edge weights (same length as ``edges``); one that
+        does not fit ``int32`` raises ``ValueError``.
     symmetrize:
         Add the reverse of every edge (GAP's undirected-graph loading).
     dedup:
@@ -208,7 +232,7 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None,
     if len(edges):
         check_vertex_ids(int(edges.min()), int(edges.max()), n)
     src, dst = edges[:, 0], edges[:, 1]
-    w = None if weights is None else np.asarray(weights, dtype=WEIGHT_DTYPE)
+    w = None if weights is None else check_weights(np.asarray(weights))
 
     keys = src * n + dst
     keep = src != dst
@@ -221,32 +245,18 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None,
         keys = keys[keep]
         if w is not None:
             w = w[keep]
-    keys, w = _sort(keys, w)
-    if dedup and len(keys):
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        if w is not None:
-            w = w[first]
-
-    out_oa, src, dst = _split(keys, n)
-    out_na, out_w = dst.astype(VERTEX_DTYPE), w
+    out_oa, keys, out_w = csr_rows(keys, w, n, 0, n, dedup)
+    src, dst = np.divmod(keys, max(n, 1))
+    out_na = dst.astype(VERTEX_DTYPE)
     if symmetrize:
         in_oa, in_na, in_w = out_oa, out_na, out_w
     else:
-        in_keys, in_w = _sort(dst * n + src, w)
-        in_oa, _, in_src = _split(in_keys, n)
-        in_na = in_src.astype(VERTEX_DTYPE)
+        in_oa, in_keys, in_w = csr_rows(dst * n + src, out_w, n, 0, n,
+                                        False)
+        in_na = (in_keys % max(n, 1)).astype(VERTEX_DTYPE)
 
     g = CSRGraph(out_oa=out_oa, out_na=out_na, in_oa=in_oa, in_na=in_na,
                  out_weights=out_w, in_weights=in_w,
                  symmetric=symmetrize, name=name)
     g.validate()
     return g
-
-
-def build_graph(edges, num_vertices=None, **kwargs) -> CSRGraph:
-    """Convenience alias for :func:`from_edges` accepting lists of pairs."""
-    return from_edges(np.asarray(list(edges) if not isinstance(edges, np.ndarray)
-                                 else edges),
-                      num_vertices=num_vertices, **kwargs)

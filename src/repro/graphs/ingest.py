@@ -20,22 +20,19 @@ Rows with the wrong column count are an error, never silently
 truncated (a ``.el`` row with three fields raises, matching
 :func:`repro.graphs.io.load_edgelist`).
 
-**Pipeline** (``ingest_graph``):
+**Pipeline** (``ingest_graph``; docs/WORKLOADS.md walks through it):
 
-1. *Count pass* — stream the file in bounded chunks; find the vertex
-   count and raw out-degrees.
-2. *Scatter pass* — re-stream, counting-sort each edge's destination
-   (and weight) into an on-disk ``np.memmap`` neighbours array.  Input
-   order is preserved inside every vertex segment; with
-   ``symmetrize`` the file is streamed twice (forward edges, then
-   reverse), reproducing :func:`repro.graphs.csr.from_edges`'s
-   concatenation order exactly.
-3. *Compact pass* — per vertex range: drop self-loops, stable-sort by
-   ``(src, dst)`` and keep the first occurrence of each duplicate
-   (GAP's cleanup, byte-identical to ``from_edges``'s one stable sort
-   of the packed ``src * n + dst`` keys).
-4. *CSC pass* — stream the finished out-CSR to build the in-adjacency
-   (skipped for symmetrized graphs, which share arrays).
+1. *Parse* — the only read of the text: spill each chunk's rows to an
+   int32 scratch file and count every vertex's arcs.
+2. *Bucket* — pack each arc into a ``src * n + dst`` key (all forward
+   arcs, then all reverse ones: ``from_edges``'s order) and scatter the
+   keys, stably, into their vertex range's region of a scratch file; a
+   range holds at most ``chunk_edges`` arcs, or one vertex.
+3. *Sort per range* — :func:`repro.graphs.csr.csr_rows`, the builder
+   ``from_edges`` runs once over all rows, sorts each range once and
+   drops repeats, so both paths write the same bytes.
+4. *CSC* — steps 2–3 over the CSR's swapped keys, without dedupe
+   (directed graphs only; symmetrized ones share one array set).
 5. *Store write* — stream the sections into one store file atomically.
 
 **Store format** (v1): a :mod:`repro.store` container of kind
@@ -86,7 +83,8 @@ import numpy as np
 
 from repro import store as artifact
 from repro.graphs.csr import (CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE,
-                              WEIGHT_DTYPE, check_vertex_ids)
+                              WEIGHT_DTYPE, check_vertex_ids,
+                              check_weights, csr_rows)
 
 STORE_VERSION = 1
 
@@ -246,7 +244,7 @@ class IngestReport:
     path: Path
     num_vertices: int
     num_edges: int
-    raw_edges: int            # parsed rows (× 2 when symmetrized)
+    raw_edges: int            # rows parsed from the text
     symmetric: bool
     weighted: bool
 
@@ -255,42 +253,15 @@ class IngestReport:
         return self.path.stat().st_size
 
 
-def _scatter_chunk(cursor: np.ndarray, src: np.ndarray,
-                   dst: np.ndarray, w: np.ndarray | None,
-                   na: np.ndarray, wa: np.ndarray | None) -> None:
-    """Counting-sort one chunk into the raw NA memmap.
-
-    The stable per-``src`` ordering (argsort ``kind="stable"`` plus the
-    carried ``cursor``) preserves global input order within every
-    vertex segment — required for first-occurrence dedup semantics.
-    """
-    order = np.argsort(src, kind="stable")
-    s = src[order]
-    uniq, start, counts = np.unique(s, return_index=True,
-                                    return_counts=True)
-    within = np.arange(len(s), dtype=np.int64) - np.repeat(start, counts)
-    pos = cursor[s] + within
-    na[pos] = dst[order].astype(VERTEX_DTYPE)
-    if wa is not None:
-        wa[pos] = w[order].astype(WEIGHT_DTYPE)
-    cursor[uniq] += counts
-
-
-def _vertex_ranges(oa: np.ndarray, chunk_edges: int):
-    """Split vertices into ranges of at most ~``chunk_edges`` edges."""
-    n = len(oa) - 1
-    v0 = 0
-    while v0 < n:
-        v1 = int(np.searchsorted(oa, oa[v0] + max(chunk_edges, 1),
-                                 side="right")) - 1
-        v1 = max(v1, v0 + 1)
-        v1 = min(v1, n)
-        yield v0, v1
-        v0 = v1
-
-
-def _append_raw(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr).tobytes())
+def _range_bounds(oa: np.ndarray, chunk_edges: int) -> list[int]:
+    """Vertex ids splitting ``[0, n)`` into ranges of at most
+    ``chunk_edges`` arcs; a vertex with more is a range of its own."""
+    bounds = [0]
+    while bounds[-1] < len(oa) - 1:
+        v0 = bounds[-1]
+        bounds.append(max(v0 + 1, int(np.searchsorted(
+            oa, oa[v0] + chunk_edges, side="right")) - 1))
+    return bounds
 
 
 def ingest_graph(path: str | os.PathLike, name: str | None = None,
@@ -307,6 +278,8 @@ def ingest_graph(path: str | os.PathLike, name: str | None = None,
     symmetrize)`` build over the same rows — the equivalence the
     ``ingest-smoke`` CI leg pins.
     """
+    if chunk_edges < 1:
+        raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
     path = Path(path)
     fmt, _ = edge_list_format(path)
     weighted = _FORMATS[f".{fmt}"]
@@ -320,35 +293,11 @@ def ingest_graph(path: str | os.PathLike, name: str | None = None,
                             bool(head["flags"] & FLAG_SYMMETRIC),
                             bool(head["flags"] & FLAG_WEIGHTED))
 
-    directions = 2 if symmetrize else 1
-
-    # Pass 1: vertex count and raw out-degrees.  `observed_n` matches
-    # from_edges: max vertex id + 1, either endpoint counting.
-    deg = np.zeros(1024, dtype=np.int64)
-    raw_rows = 0
-    observed_n = 0
-    for src, dst, _w in iter_edge_chunks(path, chunk_edges):
-        hi = int(max(src.max(), dst.max())) + 1
-        observed_n = max(observed_n, hi)
-        if hi > len(deg):
-            deg = np.concatenate([deg, np.zeros(
-                max(hi, 2 * len(deg)) - len(deg), dtype=np.int64)])
-        deg[:hi] += np.bincount(src, minlength=hi)[:hi]
-        if symmetrize:
-            deg[:hi] += np.bincount(dst, minlength=hi)[:hi]
-        raw_rows += len(src)
-    n = num_vertices if num_vertices is not None else observed_n
-    check_vertex_ids(0, observed_n - 1, n)
-    deg = deg[:n] if len(deg) >= n else np.concatenate(
-        [deg, np.zeros(n - len(deg), dtype=np.int64)])
-    raw_m = int(deg.sum())
-
     scratch = Path(tempfile.mkdtemp(dir=graphs_dir(),
                                     prefix=f".{name}.build."))
     try:
-        report = _build_and_write(
-            path, dest, scratch, name, n, deg, raw_m, raw_rows,
-            symmetrize, weighted, num_vertices, chunk_edges)
+        report = _build_and_write(path, dest, scratch, name, symmetrize,
+                                  weighted, num_vertices, chunk_edges)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     COUNTERS["ingests"].inc()
@@ -361,64 +310,35 @@ def ingest_graph(path: str | os.PathLike, name: str | None = None,
 _store_write_seq: dict[str, int] = {}
 
 
-def _build_and_write(path, dest, scratch, name, n, deg, raw_m, raw_rows,
-                     symmetrize, weighted, num_vertices,
-                     chunk_edges) -> IngestReport:
-    # Pass 2: counting-sort scatter into raw NA/weight memmaps.
-    raw_na = _scratch_memmap(scratch / "raw_na.bin", VERTEX_DTYPE, raw_m)
-    raw_w = (_scratch_memmap(scratch / "raw_w.bin", WEIGHT_DTYPE, raw_m)
-             if weighted else None)
-    raw_oa = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=raw_oa[1:])
-    cursor = raw_oa[:-1].copy()
-    passes = ("fwd", "rev") if symmetrize else ("fwd",)
-    for direction in passes:
-        for src, dst, w in iter_edge_chunks(path, chunk_edges):
-            if direction == "rev":
-                src, dst = dst, src
-            _scatter_chunk(cursor, src, dst, w, raw_na, raw_w)
-
-    # Pass 3: self-loop drop + first-occurrence dedup + (src, dst) sort.
-    final_deg = np.zeros(n, dtype=np.int64)
-    out_na_path = scratch / "out_na.bin"
-    out_w_path = scratch / "out_w.bin"
-    with open(out_na_path, "wb") as na_fh, \
-            open(out_w_path, "wb") as w_fh:
-        for v0, v1 in _vertex_ranges(raw_oa, chunk_edges):
-            lo, hi = int(raw_oa[v0]), int(raw_oa[v1])
-            dsts = np.asarray(raw_na[lo:hi], dtype=np.int64)
-            counts = np.diff(raw_oa[v0:v1 + 1])
-            srcs = np.repeat(np.arange(v0, v1, dtype=np.int64), counts)
-            ws = (np.asarray(raw_w[lo:hi]) if raw_w is not None
-                  else None)
-            keep = srcs != dsts
-            srcs, dsts = srcs[keep], dsts[keep]
-            if ws is not None:
-                ws = ws[keep]
-            key = srcs * n + dsts
-            order = np.argsort(key, kind="stable")
-            k = key[order]
-            first = np.ones(len(k), dtype=bool)
-            first[1:] = k[1:] != k[:-1]
-            sel = order[first]
-            _append_raw(na_fh, dsts[sel].astype(VERTEX_DTYPE))
-            if ws is not None:
-                _append_raw(w_fh, ws[sel])
-            final_deg[v0:v1] = np.bincount(
-                srcs[sel] - v0, minlength=v1 - v0)
-
-    out_oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(final_deg, out=out_oa[1:])
+def _build_and_write(path, dest, scratch, name, symmetrize, weighted,
+                     num_vertices, chunk_edges) -> IngestReport:
+    spill = scratch / "edges.bin"
+    n, rows, deg = _parse(path, spill, symmetrize, num_vertices,
+                          chunk_edges)
+    arcs = _spilled_arcs(spill, rows, weighted, symmetrize, chunk_edges)
+    out_oa, out_na, out_w = _bucket_sort(scratch / "out", arcs, deg, n,
+                                         weighted, chunk_edges)
     e = int(out_oa[-1])
-    out_na = _scratch_memmap(out_na_path, VERTEX_DTYPE, e, "r")
-    out_w = (_scratch_memmap(out_w_path, WEIGHT_DTYPE, e, "r")
-             if weighted else None)
     sections = [out_oa, out_na] + ([out_w] if weighted else [])
 
-    # Pass 4: CSC from the finished out-CSR (directed graphs only).
     if not symmetrize:
-        in_oa, in_na, in_w = _build_csc(scratch, out_oa, out_na, out_w,
-                                        n, e, chunk_edges)
+        # The CSC is the same build over the CSR's swapped arcs.
+        in_deg = np.zeros(n, dtype=np.int64)
+        for lo in range(0, e, chunk_edges):
+            np.add.at(in_deg, out_na[lo:lo + chunk_edges], 1)
+
+        def swapped():
+            bounds = _range_bounds(out_oa, chunk_edges)
+            for v0, v1 in zip(bounds, bounds[1:]):
+                lo, hi = out_oa[v0], out_oa[v1]
+                srcs = np.repeat(np.arange(v0, v1, dtype=np.int64),
+                                 np.diff(out_oa[v0:v1 + 1]))
+                yield (np.asarray(out_na[lo:hi], dtype=np.int64), srcs,
+                       None if out_w is None else out_w[lo:hi])
+
+        in_oa, in_na, in_w = _bucket_sort(scratch / "in", swapped(), in_deg,
+                                          n, weighted, chunk_edges,
+                                          dedup=False)
         sections += [in_oa, in_na] + ([in_w] if weighted else [])
 
     meta = {"name": name, "source": str(path), "num_vertices": n,
@@ -427,8 +347,105 @@ def _build_and_write(path, dest, scratch, name, n, deg, raw_m, raw_rows,
     flags = (FLAG_SYMMETRIC if symmetrize else 0) | \
         (FLAG_WEIGHTED if weighted else 0)
     artifact.write(GRAPH, dest, meta, (n, e, flags, 0), sections)
-    return IngestReport(name, dest, n, e, raw_rows, symmetrize,
-                        weighted)
+    return IngestReport(name, dest, n, e, rows, symmetrize, weighted)
+
+
+def _parse(path, spill, symmetrize, num_vertices, chunk_edges):
+    """The only read of the text: spill the rows to the int32 file
+    ``spill`` (ids and weights share that dtype) and count each
+    vertex's arcs (self-loops excluded).  Returns ``(n, rows, deg)``;
+    ``n`` is ``num_vertices`` or, as in ``from_edges``, the largest
+    id + 1.  An id past ``n`` or int32, or a weight past int32, raises
+    ``ValueError``."""
+    limit = np.iinfo(VERTEX_DTYPE).max + 1
+    cap = limit if num_vertices is None else min(num_vertices, limit)
+    deg = np.zeros(0, dtype=np.int64)
+    rows = observed_n = 0
+    with open(spill, "wb") as fh:
+        for src, dst, w in iter_edge_chunks(path, chunk_edges):
+            top = int(max(src.max(), dst.max()))
+            check_vertex_ids(0, top, cap)
+            cols = [src, dst] if w is None else [src, dst, check_weights(w)]
+            np.column_stack(cols).astype(VERTEX_DTYPE).tofile(fh)
+            if top >= len(deg):
+                deg = np.pad(deg, (0, max(top + 1, 2 * len(deg)) - len(deg)))
+            keep = src != dst
+            np.add.at(deg, src[keep], 1)
+            if symmetrize:
+                np.add.at(deg, dst[keep], 1)
+            rows += len(src)
+            observed_n = max(observed_n, top + 1)
+    n = num_vertices if num_vertices is not None else observed_n
+    deg = np.pad(deg[:n], (0, max(n - len(deg), 0)))
+    return n, rows, deg
+
+
+def _spilled_arcs(spill, rows, weighted, symmetrize, chunk_edges):
+    """Every chunk's forward arcs of the ``spill`` file, then
+    (symmetrized) the reverse ones, self-loops dropped; the file is
+    deleted once read."""
+    cols = 3 if weighted else 2
+    edges = _scratch_memmap(spill, VERTEX_DTYPE, rows * cols,
+                            "r").reshape(rows, cols)
+    for flip in (False, True)[:1 + symmetrize]:
+        for lo in range(0, rows, chunk_edges):
+            part = edges[lo:lo + chunk_edges].astype(np.int64)
+            s, d = part[:, 0], part[:, 1]
+            keep = s != d
+            s, d = (d, s) if flip else (s, d)
+            yield s[keep], d[keep], part[keep, 2] if weighted else None
+    del edges                   # unmap before the unlink frees the disk
+    spill.unlink()
+
+
+def _bucket_sort(prefix: Path, arcs, deg: np.ndarray, n: int,
+                 weighted: bool, chunk_edges: int, dedup: bool = True):
+    """CSR ``(oa, na, w)`` of the ``(rows, cols, w)`` chunks ``arcs``
+    yields, out of core; ``deg[v]`` counts row ``v``'s arcs.  Each
+    chunk's ``row * n + col`` keys go, stably, to their vertex range's
+    region of a scratch key file; then :func:`csr_rows` sorts each
+    range once, and the key files are deleted.  ``na`` and ``w`` map
+    scratch files at ``prefix``."""
+    raw_oa = np.concatenate([[0], np.cumsum(deg)])
+    bounds = _range_bounds(raw_oa, chunk_edges)
+    ranges = list(zip(bounds, bounds[1:]))
+    range_of = np.repeat(np.arange(len(ranges), dtype=np.min_scalar_type(
+        len(ranges))), np.diff(bounds))
+    cursor = raw_oa[bounds[:-1]]
+    keys_at = _scratch_memmap(prefix.with_suffix(".keys"), np.int64,
+                              int(raw_oa[-1]))
+    w_at = (_scratch_memmap(prefix.with_suffix(".wkeys"), WEIGHT_DTYPE,
+                            int(raw_oa[-1])) if weighted else None)
+    for rows, cols, w in arcs:
+        rid = range_of[rows]
+        order = np.argsort(rid, kind="stable")
+        counts = np.bincount(rid, minlength=len(ranges))
+        pos = (np.repeat(cursor - np.cumsum(counts) + counts, counts)
+               + np.arange(len(rows)))
+        cursor += counts
+        keys_at[pos] = (rows * n + cols)[order]
+        if w_at is not None:
+            w_at[pos] = w[order]
+
+    oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
+    na_path, w_path = prefix.with_suffix(".na"), prefix.with_suffix(".w")
+    with open(na_path, "wb") as na_fh, open(w_path, "wb") as w_fh:
+        for v0, v1 in ranges:
+            lo, hi = raw_oa[v0], raw_oa[v1]
+            r_oa, keys, w = csr_rows(
+                keys_at[lo:hi], None if w_at is None else w_at[lo:hi],
+                n, v0, v1, dedup)
+            oa[v0 + 1:v1 + 1] = oa[v0] + r_oa[1:]
+            (keys % n).astype(VERTEX_DTYPE).tofile(na_fh)
+            if w is not None:
+                w.tofile(w_fh)
+    del keys_at, w_at           # unmap before the unlinks free the disk
+    for suffix in (".keys", ".wkeys"):
+        prefix.with_suffix(suffix).unlink(missing_ok=True)
+    e = int(oa[-1])
+    return (oa, _scratch_memmap(na_path, VERTEX_DTYPE, e, "r"),
+            _scratch_memmap(w_path, WEIGHT_DTYPE, e, "r") if weighted
+            else None)
 
 
 def _scratch_memmap(path: Path, dtype, length: int,
@@ -436,31 +453,6 @@ def _scratch_memmap(path: Path, dtype, length: int,
     if length == 0:
         return np.zeros(0, dtype=dtype)
     return np.memmap(path, dtype=dtype, mode=mode, shape=(length,))
-
-
-def _build_csc(scratch, out_oa, out_na, out_w, n, e, chunk_edges):
-    """Stream the compacted out-CSR into in-adjacency arrays."""
-    in_deg = np.zeros(n, dtype=np.int64)
-    for v0, v1 in _vertex_ranges(out_oa, chunk_edges):
-        lo, hi = int(out_oa[v0]), int(out_oa[v1])
-        if hi > lo:
-            in_deg += np.bincount(out_na[lo:hi], minlength=n)
-    in_oa = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(in_deg, out=in_oa[1:])
-    cursor = in_oa[:-1].copy().astype(np.int64)
-    in_na = _scratch_memmap(scratch / "in_na.bin", VERTEX_DTYPE, e)
-    in_w = (_scratch_memmap(scratch / "in_w.bin", WEIGHT_DTYPE, e)
-            if out_w is not None else None)
-    for v0, v1 in _vertex_ranges(out_oa, chunk_edges):
-        lo, hi = int(out_oa[v0]), int(out_oa[v1])
-        if hi == lo:
-            continue
-        counts = np.diff(out_oa[v0:v1 + 1])
-        srcs = np.repeat(np.arange(v0, v1, dtype=np.int64), counts)
-        dsts = np.asarray(out_na[lo:hi], dtype=np.int64)
-        w = (np.asarray(out_w[lo:hi]) if in_w is not None else None)
-        _scatter_chunk(cursor, dsts, srcs, w, in_na, in_w)
-    return in_oa, in_na, in_w
 
 
 # -- read -------------------------------------------------------------------

@@ -62,14 +62,10 @@ def load_edgelist(path, symmetrize: bool = False,
         dsts.append(dst)
         if weighted:
             ws.append(w)
-    if srcs:
-        edges = np.column_stack([np.concatenate(srcs),
-                                 np.concatenate(dsts)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    weights = (np.concatenate(ws).astype(np.int32)
-               if weighted and ws else
-               (np.empty(0, dtype=np.int32) if weighted else None))
+    empty = [np.empty(0, dtype=np.int64)]
+    edges = np.column_stack([np.concatenate(srcs or empty),
+                             np.concatenate(dsts or empty)])
+    weights = np.concatenate(ws or empty) if weighted else None
     return from_edges(edges, num_vertices=num_vertices, weights=weights,
                       symmetrize=symmetrize,
                       name=ingest.graph_name_from_path(path))

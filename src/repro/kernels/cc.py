@@ -14,6 +14,24 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 
 
+def hooking_edges(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the edges that hook in one round.
+
+    Every edge whose endpoint labels differ proposes ``comp[hi] = lo``.
+    For each ``hi`` label the smallest ``lo`` wins, and of the edges
+    carrying it the first, so the round is deterministic whatever the
+    edge order.  Labels lie in ``[0, n)``.
+    """
+    idx = np.flatnonzero(lo != hi)
+    hi_d, lo_d = hi[idx], lo[idx]
+    best = np.full(n, n, dtype=np.int64)
+    np.minimum.at(best, hi_d, lo_d)
+    at_best = lo_d == best[hi_d]
+    first = np.full(n, len(lo), dtype=np.int64)
+    np.minimum.at(first, hi_d[at_best], idx[at_best])
+    return first[first < len(lo)]
+
+
 def connected_components(graph: CSRGraph, max_rounds: int | None = None
                          ) -> np.ndarray:
     """Return per-vertex component labels (the min vertex id per component)."""
@@ -29,20 +47,13 @@ def connected_components(graph: CSRGraph, max_rounds: int | None = None
     limit = max_rounds if max_rounds is not None else n + 1
 
     for _ in range(limit):
-        # Hooking: comp[max] <- comp[min] along every edge where they differ.
+        # Hooking: comp[max] <- comp[min] along one edge per 'max' label.
         cs, cd = comp[src], comp[dst]
         lo, hi = np.minimum(cs, cd), np.maximum(cs, cd)
-        diff = lo != hi
-        if not diff.any():
+        win = hooking_edges(lo, hi, n)
+        if not len(win):
             break
-        # For each 'hi' label pick the smallest 'lo' hooked onto it so the
-        # round is deterministic regardless of edge order.
-        hi_d, lo_d = hi[diff], lo[diff]
-        order = np.lexsort((lo_d, hi_d))
-        hi_s, lo_s = hi_d[order], lo_d[order]
-        first = np.ones(len(hi_s), dtype=bool)
-        first[1:] = hi_s[1:] != hi_s[:-1]
-        comp[hi_s[first]] = lo_s[first]
+        comp[hi[win]] = lo[win]
         # Pointer jumping until the labels form a flat forest.
         while True:
             nxt = comp[comp]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.kernels.cc import hooking_edges
 from repro.trace.layout import AddressSpace
 from repro.trace.record import SegmentField, Trace, TraceBuilder
 
@@ -326,16 +327,9 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
             break
         cs, cd = comp[srcs], comp[dsts]
         lo, hi = np.minimum(cs, cd), np.maximum(cs, cd)
-        diff = lo != hi
-        # Deterministic hooking: smallest lo per hi wins (as cc.py).
+        # The hooking rule of cc.py (deterministic in the edge order).
         win = np.zeros(len(eidx), dtype=bool)
-        if diff.any():
-            d_idx = np.flatnonzero(diff)
-            order = np.lexsort((lo[d_idx], hi[d_idx]))
-            ordered = d_idx[order]
-            first = np.ones(len(ordered), dtype=bool)
-            first[1:] = hi[ordered][1:] != hi[ordered][:-1]
-            win[ordered[first]] = True
+        win[hooking_edges(lo, hi, n)] = True
 
         tb.append_stream(
             counts,
@@ -349,7 +343,7 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
                                gap=1, dep_rel=-1, mask=win,
                                unroll=UNROLL)],
             footer=[])
-        if not diff.any():
+        if not win.any():
             break
         comp[hi[win]] = lo[win]
 

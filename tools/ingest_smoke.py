@@ -6,7 +6,10 @@ The acceptance scenario, end to end with real subprocesses:
 1. generate a small gzipped edge list (dupes, self-loops, a gap in the
    vertex ids) and ``repro ingest`` it into a fresh cache;
 2. assert the mapped store round-trips byte-identical to an in-memory
-   ``from_edges`` build over the same rows (every CSR/CSC array);
+   ``from_edges`` build over the same rows (every CSR/CSC array), also
+   when re-ingested at ``--chunk-edges 4096`` (many vertex ranges, not
+   one) and for a weighted, directed ``.wel`` copy of the rows at that
+   chunk size (weights and the CSC too);
 3. run one simulation cell per post-paper workload family
    (``rw``/``gs``/``dyn``) over the *ingested* graph and diff the
    printed stats against the same cells run from the in-memory build —
@@ -60,6 +63,18 @@ def run(cmd: list[str], cache: Path,
     return proc
 
 
+def same_bytes(name, mapped, ref) -> None:
+    """Fail unless every CSR/CSC array of ``mapped`` (and the weights,
+    when ``ref`` has them) has the bytes of ``ref``'s."""
+    fields = ["out_oa", "out_na", "in_oa", "in_na"]
+    if ref.out_weights is not None:
+        fields += ["out_weights", "in_weights"]
+    for f in fields:
+        got = np.asarray(getattr(mapped, f))
+        if got.tobytes() != np.asarray(getattr(ref, f)).tobytes():
+            fail(f"{name}: mapped {f} differs from in-memory from_edges")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--edges", type=int, default=60_000)
@@ -95,12 +110,26 @@ def main() -> None:
         from repro.graphs.csr import from_edges
         mapped = ingest.load_ingested("smoke")
         ref = from_edges(edges, symmetrize=True, name="smoke")
-        for f in ("out_oa", "out_na", "in_oa", "in_na"):
-            got = np.asarray(getattr(mapped, f))
-            want = np.asarray(getattr(ref, f))
-            if got.tobytes() != want.tobytes():
-                fail(f"mapped {f} differs from in-memory from_edges")
+        same_bytes("smoke", mapped, ref)
         log("mapped CSR byte-identical to in-memory from_edges")
+
+        # The multi-range path: the same rows at --chunk-edges 4096, and
+        # a weighted copy of them (the duplicate rows carry different
+        # weights, so the first one must win) built directed.
+        weights = rng.integers(1, 1 << 20, size=args.edges)
+        wel = work / "smoke.wel"
+        with wel.open("w") as fh:
+            for (a, b), c in zip(edges.tolist(), weights.tolist()):
+                fh.write(f"{a} {b} {c}\n")
+        for src, name, w, sym in ((el, "smoke4k", None, True),
+                                  (wel, "smoke4kw", weights, False)):
+            run([sys.executable, "-m", "repro", "ingest", str(src),
+                 "--name", name, "--chunk-edges", "4096"]
+                + ["--symmetrize"] * sym, cache)
+            same_bytes(name, ingest.load_ingested(name),
+                       from_edges(edges, weights=w, symmetrize=sym))
+        log("--chunk-edges 4096 and a weighted directed copy are "
+            "byte-identical to from_edges")
 
         # 3. one cell per family over the ingested graph: the mapped
         # and in-memory graphs must produce identical stats output.
