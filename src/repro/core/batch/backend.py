@@ -9,9 +9,11 @@ caller falls back to the reference path.  The kernel owns its state: it
 allocates every structure's arrays from the geometry slots of the
 config vector, starting them as a fresh system holds them (the system
 must be fresh), and frees them before it returns.  What crosses the
-seam is the trace's per-access columns, the aux columns and DRRIP's
-leader roles going in, and one counter vector, the two cycle doubles,
-the telemetry rows and the per-access levels coming out; the stats are
+seam is the trace's records (one pointer to the packed
+``ACCESS_DTYPE`` array, read in place; the record size and the field
+offsets ride in the config vector), the aux columns and DRRIP's leader
+roles going in, and one counter vector, the two cycle doubles, the
+telemetry rows and the per-access levels coming out; the stats are
 built from those.  No state flows back into the Python objects, so the
 run leaves the system spent (``SingleCoreSystem.spend``): each
 structure raises on any read.  Every refusal is counted per process by
@@ -29,7 +31,9 @@ Refusal rules (any one triggers ``None``):
   distill LOC+WOC, SRRIP, DRRIP or SHiP; next-line and SPP
   prefetchers);
 * the system is not fresh (non-empty caches or non-zero counters):
-  the kernel starts all stamp clocks from zero.
+  the kernel starts all stamp clocks from zero;
+* the trace's records are not ``ACCESS_DTYPE``, or a dependency
+  points past the trace's end.
 """
 
 from __future__ import annotations
@@ -50,11 +54,36 @@ from repro.mem.dram import DRAMStats
 from repro.mem.prefetch import NextLinePrefetcher, SPPPrefetcher
 from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, LRUPolicy,
                                    SHiPPolicy, SRRIPPolicy)
-from repro.mem.tlb import TLBStats
+from repro.mem.tlb import PAGE_BITS, TLBStats
 from repro.telemetry.probes import WindowProbe, _Snapshot
+from repro.trace.record import ACCESS_DTYPE
 
-NBUF = 15
-ICFG_LEN = 88
+NBUF = 10
+ICFG_LEN = 92
+
+#: The record fields the kernel reads and the type it reads each as
+#: (kernel.c ``rec_*``).  The record size and these fields' offsets
+#: cross in icfg slots 84-89 (kernel.c ``I_REC_SIZE``...).
+_RECORD_FIELDS = (("pc", np.uint32), ("addr", np.uint64),
+                  ("write", np.uint8), ("gap", np.uint16),
+                  ("dep", np.int64))
+
+
+def _record_layout(dtype: np.dtype) -> list[int]:
+    """The record size and each ``_RECORD_FIELDS`` offset of ``dtype``;
+    a field whose type is not the one the kernel reads raises, so a
+    change to ``ACCESS_DTYPE`` fails here instead of being misread."""
+    layout = [dtype.itemsize]
+    for name, kind in _RECORD_FIELDS:
+        field_type, offset = dtype.fields[name][:2]
+        if field_type != np.dtype(kind):
+            raise TypeError(f"ACCESS_DTYPE field {name!r} is {field_type},"
+                            f" the kernel reads {np.dtype(kind)}")
+        layout.append(offset)
+    return layout
+
+
+_RECORD_LAYOUT = _record_layout(ACCESS_DTYPE)
 
 #: Slots of the kernel's counter vector (kernel.c ``OUT_*``): the
 #: CacheStats of the L1D, L2C, LLC (the distill cache's own when it is
@@ -239,13 +268,11 @@ def unsupported_reason(system, trace) -> str | None:
                 or any(tlb.l1.sets) or any(tlb.l2.sets)):
             return "tlb not fresh"
 
-    acc = trace.accesses
-    if len(acc):
-        if int(acc["addr"].min()) >> BLOCK_BITS < 0:
-            return "negative block address"
-        deps = acc["dep"]
-        if int(deps.max(initial=-1)) >= len(acc):
-            return "forward dependency index"
+    if trace.accesses.dtype != ACCESS_DTYPE:
+        return "trace records not ACCESS_DTYPE"
+    from repro.core.system import max_dependency
+    if max_dependency(trace) >= len(trace.accesses):
+        return "forward dependency index"
     return None
 
 
@@ -253,7 +280,7 @@ def unsupported_reason(system, trace) -> str | None:
 # Aux arrays (shared trace-keyed memo with the reference path)
 # ---------------------------------------------------------------------------
 
-def _aux_arrays(system, trace, blocks):
+def _aux_arrays(system, trace):
     """(aux_mode, aux_next, aux_irr, aux_word) for the kernel.
 
     Mode 3 marks a SHiP LLC, whose aux is the access PC: the kernel
@@ -261,7 +288,7 @@ def _aux_arrays(system, trace, blocks):
     """
     from repro.core.system import distill_aux_words, topt_aux_arrays
     if system.variant == "topt":
-        nxt, irr = topt_aux_arrays(trace, blocks)
+        nxt, irr = topt_aux_arrays(trace)
         return 1, np.ascontiguousarray(nxt, dtype=_I64), \
             np.ascontiguousarray(irr, dtype=_U8), _zeros(1)
     if system.variant == "distill":
@@ -298,20 +325,13 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     lib = load_kernel()
     h = system.hierarchy
     config = system.config
-    acc = trace.accesses
-    n = len(acc)
-
-    blocks = np.ascontiguousarray(acc["addr"] >> BLOCK_BITS, dtype=_I64)
-    pcs = np.ascontiguousarray(acc["pc"], dtype=_I64)
-    writes = np.ascontiguousarray(acc["write"], dtype=_U8)
-    gaps = np.ascontiguousarray(acc["gap"], dtype=_I64)
-    deps = np.ascontiguousarray(acc["dep"], dtype=_I64)
+    # The records, in place (a store-opened trace's are a read-only
+    # memmap); only a strided view is copied.
+    records = np.ascontiguousarray(trace.accesses)
+    n = len(records)
     tlb = system.tlb
-    pages = np.ascontiguousarray(acc["addr"] >> 12, dtype=_I64) \
-        if tlb is not None else _zeros(1)
 
-    aux_mode, aux_next, aux_irr, aux_word = _aux_arrays(
-        system, trace, blocks)
+    aux_mode, aux_next, aux_irr, aux_word = _aux_arrays(system, trace)
     pred = _predictor(system)
     if pred == PRED_EXPERT:
         from repro.core.system import expert_block_mask
@@ -389,9 +409,10 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     if llc_kind == LLC_SHIP:
         icfg_vals[77:79] = [policy.TABLE_SIZE, policy.COUNTER_MAX]
     icfg_vals[79:84] = LEVEL_WEIGHTS[:5]
+    icfg_vals[84:90] = _RECORD_LAYOUT
+    icfg_vals[90:92] = [BLOCK_BITS, PAGE_BITS]
 
-    buffers = [blocks, pcs, writes, gaps, deps, pages,
-               aux_next, aux_irr, aux_word, expert_irr, llc_role,
+    buffers = [records, aux_next, aux_irr, aux_word, expert_irr, llc_role,
                counters, cycles, tele, levels]
     icfg_c = (ctypes.c_int64 * ICFG_LEN)(*icfg_vals)
     bufs_c = (ctypes.c_void_p * NBUF)(

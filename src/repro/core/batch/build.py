@@ -22,7 +22,7 @@ import shutil
 import subprocess
 import tempfile
 
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 

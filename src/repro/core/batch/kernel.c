@@ -4,9 +4,12 @@
  * (repro.core.system / repro.mem.*).  The kernel owns its state: each
  * run allocates every structure fresh from the geometry slots of icfg
  * and frees it before returning, so only icfg and the B_* buffers
- * cross to repro.core.batch.backend.  Bit-identity with the reference
- * is a hard contract: every counter an output carries, recency bump,
- * victim pick and float operation mirrors the Python source exactly.
+ * cross to repro.core.batch.backend.  The trace crosses as its packed
+ * ACCESS_DTYPE records, read in place: icfg carries the record size
+ * and the offset of each field the kernel reads.  Bit-identity with
+ * the reference is a hard contract: every counter an output carries,
+ * recency bump, victim pick and float operation mirrors the Python
+ * source exactly.
  * Compile with -ffp-contract=off so the interval-timer float math
  * cannot be fused into FMA (CPython never fuses).
  *
@@ -31,7 +34,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI_VERSION 3
+#define ABI_VERSION 4
 
 /* CacheStats slots (field order of repro.mem.cache.CacheStats). */
 enum { ACC = 0, HIT, MISS, PFF, PFH, WB, EV, FILL, INV };
@@ -48,12 +51,17 @@ enum { PRED_NONE = 0, PRED_LP, PRED_EXPERT, PRED_CLP, N_PREDICTORS };
 enum { ERR_ALLOC = 1, ERR_TELEMETRY, ERR_PATH, ERR_LLC_KIND,
        ERR_PREDICTOR };
 
-/* repro_batch_run's buffers, in order: the per-access trace columns,
- * the aux columns and DRRIP's leader roles it reads, then the outputs
- * it writes (repro.core.batch.backend builds the same list). */
-enum { B_BLOCKS = 0, B_PCS, B_WRITES, B_GAPS, B_DEPS, B_PAGES,
-       B_AUX_NEXT, B_AUX_IRR, B_AUX_WORD, B_EXPERT_IRR, B_LLC_ROLE,
-       B_COUNTERS, B_CYCLES, B_TELE, B_LEVELS, N_BUFS };
+/* repro_batch_run's buffers, in order: the trace's records, the aux
+ * columns and DRRIP's leader roles it reads, then the outputs it writes
+ * (repro.core.batch.backend builds the same list). */
+enum { B_RECORDS = 0, B_AUX_NEXT, B_AUX_IRR, B_AUX_WORD, B_EXPERT_IRR,
+       B_LLC_ROLE, B_COUNTERS, B_CYCLES, B_TELE, B_LEVELS, N_BUFS };
+/* icfg slots of the record layout: the record size, then the offsets
+ * of the fields the kernel reads (repro.core.batch.backend
+ * _RECORD_FIELDS, checked there against ACCESS_DTYPE), then the block
+ * and page shifts. */
+enum { I_REC_SIZE = 84, I_OFF_PC, I_OFF_ADDR, I_OFF_WRITE, I_OFF_GAP,
+       I_OFF_DEP, I_BLOCK_BITS, I_PAGE_BITS };
 /* Slots of the B_COUNTERS vector: CacheStats of the L1D, L2C, LLC (the
  * distill cache's own when it is one) and SDC, DRAMStats, LPStats and
  * TLBStats, then instructions and telemetry rows. */
@@ -102,7 +110,6 @@ static int64_t g_psel, g_psel_max, g_brrip_tick, g_brrip_eps;
 static int64_t *g_shct, *g_ship_sig;  /* SHiP: SHCT, per-slot signature */
 static uint8_t *g_ship_reused;
 static int64_t g_shct_mask, g_shct_max;
-static const int64_t *g_pcs;
 
 /* sdcdir */
 static int64_t *g_db, *g_dsh, *g_ddc, *g_dst, *g_docc;
@@ -127,9 +134,46 @@ static int64_t g_tk_count;
 #define SP_SIGS 4096
 #define SP_SLOTS 127
 
-/* aux / trace columns */
+/* aux columns */
 static const int64_t *g_aux_next, *g_aux_word;
 static const uint8_t *g_aux_irr, *g_expert_irr;
+
+/* The trace's records, read in place (memcpy: they are packed). */
+static const unsigned char *g_rec;
+static int64_t g_rec_size, g_off_pc, g_off_addr, g_off_write, g_off_gap,
+    g_off_dep;
+
+static inline const unsigned char *rec(int64_t i) {
+    return g_rec + i * g_rec_size;
+}
+
+static inline int64_t rec_pc(int64_t i) {
+    uint32_t v;
+    memcpy(&v, rec(i) + g_off_pc, sizeof v);
+    return v;
+}
+
+static inline uint64_t rec_addr(int64_t i) {
+    uint64_t v;
+    memcpy(&v, rec(i) + g_off_addr, sizeof v);
+    return v;
+}
+
+static inline int rec_write(int64_t i) {
+    return rec(i)[g_off_write] ? 1 : 0;
+}
+
+static inline int64_t rec_gap(int64_t i) {
+    uint16_t v;
+    memcpy(&v, rec(i) + g_off_gap, sizeof v);
+    return v;
+}
+
+static inline int64_t rec_dep(int64_t i) {
+    int64_t v;
+    memcpy(&v, rec(i) + g_off_dep, sizeof v);
+    return v;
+}
 
 /* ---------------------------------------------------------------- */
 /* Set-associative cache primitives                                  */
@@ -564,7 +608,7 @@ static int llc_fill(int64_t b, int dirty, int pf, int has_aux, int64_t i,
                         has_aux ? g_aux_next[i] : 0,
                         has_aux ? g_aux_irr[i] : 0, evb, evd, NULL);
     return c_fill_k(&L3, b, dirty, pf, (int)g_llc_kind, has_aux,
-                    has_aux ? g_pcs[i] : 0, 0, evb, evd, NULL);
+                    has_aux ? rec_pc(i) : 0, 0, evb, evd, NULL);
 }
 
 static int llc_mark_dirty(int64_t b) {
@@ -1482,32 +1526,36 @@ int64_t repro_batch_abi(void) {
 
 #define MAX_OWNED 80
 
+/* How an owned array starts: at 0, at -1 (every byte 0xff), or
+ * unset, for an array the run writes before it reads each element. */
+enum { ZERO = 0, NEG1, UNSET };
+
 typedef struct {
     void *p;
     size_t bytes;
-    int neg1;           /* starts at -1 (every byte 0xff), else at 0 */
+    int start;
 } Owned;
 
 static Owned g_owned[MAX_OWNED];
 static int g_nowned, g_alloc_failed;
 
-/* count elements (at least one) of size bytes; NULL, which fails the
- * run, when count * size overflows, the table is full or malloc
- * fails. */
-static void *own(int64_t count, size_t size, int neg1) {
+/* count elements (at least one) of size bytes, starting as start
+ * says; NULL, which fails the run, when count * size overflows, the
+ * table is full or malloc fails. */
+static void *own(int64_t count, size_t size, int start) {
     void *p = NULL;
     size_t bytes = 0;
     if (count < 1)
         count = 1;
     if (g_nowned < MAX_OWNED && (uint64_t)count <= SIZE_MAX / size) {
         bytes = (size_t)count * size;
-        p = neg1 ? malloc(bytes) : calloc((size_t)count, size);
+        p = start == ZERO ? calloc((size_t)count, size) : malloc(bytes);
     }
     if (!p) {
         g_alloc_failed = 1;
         return NULL;
     }
-    g_owned[g_nowned++] = (Owned){ p, bytes, neg1 };
+    g_owned[g_nowned++] = (Owned){ p, bytes, start };
     return p;
 }
 
@@ -1527,12 +1575,12 @@ static void own_cache(Cache *c, const int64_t *g) {
     c->bits = g[4];
     c->clock = 0;
     c->seqc = 0;
-    c->tags = own(slots, sizeof(int64_t), 1);
-    c->prio = own(slots, sizeof(int64_t), 0);
-    c->seq = own(slots, sizeof(int64_t), 0);
-    c->dirty = own(slots, sizeof(uint8_t), 0);
-    c->pf = own(slots, sizeof(uint8_t), 0);
-    c->occ = own(c->sets, sizeof(int64_t), 0);
+    c->tags = own(slots, sizeof(int64_t), NEG1);
+    c->prio = own(slots, sizeof(int64_t), ZERO);
+    c->seq = own(slots, sizeof(int64_t), ZERO);
+    c->dirty = own(slots, sizeof(uint8_t), ZERO);
+    c->pf = own(slots, sizeof(uint8_t), ZERO);
+    c->occ = own(c->sets, sizeof(int64_t), ZERO);
 }
 
 /* A TLB level from its three geometry slots g. */
@@ -1541,16 +1589,17 @@ static void own_tlb(TLBLevel *L, const int64_t *g) {
     L->ways = g[1];
     L->mask = g[2];
     L->clock = 0;
-    L->page = own(L->sets * L->ways, sizeof(int64_t), 1);
-    L->stamp = own(L->sets * L->ways, sizeof(int64_t), 0);
-    L->occ = own(L->sets, sizeof(int64_t), 0);
+    L->page = own(L->sets * L->ways, sizeof(int64_t), NEG1);
+    L->stamp = own(L->sets * L->ways, sizeof(int64_t), ZERO);
+    L->occ = own(L->sets, sizeof(int64_t), ZERO);
 }
 
 /* Allocate every state array of a run, sized from icfg's geometry
  * slots, and start it as a fresh Python system holds it: tags, keys
  * and tracker pages at -1, the SHCT at its initial counter, the rest
- * at 0; an absent structure is a 1x1 dummy.  On failure every array
- * is released, none touched, and ERR_ALLOC returned. */
+ * at 0 but for the arrays written before they are read; an absent
+ * structure is a 1x1 dummy.  On failure every array is released, none
+ * touched, and ERR_ALLOC returned. */
 static int64_t alloc_state(const int64_t *icfg, double **completions) {
     own_cache(&L1, icfg + 16);
     own_cache(&L2, icfg + 21);
@@ -1567,42 +1616,45 @@ static int64_t alloc_state(const int64_t *icfg, double **completions) {
     const int64_t sigs = g_l2_spp ? SP_SIGS : 1;
     const int64_t trackers = g_l2_spp ? TK_CAP : 1;
     int k;
-    g_usage = own(l3_slots, sizeof(uint8_t), 0);
-    g_wb = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
-    g_ww = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
-    g_ws = own(woc_sets * g_woc_slots, sizeof(int64_t), 0);
-    g_wlen = own(woc_sets, sizeof(int64_t), 0);
-    g_shct = own(ship ? g_shct_mask + 1 : 1, sizeof(int64_t), 0);
-    g_ship_sig = own(ship ? l3_slots : 1, sizeof(int64_t), 0);
-    g_ship_reused = own(ship ? l3_slots : 1, sizeof(uint8_t), 0);
-    g_rows = own(g_banks, sizeof(int64_t), 1);
-    g_lp_tag = own(lp_slots, sizeof(int64_t), 1);
-    g_lp_addr = own(lp_slots, sizeof(int64_t), 0);
-    g_lp_sacc = own(lp_slots, sizeof(int64_t), 0);
-    g_lp_stamp = own(lp_slots, sizeof(int64_t), 0);
-    g_lp_occ = own(g_lp_sets, sizeof(int64_t), 0);
-    g_db = own(dir_slots, sizeof(int64_t), 1);
-    g_dsh = own(dir_slots, sizeof(int64_t), 0);
-    g_ddc = own(dir_slots, sizeof(int64_t), 0);
-    g_dst = own(dir_slots, sizeof(int64_t), 0);
-    g_docc = own(g_dir_sets, sizeof(int64_t), 0);
-    g_sp_d = own(sigs * SP_SLOTS, sizeof(int8_t), 0);
-    g_sp_c = own(sigs * SP_SLOTS, sizeof(int16_t), 0);
-    g_sp_len = own(sigs, sizeof(int32_t), 0);
-    g_sp_tot = own(sigs, sizeof(int32_t), 0);
-    g_tk_page = own(trackers, sizeof(int64_t), 1);
-    g_tk_off = own(trackers, sizeof(int64_t), 0);
-    g_tk_sig = own(trackers, sizeof(int64_t), 0);
-    g_timer.out[0].a = own(g_timer.limits[0] + 1, sizeof(double), 0);
-    g_timer.out[1].a = own(g_timer.limits[1] + 1, sizeof(double), 0);
-    g_timer.rob = own(g_timer.rob_window, sizeof(double), 0);
-    *completions = own(icfg[0], sizeof(double), 0);
+    g_usage = own(l3_slots, sizeof(uint8_t), ZERO);
+    g_wb = own(woc_sets * g_woc_slots, sizeof(int64_t), ZERO);
+    g_ww = own(woc_sets * g_woc_slots, sizeof(int64_t), ZERO);
+    g_ws = own(woc_sets * g_woc_slots, sizeof(int64_t), ZERO);
+    g_wlen = own(woc_sets, sizeof(int64_t), ZERO);
+    g_shct = own(ship ? g_shct_mask + 1 : 1, sizeof(int64_t), ZERO);
+    g_ship_sig = own(ship ? l3_slots : 1, sizeof(int64_t), ZERO);
+    g_ship_reused = own(ship ? l3_slots : 1, sizeof(uint8_t), ZERO);
+    g_rows = own(g_banks, sizeof(int64_t), NEG1);
+    g_lp_tag = own(lp_slots, sizeof(int64_t), NEG1);
+    g_lp_addr = own(lp_slots, sizeof(int64_t), ZERO);
+    g_lp_sacc = own(lp_slots, sizeof(int64_t), ZERO);
+    g_lp_stamp = own(lp_slots, sizeof(int64_t), ZERO);
+    g_lp_occ = own(g_lp_sets, sizeof(int64_t), ZERO);
+    g_db = own(dir_slots, sizeof(int64_t), NEG1);
+    g_dsh = own(dir_slots, sizeof(int64_t), ZERO);
+    g_ddc = own(dir_slots, sizeof(int64_t), ZERO);
+    g_dst = own(dir_slots, sizeof(int64_t), ZERO);
+    g_docc = own(g_dir_sets, sizeof(int64_t), ZERO);
+    /* A pattern row is read only below g_sp_len[sig], and a tracker's
+     * offset and signature only once g_tk_page holds its page: both
+     * are written first, so neither array is zeroed. */
+    g_sp_d = own(sigs * SP_SLOTS, sizeof(int8_t), UNSET);
+    g_sp_c = own(sigs * SP_SLOTS, sizeof(int16_t), UNSET);
+    g_sp_len = own(sigs, sizeof(int32_t), ZERO);
+    g_sp_tot = own(sigs, sizeof(int32_t), ZERO);
+    g_tk_page = own(trackers, sizeof(int64_t), NEG1);
+    g_tk_off = own(trackers, sizeof(int64_t), UNSET);
+    g_tk_sig = own(trackers, sizeof(int64_t), UNSET);
+    g_timer.out[0].a = own(g_timer.limits[0] + 1, sizeof(double), ZERO);
+    g_timer.out[1].a = own(g_timer.limits[1] + 1, sizeof(double), ZERO);
+    g_timer.rob = own(g_timer.rob_window, sizeof(double), ZERO);
+    *completions = own(icfg[0], sizeof(double), ZERO);
     if (g_alloc_failed) {
         release_state();
         return ERR_ALLOC;
     }
     for (k = 0; k < g_nowned; k++)
-        if (g_owned[k].neg1)
+        if (g_owned[k].start == NEG1)
             memset(g_owned[k].p, 0xff, g_owned[k].bytes);
     if (ship)
         for (k = 0; k <= g_shct_mask; k++)
@@ -1691,12 +1743,15 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     if (alloc_state(icfg, &completions))
         return ERR_ALLOC;
 
-    const int64_t *blocks = bufs[B_BLOCKS];
-    const int64_t *pcs = bufs[B_PCS];
-    const uint8_t *writes = bufs[B_WRITES];
-    const int64_t *gaps = bufs[B_GAPS];
-    const int64_t *deps = bufs[B_DEPS];
-    const int64_t *pages = bufs[B_PAGES];
+    g_rec = bufs[B_RECORDS];
+    g_rec_size = icfg[I_REC_SIZE];
+    g_off_pc = icfg[I_OFF_PC];
+    g_off_addr = icfg[I_OFF_ADDR];
+    g_off_write = icfg[I_OFF_WRITE];
+    g_off_gap = icfg[I_OFF_GAP];
+    g_off_dep = icfg[I_OFF_DEP];
+    const int64_t block_bits = icfg[I_BLOCK_BITS];
+    const int64_t page_bits = icfg[I_PAGE_BITS];
     g_aux_next = bufs[B_AUX_NEXT];
     g_aux_irr = bufs[B_AUX_IRR];
     g_aux_word = bufs[B_AUX_WORD];
@@ -1704,7 +1759,6 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_llc_role = bufs[B_LLC_ROLE];
     int64_t *tele = bufs[B_TELE];
     uint8_t *levels = bufs[B_LEVELS];
-    g_pcs = pcs;
 
     g_belady_clock = 0;
     g_dclock = 0;
@@ -1725,10 +1779,12 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
             timer_reset();
             tele_rows = 0;      /* fresh WindowProbe: drop old windows */
         }
-        const int64_t b = blocks[i];
-        const int64_t pc = pcs[i];
-        const int w = writes[i] ? 1 : 0;
-        const int64_t tlb_lat = tlb_on ? tlb_translate(pages[i]) : 0;
+        const uint64_t addr = rec_addr(i);
+        const int64_t b = (int64_t)(addr >> block_bits);
+        const int64_t pc = rec_pc(i);
+        const int w = rec_write(i);
+        const int64_t tlb_lat =
+            tlb_on ? tlb_translate((int64_t)(addr >> page_bits)) : 0;
 
         int pool = 0;
         int level;
@@ -1756,10 +1812,10 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
             level = access_plain(b, w, i, &lat);
         }
 
-        const int64_t dep = deps[i];
+        const int64_t dep = rec_dep(i);
         const int has_dep = dep >= 0;
         completions[i] = timer_access(
-            gaps[i], lat + tlb_lat,
+            rec_gap(i), lat + tlb_lat,
             has_dep, has_dep ? completions[dep] : 0.0, pool);
         if (record_levels)
             levels[i] = (uint8_t)level;

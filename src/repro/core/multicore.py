@@ -36,7 +36,7 @@ from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMModel
 from repro.mem.hierarchy import (DRAM, L1D, L2C, LLC, SDC_LEVEL, REMOTE,
                                  MemoryHierarchy)
-from repro.mem.replacement import BeladyOPT, make_policy
+from repro.mem.replacement import BeladyOPT
 from repro.mem.timing import CoreTimer
 from repro.mem.tlb import TLBHierarchy
 from repro.telemetry import telemetry_interval
@@ -87,8 +87,8 @@ class MultiCoreSystem:
         if variant == "distill":
             self.llc = DistillCache(self._shared_llc_config())
         else:
-            policy = (BeladyOPT(irregular_only=True) if variant == "topt"
-                      else make_policy(self.config.llc.replacement))
+            policy = BeladyOPT(irregular_only=True) \
+                if variant == "topt" else None
             self.llc = SetAssocCache(self._shared_llc_config(), policy)
         self.dram = DRAMModel(self.config.dram)
         self.directory: dict[int, list[int]] = {}   # block -> [sharers, owner]

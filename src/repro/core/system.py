@@ -68,6 +68,14 @@ SDC_VARIANTS = ("sdc_lp", "expert", "sdc_clp", "sdc_lp_tagless")
 NEVER = BeladyOPT.NEVER
 
 
+def _counters(stats) -> dict:
+    """A flat counter dataclass as a dict in field order: what
+    ``dataclasses.asdict`` returns for one, without its recursive copy
+    (every field is an int)."""
+    return {name: getattr(stats, name)
+            for name in stats.__dataclass_fields__}
+
+
 @dataclass
 class SystemStats:
     """Aggregate results of one simulation run."""
@@ -114,13 +122,13 @@ class SystemStats:
             "variant": self.variant,
             "instructions": self.instructions,
             "cycles": self.cycles,
-            "l1d": dataclasses.asdict(self.l1d),
-            "l2c": dataclasses.asdict(self.l2c),
-            "llc": dataclasses.asdict(self.llc),
-            "sdc": dataclasses.asdict(self.sdc) if self.sdc else None,
-            "dram": dataclasses.asdict(self.dram),
-            "lp": dataclasses.asdict(self.lp) if self.lp else None,
-            "tlb": dataclasses.asdict(self.tlb) if self.tlb else None,
+            "l1d": _counters(self.l1d),
+            "l2c": _counters(self.l2c),
+            "llc": _counters(self.llc),
+            "sdc": _counters(self.sdc) if self.sdc else None,
+            "dram": _counters(self.dram),
+            "lp": _counters(self.lp) if self.lp else None,
+            "tlb": _counters(self.tlb) if self.tlb else None,
             "timeline": (self.timeline.to_payload()
                          if self.timeline is not None else None),
         }
@@ -247,6 +255,16 @@ def distill_aux_words(trace: Trace) -> np.ndarray:
     if out is None:
         out = ((trace.accesses["addr"] >> 3) & 7).astype(np.int64)
         memo["distill"] = out
+    return out
+
+
+def max_dependency(trace: Trace) -> int:
+    """Memoized largest producer index of the trace (-1 when none)."""
+    memo = _trace_aux_memo(trace)
+    out = memo.get("max_dep")
+    if out is None:
+        out = int(trace.accesses["dep"].max(initial=-1))
+        memo["max_dep"] = out
     return out
 
 

@@ -495,7 +495,7 @@ class _GridRun(Supervisor):
         self._start_workers(count)
         try:
             while not self.queue.job_settled(self.manifest.run_id):
-                self._dispatch(self._settle(self._receive(_POLL)))
+                self.step(_POLL)
         finally:
             self._shutdown_workers()
 

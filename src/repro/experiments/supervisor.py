@@ -50,6 +50,20 @@ heartbeat, reaps a worker that dies or runs a cell past
 ``RunPolicy.timeout`` (revoking only that worker's lease) and spawns its
 replacement, and grants the oldest claimable cell to each idle worker.
 A client subclasses it and settles what the workers report.
+
+**Lease first, settle second.**  :meth:`Supervisor.step` is the one
+scheduler iteration of every client.  A worker's result also says that
+it is free, so the step leases it its next cell *before* it settles the
+result: the results-cache put, the journal's fsync and the feeds then
+overlap the next simulation instead of preceding it::
+
+    receive ─▶ free the reporters ─▶ dispatch ─▶ settle ─▶ dispatch
+               (done/error/ready)                (fence, cache, journal,
+                                                  manifests, expiries,
+                                                  reaps)
+
+The second dispatch leases what settling released (retries, revoked
+leases) to workers still idle.
 """
 
 from __future__ import annotations
@@ -348,9 +362,9 @@ class LeaseQueue:
 class _Worker:
     wid: str
     proc: object
-    task_q: object
-    ready: bool = False
-    current: tuple | None = None        # (key, token) of its last task
+    task_w: object                      # write end of its task pipe
+    ready: bool = False                 # free: no task in flight
+    current: tuple | None = None        # (key, token) of its task
 
 
 class Supervisor:
@@ -358,23 +372,27 @@ class Supervisor:
 
     Message protocol (plain tuples, first element the message name)::
 
-        worker -> supervisor (its private one-way result pipe)
-            ("ready",     wid)                       # idle, dispatch to me
+        worker -> supervisor (its private one-way report pipe)
+            ("ready",     wid)                       # started: free
             ("heartbeat", wid)                       # every ttl/4
-            ("done",      wid, key, token, payload)  # cell result
-            ("error",     wid, key, token, errstr)   # cell raised
+            ("done",      wid, key, token, payload)  # cell result; free
+            ("error",     wid, key, token, errstr)   # cell raised; free
 
-        supervisor -> worker (its private task queue)
+        supervisor -> worker (its private one-way task pipe)
             (key, spec, attempt, token)              # execute one cell
-            None                                     # drain: exit cleanly
+            EOF                                      # exit cleanly
 
-    Each worker writes to a pipe of its own: the supervisor closes its
-    copy of the write end, and a lock inside the worker keeps its
-    heartbeat thread and main thread from interleaving messages.  No
-    lock is shared across processes, because a worker terminated while
-    holding one would never release it and would silence every other
-    worker.  :meth:`_receive` waits on every open pipe at once, and
-    drops a pipe at EOF — its worker has exited.
+    Each worker has two pipes of its own, and holds the only copy of
+    its task pipe's read end and of its report pipe's write end (it
+    closes the task write ends it inherits at fork).  The scheduler
+    thread writes a task straight to the pipe, so nothing waits on a
+    feeder thread, and closing the write end tells an idle worker to
+    exit.  A lock inside the worker keeps its heartbeat thread and main
+    thread from interleaving reports.  No lock is shared across
+    processes, because a worker terminated while holding one would
+    never release it and would silence every other worker.
+    :meth:`_receive` waits on every open report pipe at once, and drops
+    a pipe at EOF — its worker has exited.
 
     A worker that dies (crash, OOM-kill) is seen dead and reaped; its
     lease is revoked, so only its own cell spends an attempt.  A hung
@@ -406,7 +424,7 @@ class Supervisor:
         self._workers: dict[str, _Worker] = {}
         self._worker_seq = 0
         self._mp = None
-        # Read ends of the workers' result pipes (a reaped worker's is
+        # Read ends of the workers' report pipes (a reaped worker's is
         # kept until its EOF).
         self._readers: list = []
 
@@ -433,18 +451,24 @@ class Supervisor:
     def _spawn_worker(self) -> None:
         self._worker_seq += 1
         wid = f"w{self._worker_seq}"
-        task_q = self._mp.Queue()
+        task_r, task_w = self._mp.Pipe(duplex=False)
         reader, writer = self._mp.Pipe(duplex=False)
+        # A forked worker inherits every task write end open here; it
+        # closes them, so that closing ours reads as EOF on its pipe.
+        inherited = [task_w] + [w.task_w for w in self._workers.values()]
         proc = self._mp.Process(
             target=_worker_main, name=f"repro-worker-{wid}",
-            args=(wid, task_q, writer, self.queue.lease_ttl,
+            args=(wid, task_r, writer, inherited, self.queue.lease_ttl,
                   faults.active_plan(), self._tele_ctx, os.getpid()),
             daemon=True)
         proc.start()
-        # The worker now holds the only write end: its exit reads as EOF.
+        # The worker now holds the only task read end and report write
+        # end: a send to it after it exits fails, and its exit reads as
+        # EOF here.
+        task_r.close()
         writer.close()
         self._readers.append(reader)
-        self._workers[wid] = _Worker(wid=wid, proc=proc, task_q=task_q)
+        self._workers[wid] = _Worker(wid=wid, proc=proc, task_w=task_w)
         self._emit("worker_spawned", worker=wid)
 
     def _reap_worker(self, w: _Worker, reason: str, now: float) -> None:
@@ -463,21 +487,22 @@ class Supervisor:
             self._after_release(cell, cell.attempts, disp)
         if w.proc.is_alive():
             w.proc.terminate()
+        w.task_w.close()
         del self._workers[w.wid]
         if self._respawns():
             self._spawn_worker()
 
     def _shutdown_workers(self) -> None:
-        """Stop every worker: idle ones exit on their sentinel, busy
-        ones (whose results nobody awaits any more) are terminated."""
+        """Stop every worker: idle ones exit at the EOF of their task
+        pipe, busy ones (whose results nobody awaits any more) are
+        terminated."""
         with self._lock:
             workers = list(self._workers.values())
             self._workers.clear()
         for w in workers:
-            if w.ready:
-                w.task_q.put(None)
-            else:
+            if not w.ready:
                 w.proc.terminate()
+            w.task_w.close()
         deadline = time.monotonic() + 5.0
         for w in workers:
             w.proc.join(timeout=max(0.1, deadline - time.monotonic()))
@@ -489,8 +514,19 @@ class Supervisor:
 
     # -- scheduling --------------------------------------------------------
 
+    def step(self, poll: float) -> None:
+        """One scheduler iteration: wait up to ``poll`` seconds for
+        reports, free the workers that reported, lease each idle worker
+        a cell, settle the reports (fencing, the client's bookkeeping,
+        expiries, reaps), then lease what settling released."""
+        msgs = self._receive(poll)
+        with self._lock:
+            self._free(msgs)
+            self._dispatch(time.monotonic())
+            self._dispatch(self._settle(msgs))
+
     def _receive(self, poll: float) -> list[tuple]:
-        """Worker messages: waits up to ``poll`` seconds for any result
+        """Worker messages: waits up to ``poll`` seconds for any report
         pipe (or ``_wake_r``, when set), then takes whatever every ready
         pipe already holds.  A pipe at EOF is closed and dropped."""
         msgs = []
@@ -511,6 +547,15 @@ class Supervisor:
                 self._readers.remove(conn)
                 conn.close()
         return msgs
+
+    def _free(self, msgs: list[tuple]) -> None:
+        """Mark idle every live worker that reported: a result (stale or
+        not) or the start-up ``ready`` means it runs nothing now."""
+        for msg in msgs:
+            if msg[0] != "heartbeat":
+                w = self._workers.get(msg[1])
+                if w is not None:       # else a reaped worker's last words
+                    w.ready, w.current = True, None
 
     def _settle(self, msgs: list[tuple]) -> float:
         """Apply worker messages, expire lapsed leases and reap dead or
@@ -544,22 +589,18 @@ class Supervisor:
         kind, wid = msg[0], msg[1]
         if kind == "done":
             self._on_done(wid, *msg[2:])
-            return
-        if kind == "error":
+        elif kind == "error":
             self._on_error(wid, *msg[2:])
-            return
-        w = self._workers.get(wid)
-        if w is None:
-            return              # a reaped worker's last words
-        if kind == "ready":
-            w.ready, w.current = True, None
-        elif kind == "heartbeat" and w.current is not None:
-            key, token = w.current
-            if self.queue.renew(key, wid, token, time.monotonic()):
-                self._emit("lease_renewed", key=key, worker=wid)
+        elif kind == "heartbeat":
+            w = self._workers.get(wid)
+            if w is not None and w.current is not None:
+                key, token = w.current
+                if self.queue.renew(key, wid, token, time.monotonic()):
+                    self._emit("lease_renewed", key=key, worker=wid)
 
     def _dispatch(self, now: float) -> None:
-        """Grant the oldest claimable cell to each idle worker."""
+        """Grant the oldest claimable cell to each idle worker.  The
+        ``lease`` record is journaled before the task is sent."""
         for w in self._workers.values():
             if not w.ready:
                 continue
@@ -573,8 +614,11 @@ class Supervisor:
             self._record("lease", key=cell.key, worker=w.wid,
                          attempt=cell.attempts)
             self._on_leased(cell)
-            w.task_q.put((cell.key, cell.spec, cell.attempts,
-                          cell.lease.token))
+            try:
+                w.task_w.send((cell.key, cell.spec, cell.attempts,
+                               cell.lease.token))
+            except OSError:
+                pass        # it exited: the reap revokes this lease
             if faults.lease_lost(cell.key, cell.attempts):
                 # Simulated lease-store loss: the worker runs on, but
                 # its token is now stale; the cell is requeued (the
@@ -589,9 +633,10 @@ class Supervisor:
                 self._after_release(cell, attempt, disp)
 
 
-def _worker_main(wid: str, task_q, result_w, lease_ttl: float,
+def _worker_main(wid: str, task_r, result_w, inherited, lease_ttl: float,
                  fault_plan, tele_ctx, parent_pid: int) -> None:
-    """One worker process: run leased cells until a ``None`` sentinel.
+    """One worker process: run leased cells until its task pipe ``task_r``
+    reads EOF.
 
     ``fault_plan``/``tele_ctx`` are the supervisor's ambient fault plan
     and telemetry context, passed explicitly so any multiprocessing
@@ -602,10 +647,16 @@ def _worker_main(wid: str, task_q, result_w, lease_ttl: float,
     a cell runs.  ^C is left to the supervisor, and the worker dies
     with it (a crashed supervisor must not leave orphans mining CPU).
     The heartbeat comes from a daemon thread, so it keeps flowing while
-    the main thread simulates; both send on the worker's own result
-    pipe ``result_w``, one whole message at a time.
+    the main thread simulates; both send on the worker's own report
+    pipe ``result_w``, one whole message at a time.  ``ready`` is sent
+    once, at start-up; after that each result says the worker is free.
+    ``inherited`` are the task write ends a fork copied here, its own
+    included: closed at once, so only the supervisor's copy keeps the
+    pipe open.
     """
     from repro.experiments import parallel
+    for conn in inherited:
+        conn.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     faults.worker_init(fault_plan)
     tele_events.worker_init(tele_ctx)
@@ -634,16 +685,15 @@ def _worker_main(wid: str, task_q, result_w, lease_ttl: float,
     try:
         send(("ready", wid))
         while True:
-            task = task_q.get()
-            if task is None:
+            try:
+                key, spec, attempt, token = task_r.recv()
+            except EOFError:
                 break
-            key, spec, attempt, token = task
             try:
                 payload = parallel._execute_cell(spec, key, attempt)
             except Exception as exc:
                 send(("error", wid, key, token, parallel._errstr(exc)))
             else:
                 send(("done", wid, key, token, payload))
-            send(("ready", wid))
     finally:
         stop.set()

@@ -18,7 +18,6 @@ from repro.config import SystemConfig
 from repro.mem.cache import SetAssocCache
 from repro.mem.dram import DRAMModel
 from repro.mem.prefetch import make_prefetcher
-from repro.mem.replacement import make_policy
 
 # Served-by level codes (used in per-access recording).
 L1D, L2C, LLC, DRAM, SDC_LEVEL, REMOTE = 0, 1, 2, 3, 4, 5
@@ -39,9 +38,9 @@ class MemoryHierarchy:
         if llc is not None:
             self.llc = llc                       # shared LLC (multi-core)
         else:
-            policy = llc_policy if llc_policy is not None \
-                else make_policy(config.llc.replacement)
-            self.llc = SetAssocCache(config.llc, policy)
+            # Without an explicit policy the cache builds its own, sized
+            # to its sets (DRRIP's leader sets follow the geometry).
+            self.llc = SetAssocCache(config.llc, llc_policy)
         self.dram = dram if dram is not None else DRAMModel(config.dram)
         self.l1_prefetcher = (make_prefetcher(config.l1d.prefetcher)
                               if enable_prefetch else None)

@@ -123,7 +123,7 @@ class _Job:
 class Orchestrator(Supervisor):
     """See module docstring.  Thread-safety: the HTTP handler threads
     and the scheduler loop share ``self._lock``; worker processes only
-    touch the multiprocessing queues."""
+    touch their own task and report pipes."""
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
@@ -505,20 +505,21 @@ class Orchestrator(Supervisor):
             self.journal.close()
 
     def step(self, poll: float = 0.2) -> None:
-        """One scheduler iteration (exposed for in-process tests)."""
-        msgs = self._receive(poll)
+        """One scheduler iteration (exposed for in-process tests): the
+        supervisor's step, then the end of a drain once nothing is
+        leased."""
+        super().step(poll)
         with self._lock:
-            now = self._settle(msgs)
-            if not self._draining:
-                self._dispatch(now)
-            elif not any(c.state == LEASED
-                         for c in self.queue.cells.values()):
+            if self._draining and not any(
+                    c.state == LEASED for c in self.queue.cells.values()):
                 self._complete_drain()
 
     def _dispatch(self, now: float) -> None:
         # Spelled out on this class so perfbench can time it (its span
-        # hooks wrap methods a class defines, not inherited ones).
-        super()._dispatch(now)
+        # hooks wrap methods a class defines, not inherited ones).  A
+        # draining orchestrator leases nothing.
+        if not self._draining:
+            super()._dispatch(now)
 
     def _on_leased(self, cell: Cell) -> None:
         for job_id in sorted(cell.jobs):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import faults, store
 from repro import telemetry as tele
 from repro.config import scaled_config
 from repro.core.batch import (BACKENDS, KernelError, backend,
@@ -30,6 +30,7 @@ from repro.core.batch import (BACKENDS, KernelError, backend,
                               load_kernel, reset_fallback_counts,
                               resolve_backend, try_run_batch,
                               unsupported_reason)
+from repro.core.expert import expert_regions_for
 from repro.core.multicore import MULTICORE_FALLBACK, MultiCoreSystem
 from repro.core.system import (SPENT, SPENT_MESSAGE, VARIANTS,
                                SingleCoreSystem)
@@ -449,6 +450,115 @@ class TestKernelState:
         before = process_bytes()
         cells(300)
         assert process_bytes() - before < 64 << 20
+
+    @needs_kernel
+    def test_state_written_before_read_is_not_stale(self):
+        """The SPP pattern rows and tracker slots start unzeroed: a cell
+        run after an SPP-heavy one, twice, matches the reference loop
+        both times, whatever the freed memory held."""
+        cfg = default_config()
+
+        def trace(wl):
+            return workload_trace(wl, tier="tiny", length=4000)
+
+        SingleCoreSystem(cfg, "baseline").run(trace("bfs.urand"),
+                                              backend="batch")
+        other = trace("cc.friendster")
+        runs = [payload(SingleCoreSystem(cfg, "baseline").run(
+            other, backend="batch")) for _ in range(2)]
+        ref = payload(SingleCoreSystem(cfg, "baseline").run(
+            other, backend="ref"))
+        assert runs[0] == runs[1] == ref
+
+
+class TestPayload:
+    """``SystemStats.to_payload`` builds each counter dict from its
+    fields: the same payload, bytes and checksum ``dataclasses.asdict``
+    gave, for every variant on both backends."""
+
+    @staticmethod
+    def asdict_payload(stats):
+        def opt(counters):
+            return dataclasses.asdict(counters) if counters else None
+
+        return {"variant": stats.variant,
+                "instructions": stats.instructions,
+                "cycles": stats.cycles,
+                "l1d": dataclasses.asdict(stats.l1d),
+                "l2c": dataclasses.asdict(stats.l2c),
+                "llc": dataclasses.asdict(stats.llc),
+                "sdc": opt(stats.sdc), "dram": dataclasses.asdict(stats.dram),
+                "lp": opt(stats.lp), "tlb": opt(stats.tlb),
+                "timeline": (stats.timeline.to_payload()
+                             if stats.timeline is not None else None)}
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_payload_matches_asdict(self, trace, cfg, variant, engine):
+        regions = expert_regions_for(trace, cfg) \
+            if variant == "expert" else None
+        stats = SingleCoreSystem(cfg, variant, expert_regions=regions,
+                                 telemetry_every=500).run(
+            trace, backend=engine)
+        got, want = stats.to_payload(), self.asdict_payload(stats)
+        assert got == want
+        assert [list(d) for d in got.values() if isinstance(d, dict)] \
+            == [list(d) for d in want.values() if isinstance(d, dict)]
+        assert store.encode_meta(got) == store.encode_meta(want)
+        assert rc.payload_checksum(got) == rc.payload_checksum(want)
+
+
+class TestTraceRecords:
+    """The kernel reads the trace's records in place."""
+
+    #: ACCESS_DTYPE with a wider ``gap`` field.
+    WIDE_GAP = np.dtype([(n, np.uint32 if n == "gap" else ACCESS_DTYPE[n])
+                         for n in ACCESS_DTYPE.names])
+
+    def setup_method(self):
+        reset_fallback_counts()
+
+    def teardown_method(self):
+        reset_fallback_counts()
+
+    def test_changed_field_type_is_loud(self):
+        with pytest.raises(TypeError, match="'gap'"):
+            backend._record_layout(self.WIDE_GAP)
+
+    @needs_kernel
+    def test_strided_records_match_reference(self, trace, cfg):
+        acc = trace.accesses.copy()
+        acc["dep"] = -1
+        view = Trace(acc[::2], trace.address_space)
+        assert not view.accesses.flags.c_contiguous
+        a = SingleCoreSystem(cfg, "sdc_lp").run(view, backend="ref")
+        b = SingleCoreSystem(cfg, "sdc_lp").run(view, backend="batch")
+        assert payload(a) == payload(b)
+        assert fallback_counts() == {}
+
+    def test_other_record_dtype_refused(self, trace, cfg):
+        acc = np.zeros(len(trace), dtype=self.WIDE_GAP)
+        for name in ACCESS_DTYPE.names:
+            acc[name] = trace.accesses[name]
+        other = Trace(acc, trace.address_space)
+        system = SingleCoreSystem(cfg, "baseline")
+        assert unsupported_reason(system, other) == \
+            "trace records not ACCESS_DTYPE"
+
+    @needs_kernel
+    def test_dependency_past_the_end_refused_and_memoised(self, trace,
+                                                           cfg):
+        acc = trace.accesses.copy()
+        acc["dep"][-1] = len(acc)
+        bad = Trace(acc, trace.address_space)
+        assert try_run_batch(SingleCoreSystem(cfg, "baseline"), bad) \
+            is None
+        assert fallback_counts() == {"forward dependency index": 1}
+        assert bad._aux_cache["max_dep"] == len(acc)
+        # The scalar is read from the memo on every later check.
+        bad._aux_cache["max_dep"] = -1
+        assert unsupported_reason(SingleCoreSystem(cfg, "baseline"),
+                                  bad) is None
 
 
 class TestFallbackCounts:

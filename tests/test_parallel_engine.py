@@ -12,11 +12,12 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import time
 
 import pytest
 
 from repro.core.batch import resolve_backend
-from repro.experiments import figures, parallel
+from repro.experiments import figures, parallel, supervisor
 from repro.experiments import results_cache as rc
 from repro.experiments.parallel import EXPERT_BEST, Job, run_grid
 from repro.experiments.runner import default_config, run_variant
@@ -247,6 +248,57 @@ class TestRunGrid:
 
 def _boom(spec):
     raise AssertionError("simulation ran despite a warm cache")
+
+
+class TestPipelinedScheduler:
+    """Lease first, settle second: a worker's result frees it, and the
+    step leases it its next cell before it settles that result."""
+
+    def test_both_workers_leased_when_first_result_settles(
+            self, tmp_path, monkeypatch):
+        execute = parallel._execute_cell
+
+        def slow(spec, key, attempt=1):
+            time.sleep(0.2)     # both workers start before a result
+            return execute(spec, key, attempt)
+
+        monkeypatch.setattr(parallel, "_execute_cell", slow)
+        settle = parallel._GridRun._on_done
+        seen = []
+
+        def spy(self, wid, key, token, payload):
+            seen.append(sum(c.state == supervisor.LEASED
+                            for k, c in self.queue.cells.items()
+                            if k != key))
+            settle(self, wid, key, token, payload)
+
+        monkeypatch.setattr(parallel._GridRun, "_on_done", spy)
+        cfg = default_config()
+        grid = [Job(wl, v, cfg, **MICRO) for wl in GRID_WORKLOADS[:2]
+                for v in GRID_VARIANTS[:2]]
+        res = run_grid(grid, jobs=2, cache=rc.ResultsCache(tmp_path / "c"),
+                       manifest_dir=tmp_path / "runs")
+        assert all(r is not None for r in res)
+        assert len(seen) == len(grid)
+        # The reporting worker already runs the third cell, and the
+        # other one still runs the second.
+        assert seen[0] == 2
+
+    def test_worker_exits_when_its_task_pipe_closes(self):
+        sup = supervisor.Supervisor(supervisor.LeaseQueue())
+        sup._start_workers(2)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not all(w.ready for w in sup._workers.values()):
+                assert time.monotonic() < deadline, "workers never ready"
+                sup.step(0.05)
+            # w1 is the one whose pipe w2 inherited at its fork.
+            w1 = sup._workers["w1"]
+            w1.task_w.close()
+            w1.proc.join(timeout=2.0)
+            assert w1.proc.exitcode == 0
+        finally:
+            sup._shutdown_workers()
 
 
 #: Per-figure parameters that keep the warm-rerun grids small.

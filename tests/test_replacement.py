@@ -1,11 +1,16 @@
 """Tests for replacement policies, including the Belady optimality
 property that underpins the T-OPT baseline."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
+from repro.core.multicore import MultiCoreSystem
+from repro.core.system import SingleCoreSystem
+from repro.experiments.runner import default_config
 from repro.mem.cache import SetAssocCache
 from repro.mem.replacement import (BeladyOPT, DRRIPPolicy, LRUPolicy,
                                    SHiPPolicy, SRRIPPolicy, make_policy)
@@ -127,6 +132,25 @@ class TestDRRIP:
         # Mostly distant insertions with the 1/32 exception.
         assert fills.count(DRRIPPolicy.MAX_RRPV) > 48
         assert DRRIPPolicy.MAX_RRPV - 1 in fills
+
+    @pytest.mark.parametrize("cores", (1, 2))
+    def test_llc_leader_sets_follow_its_geometry(self, cores):
+        """The LLC of a single- or multi-core system duels on its own
+        sets: 16 SRRIP and 16 BRRIP leaders on the default config's
+        128-set LLC, as a bare DRRIP cache of that geometry gets."""
+        base = default_config()
+        cfg = dataclasses.replace(base, num_cores=cores,
+                                  llc=dataclasses.replace(
+                                      base.llc, replacement="drrip"))
+        llc = SingleCoreSystem(cfg, "baseline").hierarchy.llc \
+            if cores == 1 else MultiCoreSystem(cfg, "baseline").llc
+        pol = llc.policy
+        assert pol.num_sets == llc.num_sets
+        for leaders in (pol._srrip_leaders, pol._brrip_leaders):
+            assert len([s for s in leaders if s < llc.num_sets]) == 16
+        bare = SetAssocCache(llc.config).policy
+        assert (pol._srrip_leaders, pol._brrip_leaders) == \
+            (bare._srrip_leaders, bare._brrip_leaders)
 
     def test_runs_inside_cache(self):
         cache = SetAssocCache(CacheConfig("t", 64 * 64, 4, 1, 4, "drrip"))

@@ -189,6 +189,35 @@ class TestScheduling:
             orc._shutdown_workers()
             orc.journal.close()
 
+    def test_next_cell_is_leased_before_a_result_settles(self):
+        """One worker, two cells: when the first result is settled, the
+        worker that reported it already holds the second cell."""
+        orc = Orchestrator(config(workers=1, lease_ttl=60.0))
+        seen = []
+        settle = orc._on_done
+
+        def spy(wid, key, token, payload):
+            seen.append([(c.state, c.lease.worker if c.lease else None)
+                         for k, c in orc.queue.cells.items() if k != key])
+            settle(wid, key, token, payload)
+
+        orc._on_done = spy
+        orc.start()
+        try:
+            resp = orc.submit(REQ)
+            deadline = time.monotonic() + 120.0
+            while orc.status(resp.job_id).state != "complete":
+                assert time.monotonic() < deadline, "job never finished"
+                orc.step(poll=0.05)
+            assert seen[0] == [(LEASED, "w1")]
+        finally:
+            orc.request_drain()
+            deadline = time.monotonic() + 60.0
+            while not orc._stopped and time.monotonic() < deadline:
+                orc.step(poll=0.05)
+            orc._shutdown_workers()
+            orc.journal.close()
+
     def test_shutdown_closes_the_wake_pipe(self):
         """The wake-up pipe lives from start to shutdown; a wake after
         shutdown writes nowhere and raises nothing."""

@@ -8,15 +8,16 @@ backends with ``timeit``-style best-of-N wall clocks for a quick A/B.
 Last, it times a grid cell on the kernel the way ``run_grid`` runs one
 (``runner.run_variant``: build a system, run it once).  Each cell
 splits into four phases: *construct* (the ``SingleCoreSystem``),
-*set-up* (``run`` up to the C call: gating, the trace and aux columns,
-config slots), the *C call* (which allocates, runs and frees the
-simulator state), and the *tail* (stats and timeline built from the
-kernel's outputs).  Cells are pr.kron, bfs.urand and cc.friendster
-(the DSE's workloads, tiny tier) under Baseline and the five Fig. 7
-designs at 4,000, 8,000 and 20,000 accesses; the table reports
-per-cell medians over ``ROUNDS`` rounds (each round's mean over its 18
-cells) with the interquartile range.  ``--no-batch`` skips this timing
-along with the batch A/B, since both need the kernel.
+*set-up* (``run`` up to the C call: gating, the aux columns, config
+slots; the trace's records cross in place), the *C call* (which
+allocates, runs and frees the simulator state), and the *tail* (stats
+and timeline built from the kernel's outputs).  Cells are pr.kron,
+bfs.urand and cc.friendster (the DSE's workloads, tiny tier) under
+Baseline and the five Fig. 7 designs at 4,000, 8,000 and 20,000
+accesses; the table reports per-cell medians over ``ROUNDS`` rounds
+(each round's mean over its 18 cells) with the interquartile range.
+``--no-batch`` skips this timing along with the batch A/B, since both
+need the kernel.
 
 Usage::
 
