@@ -3,9 +3,10 @@ pinned byte for byte.
 
 Each digest is the sha256 of one workload's ``trace.accesses`` records,
 generated without the trace cache: every one of the 36 single-core
-workloads at the tiny tier and 4,000 accesses, and the six
-``QUICK_WORKLOADS`` at 20,000 accesses, a window deep enough to cover
-several CC hooking rounds and BFS levels.  A tracer, kernel or graph
+workloads and the 18 post-paper ones (``rw``/``gs``/``dyn``) at the
+tiny tier and 4,000 accesses, and the six ``QUICK_WORKLOADS`` at
+20,000 accesses, a window deep enough to cover several CC hooking
+rounds and BFS levels.  A tracer, kernel or graph
 change that moves one record shows up here before it shows up as a
 re-keyed result cache; a deliberate change must also bump
 ``TRACE_FORMAT_VERSION``.
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.figures import QUICK_WORKLOADS
-from repro.experiments.workloads import (TRACE_FORMAT_VERSION, WORKLOADS,
+from repro.experiments.workloads import (ALL_WORKLOADS,
+                                         TRACE_FORMAT_VERSION,
                                          workload_trace)
 
 #: (workload, accesses) -> sha256 of ``trace.accesses`` at the tiny tier.
@@ -66,11 +68,29 @@ GOLDEN = {
     ("sssp.road", 20000): "6bc2c96f64e35f5c59a7f8c94d3e223d4893963b8209d2aeecbab2606f855dcd",
     ("bc.twitter", 20000): "6de0ec05efd6b1ee4d5cf83311b6b3c6fd2885ffc1125921a7fa2f43f4f0f8cd",
     ("tc.web", 20000): "ce6646b04a34adf5fdf14e7bea8e11027757a89e12c51547022af938a2d44245",
+    ("rw.web", 4000): "c3013b6fd5aace51fff0a471d6426b2abdb4bc219381b65f65b2fe442e248ba9",
+    ("rw.road", 4000): "8fb9b050e56cba37c271491e713927ca23c1eb18b16aa1cd950d1bc68c55ec5b",
+    ("rw.twitter", 4000): "6de195fbd8fe56c7b9d8be49ffe1dce3aea6e9430a6990b2381a67606b910f2a",
+    ("rw.kron", 4000): "2f8c7c969f1c85fd70fdf5d3c2c76f4b8c56e705b5557c15ce40e2c6c8e47c58",
+    ("rw.urand", 4000): "40f9ef15d614212b11e792d9687946fb721aae18db81d005b294c892086ede25",
+    ("rw.friendster", 4000): "e1f08ba2b5ca043390253a32b4021054af386faf0161de5b4f7dd13535cb9a9d",
+    ("gs.web", 4000): "2b9087f0790f15877fc811cded7e2485ca75b06ca7e087a18e12c5dc2fb118c3",
+    ("gs.road", 4000): "4bdbb4d0d58ea37fe7d01ae339700fcc3a27e657f1a4f24cfcb3e5fd66e2e4f2",
+    ("gs.twitter", 4000): "6c74ca558edeb9b14ed261fac5563074217bb6e001d0b02b87ddd36ce2c32222",
+    ("gs.kron", 4000): "82b5f817750355bf72e44d63260879d0af1b39afe305f14a8e9f978e9234e3e4",
+    ("gs.urand", 4000): "b5751ac6f99878093b8d02135ae178f245af1afecf7b8350cb0fcfbc519b612f",
+    ("gs.friendster", 4000): "65f1cf501b5e8d570e6c45fc29aed657b2ab823df8789085a22e6796021a07a0",
+    ("dyn.web", 4000): "ce65efbb08077a8c9214965ac60a597e4cb4f5cd86fb8f5f22ff0aac44aa1659",
+    ("dyn.road", 4000): "3ba018fc656cf87b09b2f7d3376ad5e2710f569710b27bc0b4a39c7147b4ae26",
+    ("dyn.twitter", 4000): "5a9ee57482046d5f8521cca236ddc87b096f9737fbc1cbf960a5fbb75d096571",
+    ("dyn.kron", 4000): "c2e243d02bf166ff79593032d5294ac03a0a71ce7eb22d6cd7e95e85a8662bd4",
+    ("dyn.urand", 4000): "9ac7ff09c3871b4e2da075985d22c10764444f14cecce5204c7d3e71502ebfe1",
+    ("dyn.friendster", 4000): "e6558d0d555852766946fe6b9e639ab0d675ac338c72a8af350746fd636e0e3f",
 }
 
 
 def test_golden_covers_every_workload():
-    assert set(GOLDEN) == {(wl.name, 4000) for wl in WORKLOADS} | {
+    assert set(GOLDEN) == {(wl.name, 4000) for wl in ALL_WORKLOADS} | {
         (name, 20000) for name in QUICK_WORKLOADS}
     assert TRACE_FORMAT_VERSION == 8
 
