@@ -32,8 +32,9 @@ from repro.experiments.parallel import EXPERT_BEST, Job, run_grid
 from repro.experiments.runner import (GEOMEAN_CLAMP, default_config,
                                       run_variant, speedup)
 from repro.experiments.workloads import (DEFAULT_TIER, DEFAULT_TRACE_LEN,
-                                         WORKLOADS, Workload,
-                                         multicore_mixes, workload_trace)
+                                         WINDOW_OVERGEN_FACTOR, WORKLOADS,
+                                         Workload, multicore_mixes,
+                                         workload_trace)
 from repro.mem.hierarchy import DRAM
 
 # A representative one-workload-per-kernel subset for quick runs.
@@ -577,9 +578,9 @@ def preprocessing_study(wls, cfg, tier, length,
     for name in orderings:
         order = ORDERINGS[name](g0)
         g = g0 if name == "original" else apply_order(g0, order, name)
-        trace = generate_trace(wl.kernel, g, max_accesses=length * 3)
-        if len(trace) > length:
-            trace = trace.slice(len(trace) - length, len(trace))
+        trace = generate_trace(
+            wl.kernel, g, max_accesses=length * WINDOW_OVERGEN_FACTOR,
+            window=length)
         stats = run_variant(trace, "baseline", cfg)
         if name == "original":
             base_cycles = stats.cycles

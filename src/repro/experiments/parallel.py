@@ -535,15 +535,20 @@ class _GridRun(Supervisor):
         self._mark(cell, "running", cell.attempts)
 
     def _on_done(self, wid, key, token, payload) -> None:
+        cell = self.queue.cells[key]
+        lease = cell.lease
         if not self.queue.complete(key, wid, token):
             return                      # a revoked lease's late result
-        cell = self.queue.cells[key]
+        # A worker's report was stamped on arrival; an inline cell
+        # reports as it finishes.
+        finished = time.monotonic() if lease.reported is None \
+            else lease.reported
+        seconds = finished - self._first[key]
         self.payloads[key] = payload
         if self.cache is not None:
             # Stored as each cell finishes, so an interrupted sweep
             # keeps every completed simulation.
             self.cache.put(key, payload)
-        seconds = time.monotonic() - self._first[key]
         self._mark(cell, "done", token, seconds=seconds, source="run")
         self.report(cell.label, seconds, "run")
 

@@ -144,6 +144,7 @@ class Lease:
     token: int                  # fencing token == attempts at grant
     expiry: float               # renewal deadline (queue clock)
     granted: float              # grant time (hang deadline base)
+    reported: float | None = None   # when its done/error report arrived
 
 
 @dataclass
@@ -519,20 +520,22 @@ class Supervisor:
         reports, free the workers that reported, lease each idle worker
         a cell, settle the reports (fencing, the client's bookkeeping,
         expiries, reaps), then lease what settling released."""
-        msgs = self._receive(poll)
+        msgs, arrived = self._receive(poll)
         with self._lock:
-            self._free(msgs)
+            self._free(msgs, arrived)
             self._dispatch(time.monotonic())
             self._dispatch(self._settle(msgs))
 
-    def _receive(self, poll: float) -> list[tuple]:
-        """Worker messages: waits up to ``poll`` seconds for any report
-        pipe (or ``_wake_r``, when set), then takes whatever every ready
-        pipe already holds.  A pipe at EOF is closed and dropped."""
+    def _receive(self, poll: float) -> tuple[list[tuple], float]:
+        """Worker messages and the clock reading they arrived at: waits
+        up to ``poll`` seconds for any report pipe (or ``_wake_r``, when
+        set), then takes whatever every ready pipe already holds.  A
+        pipe at EOF is closed and dropped."""
         msgs = []
         conns = self._readers if self._wake_r is None \
             else self._readers + [self._wake_r]
         ready = mp_connection.wait(conns, timeout=poll)
+        arrived = time.monotonic()
         for conn in ready:
             try:
                 while True:
@@ -546,15 +549,21 @@ class Supervisor:
                 # message reads as OSError).
                 self._readers.remove(conn)
                 conn.close()
-        return msgs
+        return msgs, arrived
 
-    def _free(self, msgs: list[tuple]) -> None:
+    def _free(self, msgs: list[tuple], arrived: float) -> None:
         """Mark idle every live worker that reported: a result (stale or
-        not) or the start-up ``ready`` means it runs nothing now."""
+        not) or the start-up ``ready`` means it runs nothing now.  A
+        lease it still holds is stamped ``reported``, so that a cell's
+        time ends when its report arrived, not when it is settled
+        (which is after the next grant)."""
         for msg in msgs:
             if msg[0] != "heartbeat":
                 w = self._workers.get(msg[1])
                 if w is not None:       # else a reaped worker's last words
+                    cell = self._lease_of(w)
+                    if cell is not None:
+                        cell.lease.reported = arrived
                     w.ready, w.current = True, None
 
     def _settle(self, msgs: list[tuple]) -> float:

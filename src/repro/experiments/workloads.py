@@ -44,10 +44,12 @@ DEFAULT_TIER = "medium"        # ~10^5 vertices; pairs with scaled_config(16)
 DEFAULT_TRACE_LEN = 400_000
 TRACE_FORMAT_VERSION = 8       # bump to invalidate cached traces
 
-# The generator over-produces this many windows' worth of accesses; the
-# measurement window is the *tail* of what was generated, which lands
-# past each kernel's sequential warm-up phase (e.g. PageRank's contrib
-# loop) regardless of the window length chosen.
+# The generator runs this many windows' worth of accesses; the
+# measurement window is the *tail* of that run, which lands past each
+# kernel's sequential warm-up phase (e.g. PageRank's contrib loop)
+# regardless of the window length chosen.  The tracer counts the
+# records before the window but builds only the window
+# (``generate_trace(..., window=length)``).
 WINDOW_OVERGEN_FACTOR = 3
 
 
@@ -132,10 +134,8 @@ def _generate(wl: Workload, tier: str, length: int) -> Trace:
         per_batch = max(1, 3 * max(graph.num_edges, 1))
         kwargs["batch_size"] = 1024
         kwargs["batches"] = max(4, budget // per_batch + 1)
-    trace = generate_trace(wl.kernel, graph, max_accesses=budget, **kwargs)
-    if len(trace) > length:
-        skip = len(trace) - length
-        trace = trace.slice(skip, skip + length)
+    trace = generate_trace(wl.kernel, graph, max_accesses=budget,
+                           window=length, **kwargs)
     trace.name = wl.name
     trace.kernel = wl.kernel
     trace.graph = wl.graph

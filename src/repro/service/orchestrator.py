@@ -542,7 +542,7 @@ class Orchestrator(Supervisor):
             self.journal.append("stale_result", key=key, worker=wid,
                                 attempt=attempt)
             return
-        seconds = time.monotonic() - lease.granted
+        seconds = lease.reported - lease.granted
         self.cache.put(key, payload)
         self.journal.append("cell_done", key=key, worker=wid,
                             attempt=attempt)

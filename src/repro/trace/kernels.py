@@ -55,7 +55,8 @@ def _edge_indices(oa: np.ndarray, verts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def trace_pagerank(graph: CSRGraph, iterations: int = 2,
-                   max_accesses: int | None = None) -> Trace:
+                   max_accesses: int | None = None,
+                   window: int | None = None) -> Trace:
     """Trace of pull-style PageRank (Algorithm 1, lines 4-15)."""
     n = graph.num_vertices
     space = AddressSpace()
@@ -65,7 +66,8 @@ def trace_pagerank(graph: CSRGraph, iterations: int = 2,
     contrib_r = space.add("outgoing_contrib", 4, n, irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"pr.{graph.name}", kernel="pr",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     verts = np.arange(n, dtype=np.int64)
     counts = np.diff(graph.in_oa).astype(np.int64)
     edge_idx = np.arange(len(graph.in_na), dtype=np.int64)
@@ -114,7 +116,8 @@ ALPHA, BETA = 15, 18
 
 
 def trace_bfs(graph: CSRGraph, source: int = 0,
-              max_accesses: int | None = None) -> Trace:
+              max_accesses: int | None = None,
+              window: int | None = None) -> Trace:
     """Trace of direction-optimizing BFS; also computes the parent array
     (returned via ``trace_bfs.last_parent`` for cross-validation)."""
     n = graph.num_vertices
@@ -135,7 +138,8 @@ def trace_bfs(graph: CSRGraph, source: int = 0,
     bitmap_r = space.add("depth", 4, max(n, 1), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"bfs.{graph.name}", kernel="bfs",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_q = tb.pc("bfs.push.load_queue")
     pc_oa = tb.pc("bfs.push.load_oa")
     pc_na = tb.pc("bfs.push.load_na")
@@ -296,7 +300,7 @@ def _edge_indices_partial(oa: np.ndarray, verts: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
-             max_rounds: int = 64) -> Trace:
+             max_rounds: int = 64, window: int | None = None) -> Trace:
     """Trace of Shiloach–Vishkin CC (hook + pointer-jump rounds)."""
     n = graph.num_vertices
     space = AddressSpace()
@@ -305,7 +309,8 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
     comp_r = space.add("comp", 4, n, irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"cc.{graph.name}", kernel="cc",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_oa = tb.pc("cc.hook.load_oa")
     pc_na = tb.pc("cc.hook.load_na")
     pc_cu = tb.pc("cc.hook.load_comp_u")
@@ -372,7 +377,7 @@ def trace_cc(graph: CSRGraph, max_accesses: int | None = None,
 # ---------------------------------------------------------------------------
 
 def trace_tc(graph: CSRGraph, max_accesses: int | None = None,
-             scan_cap: int = 16) -> Trace:
+             scan_cap: int = 16, window: int | None = None) -> Trace:
     """Trace of TC's intersection loop.
 
     For each oriented edge (u, v) the kernel loads v from NA, indexes
@@ -386,7 +391,8 @@ def trace_tc(graph: CSRGraph, max_accesses: int | None = None,
     na_r = space.add("out_na", 4, len(graph.out_na), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"tc.{graph.name}", kernel="tc",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_oau = tb.pc("tc.load_oa_u")
     pc_na = tb.pc("tc.load_na_edge")
     pc_oav = tb.pc("tc.load_oa_v")
@@ -426,7 +432,8 @@ def trace_tc(graph: CSRGraph, max_accesses: int | None = None,
 # ---------------------------------------------------------------------------
 
 def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
-             max_accesses: int | None = None) -> Trace:
+             max_accesses: int | None = None,
+             window: int | None = None) -> Trace:
     """Trace of Brandes BC from a sample of sources (GAP-style)."""
     n = graph.num_vertices
     space = AddressSpace()
@@ -440,7 +447,8 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
     queue_r = space.add("frontier_queue", 4, max(n, 1))
 
     tb = TraceBuilder(space, name=f"bc.{graph.name}", kernel="bc",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_q = tb.pc("bc.fwd.load_queue")
     pc_oa = tb.pc("bc.fwd.load_oa")
     pc_na = tb.pc("bc.fwd.load_na")
@@ -555,7 +563,8 @@ def trace_bc(graph: CSRGraph, num_sources: int = 2, seed: int = 0,
 
 def trace_sssp(graph: CSRGraph, source: int = 0,
                delta: int | None = None,
-               max_accesses: int | None = None) -> Trace:
+               max_accesses: int | None = None,
+               window: int | None = None) -> Trace:
     """Trace of Δ-stepping SSSP (bucketed Bellman-Ford relaxations)."""
     if graph.out_weights is None:
         raise ValueError("SSSP tracing requires a weighted graph")
@@ -568,7 +577,8 @@ def trace_sssp(graph: CSRGraph, source: int = 0,
     bucket_r = space.add("bucket_queue", 4, max(n, 1))
 
     tb = TraceBuilder(space, name=f"sssp.{graph.name}", kernel="sssp",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_bq = tb.pc("sssp.load_bucket")
     pc_du = tb.pc("sssp.load_dist_u")
     pc_oa = tb.pc("sssp.load_oa")
@@ -677,7 +687,8 @@ def _trace_sssp_relax(tb, graph, dist, frontier, w, delta, light,
 def trace_rw(graph: CSRGraph, num_walks: int = 64,
              walk_length: int = 16, seed: int = 0,
              restart: float = 0.15,
-             max_accesses: int | None = None) -> Trace:
+             max_accesses: int | None = None,
+             window: int | None = None) -> Trace:
     """Trace of seeded random walks (mirrors ``kernels.random_walks``).
 
     Per step and walker: a sequential walk-state load, an irregular
@@ -695,7 +706,8 @@ def trace_rw(graph: CSRGraph, num_walks: int = 64,
     walk_r = space.add("walk_state", 4, max(num_walks, 1))
 
     tb = TraceBuilder(space, name=f"rw.{graph.name}", kernel="rw",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_walk = tb.pc("rw.load_walk_state")
     pc_oa = tb.pc("rw.load_oa")
     pc_na = tb.pc("rw.load_na_sample")
@@ -744,7 +756,8 @@ def trace_rw(graph: CSRGraph, num_walks: int = 64,
 # ---------------------------------------------------------------------------
 
 def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
-             max_accesses: int | None = None) -> Trace:
+             max_accesses: int | None = None,
+             window: int | None = None) -> Trace:
     """Trace of mean feature aggregation (``kernels.gather_scatter``).
 
     Shaped like PageRank's pull — OA walk, NA loads, data-dependent
@@ -762,7 +775,8 @@ def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
     out_r = space.add("feat_out", 4 * feature_dim, max(n, 1))
 
     tb = TraceBuilder(space, name=f"gs.{graph.name}", kernel="gs",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_oa = tb.pc("gs.load_oa")
     pc_na = tb.pc("gs.load_na")
     pc_gather = tb.pc("gs.load_feat")
@@ -795,7 +809,8 @@ def trace_gs(graph: CSRGraph, feature_dim: int = 16, rounds: int = 2,
 # ---------------------------------------------------------------------------
 
 def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
-              seed: int = 0, max_accesses: int | None = None) -> Trace:
+              seed: int = 0, max_accesses: int | None = None,
+              window: int | None = None) -> Trace:
     """Trace of update batches + queries (``kernels.dynamic_updates``).
 
     Each batch's update phase *mutates structure* — irregular degree
@@ -819,7 +834,8 @@ def trace_dyn(graph: CSRGraph, batches: int = 4, batch_size: int = 256,
     mass_r = space.add("mass", 4, max(n, 1), irregular_hint=True)
 
     tb = TraceBuilder(space, name=f"dyn.{graph.name}", kernel="dyn",
-                      graph=graph.name, limit=max_accesses)
+                      graph=graph.name, limit=max_accesses,
+                      window=window)
     pc_doa = tb.pc("dyn.del.load_oa")
     pc_dna = tb.pc("dyn.del.store_na_tombstone")
     pc_ddeg = tb.pc("dyn.del.store_degree")
@@ -966,7 +982,8 @@ TRACERS = {
 
 
 def generate_trace(kernel: str, graph: CSRGraph,
-                   max_accesses: int | None = None, **kwargs) -> Trace:
+                   max_accesses: int | None = None,
+                   window: int | None = None, **kwargs) -> Trace:
     """Dispatch to the instrumented kernel by short name.
 
     ``kernel`` is one of :data:`TRACERS` — the six GAP kernels
@@ -976,15 +993,19 @@ def generate_trace(kernel: str, graph: CSRGraph,
     the trace reflects that graph's degree distribution and neighbour
     ordering.
 
-    ``max_accesses`` caps the trace length.  It is the
-    :class:`TraceBuilder`'s ``limit``: a loop nest's stream is built
-    only up to the shortest vertex prefix that fills the window, and
-    the real algorithm (frontiers/rounds/buckets) stops at the first
-    round boundary after the builder is full.  The result is windowed
-    with :meth:`Trace.slice` — record ``max_accesses`` is the last one
-    kept — and equals the unbounded trace's first ``max_accesses``
-    records exactly.  ``None`` traces the run to completion (can be
-    very large).
+    ``max_accesses`` caps the run.  It is the :class:`TraceBuilder`'s
+    ``limit``: a loop nest's stream is kept only up to the shortest
+    vertex prefix that fills it, and the real algorithm
+    (frontiers/rounds/buckets) stops at the first round boundary after
+    the builder is full.  The trace is then the run's first
+    ``max_accesses`` records, exactly the unbounded trace's leading
+    ones.  ``window`` keeps only the last ``window`` of them — equal
+    to cutting that trace with ``Trace.slice(n - window, n)`` — and
+    the builder assembles no record before the window.  This is how a
+    workload's mid-stream window is traced (``max_accesses`` =
+    ``WINDOW_OVERGEN_FACTOR`` × ``window``, docs/WORKLOADS.md).
+    ``None`` traces the run to completion (can be very large) or keeps
+    all of it.
 
     Remaining ``kwargs`` pass through to the specific tracer:
     ``iterations`` (pr), ``source`` (bfs/sssp), ``num_sources``/
@@ -1005,4 +1026,4 @@ def generate_trace(kernel: str, graph: CSRGraph,
     except KeyError:
         raise ValueError(f"unknown kernel {kernel!r}; "
                          f"choose from {sorted(TRACERS)}") from None
-    return fn(graph, max_accesses=max_accesses, **kwargs)
+    return fn(graph, max_accesses=max_accesses, window=window, **kwargs)

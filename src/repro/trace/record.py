@@ -19,7 +19,8 @@ matter: ``contrib[NA[j]]`` depends on the ``NA[j]`` load that produced
 its address, so the timing model serializes the pair.  Links always
 point strictly backward (``dep[i] < i``, enforced by
 :meth:`Trace.validate`); windowing a trace clamps links that escape
-the window (:meth:`Trace.slice`).
+the window (:func:`rebase_links`, used by :meth:`Trace.slice` and the
+builder's ``window``).
 
 **Builder.** :class:`TraceBuilder` and
 :func:`assemble_vertex_edge_stream` assemble interleaved per-vertex /
@@ -28,9 +29,12 @@ the per-active-vertex edge counts, the position of every record in the
 final stream is an affine function of the vertex index and the
 cumulative edge count, so all PCs, addresses and dependency links can
 be scattered with NumPy fancy indexing (DESIGN.md substitution #1
-keeps trace generation tractable).  A builder's ``limit`` (the trace
-window) cuts each stream at the shortest vertex prefix that fills it,
-so records past the window are never built.
+keeps trace generation tractable).  A builder's ``limit`` (the run's
+length) cuts each stream at the shortest vertex prefix that fills it,
+so records past it are never kept, and its ``window`` (the last
+records of the run that the trace keeps) is the only part assembled:
+a mid-stream window counts the records before it without building
+them.
 
 **Serialization.** Traces have one binary form: the versioned,
 checksummed, memory-mappable v8 store (:mod:`repro.trace.store`,
@@ -106,10 +110,7 @@ class Trace:
         'demo[1:3]'
         """
         acc = self.accesses[start:stop].copy()
-        dep = acc["dep"]
-        rebased = dep - start
-        rebased[(dep < start) | (dep < 0)] = -1
-        acc["dep"] = rebased
+        acc["dep"] = rebase_links(acc["dep"], start)
         return Trace(acc, self.address_space, f"{self.name}[{start}:{stop}]",
                      self.kernel, self.graph)
 
@@ -126,25 +127,34 @@ class Trace:
 
 
 class TraceBuilder:
-    """Incrementally assembles a :class:`Trace` from vectorized chunks.
+    """Incrementally assembles a :class:`Trace` from vectorized streams.
 
-    ``limit`` (a tracer's ``max_accesses``) bounds what gets built:
-    :meth:`emit` stops at ``limit`` records, :meth:`append_stream` at
-    the end of the vertex that reaches it, and :meth:`build` cuts that
-    vertex's overshoot, so a windowed trace never assembles the records
-    its window would cut away.  The ``limit`` records it keeps are the
-    same as an unbounded builder's first ``limit``.
+    ``limit`` (a tracer's ``max_accesses``) bounds the run: :meth:`emit`
+    stops at ``limit`` records and :meth:`append_stream` at the end of
+    the vertex that reaches it.  ``len(tb)`` counts the records kept so
+    far, that vertex's overshoot included, and :attr:`full` turns true
+    at ``limit``.  The trace is the first ``n = min(len(tb), limit)``
+    of them; ``window`` keeps only its last ``window`` records, as
+    ``Trace.slice(n - window, n)`` would.
+
+    Neither method assembles anything.  Each keeps *copies* of the cut
+    field arrays it is handed (a caller may reuse or mutate its own, as
+    ``dyn``'s live-edge mask is), plus the count of records every
+    vertex keeps.  :meth:`build` then assembles only the vertex range
+    of each stream that overlaps the window, so the over-generated
+    prefix of a mid-stream window is counted but never built.
     """
 
     def __init__(self, address_space: AddressSpace, name: str = "trace",
                  kernel: str = "", graph: str = "",
-                 limit: int | None = None):
+                 limit: int | None = None, window: int | None = None):
         self.space = address_space
         self.name = name
         self.kernel = kernel
         self.graph = graph
         self.limit = limit
-        self._chunks: list[np.ndarray] = []
+        self.window = window
+        self._streams: list[_Stream] = []
         self._length = 0
         self._pcs: dict[str, int] = {}
 
@@ -156,9 +166,6 @@ class TraceBuilder:
         """True once the builder holds at least ``limit`` records."""
         return self.limit is not None and self._length >= self.limit
 
-    def _room(self) -> int | None:
-        return None if self.limit is None else self.limit - self._length
-
     def pc(self, site: str) -> int:
         """Stable PC id for a named static access site."""
         if site not in self._pcs:
@@ -169,62 +176,55 @@ class TraceBuilder:
             self._pcs[site] = 0x40_0000 + 36 * len(self._pcs)
         return self._pcs[site]
 
-    def append_chunk(self, chunk: np.ndarray) -> None:
-        """Append a pre-built record chunk, rebasing its dep links."""
-        if chunk.dtype != ACCESS_DTYPE:
-            raise TypeError("chunk must have ACCESS_DTYPE")
-        chunk = chunk.copy()
-        dep = chunk["dep"]
-        chunk["dep"] = np.where(dep >= 0, dep + self._length, -1)
-        self._chunks.append(chunk)
-        self._length += len(chunk)
-
     def emit(self, pc: int, addr, write=False, gap=2, dep_rel=None) -> None:
         """Append a flat run of accesses from one site (vectorized).
 
         ``addr`` may be scalar or an array; ``dep_rel`` (if given) is a
         negative offset within the run linking each record to an earlier
         one (e.g. -1 = the immediately preceding record in this run).
-        Records past the builder's ``limit`` are not emitted.
+        Records past the builder's ``limit`` are not kept.  The run is
+        the one-header stream of vertices without edges.
         """
         addr = np.atleast_1d(np.asarray(addr, dtype=np.uint64))
-        room = self._room()
-        if room is not None:
-            addr = addr[:max(room, 0)]
-        n = len(addr)
-        chunk = np.zeros(n, dtype=ACCESS_DTYPE)
-        chunk["pc"] = pc
-        chunk["addr"] = addr
-        chunk["write"] = 1 if write else 0
-        chunk["gap"] = gap
-        if dep_rel is None:
-            chunk["dep"] = -1
-        else:
-            idx = np.arange(n, dtype=np.int64) + dep_rel
-            chunk["dep"] = np.where(idx >= 0, idx, -1)
-        self.append_chunk(chunk)
+        self.append_stream(np.zeros(len(addr), dtype=np.int64),
+                           [SegmentField(pc, addr, write, gap, dep_rel)],
+                           [], [])
 
     def append_stream(self, counts: np.ndarray,
                       header: list[SegmentField],
                       edge: list[SegmentField],
                       footer: list[SegmentField]) -> None:
-        """Append an :func:`assemble_vertex_edge_stream` chunk, built
-        only as far as the builder's ``limit`` leaves room for."""
-        room = self._room()
+        """Append an :func:`assemble_vertex_edge_stream` loop nest, cut
+        at the shortest vertex prefix that fills the builder's
+        ``limit``; it is assembled by :meth:`build`."""
+        room = None if self.limit is None else self.limit - self._length
         if room is not None and room <= 0:
             return
-        self.append_chunk(assemble_vertex_edge_stream(
-            counts, header, edge, footer, limit=room))
+        oa = _edge_offsets(counts, header, edge, footer)
+        kept = _kept_records(oa, header + footer, edge)
+        nv = len(oa) - 1
+        if room is not None:
+            nv = min(int(np.searchsorted(kept, room)), nv)
+        ne = int(oa[nv])
+        self._streams.append(_Stream(
+            self._length, oa[:nv + 1].copy(), kept[:nv + 1].copy(),
+            [_owned(fld, nv) for fld in header],
+            [_owned(fld, ne) for fld in edge],
+            [_owned(fld, nv) for fld in footer]))
+        self._length += int(kept[nv])
 
     def build(self) -> Trace:
-        """The assembled trace, cut to its first ``limit`` records."""
-        if self._chunks:
-            accesses = np.concatenate(self._chunks)
+        """The trace: the last ``window`` of the first ``limit`` records
+        (all of either when unset), assembled stream by stream."""
+        stop = self._length if self.limit is None \
+            else min(self._length, self.limit)
+        start = 0 if self.window is None else max(0, stop - self.window)
+        parts = [s.assemble(start, stop) for s in self._streams
+                 if max(start, s.start) < min(stop, s.start + s.kept[-1])]
+        if parts:
+            accesses = np.concatenate(parts)
         else:
             accesses = np.zeros(0, dtype=ACCESS_DTYPE)
-        if self.limit is not None and len(accesses) > self.limit:
-            # Dep links only point backwards, so the cut keeps them.
-            accesses = accesses[:self.limit].copy()
         trace = Trace(accesses, self.space, self.name, self.kernel,
                       self.graph)
         trace.validate()
@@ -246,6 +246,8 @@ class SegmentField:
     ``unroll`` distinct PCs, cycling with the record index, exactly as
     an unrolled inner loop has one load instruction per lane.  This is
     what puts realistic pressure on small PC-indexed predictor tables.
+    ``first`` is the index of ``addr[0]`` in the site's whole run, so
+    a field cut to a sub-range keeps its lanes.
     """
 
     pc: int
@@ -255,20 +257,26 @@ class SegmentField:
     dep_rel: int | None = None
     mask: np.ndarray | None = None
     unroll: int = 1
+    first: int = 0
 
     def pcs(self) -> np.ndarray | int:
         if self.unroll <= 1:
             return self.pc
-        lanes = np.arange(len(self.addr), dtype=np.int64) % self.unroll
+        lanes = (self.first + np.arange(len(self.addr), dtype=np.int64)) \
+            % self.unroll
         return self.pc + 4 * lanes
+
+    def cut(self, lo: int, hi: int) -> "SegmentField":
+        """The field's records ``lo:hi`` (views), lanes continuing."""
+        return replace(self, addr=self.addr[lo:hi], first=self.first + lo,
+                       mask=None if self.mask is None else self.mask[lo:hi])
 
 
 def assemble_vertex_edge_stream(
         counts: np.ndarray,
         header: list[SegmentField],
         edge: list[SegmentField],
-        footer: list[SegmentField],
-        limit: int | None = None) -> np.ndarray:
+        footer: list[SegmentField]) -> np.ndarray:
     """Interleave per-vertex and per-edge access sites into one stream.
 
     The logical program is::
@@ -280,34 +288,20 @@ def assemble_vertex_edge_stream(
             <footer records>
 
     Returns an ``ACCESS_DTYPE`` array in exactly that order, built with
-    pure array arithmetic.
+    pure array arithmetic; a ``dep`` link is a position in the returned
+    array, and one that would point before its start (or at a
+    masked-out record) is -1.
 
-    ``limit`` builds only the shortest vertex prefix whose kept
-    (post-mask) records number at least ``limit`` (the whole stream
-    when it is shorter): at most one vertex's records past ``limit``,
-    each equal to the full stream's record at that position, since
-    every dependency link points backward.
+    Fields cut with :meth:`SegmentField.cut` to a vertex range and to
+    that range's edges assemble exactly that range of the whole
+    stream, with each link into an earlier vertex cleared:
+    :meth:`TraceBuilder.build` assembles only the vertices its window
+    overlaps.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    nv = len(counts)
-    ne = int(counts.sum())
+    oa = _edge_offsets(counts, header, edge, footer)
+    nv, ne = len(counts), int(oa[-1])
     h, e, f = len(header), len(edge), len(footer)
-    for fld in header + footer:
-        if len(fld.addr) != nv:
-            raise ValueError("header/footer field length != #vertices")
-    for fld in edge:
-        if len(fld.addr) != ne:
-            raise ValueError("edge field length != #edges")
-
-    oa = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(counts, out=oa[1:])
-    if limit is not None:
-        nv = _prefix_vertices(oa, header + footer, edge, limit)
-        ne = int(oa[nv])
-        counts, oa = counts[:nv], oa[:nv + 1]
-        header = [_head(fld, nv) for fld in header]
-        edge = [_head(fld, ne) for fld in edge]
-        footer = [_head(fld, nv) for fld in footer]
 
     total = nv * (h + f) + ne * e
     out = np.zeros(total, dtype=ACCESS_DTYPE)
@@ -318,12 +312,10 @@ def assemble_vertex_edge_stream(
 
     def scatter(pos: np.ndarray, fld: SegmentField) -> None:
         out["pc"][pos] = fld.pcs()
-        out["addr"][pos] = fld.addr.astype(np.uint64)
+        out["addr"][pos] = fld.addr.astype(np.uint64, copy=False)
         out["write"][pos] = 1 if fld.write else 0
         out["gap"][pos] = fld.gap
         if fld.dep_rel is not None:
-            if fld.dep_rel >= 0:
-                raise ValueError("dep_rel must be negative")
             dep = pos + fld.dep_rel
             out["dep"][pos] = np.where(dep >= 0, dep, -1)
         if fld.mask is not None:
@@ -347,10 +339,63 @@ def assemble_vertex_edge_stream(
     return out
 
 
-def _prefix_vertices(oa: np.ndarray, vertex_fields: list[SegmentField],
-                     edge_fields: list[SegmentField], limit: int) -> int:
-    """Fewest leading vertices whose kept records number ``>= limit``
-    (all of them when the whole stream keeps fewer)."""
+@dataclass
+class _Stream:
+    """One :meth:`TraceBuilder.append_stream` call, kept unassembled:
+    its vertices' edge offsets ``oa`` and kept-record offsets ``kept``
+    (both ``nv + 1`` long) and private copies of its fields."""
+
+    start: int                      # builder records before it
+    oa: np.ndarray
+    kept: np.ndarray
+    header: list[SegmentField]
+    edge: list[SegmentField]
+    footer: list[SegmentField]
+
+    def assemble(self, lo: int, hi: int) -> np.ndarray:
+        """Builder records ``lo:hi`` that fall in this stream, with
+        ``dep`` links rebased to ``lo`` (:func:`rebase_links`).
+
+        Only the vertices holding those records are assembled."""
+        a = max(lo - self.start, 0)
+        b = min(hi - self.start, int(self.kept[-1]))
+        v0 = int(np.searchsorted(self.kept, a, side="right")) - 1
+        v1 = int(np.searchsorted(self.kept, b, side="left"))
+        e0, e1 = int(self.oa[v0]), int(self.oa[v1])
+        out = assemble_vertex_edge_stream(
+            np.diff(self.oa[v0:v1 + 1]),
+            [fld.cut(v0, v1) for fld in self.header],
+            [fld.cut(e0, e1) for fld in self.edge],
+            [fld.cut(v0, v1) for fld in self.footer])
+        first = int(self.kept[v0])        # the stream record at out[0]
+        out = out[a - first:b - first]
+        out["dep"] = rebase_links(out["dep"], lo - self.start - first)
+        return out
+
+
+def _edge_offsets(counts: np.ndarray, header: list[SegmentField],
+                  edge: list[SegmentField],
+                  footer: list[SegmentField]) -> np.ndarray:
+    """``oa`` (each vertex's first edge, ``nv + 1`` long) after checking
+    every field's length and ``dep_rel``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    oa = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=oa[1:])
+    for fld in header + footer:
+        if len(fld.addr) != len(counts):
+            raise ValueError("header/footer field length != #vertices")
+    for fld in edge:
+        if len(fld.addr) != oa[-1]:
+            raise ValueError("edge field length != #edges")
+    for fld in header + edge + footer:
+        if fld.dep_rel is not None and fld.dep_rel >= 0:
+            raise ValueError("dep_rel must be negative")
+    return oa
+
+
+def _kept_records(oa: np.ndarray, vertex_fields: list[SegmentField],
+                  edge_fields: list[SegmentField]) -> np.ndarray:
+    """Kept (post-mask) records before each vertex, ``nv + 1`` long."""
     nv = len(oa) - 1
     kept = len(vertex_fields) * np.arange(nv + 1, dtype=np.int64) \
         + len(edge_fields) * oa
@@ -361,13 +406,27 @@ def _prefix_vertices(oa: np.ndarray, vertex_fields: list[SegmentField],
             dropped = np.zeros(len(fld.mask) + 1, dtype=np.int64)
             np.cumsum(~np.asarray(fld.mask, dtype=bool), out=dropped[1:])
             kept -= dropped if bounds is None else dropped[bounds]
-    return min(int(np.searchsorted(kept, limit)), nv)
+    return kept
 
 
-def _head(fld: SegmentField, n: int) -> SegmentField:
-    """``fld`` cut to its first ``n`` records."""
-    return replace(fld, addr=fld.addr[:n],
-                   mask=None if fld.mask is None else fld.mask[:n])
+def _owned(fld: SegmentField, n: int) -> SegmentField:
+    """A private copy of ``fld``'s first ``n`` records."""
+    return replace(fld, addr=fld.addr[:n].astype(np.uint64),
+                   mask=None if fld.mask is None
+                   else np.array(fld.mask[:n], dtype=bool))
+
+
+def rebase_links(dep: np.ndarray, origin: int) -> np.ndarray:
+    """``dep`` links re-counted from record ``origin``: a link to a
+    record before it (or none, -1) becomes -1.  ``origin`` may be
+    negative, when the links' own frame starts after it.
+
+    >>> rebase_links(np.array([-1, 0, 1, 3]), 1).tolist()
+    [-1, -1, 0, 2]
+    """
+    out = dep - origin
+    out[(dep < origin) | (dep < 0)] = -1
+    return out
 
 
 def _compress_stream(out: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -284,6 +284,31 @@ class TestPipelinedScheduler:
         # other one still runs the second.
         assert seen[0] == 2
 
+    def test_cell_seconds_end_when_its_result_arrives(
+            self, tmp_path, monkeypatch):
+        """The grant that follows a result (slowed here by 0.2 s) runs
+        before that result is settled; the cell's ``seconds`` ends at
+        the result's arrival, so it leaves the grant out."""
+        leased = parallel._GridRun._on_leased
+        grants = []                     # (label, clock) per grant
+
+        def slow_grant(self, cell):
+            grants.append((cell.label, time.monotonic()))
+            if len(grants) == 3:        # the first grant after a result
+                time.sleep(0.2)
+            leased(self, cell)
+
+        monkeypatch.setattr(parallel._GridRun, "_on_leased", slow_grant)
+        reports = []
+        grid = [Job(wl, "baseline", default_config(), **MICRO)
+                for wl in GRID_WORKLOADS[:3]]
+        run_grid(grid, jobs=2, cache=rc.ResultsCache(tmp_path / "c"),
+                 manifest_dir=tmp_path / "runs", progress=reports.append)
+        first = reports[0]
+        assert len(grants) == 3 and first.source == "run"
+        granted = dict(grants)[first.label]
+        assert granted + first.seconds <= grants[2][1]
+
     def test_worker_exits_when_its_task_pipe_closes(self):
         sup = supervisor.Supervisor(supervisor.LeaseQueue())
         sup._start_workers(2)

@@ -218,6 +218,49 @@ class TestScheduling:
             orc._shutdown_workers()
             orc.journal.close()
 
+    def test_cell_seconds_end_when_its_result_arrives(self):
+        """One worker: the second cell's grant (its fsynced ``lease``
+        record slowed by 0.2 s) runs before the first result is
+        settled, and the first cell's ``seconds`` leaves it out."""
+        orc = Orchestrator(config(workers=1, lease_ttl=60.0))
+        granted, records, fed = {}, [], []
+        leased, append, feed = orc._on_leased, orc.journal.append, orc._feed
+
+        def on_leased(cell):
+            granted[cell.key] = cell.lease.granted
+            leased(cell)
+
+        def slow_append(type_, **fields):
+            if type_ == "lease":
+                records.append(time.monotonic())
+                if len(records) == 2:
+                    time.sleep(0.2)
+            append(type_, **fields)
+
+        def spy_feed(job, result):
+            fed.append(result)
+            feed(job, result)
+
+        orc._on_leased, orc.journal.append = on_leased, slow_append
+        orc._feed = spy_feed
+        orc.start()
+        try:
+            resp = orc.submit(REQ)
+            deadline = time.monotonic() + 120.0
+            while orc.status(resp.job_id).state != "complete":
+                assert time.monotonic() < deadline, "job never finished"
+                orc.step(poll=0.05)
+            first = fed[0]
+            assert first.source == "run" and len(records) == 2
+            assert granted[first.key] + first.seconds <= records[1]
+        finally:
+            orc.request_drain()
+            deadline = time.monotonic() + 60.0
+            while not orc._stopped and time.monotonic() < deadline:
+                orc.step(poll=0.05)
+            orc._shutdown_workers()
+            orc.journal.close()
+
     def test_shutdown_closes_the_wake_pipe(self):
         """The wake-up pipe lives from start to shutdown; a wake after
         shutdown writes nowhere and raises nothing."""

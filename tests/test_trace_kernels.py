@@ -44,6 +44,28 @@ def full_trace(kron, road):
     return get
 
 
+#: (tracer, window length L, boundary case) for the tail-window test.
+#: On this module's graphs, a ``mid-run`` window starts inside an
+#: unrolled edge run (its first record is in a lane past 0), a
+#: ``masked`` one starts right after a masked-out record (found by
+#: instrumenting the builder; rw has no masked or unrolled site), and
+#: a ``short`` run ends before its ``3 L`` budget.
+TAIL_WINDOWS = [
+    ("bc", 50, "mid-run"), ("bc", 1000, "masked"), ("bc", 25000, "short"),
+    ("bfs", 15, "mid-run"), ("bfs", 379, "masked"),
+    ("bfs", 1549, "short"),
+    ("cc", 7, "mid-run"), ("cc", 1201, "masked"), ("cc", 20000, "short"),
+    ("dyn", 834, "mid-run"), ("dyn", 998, "masked"),
+    ("dyn", 10760, "short"),
+    ("gs", 97, "mid-run"), ("gs", 20000, "short"),
+    ("pr", 1000, "mid-run"), ("pr", 20000, "short"),
+    ("rw", 50, "-"), ("rw", 3001, "short"),
+    ("sssp", 97, "mid-run"), ("sssp", 301, "masked"),
+    ("sssp", 3001, "short"),
+    ("tc", 301, "mid-run"), ("tc", 20000, "short"),
+]
+
+
 def region_counts(trace):
     space = trace.address_space
     rids = space.classify_addresses(trace.accesses["addr"].astype(np.int64))
@@ -84,6 +106,29 @@ class TestCommon:
         window = generate_trace(kernel, graph, max_accesses=max_accesses)
         want = full_trace(kernel).slice(0, max_accesses)
         assert window.accesses.tobytes() == want.accesses.tobytes()
+
+    def test_tail_windows_cover_every_tracer(self):
+        assert {kernel for kernel, _, _ in TAIL_WINDOWS} == set(TRACERS)
+
+    @pytest.mark.parametrize("kernel,length,case", TAIL_WINDOWS,
+                             ids=lambda v: str(v))
+    def test_window_is_the_runs_tail(self, kernel, length, case, kron,
+                                     road):
+        """``window=L`` of a ``3 L`` run is that run's trace cut with
+        ``Trace.slice``, though the builder assembles only the window."""
+        graph = road if kernel == "sssp" else kron
+        run = generate_trace(kernel, graph, max_accesses=3 * length)
+        n = len(run)
+        want = run.slice(max(0, n - length), n)
+        window = generate_trace(kernel, graph, max_accesses=3 * length,
+                                window=length)
+        assert window.accesses.tobytes() == want.accesses.tobytes()
+        if case == "short":
+            assert n < 3 * length
+        elif case == "mid-run":
+            # PCs are 36 bytes apart per site and 4 per unroll lane.
+            pc = int(window.accesses["pc"][0])
+            assert (pc - 0x40_0000) % 36 // 4 > 0
 
     def test_unknown_kernel_raises(self, kron):
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -5,7 +5,7 @@ on kron(12,8), 50k-access window) with :mod:`cProfile` and prints the
 top-20 functions by cumulative and by self time, then times both
 backends with ``timeit``-style best-of-N wall clocks for a quick A/B.
 
-Last, it times a grid cell on the kernel the way ``run_grid`` runs one
+Then it times a grid cell on the kernel the way ``run_grid`` runs one
 (``runner.run_variant``: build a system, run it once).  Each cell
 splits into four phases: *construct* (the ``SingleCoreSystem``),
 *set-up* (``run`` up to the C call: gating, the aux columns, config
@@ -18,6 +18,13 @@ accesses; the table reports per-cell medians over ``ROUNDS`` rounds
 (each round's mean over its 18 cells) with the interquartile range.
 ``--no-batch`` skips this timing along with the batch A/B, since both
 need the kernel.
+
+Last, it times the tracers: ``workload_trace(..., use_cache=False)``
+for the six quick workloads (tiny tier, 20,000 accesses, so each
+tracer runs to 60,000 and builds the last 20,000), with the graphs
+built before the clock starts.  The table reports per-workload and
+total medians over ``ROUNDS`` rounds with the total's interquartile
+range.
 
 Usage::
 
@@ -164,12 +171,45 @@ def time_grid_cells() -> None:
         per_round = rows[n]
         phases = [statistics.median(r[i] for r in per_round) * 1e3
                   for i in range(len(PHASES))]
-        cell = [sum(r) * 1e3 for r in per_round]
-        q1, _, q3 = (statistics.quantiles(cell, n=4, method="inclusive")
-                     if len(cell) > 1 else cell * 3)
+        q1, cell, q3 = _quartiles([sum(r) * 1e3 for r in per_round])
         print(f"| {n:,} | " + " | ".join(f"{x:.2f}" for x in phases)
-              + f" | {statistics.median(cell):.2f} "
-              f"| [{q1:.2f}, {q3:.2f}] |")
+              + f" | {cell:.2f} | [{q1:.2f}, {q3:.2f}] |")
+
+
+def _quartiles(xs: list[float]) -> list[float]:
+    """[q1, median, q3] of ``xs``."""
+    return (statistics.quantiles(xs, n=4, method="inclusive")
+            if len(xs) > 1 else xs * 3)
+
+
+TRACER_LENGTH = 20_000
+
+
+def time_tracers() -> None:
+    from repro.experiments.figures import QUICK_WORKLOADS
+    from repro.experiments.workloads import workload_trace
+
+    def trace(name: str) -> float:
+        t0 = time.perf_counter()
+        workload_trace(name, tier="tiny", length=TRACER_LENGTH,
+                       use_cache=False)
+        return time.perf_counter() - t0
+
+    for name in QUICK_WORKLOADS:        # builds and memoises the graphs
+        trace(name)
+    rows = {name: [] for name in QUICK_WORKLOADS}
+    for _ in range(ROUNDS):
+        for name in QUICK_WORKLOADS:
+            rows[name].append(trace(name) * 1e3)
+    totals = [sum(r) for r in zip(*rows.values())]
+    print(f"\n== tracers, {TRACER_LENGTH:,}-access windows (tiny tier), "
+          f"median over {ROUNDS} rounds (ms) " + "=" * 18)
+    print("| workload | trace |")
+    print("|---|---:|")
+    for name, times in rows.items():
+        print(f"| {name} | {statistics.median(times):.2f} |")
+    q1, total, q3 = _quartiles(totals)
+    print(f"| total | {total:.2f} [{q1:.2f}, {q3:.2f}] |")
 
 
 def main(argv=None) -> int:
@@ -192,6 +232,7 @@ def main(argv=None) -> int:
                   with_batch=not args.no_batch)
     if not args.no_batch:
         time_grid_cells()
+    time_tracers()
     return 0
 
 
