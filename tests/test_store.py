@@ -69,10 +69,15 @@ def _write_graph(path: Path) -> None:
     ingest_toy(path.parent).replace(path)
 
 
+#: A fixed results-cache payload: nested objects, a list, ints, floats
+#: and a null, the value types a ``SystemStats`` payload holds.
+RESULT_PAYLOAD = {"variant": "sdc_lp", "cycles": 1234.5,
+                  "l1d": {"hits": 7, "misses": 3},
+                  "levels": [0.25, 1e-07, -3], "timeline": None}
+
+
 def _write_result(path: Path) -> None:
-    store.write(rc.RESULT, path, {"variant": "sdc_lp", "cycles": 1234.5,
-                                  "l1d": {"hits": 7, "misses": 3},
-                                  "timeline": None})
+    store.write(rc.RESULT, path, RESULT_PAYLOAD)
 
 
 #: kind -> (writer, in-memory opener, Kind).
@@ -107,6 +112,7 @@ DAMAGES = {
     "payload_byte": (lambda b, h: _flip(b, len(b) - 1), False),
     "truncated_header": (lambda b, h: b[:40], False),
     "truncated_payload": (lambda b, h: b[:-10], False),
+    "padded": (lambda b, h: b + bytes(8), False),
     "newer_version": (lambda b, h: _resign(b, h, +1), False),
     "older_version": (lambda b, h: _resign(b, h, -1), True),
 }
@@ -136,8 +142,8 @@ class TestDamage:
 
 class TestGolden:
     """The store formats predate the shared container; its files must
-    stay byte-identical, so no trace is regenerated and no graph
-    re-ingested."""
+    stay byte-identical, so no trace is regenerated, no graph
+    re-ingested and no cached result rewritten differently."""
 
     def test_trace_bytes(self, tmp_path):
         path = tmp_path / "toy.trace"
@@ -157,6 +163,14 @@ class TestGolden:
     def test_graph_bytes(self, cache, ext, symmetrize, want):
         path = ingest_toy(cache, ext, symmetrize)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+    def test_result_bytes(self, tmp_path):
+        key = "ab" * 32
+        rc.ResultsCache(tmp_path).put(key, RESULT_PAYLOAD)
+        path = tmp_path / "ab" / f"{key}.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "aa7d931ca2c4dccd47f090f74ad7bf3b"
+            "1dbb0898fd3184c02b4c7685e0eddd35")
 
 
 # -- container mechanics ------------------------------------------------------
