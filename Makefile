@@ -124,7 +124,7 @@ bench:                ## full paper-reproduction benchmark run
 bench-engine:         ## throughput smoke: regenerates BENCH_engine.json
 	$(PY) -m pytest -q benchmarks/test_engine_throughput.py
 
-profile-engine:       ## cProfile hotspots, ref/batch A/B, grid-cell phases, tracers
+profile-engine:       ## cProfile hotspots, ref/batch A/B, grid-cell phases, tracers, warm grid
 	$(PY) tools/profile_engine.py
 
 docs-check:           ## markdown link check + doctests in store/trace/graph modules

@@ -115,4 +115,5 @@ class StudyManifest:
         """Atomic write (temp file + rename), crash-safe at any point."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(self.path) as fh:
-            fh.write(json.dumps(self.data, indent=1).encode("utf-8"))
+            fh.write(json.dumps(self.data,
+                                separators=(",", ":")).encode("utf-8"))

@@ -356,7 +356,8 @@ class RunManifest:
         self.data["total_cells"] = len(self.cells)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(self.path) as fh:
-            fh.write(json.dumps(self.data, indent=1).encode("utf-8"))
+            fh.write(json.dumps(self.data,
+                                separators=(",", ":")).encode("utf-8"))
         self._saved = True
         self.close()
         _log_path(self.path).unlink(missing_ok=True)

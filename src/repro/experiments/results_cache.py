@@ -61,6 +61,8 @@ RESULT = store.Kind(b"REPRORES", 3, "", "result_store")
 #: crashed writer (live writers hold theirs for milliseconds).
 STALE_TMP_AGE_SECONDS = 3600.0
 
+_HEX = frozenset("0123456789abcdef")
+
 _code_fingerprint: str | None = None
 
 
@@ -137,6 +139,7 @@ class ResultsCache:
                  stale_tmp_age: float = STALE_TMP_AGE_SECONDS):
         self.root = Path(root) if root is not None \
             else cache_dir() / "results"
+        self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -148,27 +151,41 @@ class ResultsCache:
         if sweep_stale:
             self.swept = self.sweep_stale_tmp(stale_tmp_age)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _file(self, key: str) -> str:
+        """The entry path of ``key``; a string, so that ``get`` and
+        ``put`` build no ``Path``."""
+        return f"{self._root}/{key[:2]}/{key}.json"
 
     @property
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    def _glob(self, pattern: str) -> list[Path]:
-        """Snapshot a glob, tolerating a concurrent supervisor pruning
-        or ``clear()``-ing directories mid-scan: a subdirectory that
-        vanishes between listing and descent is simply not there any
-        more — not an error."""
+    def _files(self) -> tuple[list[str], list[str]]:
+        """``(entries, temp files)`` in the two-hex entry directories:
+        committed ``<key>.json`` files and the ``<key>.json.tmp.<pid>``
+        files of in-flight or crashed writers.  Tolerates a concurrent
+        supervisor pruning or ``clear()``-ing directories mid-scan: a
+        directory that vanishes between listing and descent is simply
+        not there any more — not an error."""
+        entries: list[str] = []
+        tmps: list[str] = []
         try:
-            return list(self.root.glob(pattern))
+            with os.scandir(self._root) as top:
+                dirs = [e.path for e in top
+                        if len(e.name) == 2 and set(e.name) <= _HEX]
         except OSError:
-            return []
-
-    def _tmp_files(self) -> list[Path]:
-        """Stray ``<key>.json.tmp.<pid>`` files from in-flight or
-        crashed writers."""
-        return self._glob("[0-9a-f][0-9a-f]/*.json.tmp.*")
+            return entries, tmps
+        for d in dirs:
+            try:
+                with os.scandir(d) as it:
+                    for e in it:
+                        if e.name.endswith(".json"):
+                            entries.append(e.path)
+                        elif ".json.tmp." in e.name:
+                            tmps.append(e.path)
+            except OSError:
+                pass
+        return entries, tmps
 
     def sweep_stale_tmp(self,
                         max_age: float = STALE_TMP_AGE_SECONDS) -> int:
@@ -177,10 +194,10 @@ class ResultsCache:
         and are left alone."""
         removed = 0
         now = time.time()
-        for tmp in self._tmp_files():
+        for tmp in self._files()[1]:
             try:
-                if now - tmp.stat().st_mtime >= max_age:
-                    tmp.unlink()
+                if now - os.stat(tmp).st_mtime >= max_age:
+                    os.unlink(tmp)
                     removed += 1
             except OSError:
                 pass        # raced with the writer's own rename/cleanup
@@ -194,14 +211,14 @@ class ResultsCache:
         which case it is unlinked when stale or quarantined and counted
         in ``corrupt`` otherwise.
         """
-        path = self._path(key)
+        path = self._file(key)
         try:
             payload = store.read(RESULT, path)[0]
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, store.ArtifactError) as exc:
-            if store.discard(RESULT, path, exc, self.quarantine_dir):
+            if store.discard(RESULT, Path(path), exc, self.quarantine_dir):
                 self.stale += 1
                 self.misses += 1
             else:
@@ -216,13 +233,13 @@ class ResultsCache:
         ``clear()``-ing the store can rmtree the entry directory between
         the mkdir and the write/rename — transient by construction, so
         the write is retried on a freshly recreated directory."""
-        path = self._path(key)
+        path = self._file(key)
         for attempt in range(5):
             try:
                 # Inside the retry: recursive mkdir itself raises
                 # FileNotFoundError when a concurrent rmtree removes
                 # the just-created ancestor mid-recursion.
-                path.parent.mkdir(parents=True, exist_ok=True)
+                os.makedirs(f"{self._root}/{key[:2]}", exist_ok=True)
                 store.write(RESULT, path, payload)
                 break
             except FileNotFoundError:
@@ -239,12 +256,11 @@ class ResultsCache:
         as already gone (``ignore_errors``), never as an exception."""
         removed = 0
         if self.root.is_dir():
-            removed = len(self._glob("*/*.json"))
-            removed += len(self._tmp_files())
+            removed = sum(map(len, self._files()))
             shutil.rmtree(self.root, ignore_errors=True)
         return removed
 
     def __len__(self) -> int:
         """Files the store currently owns: committed entries plus stray
         temp files (quarantined files are not counted — they are dead)."""
-        return len(self._glob("*/*.json")) + len(self._tmp_files())
+        return sum(map(len, self._files()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.config import SystemConfig, scaled_config
@@ -21,7 +22,11 @@ negative cycle counts from pathological inputs) cannot poison the log;
 shared with :func:`repro.experiments.figures.geomean`."""
 
 
+@functools.lru_cache(maxsize=None)
 def default_config(num_cores: int = 1) -> SystemConfig:
+    """:data:`DEFAULT_SCALE`'s config for ``num_cores`` cores.  Cached:
+    callers share one frozen config, so its memoised digest is computed
+    once per process."""
     return scaled_config(DEFAULT_SCALE, num_cores=num_cores)
 
 

@@ -170,7 +170,7 @@ class Orchestrator(Supervisor):
         if job.progress_snapshot is not None:
             data["progress"] = job.progress_snapshot.to_dict()
         with atomic_write(self._job_path(job.id)) as fh:
-            fh.write(json.dumps(data, indent=1).encode("utf-8"))
+            fh.write(json.dumps(data, separators=(",", ":")).encode("utf-8"))
 
     def _feed(self, job: _Job, result: CellResult) -> None:
         import json

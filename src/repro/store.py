@@ -50,7 +50,7 @@ import json
 import os
 import shutil
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +127,14 @@ def atomic_write(path):
     block raises: readers see the old file or the new one, never a torn
     one.  No fsync — a crash may lose these files, never corrupt them.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -235,7 +235,9 @@ def read(kind: Kind, path, mapped: bool = True
     """Validate ``path`` and return ``(meta, fields, arrays)``.
 
     The metadata and sections stream through sha256 once, a sequential
-    read that doubles as page-cache warming.  With ``mapped=True`` each
+    read that doubles as page-cache warming; the size equation has
+    already shown that nothing follows them, so a file without sections
+    is read no further than its metadata.  With ``mapped=True`` each
     non-empty section is a read-only ``np.memmap`` view, otherwise a
     private in-RAM copy.  Any validation failure raises ``kind.error``.
     """
@@ -243,8 +245,9 @@ def read(kind: Kind, path, mapped: bool = True
         meta_len, fields, payload_sha, sections = _header(kind, fh)
         raw = fh.read(meta_len)
         sha = hashlib.sha256(raw)
-        for chunk in iter(lambda: fh.read(_CHUNK), b""):
-            sha.update(chunk)
+        if sections:
+            for chunk in iter(lambda: fh.read(_CHUNK), b""):
+                sha.update(chunk)
     if sha.digest() != payload_sha:
         raise kind.error("payload checksum mismatch")
     meta = _meta(kind, raw)
@@ -314,7 +317,7 @@ def discard(kind: Kind, path: Path, exc: Exception,
     return stale
 
 
-def fault_hook(path: Path, site: str, write_seqs: dict) -> None:
+def fault_hook(path, site: str, write_seqs: dict) -> None:
     """Apply an armed ``corrupt``/``truncate`` fault plan to a
     just-written artifact.
 
@@ -327,4 +330,4 @@ def fault_hook(path: Path, site: str, write_seqs: dict) -> None:
     if faults.active_plan() is None:
         return
     seq = write_seqs[site] = write_seqs.get(site, 0) + 1
-    faults.mangle_artifact(path, site, seq)
+    faults.mangle_artifact(Path(path), site, seq)

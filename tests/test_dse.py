@@ -249,6 +249,21 @@ class TestStudy:
         assert all(r["complete"] for r in data["rungs"])
         assert data["frontier"]
 
+    def test_indented_ledger_resumes(self, tmp_path):
+        # Ledgers are compact JSON; one written with indent=1, as
+        # earlier versions wrote them, still loads and resumes.
+        res = _study(tmp_path)
+        path = tmp_path / "a" / "runs" / f"{res.study_id}.dse.json"
+        data = json.loads(path.read_text())
+        # As if interrupted once rung 0 was recorded.
+        data.update(status="running", rungs=data["rungs"][:1], frontier=[])
+        path.write_text(json.dumps(data, indent=1))
+        res2 = _study(tmp_path)
+        assert res2.resumed_rungs == 1
+        assert res2.cells_simulated == 0    # rung 1 is served by the cache
+        assert res2.cells_cached > 0
+        assert render_frontier(res2) == render_frontier(res)
+
     def test_rejects_zero_rungs(self, tmp_path):
         with pytest.raises(ValueError):
             _study(tmp_path, rungs=0)

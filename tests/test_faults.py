@@ -13,6 +13,7 @@ import json
 import threading
 import time
 from multiprocessing import connection
+from pathlib import Path
 
 import pytest
 
@@ -391,7 +392,7 @@ class TestCacheCorruption:
     def test_legacy_unenveloped_entry_quarantined(self, tmp_path):
         cache = rc.ResultsCache(tmp_path / "c")
         key = "ab" + "0" * 62
-        path = cache._path(key)
+        path = Path(cache._file(key))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"cycles": 1.0}))   # pre-envelope
         assert cache.get(key) is None

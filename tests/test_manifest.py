@@ -298,6 +298,33 @@ def test_finalize_leaves_no_log_and_no_open_handle(runs):
     assert RunManifest.load("cyc", runs).counts() == {"done": 4}
 
 
+def test_indented_snapshot_resumes(runs, tmp_path, monkeypatch):
+    """Snapshots are compact JSON; one written with ``indent=1``, as
+    earlier versions wrote them, still loads and resumes."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    grid, _ = plan_figure("fig7", QUICK_WORKLOADS[:1], tier="tiny",
+                          length=2000)
+    ran = []
+
+    def bomb(p):
+        ran.append(p.label)
+        if len(ran) == 3:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(grid, run_id="indented", manifest_dir=runs, progress=bomb)
+    path = runs / "indented.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    sources = []
+    results = run_grid(grid, run_id="indented", manifest_dir=runs,
+                       progress=lambda p: sources.append(p.source))
+    assert None not in results
+    assert sorted(sources) == ["cache"] * 3 + ["run"] * (len(grid) - 3)
+    m = RunManifest.load("indented", runs)
+    assert m.data["resumes"] == 1
+    assert m.counts() == {"done": len(grid)}
+
+
 def test_grid_writes_a_constant_number_of_snapshots(runs, monkeypatch):
     saves = []
     real_save = RunManifest.save

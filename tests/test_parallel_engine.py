@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 import time
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +119,7 @@ class TestResultsCache:
     def test_corrupt_entry_is_quarantined_not_missed(self, cache):
         key = "cd" + "1" * 62
         cache.put(key, {"x": 1})
-        path = cache._path(key)
+        path = Path(cache._file(key))
         path.write_text("{not json")
         assert cache.get(key) is None
         # Unreadable != absent: the corrupt counter takes it, and the

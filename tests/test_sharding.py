@@ -227,7 +227,7 @@ class TestMergeValidation:
         m = RunManifest.load("v", runs, shard=(0, 2))
         key = next(k for k, c in m.cells.items()
                    if c["status"] == "done")
-        path = cache._path(key)
+        path = Path(cache._file(key))
         path.write_bytes(path.read_bytes()[:40])  # torn write
         fresh = rc.ResultsCache(tmp_path / "results")
         with pytest.raises(ShardMergeError) as ei:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -665,7 +666,7 @@ class TestStaleEnvelopes:
         cache = rc.ResultsCache(tmp_path)
         key = "cd" + "0" * 62
         cache.put(key, {"x": 1})
-        cache._path(key).write_text("not json", encoding="utf-8")
+        Path(cache._file(key)).write_text("not json", encoding="utf-8")
         assert cache.get(key) is None
         assert cache.corrupt == 1 and cache.stale == 0
         assert cache.quarantined == 1

@@ -26,6 +26,15 @@ built before the clock starts.  The table reports per-workload and
 total medians over ``ROUNDS`` rounds with the total's interquartile
 range.
 
+It ends with the warm grid: the 36-cell quick Fig. 7 grid (tiny tier,
+2,500 accesses) rerun on a filled results cache in a temporary
+``REPRO_CACHE_DIR``, where every cell is a cache hit.  Each round runs
+the grid ``WARM_GRID_REPS`` times; the table reports per-grid medians
+over ``ROUNDS`` rounds of the phases a warm rerun spends its time in
+(``ResultsCache.get``, ``RunManifest.save``, ``ResultsCache``
+construction, ``SystemStats.from_payload``) and of the whole
+``run_grid``, with its interquartile range.
+
 Usage::
 
     make profile-engine                        # or:
@@ -212,6 +221,76 @@ def time_tracers() -> None:
     print(f"| total | {total:.2f} [{q1:.2f}, {q3:.2f}] |")
 
 
+WARM_GRID_LENGTH = 2_500
+WARM_GRID_REPS = 20
+
+
+def _timing(fn, totals: dict, phase: str):
+    """``fn`` adding its wall time and one call to ``totals[phase]``."""
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[phase][0] += time.perf_counter() - t0
+            totals[phase][1] += 1
+    return timed
+
+
+def time_warm_grid() -> None:
+    import contextlib
+    import os
+    import tempfile
+    from unittest import mock
+    from repro.core.system import SystemStats
+    from repro.experiments.figures import QUICK_WORKLOADS, plan_figure
+    from repro.experiments.manifest import RunManifest
+    from repro.experiments.parallel import run_grid
+    from repro.experiments.results_cache import ResultsCache
+
+    hooks = ((ResultsCache, "get", "cache get"),
+             (RunManifest, "save", "manifest save"),
+             (ResultsCache, "__init__", "cache construction"),
+             (SystemStats, "from_payload", "decode"))
+    phases = [phase for _, _, phase in hooks] + ["run_grid"]
+    totals = {phase: [0.0, 0] for phase in phases}
+    rows = []                   # one [per-grid ms per phase] per round
+    with contextlib.ExitStack() as patches:
+        tmp = patches.enter_context(tempfile.TemporaryDirectory())
+        patches.enter_context(
+            mock.patch.dict(os.environ, REPRO_CACHE_DIR=tmp))
+        grid, _ = plan_figure("fig7", QUICK_WORKLOADS, tier="tiny",
+                              length=WARM_GRID_LENGTH)
+        run_grid(grid)                      # fills the results cache
+        for owner, attr, phase in hooks:
+            raw = vars(owner)[attr]
+            if isinstance(raw, classmethod):
+                timed = classmethod(_timing(raw.__func__, totals, phase))
+            else:
+                timed = _timing(raw, totals, phase)
+            patches.enter_context(mock.patch.object(owner, attr, timed))
+        timed_grid = _timing(run_grid, totals, "run_grid")
+        for _ in range(ROUNDS):
+            for cell in totals.values():
+                cell[:] = [0.0, 0]
+            for _ in range(WARM_GRID_REPS):
+                timed_grid(grid)
+            rows.append([totals[p][0] * 1e3 / WARM_GRID_REPS
+                         for p in phases])
+    calls = [totals[p][1] / WARM_GRID_REPS for p in phases]
+    print(f"\n== warm grid: quick Fig. 7 ({len(grid)} cells, tiny tier, "
+          f"{WARM_GRID_LENGTH:,} accesses) on a filled cache, per-grid "
+          f"median over {ROUNDS} rounds (ms) " + "=" * 4)
+    print("| phase | calls | ms |")
+    print("|---|---:|---:|")
+    for i, phase in enumerate(phases[:-1]):
+        print(f"| {phase} | {calls[i]:g} | "
+              f"{statistics.median(r[i] for r in rows):.3f} |")
+    q1, total, q3 = _quartiles([r[-1] for r in rows])
+    print(f"| run_grid | {calls[-1]:g} | {total:.3f} "
+          f"[{q1:.3f}, {q3:.3f}] |")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--variant", default="sdc_lp")
@@ -233,6 +312,7 @@ def main(argv=None) -> int:
     if not args.no_batch:
         time_grid_cells()
     time_tracers()
+    time_warm_grid()
     return 0
 
 
