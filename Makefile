@@ -23,8 +23,9 @@ test:                 ## tier-1 test suite
 timeline:             ## ASCII per-window cache timeline (WL=, VARIANT=)
 	$(PY) -m repro timeline $(WL) $(VARIANT)
 
-check:                ## quick workload subset with invariant checking on
+check:                ## quick subset and a fig14 mix sweep, invariants on
 	REPRO_VALIDATE=1 $(PY) -m repro fig7 --quick --length 50000 --no-cache
+	$(PY) -m repro fig14 --check --mixes 2 --tier tiny --length 5000
 
 check-faults:         ## fault-injected grids must match the fault-free run
 	set -euo pipefail; \

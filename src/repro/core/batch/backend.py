@@ -47,7 +47,6 @@ from repro.config import BLOCK_BITS
 from repro.core.batch.build import load_kernel
 from repro.core.clp import LEVEL_WEIGHTS
 from repro.core.lp import LPStats
-from repro.core.sdcdir import SDCDirStats
 from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.distill import DistillCache
 from repro.mem.dram import DRAMStats
@@ -259,8 +258,7 @@ def unsupported_reason(system, trace) -> str | None:
                                  or any(pred.sets)):
             return f"{name} not fresh"
     d = system.sdcdir
-    if d is not None and (d._clock or d.stats != SDCDirStats()
-                          or any(d.sets)):
+    if d is not None and (d._clock or any(d.sets)):
         return "sdcdir not fresh"
     tlb = system.tlb
     if tlb is not None:

@@ -882,9 +882,6 @@ static void clp_update(int level) {
 /* SDC directory (repro.core.sdcdir.SDCDirectory), core id 0 only.   */
 /* ---------------------------------------------------------------- */
 
-/* No output carries SDCDirStats, so the kernel keeps none: the miss
- * path's touch-free lookup, which only counts, has no counterpart. */
-
 static inline int64_t dir_setof(int64_t b) {
     return g_dir_mask >= 0 ? (b & g_dir_mask) : (b % g_dir_sets);
 }
@@ -1102,7 +1099,8 @@ static int64_t probe_clean(int64_t b) {
     return serve;
 }
 
-static void sdc_fill_block(int64_t b, int dirty) {
+/* SDCDirectory.install for core 0: a demand or prefetch fill. */
+static void sdc_install(int64_t b, int dirty, int prefetch) {
     int64_t disb, dissh, disdc, evb;
     int evd;
     if (dir_insert(b, dirty, &disb, &dissh, &disdc)) {
@@ -1110,7 +1108,7 @@ static void sdc_fill_block(int64_t b, int dirty) {
         if ((r == 3) || disdc == 0)
             dram_write(disb);
     }
-    if (c_fill(&SD, b, dirty, 0, &evb, &evd) == 2) {
+    if (c_fill(&SD, b, dirty, prefetch, &evb, &evd) == 2) {
         int rm = dir_remove_sharer(evb);
         if (evd || (rm & 1))
             dram_write(evb);
@@ -1118,23 +1116,9 @@ static void sdc_fill_block(int64_t b, int dirty) {
 }
 
 static void sdc_prefetch(int64_t b) {
-    if (!g_sdc_pf)
-        return;
-    if (c_contains(&SD, b) || c_contains(&L1, b) || c_contains(&L2, b)
-            || c_contains(&L3, b))
-        return;
-    int64_t disb, dissh, disdc, evb;
-    int evd;
-    if (dir_insert(b, 0, &disb, &dissh, &disdc)) {
-        int r = c_invalidate(&SD, disb);
-        if ((r == 3) || disdc == 0)
-            dram_write(disb);
-    }
-    if (c_fill(&SD, b, 0, 1, &evb, &evd) == 2) {
-        int rm = dir_remove_sharer(evb);
-        if (evd || (rm & 1))
-            dram_write(evb);
-    }
+    if (g_sdc_pf && !c_contains(&SD, b) && !c_contains(&L1, b)
+            && !c_contains(&L2, b) && !c_contains(&L3, b))
+        sdc_install(b, 0, 1);
 }
 
 /* ---------------------------------------------------------------- */
@@ -1190,29 +1174,22 @@ static int access_via_sdc(int64_t b, int write, int64_t *lat) {
         return SDC_LV;
     }
     latency += g_sdc_miss_dir_lat;
+    int64_t served = -1;
     if (write) {
-        if (h_extract(b, &plat)) {
-            latency += plat;
-            sdc_fill_block(b, 1);
-            sdc_prefetch(b + 1);
-            *lat = latency;
-            return L2C_LV;
-        }
+        if (h_extract(b, &plat))
+            served = plat;
     } else {
-        int64_t served = probe_clean(b);
-        if (served >= 0) {
-            latency += served;
-            sdc_fill_block(b, 0);
-            sdc_prefetch(b + 1);
-            *lat = latency;
-            return L2C_LV;
-        }
+        served = probe_clean(b);
     }
-    latency += dram_read(b);
-    sdc_fill_block(b, write);
+    int level = L2C_LV;
+    if (served < 0) {
+        served = dram_read(b);
+        level = DRAM_LV;
+    }
+    sdc_install(b, write, 0);
     sdc_prefetch(b + 1);
-    *lat = latency;
-    return DRAM_LV;
+    *lat = latency + served;
+    return level;
 }
 
 static int access_regular_with_sdc(int64_t b, int write, int64_t i,
@@ -1824,7 +1801,7 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
                 err = ERR_TELEMETRY;
                 break;
             }
-            /* single_core_snapshot reads the LP's stats, never the CLP's */
+            /* core_snapshot reads the LP's stats, never the CLP's */
             int64_t *row = tele + tele_rows * 11;
             row[0] = L1.stats[ACC] + (g_path == PATH_SDC ? SD.stats[ACC] : 0);
             row[1] = g_timer.instructions;

@@ -40,7 +40,7 @@ from repro.mem.replacement import BeladyOPT
 from repro.mem.timing import CoreTimer
 from repro.mem.tlb import TLBHierarchy
 from repro.telemetry import telemetry_interval
-from repro.telemetry.probes import WindowProbe, multicore_snapshot
+from repro.telemetry.probes import WindowProbe, core_snapshot
 from repro.trace.record import Trace
 from repro.validate import check_interval
 from repro.validate.invariants import check_multicore_system
@@ -201,39 +201,17 @@ class MultiCoreSystem:
                     self._invalidate_remote(block, core)
                 entry[1] = core
                 # _invalidate_remote spares the requester, but the write
-                # also stales a clean duplicate in the requester's *own*
-                # SDC (left by an earlier shared read) — drop it.
-                if self.sdcdir is not None \
-                        and self.sdcdir.sharers(block) & (1 << core):
-                    self.sdcs[core].invalidate(block)
-                    self.sdcdir.remove_sharer(block, core)
+                # also stales a clean duplicate in its *own* SDC.
+                if self.sdcdir is not None:
+                    self.sdcdir.drop_duplicate(self.sdcs, core, block)
             return L1D, latency
 
         # Parallel SDCDir probe (paper §III-C): a copy in some SDC is
         # transferred into this core's L1D.
         if self.sdcdir is not None:
-            sharers = self.sdcdir.sharers(block)
-            if sharers:
-                owner = (sharers & -sharers).bit_length() - 1
-                latency += max(h.l2c.latency,
-                               self.config.sdc.latency +
-                               self.sdcdir.latency)
-                if write:
-                    # Claim exclusivity: all SDC copies are invalidated.
-                    # A dirty copy's payload transfers into the L1 fill
-                    # below (dirty=write), so the ownership flag dropped
-                    # by remove_sharer incurs no writeback here.
-                    for c in range(self.num_cores):
-                        if sharers & (1 << c):
-                            self.sdcs[c].invalidate(block)
-                            self.sdcdir.remove_sharer(block, c)
-                else:
-                    if self.sdcs[owner].clear_dirty(block):
-                        # Directory dirty ownership drops with the
-                        # line's dirty bit (the copy was written back).
-                        self.sdcdir.clear_dirty(block)
-                        self.dram.write(block)
-                h._fill_l1(block, dirty=write)
+            served = self.sdcdir.transfer(self.sdcs, core, block, write, h)
+            if served is not None:
+                latency += served
                 entry = self._dir_entry(block)
                 entry[0] |= 1 << core
                 if write:
@@ -304,26 +282,27 @@ class MultiCoreSystem:
         latency += self.config.sdc_miss_dir_latency
         if write:
             served = self._collect_for_write(block, core)
-            if served is not None:
-                latency += served
-            else:
-                latency += self.dram.read(block)
-            self._sdc_fill(core, block, dirty=True)
-            self._sdc_prefetch(core, block + 1)
-            return (L2C if served is not None else DRAM), latency
+            level = L2C
+        else:
+            level, served = self._collect_for_read(block, core)
+        if served is not None:
+            latency += served
+        else:
+            latency += self.dram.read(block)
+            level = DRAM
+        self.sdcdir.install(self.sdcs, core, block, self.dram, dirty=write)
+        self._sdc_prefetch(core, block + 1)
+        return level, latency
 
-        # Read: serve from the nearest valid copy, leaving it in place
-        # (cleaned if it was dirty).
+    def _collect_for_read(self, block: int, core: int
+                          ) -> tuple[int, int | None]:
+        """Find the nearest valid copy for a read fill, leaving it in
+        place (cleaned if it was dirty); returns its level code and probe
+        latency, the latency None when no copy exists."""
         sharers = self.sdcdir.sharers(block)
         if sharers & ~(1 << core):
-            owner = (sharers & -sharers).bit_length() - 1
-            latency += self.config.sdc.latency
-            if self.sdcs[owner].clear_dirty(block):
-                self.dram.write(block)
-                self.sdcdir.clear_dirty(block)
-            self._sdc_fill(core, block, dirty=False)
-            self._sdc_prefetch(core, block + 1)
-            return REMOTE, latency
+            self.sdcdir.clean(self.sdcs, block, self.dram)
+            return REMOTE, self.config.sdc.latency
         for c in range(self.num_cores):
             h = self.cores[c]
             for cache in (h.l1d, h.l2c):
@@ -343,22 +322,16 @@ class MultiCoreSystem:
                         entry = self.directory.get(block)
                         if entry is not None and entry[1] == c:
                             entry[1] = -1
-                    latency += cache.latency if c == core \
-                        else h.l2c.latency
-                    self._sdc_fill(core, block, dirty=False)
-                    self._sdc_prefetch(core, block + 1)
-                    return (L2C if c == core else REMOTE), latency
+                    if c == core:
+                        return L2C, cache.latency
+                    return REMOTE, h.l2c.latency
         if self.llc.contains(block):
-            latency += self.llc.latency
             if self.llc.clear_dirty(block):
                 self.dram.write(block)
-            self._sdc_fill(core, block, dirty=False)
-            self._sdc_prefetch(core, block + 1)
-            return LLC, latency
-        latency += self.dram.read(block)
-        self._sdc_fill(core, block, dirty=False)
-        self._sdc_prefetch(core, block + 1)
-        return DRAM, latency
+            # The single-core spec's label for any hierarchy-served SDC
+            # read, which the cache-level predictor trains on.
+            return L2C, self.llc.latency
+        return DRAM, None
 
     def _claim_exclusive(self, block: int, core: int) -> None:
         """Invalidate every copy outside core's SDC (write upgrade)."""
@@ -411,48 +384,17 @@ class MultiCoreSystem:
             found = max(found or 0, self.llc.latency)
         return found
 
-    def _sdc_fill(self, core: int, block: int, dirty: bool) -> None:
-        sdc = self.sdcs[core]
-        displaced = self.sdcdir.insert(block, core, dirty)
-        if displaced is not None:
-            ev_block, sharers, owner = displaced
-            for c in range(self.num_cores):
-                if sharers & (1 << c):
-                    was, was_dirty = self.sdcs[c].invalidate(ev_block)
-                    if (was and was_dirty) or owner == c:
-                        self.dram.write(ev_block)
-        evicted = sdc.fill(block, dirty=dirty)
-        if evicted is not None:
-            ev_block, ev_dirty = evicted
-            _, was_owner = self.sdcdir.remove_sharer(ev_block, core)
-            if ev_dirty or was_owner:
-                self.dram.write(ev_block)
-
     def _sdc_prefetch(self, core: int, block: int) -> None:
-        sdc = self.sdcs[core]
-        if self.config.sdc.prefetcher is None:
-            return
-        if sdc.contains(block):
-            return
-        for h in self.cores:
-            if h.l1d.contains(block) or h.l2c.contains(block):
-                return
-        if self.llc.contains(block):
-            return
-        displaced = self.sdcdir.insert(block, core, False)
-        if displaced is not None:
-            ev_block, sharers, owner = displaced
-            for c in range(self.num_cores):
-                if sharers & (1 << c):
-                    was, was_dirty = self.sdcs[c].invalidate(ev_block)
-                    if (was and was_dirty) or owner == c:
-                        self.dram.write(ev_block)
-        evicted = sdc.fill(block, prefetch=True)
-        if evicted is not None:
-            ev_block, ev_dirty = evicted
-            _, was_owner = self.sdcdir.remove_sharer(ev_block, core)
-            if ev_dirty or was_owner:
-                self.dram.write(ev_block)
+        """Next-line prefetch into core's SDC unless some SDC or some
+        cache of any core already holds the block: a copy beside
+        another SDC's dirty one would be stale."""
+        if (self.config.sdc.prefetcher is not None
+                and not self._in_sdc(block)
+                and not any(h.l1d.contains(block) or h.l2c.contains(block)
+                            for h in self.cores)
+                and not self.llc.contains(block)):
+            self.sdcdir.install(self.sdcs, core, block, self.dram,
+                                prefetch=True)
 
     # -- the run loop ------------------------------------------------------------
     def run(self, traces: list[Trace], offset_address_spaces: bool = True,
@@ -516,10 +458,9 @@ class MultiCoreSystem:
         # One probe per core, sampled on that core's own access count
         # (first pass only — replayed accesses keep contention alive
         # but are not part of the measured window).
-        probes = [WindowProbe(tele_every,
-                              partial(multicore_snapshot, self, c,
-                                      timers[c]))
-                  for c in range(n_cores)] if tele_every else None
+        probes = [WindowProbe(tele_every, partial(
+            core_snapshot, self.cores[c], self.sdcs[c], self.lps[c],
+            timers[c])) for c in range(n_cores)] if tele_every else None
         total_accesses = 0
 
         while not all(first_pass_done):

@@ -29,13 +29,17 @@ Ablations beyond the paper's comparison set:
 
 Single-valid-copy coherence between the SDC and the hierarchy is
 enforced by the SDCDir exactly as §III-C describes: a block entering
-the SDC is extracted from the hierarchy and vice versa.
+the SDC is extracted from the hierarchy and vice versa.  The rules that
+move SDC copies (install, transfer into the L1D, drop of a stale
+duplicate) are :class:`~repro.core.sdcdir.SDCDirectory` methods, which
+this system calls as the one-core case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,8 +57,7 @@ from repro.mem.replacement import BeladyOPT
 from repro.mem.timing import CoreTimer
 from repro.mem.tlb import PAGE_BITS, TLBHierarchy, TLBStats
 from repro.telemetry import telemetry_interval
-from repro.telemetry.probes import (Timeline, WindowProbe,
-                                    single_core_snapshot)
+from repro.telemetry.probes import Timeline, WindowProbe, core_snapshot
 from repro.trace.record import Trace
 from repro.validate import check_interval
 from repro.validate.invariants import check_single_core_system
@@ -313,7 +316,6 @@ class SingleCoreSystem:
     def __init__(self, config: SystemConfig | None = None,
                  variant: str = "baseline",
                  expert_regions: set[int] | None = None,
-                 enable_prefetch: bool = True,
                  enable_tlb: bool = True,
                  check_every: int | None = None,
                  telemetry_every: int | None = None):
@@ -342,8 +344,7 @@ class SingleCoreSystem:
         elif variant == "distill":
             llc = DistillCache(self.config.llc)
         self.hierarchy = MemoryHierarchy(self.config, llc_policy=llc_policy,
-                                         llc=llc,
-                                         enable_prefetch=enable_prefetch)
+                                         llc=llc)
         self.tlb = TLBHierarchy() if enable_tlb else None
 
         self.has_sdc = variant in SDC_VARIANTS
@@ -371,48 +372,20 @@ class SingleCoreSystem:
                 prefetcher=None))
 
     # -- SDC plumbing -------------------------------------------------------
-    def _sdc_fill(self, block: int, dirty: bool) -> None:
-        """Install a block in the SDC, maintaining the SDCDir subset
-        invariant and single-valid-copy."""
-        sdc, sdcdir = self.sdc, self.sdcdir
-        displaced = sdcdir.insert(block, 0, dirty)
-        if displaced is not None:
-            # SDCDir eviction invalidates the SDC copy (§III-C).  Either
-            # dirty flag (the line's bit or the directory's recorded
-            # owner) obliges a writeback.
-            was, was_dirty = sdc.invalidate(displaced[0])
-            if (was and was_dirty) or displaced[2] == 0:
-                self.hierarchy.dram.write(displaced[0])
-        evicted = sdc.fill(block, dirty=dirty)
-        if evicted is not None:
-            ev_block, ev_dirty = evicted
-            # The departing line's dirty bit and the directory's dirty
-            # ownership must agree; honour either so a writeback can
-            # never be lost to a stale flag on one side.
-            _, was_owner = sdcdir.remove_sharer(ev_block, 0)
-            if ev_dirty or was_owner:
-                self.hierarchy.dram.write(ev_block)
+    @property
+    def sdcs(self) -> list:
+        """The one-core list of SDCs the SDCDirectory rules take."""
+        return [self.sdc]
 
     def _sdc_prefetch(self, block: int) -> None:
         """Next-line prefetch into the SDC (Table I; disabled when the
         SDC prefetcher config is None), avoiding duplicates of blocks
         live in the hierarchy."""
-        sdc = self.sdc
-        if self.config.sdc.prefetcher is None:
-            return
-        if sdc.contains(block) or self.hierarchy.contains(block):
-            return
-        displaced = self.sdcdir.insert(block, 0, False)
-        if displaced is not None:
-            was, was_dirty = sdc.invalidate(displaced[0])
-            if (was and was_dirty) or displaced[2] == 0:
-                self.hierarchy.dram.write(displaced[0])
-        evicted = sdc.fill(block, prefetch=True)
-        if evicted is not None:
-            ev_block, ev_dirty = evicted
-            _, was_owner = self.sdcdir.remove_sharer(ev_block, 0)
-            if ev_dirty or was_owner:
-                self.hierarchy.dram.write(ev_block)
+        if (self.config.sdc.prefetcher is not None
+                and not self.sdc.contains(block)
+                and not self.hierarchy.contains(block)):
+            self.sdcdir.install(self.sdcs, 0, block, self.hierarchy.dram,
+                                prefetch=True)
 
     def _access_via_sdc(self, block: int, write: bool) -> tuple[int, int]:
         """Irregular path: SDC, then directory + DRAM (bypassing L2C/LLC).
@@ -433,31 +406,23 @@ class SingleCoreSystem:
             self._sdc_prefetch(block + 1)
             return SDC_LEVEL, latency
         # Miss: lightweight coherence message to the directory (§III-A).
-        # A pure probe — it must not bump the entry's recency, or a
-        # stream of misses to a dead block would keep its stale SDCDir
-        # entry alive and skew victim selection.
         latency += self.config.sdc_miss_dir_latency
-        self.sdcdir.lookup(block, touch=False)
         if write:
-            present, probe_lat = h.extract(block)
-            if present:
-                latency += probe_lat
-                self._sdc_fill(block, dirty=True)
-                self._sdc_prefetch(block + 1)
-                return L2C, latency
+            present, served = h.extract(block)
         else:
-            served_lat = self._probe_hierarchy_clean(block)
-            if served_lat is not None:
-                # Served by the hierarchy; the SDC takes a clean copy
-                # while the (now clean) hierarchy copy stays valid.
-                latency += served_lat
-                self._sdc_fill(block, dirty=False)
-                self._sdc_prefetch(block + 1)
-                return L2C, latency
-        latency += h.dram.read(block)
-        self._sdc_fill(block, dirty=write)
+            # Served by the hierarchy, the SDC takes a clean copy while
+            # the (now clean) hierarchy copy stays valid.
+            served = self._probe_hierarchy_clean(block)
+            present = served is not None
+        if present:
+            latency += served
+            level = L2C
+        else:
+            latency += h.dram.read(block)
+            level = DRAM
+        self.sdcdir.install(self.sdcs, 0, block, h.dram, dirty=write)
         self._sdc_prefetch(block + 1)
-        return DRAM, latency
+        return level, latency
 
     def _probe_hierarchy_clean(self, block: int) -> int | None:
         """Non-destructive read probe of L1D/L2C/LLC: returns the probe
@@ -496,34 +461,13 @@ class SingleCoreSystem:
             if not l1d.contains(pf) and not sdc.contains(pf):
                 h._fill_l1(pf, prefetch=True)
         if l1_hit:
-            # A write claims the single valid copy (§III-C): a clean
-            # duplicate the SDC may hold (left by an earlier shared
-            # read) is now stale and must be dropped.
-            if write and sdc.invalidate(block)[0]:
-                self.sdcdir.remove_sharer(block, 0)
-            return L1D, latency
-        if sdc.contains(block):
-            # Parallel SDCDir hit: serve from the SDC.  A read leaves a
-            # clean duplicate in the SDC (§III-C allows shared clean
-            # copies); a write claims exclusivity.
-            latency += max(h.l2c.latency, sdc.latency +
-                           self.sdcdir.latency)
             if write:
-                # Dirty ownership (if any) transfers with the data into
-                # the L1 fill below (dirty=True), so the dropped
-                # remove_sharer ownership flag incurs no writeback here.
-                sdc.invalidate(block)
-                self.sdcdir.remove_sharer(block, 0)
-                h._fill_l1(block, dirty=True)
-            else:
-                if sdc.clear_dirty(block):
-                    # The SDC copy was cleaned and written back; the
-                    # directory's dirty ownership must drop with it or a
-                    # later eviction double-counts the writeback.
-                    self.sdcdir.clear_dirty(block)
-                    h.dram.write(block)
-                h._fill_l1(block, dirty=False)
-            return SDC_LEVEL, latency
+                self.sdcdir.drop_duplicate(self.sdcs, 0, block)
+            return L1D, latency
+        # Parallel SDCDir probe: an SDC copy is transferred to the L1D.
+        served = self.sdcdir.transfer(self.sdcs, 0, block, write, h)
+        if served is not None:
+            return SDC_LEVEL, latency + served
 
         # Continue the conventional walk below the L1D.
         latency += h.l2c.latency
@@ -687,8 +631,8 @@ class SingleCoreSystem:
         stats_reset_at = min(warmup, n)
         check_every = self._check_every
         tele_every = self._telemetry_every
-        probe = WindowProbe(tele_every,
-                            lambda: single_core_snapshot(self, timer)) \
+        probe = WindowProbe(tele_every, partial(
+            core_snapshot, self.hierarchy, self.sdc, self.lp, timer)) \
             if tele_every else None
 
         for i, ((pc, addr, write, gap, dep), aux) in enumerate(
@@ -701,9 +645,9 @@ class SingleCoreSystem:
                 if probe is not None:
                     # Discard warm-up windows; the timeline measures
                     # the same window the stats do (paper §IV-C).
-                    probe = WindowProbe(
-                        tele_every,
-                        lambda: single_core_snapshot(self, timer))
+                    probe = WindowProbe(tele_every, partial(
+                        core_snapshot, self.hierarchy, self.sdc, self.lp,
+                        timer))
             block = addr >> BLOCK_BITS
             tlb_latency = self.tlb.translate_page(addr >> PAGE_BITS) \
                 if self.tlb is not None else 0

@@ -30,8 +30,7 @@ class MemoryHierarchy:
 
     def __init__(self, config: SystemConfig,
                  llc_policy=None, llc: SetAssocCache | None = None,
-                 dram: DRAMModel | None = None,
-                 enable_prefetch: bool = True):
+                 dram: DRAMModel | None = None):
         self.config = config
         self.l1d = SetAssocCache(config.l1d)
         self.l2c = SetAssocCache(config.l2c)
@@ -42,10 +41,8 @@ class MemoryHierarchy:
             # to its sets (DRRIP's leader sets follow the geometry).
             self.llc = SetAssocCache(config.llc, llc_policy)
         self.dram = dram if dram is not None else DRAMModel(config.dram)
-        self.l1_prefetcher = (make_prefetcher(config.l1d.prefetcher)
-                              if enable_prefetch else None)
-        self.l2_prefetcher = (make_prefetcher(config.l2c.prefetcher)
-                              if enable_prefetch else None)
+        self.l1_prefetcher = make_prefetcher(config.l1d.prefetcher)
+        self.l2_prefetcher = make_prefetcher(config.l2c.prefetcher)
         # PC-aware prefetchers (IP-stride) expose on_access_pc.
         self._l1_pf_pc = getattr(self.l1_prefetcher, "on_access_pc", None)
 

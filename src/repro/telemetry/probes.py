@@ -172,46 +172,26 @@ class WindowProbe:
             dropped=self._instructions.dropped)
 
 
-def single_core_snapshot(system, timer) -> _Snapshot:
-    """Cumulative counters of a ``SingleCoreSystem`` mid-run."""
-    h = system.hierarchy
-    sdc = system.sdc.stats if system.sdc is not None else None
-    lp = system.lp.stats if system.lp is not None else None
-    return _Snapshot(
-        accesses=h.l1d.stats.accesses + (sdc.accesses if sdc else 0),
-        instructions=timer.instructions,
-        l1d_misses=h.l1d.stats.misses,
-        l2c_misses=h.l2c.stats.misses,
-        llc_misses=h.llc.stats.misses,
-        sdc_accesses=sdc.accesses if sdc else 0,
-        sdc_hits=sdc.hits if sdc else 0,
-        lp_lookups=lp.lookups if lp else 0,
-        lp_irregular=lp.predicted_irregular if lp else 0,
-        dram_reads=h.dram.stats.reads,
-        dram_writes=h.dram.stats.writes)
+def core_snapshot(hierarchy, sdc, lp, timer) -> _Snapshot:
+    """Cumulative counters of one core mid-run: its hierarchy, its SDC
+    and LP (None when absent) and its timer.
 
-
-def multicore_snapshot(system, core: int, timer) -> _Snapshot:
-    """Cumulative counters for one core of a ``MultiCoreSystem``.
-
-    Private structures (L1D/L2C/SDC/LP) are per-core; the LLC and DRAM
-    are shared, so their windowed deltas are *system-wide* traffic over
-    this core's window — exactly the contention view the multi-core
-    study cares about.
+    A multi-core core's hierarchy holds the shared LLC and DRAM, so
+    their windowed deltas are *system-wide* traffic over this core's
+    window — exactly the contention view the multi-core study cares
+    about.
     """
-    h = system.cores[core]
-    sdc = system.sdcs[core].stats if system.sdcs[core] is not None \
-        else None
-    lp = system.lps[core].stats if system.lps[core] is not None else None
+    sdc = sdc.stats if sdc is not None else None
+    lp = lp.stats if lp is not None else None
     return _Snapshot(
-        accesses=h.l1d.stats.accesses + (sdc.accesses if sdc else 0),
+        accesses=hierarchy.l1d.stats.accesses + (sdc.accesses if sdc else 0),
         instructions=timer.instructions,
-        l1d_misses=h.l1d.stats.misses,
-        l2c_misses=h.l2c.stats.misses,
-        llc_misses=system.llc.stats.misses,
+        l1d_misses=hierarchy.l1d.stats.misses,
+        l2c_misses=hierarchy.l2c.stats.misses,
+        llc_misses=hierarchy.llc.stats.misses,
         sdc_accesses=sdc.accesses if sdc else 0,
         sdc_hits=sdc.hits if sdc else 0,
         lp_lookups=lp.lookups if lp else 0,
         lp_irregular=lp.predicted_irregular if lp else 0,
-        dram_reads=system.dram.stats.reads,
-        dram_writes=system.dram.stats.writes)
+        dram_reads=hierarchy.dram.stats.reads,
+        dram_writes=hierarchy.dram.stats.writes)

@@ -103,9 +103,12 @@ class TestInterface:
         import dataclasses
         from repro.config import scaled_config
         from repro.mem.hierarchy import MemoryHierarchy
-        cfg = scaled_config(64)
+        base = scaled_config(64)
+        cfg = dataclasses.replace(
+            base, l1d=dataclasses.replace(base.l1d, prefetcher=None),
+            l2c=dataclasses.replace(base.l2c, prefetcher=None))
         llc = DistillCache(cfg.llc)
-        h = MemoryHierarchy(cfg, llc=llc, enable_prefetch=False)
+        h = MemoryHierarchy(cfg, llc=llc)
         for b in range(100):
             h.access(b, False)
         assert llc.stats.accesses > 0

@@ -9,19 +9,23 @@ from repro.config import SystemConfig, scaled_config
 from repro.mem.hierarchy import DRAM, L1D, L2C, LLC, MemoryHierarchy
 
 
+def without_prefetchers(config):
+    """``config`` with the L1D and the L2C prefetcher off."""
+    return dataclasses.replace(
+        config,
+        l1d=dataclasses.replace(config.l1d, prefetcher=None),
+        l2c=dataclasses.replace(config.l2c, prefetcher=None))
+
+
 @pytest.fixture
 def cfg():
     # No prefetchers: deterministic residency for these tests.
-    base = scaled_config(64)
-    return dataclasses.replace(
-        base,
-        l1d=dataclasses.replace(base.l1d, prefetcher=None),
-        l2c=dataclasses.replace(base.l2c, prefetcher=None))
+    return without_prefetchers(scaled_config(64))
 
 
 @pytest.fixture
 def hier(cfg):
-    return MemoryHierarchy(cfg, enable_prefetch=False)
+    return MemoryHierarchy(cfg)
 
 
 class TestLookupCascade:
@@ -70,7 +74,7 @@ class TestWritebacks:
         assert dirty
 
     def test_llc_dirty_eviction_writes_dram(self, cfg):
-        h = MemoryHierarchy(cfg, enable_prefetch=False)
+        h = MemoryHierarchy(cfg)
         h._writeback_to_llc(1)
         # Fill the LLC set of block 1 until it evicts block 1.
         nsets = h.llc.num_sets
@@ -115,7 +119,7 @@ class TestPrefetchers:
     def test_sequential_stream_benefits(self):
         cfg = scaled_config(64)
         h_pf = MemoryHierarchy(cfg)
-        h_no = MemoryHierarchy(cfg, enable_prefetch=False)
+        h_no = MemoryHierarchy(without_prefetchers(cfg))
         for b in range(200):
             h_pf.access(b, False)
             h_no.access(b, False)
@@ -126,8 +130,8 @@ class TestSharedStructures:
     def test_external_llc_used(self, cfg):
         from repro.mem.cache import SetAssocCache
         shared = SetAssocCache(cfg.llc)
-        h1 = MemoryHierarchy(cfg, llc=shared, enable_prefetch=False)
-        h2 = MemoryHierarchy(cfg, llc=shared, enable_prefetch=False)
+        h1 = MemoryHierarchy(cfg, llc=shared)
+        h2 = MemoryHierarchy(cfg, llc=shared)
         h1.access(77, False)
         level, _ = h2.access(77, False)
         assert level == LLC        # h2 hits h1's LLC fill

@@ -171,6 +171,17 @@ class TestCoherence:
                 if i != j:
                     assert not (dirty & resident), (i, j)
 
+    def test_sdc_prefetch_skips_a_block_another_sdc_holds(self, cfg):
+        # Regression: the SDC prefetcher tested only its own core's SDC,
+        # so it installed a stale copy beside another core's dirty one.
+        from repro.validate.invariants import check_multicore_system
+        s = MultiCoreSystem(cfg, "sdc_lp")
+        s._access_via_sdc(0, 101, True)        # dirty in SDC 0
+        s._access_via_sdc(1, 100, False)       # next-line target: 101
+        assert s.sdcs[0].is_dirty(101)
+        assert not s.sdcs[1].contains(101)
+        check_multicore_system(s)
+
     def test_sdcdir_subset_invariant(self, cfg):
         s = MultiCoreSystem(cfg, "sdc_lp")
         s.run([make_trace("random", n=1200, seed=5),

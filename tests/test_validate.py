@@ -17,6 +17,7 @@ from repro.config import CacheConfig, SDCDirConfig, SystemConfig, \
 from repro.core.multicore import MultiCoreSystem
 from repro.core.sdcdir import SDCDirectory
 from repro.core.system import SingleCoreSystem
+from repro.experiments.runner import default_config
 from repro.mem.cache import SetAssocCache
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
@@ -238,6 +239,33 @@ def stride_config():
         cfg, l1d=dataclasses.replace(cfg.l1d, prefetcher="stride"))
 
 
+def llc_read_trace() -> Trace:
+    """Irregular SDC reads that only the LLC can serve.
+
+    Twelve target blocks are read once each by fresh PCs (a cache-level
+    predictor table miss takes the regular path); 900 more reads at a
+    97-block stride, fresh PCs too, push them out of the L1D and the
+    L2C past the next-line prefetcher, leaving six in the LLC only.
+    PC 0x400000 then turns irregular on two DRAM reads and reads the
+    targets through the SDC, then 20 far blocks.
+    """
+    targets = [100000 + 64 * i for i in range(12)]
+    sweep = [200000 + 97 * k for k in range(900)]
+    tail = [900000, 901000] + targets + [950000 + 1000 * k
+                                         for k in range(20)]
+    blocks = np.array(targets + sweep + tail)
+    space = AddressSpace()
+    region = space.add("blocks", 64, int(blocks.max()) + 1)
+    acc = np.zeros(len(blocks), dtype=ACCESS_DTYPE)
+    acc["addr"] = region.addr(blocks)
+    fresh = len(targets) + len(sweep)
+    acc["pc"][:fresh] = 0x500000 + 4 * np.arange(fresh)
+    acc["pc"][fresh:] = 0x400000
+    acc["gap"] = 2
+    acc["dep"] = -1
+    return Trace(acc, space)
+
+
 #: (variant, LLC policy) pairs for the multi-core twin; the LRU cases
 #: keep their historical ids.
 MULTICORE_CASES = [
@@ -268,6 +296,14 @@ class TestDifferentialPairs:
         cfg = dataclasses.replace(
             config, sdc=dataclasses.replace(config.sdc, prefetcher=None))
         diff_multicore1_vs_single(trace, cfg, "sdc_lp")
+
+    def test_multicore1_vs_single_sdc_read_from_llc(self):
+        # Regression: the multi-core SDC read path labelled a read only
+        # the LLC could serve LLC, where the single-core spec says L2C;
+        # the cache-level predictor trains on that label, so the 1-core
+        # system diverged from the single-core one under sdc_clp.
+        cfg = dataclasses.replace(default_config(), num_cores=1)
+        diff_multicore1_vs_single(llc_read_trace(), cfg, "sdc_clp")
 
     def test_mismatch_is_reported(self, trace, config):
         a = SingleCoreSystem(config, "baseline").run(trace)
@@ -306,8 +342,11 @@ def confined_trace(n=3000, seed=3, modulus=48, residues=6) -> Trace:
 
 class TestNonPow2EndToEnd:
     def test_non_pow2_matches_padded_divmod(self, config):
+        # Prefetching is off: a next-line candidate crosses residue
+        # classes, which would legitimately differ between geometries.
         def with_sets(c, sets):
-            return c.resized(sets * c.ways * c.block_size)
+            return dataclasses.replace(
+                c.resized(sets * c.ways * c.block_size), prefetcher=None)
 
         cfg_np = dataclasses.replace(config,
                                      l1d=with_sets(config.l1d, 6),
@@ -316,13 +355,10 @@ class TestNonPow2EndToEnd:
                                      l1d=with_sets(config.l1d, 8),
                                      l2c=with_sets(config.l2c, 16))
         trace = confined_trace()
-        # Prefetching is off: a next-line candidate crosses residue
-        # classes, which would legitimately differ between geometries.
-        sys_np = SingleCoreSystem(cfg_np, "baseline",
-                                  enable_prefetch=False)
+        sys_np = SingleCoreSystem(cfg_np, "baseline")
         a = sys_np.run(trace, record_levels=True)
 
-        sys_p2 = SingleCoreSystem(cfg_p2, "baseline", enable_prefetch=False)
+        sys_p2 = SingleCoreSystem(cfg_p2, "baseline")
         b = sys_p2.run(trace, record_levels=True)
 
         np.testing.assert_array_equal(a.levels, b.levels)
