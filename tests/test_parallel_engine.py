@@ -257,10 +257,19 @@ class TestPipelinedScheduler:
 
     def test_both_workers_leased_when_first_result_settles(
             self, tmp_path, monkeypatch):
+        cfg = default_config()
+        grid = [Job(wl, v, cfg, **MICRO) for wl in GRID_WORKLOADS[:2]
+                for v in GRID_VARIANTS[:2]]
+        # Cells are granted in grid order.  Both workers start before a
+        # result, and the second grant runs longer, so the first result
+        # arrives alone: two results read in one batch free both
+        # workers before either settles.
+        second = parallel._job_spec(grid[1],
+                                    backend=resolve_backend(None))[1]
         execute = parallel._execute_cell
 
         def slow(spec, key, attempt=1):
-            time.sleep(0.2)     # both workers start before a result
+            time.sleep(0.6 if key == second else 0.2)
             return execute(spec, key, attempt)
 
         monkeypatch.setattr(parallel, "_execute_cell", slow)
@@ -274,9 +283,6 @@ class TestPipelinedScheduler:
             settle(self, wid, key, token, payload)
 
         monkeypatch.setattr(parallel._GridRun, "_on_done", spy)
-        cfg = default_config()
-        grid = [Job(wl, v, cfg, **MICRO) for wl in GRID_WORKLOADS[:2]
-                for v in GRID_VARIANTS[:2]]
         res = run_grid(grid, jobs=2, cache=rc.ResultsCache(tmp_path / "c"),
                        manifest_dir=tmp_path / "runs")
         assert all(r is not None for r in res)
