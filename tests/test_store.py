@@ -201,6 +201,17 @@ class TestContainer:
         assert store.read_meta(ingest.GRAPH, path)["source"] == "toy.el"
         assert store.read_meta(trace_store.TRACE, path) is None
 
+    def test_large_result_reads_back_equal(self, tmp_path):
+        """An entry far larger than a small first read (and than one
+        checksum chunk) reads back whole."""
+        payload = dict(RESULT_PAYLOAD, timeline=list(range(200_000)))
+        key = "cd" * 32
+        cache = rc.ResultsCache(tmp_path)
+        cache.put(key, payload)
+        assert (tmp_path / "cd" / f"{key}.json").stat().st_size > 1 << 20
+        assert cache.get(key) == payload
+        assert cache.hits == 1
+
     def test_payload_sha_is_the_payload_checksum(self, tmp_path):
         payload = {"b": [1, 2.5], "a": {"z": None}}
         path = tmp_path / "r"
