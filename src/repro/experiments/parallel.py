@@ -687,7 +687,12 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
             run.register(key, job.label, source, cells.fanout[key],
                          None if shard is None
                          else sharding.shard_of(key, shard[1]))
-    manifest.save()
+    # Checkpoint the registered cells before any runs, so that an
+    # interrupted sweep resumes.  A grid with nothing to run writes
+    # only its final snapshot; a shard keeps the checkpoint, which a
+    # lost shard leaves ``running`` for the merge to refuse.
+    if cells.specs or shard is not None:
+        manifest.save()
 
     # Arm worker-side event emission in this process too, for cells
     # run in-process (worker processes get the same context at spawn).

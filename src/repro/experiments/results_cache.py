@@ -30,8 +30,9 @@ moved to ``results/quarantine/<name>.bad`` and counted in ``corrupt``
 recompute instead of poisoning a figure or re-missing forever.  An
 intact entry from an *older format version* is not corrupt, just
 outdated: it is unlinked and counted in ``stale``, then served as a
-miss.  Construction also sweeps stale ``*.tmp.<pid>`` droppings left
-by writers that crashed mid-``put``.  See docs/RESILIENCE.md.
+miss.  The first ``put`` also sweeps stale ``*.tmp.<pid>`` droppings
+left by writers that crashed mid-``put``, so a cache that is only read
+walks no directory.  See docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ class ResultsCache:
     a miss), ``stale`` (intact entry from an older format version —
     unlinked, served as a miss), ``stores`` (entries
     written), ``quarantined`` (files moved to ``quarantine/``),
-    ``swept`` (stale temp files removed at construction).
+    ``swept`` (stale temp files removed by the sweep that the first
+    ``put`` runs, unless ``sweep_stale`` is off; only writers leave
+    temp files behind).
     """
 
     def __init__(self, root: str | os.PathLike | None = None,
@@ -148,8 +151,8 @@ class ResultsCache:
         self.quarantined = 0
         self.swept = 0
         self._write_seq: dict[str, int] = {}
-        if sweep_stale:
-            self.swept = self.sweep_stale_tmp(stale_tmp_age)
+        # The age of temp files the first put sweeps; None once swept.
+        self._sweep_age = stale_tmp_age if sweep_stale else None
 
     def _file(self, key: str) -> str:
         """The entry path of ``key``; a string, so that ``get`` and
@@ -229,10 +232,14 @@ class ResultsCache:
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Store a payload atomically.  A concurrent supervisor
+        """Store a payload atomically; the first call sweeps stale
+        temp files first.  A concurrent supervisor
         ``clear()``-ing the store can rmtree the entry directory between
         the mkdir and the write/rename — transient by construction, so
         the write is retried on a freshly recreated directory."""
+        age, self._sweep_age = self._sweep_age, None
+        if age is not None:
+            self.swept = self.sweep_stale_tmp(age)
         path = self._file(key)
         for attempt in range(5):
             try:

@@ -82,19 +82,22 @@ class Kind:
 
     ``fields`` are the struct codes of the fixed header fields and
     ``sections(*fields)`` lists the ``(dtype, length)`` of each array
-    section in file order.  ``error`` is raised on validation failures.
+    section in file order; a kind without ``sections`` has none, and
+    :func:`read` reads its files whole, in one call.  ``error`` is
+    raised on validation failures.
     Activity is counted in telemetry counters ``<name>_<counter>``:
     ``opens``/``maps``/``writes``/``stale``/``corrupt`` plus the
     caller's ``extra_counters``.
     """
 
     def __init__(self, magic: bytes, version: int, fields: str, name: str,
-                 sections=lambda: [], error=ArtifactError,
+                 sections=None, error=ArtifactError,
                  extra_counters: tuple[str, ...] = ()):
         self.magic = magic
         self.version = version
         self.header = struct.Struct(f"<8sIIQ{fields}32s32s")
-        self.sections = sections
+        self.sectioned = sections is not None
+        self.sections = sections if self.sectioned else lambda *_: []
         self.error = error
         self.counters = {
             c: Counter(f"{name}_{c}") for c in
@@ -172,30 +175,52 @@ def write(kind: Kind, path, meta: dict, fields: tuple = (),
 
 # -- read -------------------------------------------------------------------
 
-def _authentic_header(kind: Kind, fh) -> tuple[int, int, bytes]:
-    """``(version, meta_len, header bytes)`` of a header whose magic and
-    checksum hold, whatever its version."""
-    prefix = fh.read(_PREFIX.size)
-    if len(prefix) < _PREFIX.size:
-        raise kind.error(f"truncated header ({len(prefix)} bytes)")
-    magic, version, size, meta_len = _PREFIX.unpack(prefix)
+def _read_upto(fd: int, n: int) -> bytes:
+    """Up to ``n`` bytes from ``fd``: fewer only at the end of the
+    file, because a short read is followed by reads for the rest."""
+    buf = os.read(fd, n)
+    while 0 < len(buf) < n:
+        more = os.read(fd, n - len(buf))
+        if not more:
+            break
+        buf += more
+    return buf
+
+
+def _lead(kind: Kind, fd: int) -> tuple[int, bytes]:
+    """``(file size, leading bytes)`` of the file open at ``fd``: the
+    whole file for a kind without sections, one read, else as much as
+    the largest header."""
+    size = os.fstat(fd).st_size
+    return size, _read_upto(fd, min(size, _MAX_HEADER) if kind.sectioned
+                            else size)
+
+
+def _authentic_header(kind: Kind, buf: bytes) -> tuple[int, int, bytes]:
+    """``(version, meta_len, header bytes)`` of the header at the start
+    of ``buf``, whose magic and checksum hold, whatever its version."""
+    if len(buf) < _PREFIX.size:
+        raise kind.error(f"truncated header ({len(buf)} bytes)")
+    magic, version, size, meta_len = _PREFIX.unpack_from(buf)
     if magic != kind.magic:
         raise kind.error(f"bad magic {magic!r}")
     if not _PREFIX.size + 64 <= size <= _MAX_HEADER:
         raise kind.error(f"bad header size {size}")
-    head = prefix + fh.read(size - _PREFIX.size)
-    if len(head) < size:
-        raise kind.error(f"truncated header ({len(head)} of {size} "
+    if len(buf) < size:
+        raise kind.error(f"truncated header ({len(buf)} of {size} "
                          f"bytes)")
+    head = buf[:size]
     if hashlib.sha256(head[:-32]).digest() != head[-32:]:
         raise kind.error("header checksum mismatch")
     return version, meta_len, head
 
 
-def _header(kind: Kind, fh) -> tuple[int, tuple, bytes, list]:
-    """Check a header against the kind's version and the size equation;
+def _header(kind: Kind, buf: bytes,
+            file_size: int) -> tuple[int, tuple, bytes, list]:
+    """Check the header at the start of ``buf`` against the kind's
+    version and the size equation for a ``file_size``-byte file;
     returns ``(meta_len, fields, payload_sha, sections)``."""
-    version, meta_len, head = _authentic_header(kind, fh)
+    version, meta_len, head = _authentic_header(kind, buf)
     if version < kind.version:
         raise kind.error(f"stale version {version} (this build writes "
                          f"v{kind.version})", stale=True)
@@ -206,11 +231,19 @@ def _header(kind: Kind, fh) -> tuple[int, tuple, bytes, list]:
     sections = [(np.dtype(dt), n) for dt, n in kind.sections(*fields)]
     expected = len(head) + meta_len + sum(dt.itemsize * n
                                           for dt, n in sections)
-    actual = os.fstat(fh.fileno()).st_size
-    if actual != expected:
-        raise kind.error(f"file size {actual} != expected {expected} "
+    if file_size != expected:
+        raise kind.error(f"file size {file_size} != expected {expected} "
                          f"(truncated or padded)")
     return meta_len, fields, head[-64:-32], sections
+
+
+def _meta_block(fd: int, buf: bytes, start: int, meta_len: int) -> bytes:
+    """The metadata block at offset ``start``: out of the leading bytes
+    ``buf``, with the rest read from ``fd`` when it runs past them."""
+    end = start + meta_len
+    if len(buf) < end:
+        buf += _read_upto(fd, end - len(buf))
+    return buf[start:end]
 
 
 def _meta(kind: Kind, raw: bytes) -> dict:
@@ -226,33 +259,43 @@ def _meta(kind: Kind, raw: bytes) -> dict:
 def read_header(kind: Kind, path) -> tuple[int, tuple, bytes]:
     """Check only the header and the size equation of ``path``;
     returns ``(meta_len, fields, payload_sha)``."""
-    with open(path, "rb") as fh:
-        return _header(kind, fh)[:3]
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size, buf = _lead(kind, fd)
+        return _header(kind, buf, size)[:3]
+    finally:
+        os.close(fd)
 
 
 def read(kind: Kind, path, mapped: bool = True
          ) -> tuple[dict, tuple, list[np.ndarray]]:
     """Validate ``path`` and return ``(meta, fields, arrays)``.
 
-    The metadata and sections stream through sha256 once, a sequential
-    read that doubles as page-cache warming; the size equation has
-    already shown that nothing follows them, so a file without sections
-    is read no further than its metadata.  With ``mapped=True`` each
+    A kind without sections (a results-cache entry) is read whole with
+    one ``os.read`` and checked from those bytes.  Otherwise the
+    metadata and sections stream through sha256 once, a sequential
+    read that doubles as page-cache warming.  With ``mapped=True`` each
     non-empty section is a read-only ``np.memmap`` view, otherwise a
     private in-RAM copy.  Any validation failure raises ``kind.error``.
     """
-    with open(path, "rb") as fh:
-        meta_len, fields, payload_sha, sections = _header(kind, fh)
-        raw = fh.read(meta_len)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size, buf = _lead(kind, fd)
+        meta_len, fields, payload_sha, sections = _header(kind, buf, size)
+        start = kind.header.size
+        raw = _meta_block(fd, buf, start, meta_len)
         sha = hashlib.sha256(raw)
         if sections:
-            for chunk in iter(lambda: fh.read(_CHUNK), b""):
+            sha.update(buf[start + meta_len:])  # sections the lead read
+            while chunk := os.read(fd, _CHUNK):
                 sha.update(chunk)
+    finally:
+        os.close(fd)
     if sha.digest() != payload_sha:
         raise kind.error("payload checksum mismatch")
     meta = _meta(kind, raw)
     arrays = []
-    offset = kind.header.size + meta_len
+    offset = start + meta_len
     for dtype, n in sections:
         if mapped and n:
             arrays.append(np.memmap(path, dtype=dtype, mode="r",
@@ -274,9 +317,13 @@ def read_meta(kind: Kind, path) -> dict | None:
     needs (a graph's source path) generally survives; ``None`` when
     even that is gone."""
     try:
-        with open(path, "rb") as fh:
-            _, meta_len, _ = _authentic_header(kind, fh)
-            return _meta(kind, fh.read(meta_len))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            buf = _lead(kind, fd)[1]
+            _, meta_len, head = _authentic_header(kind, buf)
+            return _meta(kind, _meta_block(fd, buf, len(head), meta_len))
+        finally:
+            os.close(fd)
     except (OSError, ArtifactError):
         return None
 

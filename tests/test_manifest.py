@@ -7,11 +7,14 @@ import os
 
 import pytest
 
+from repro import faults
 from repro.experiments import manifest as mod
+from repro.experiments import results_cache as rc
 from repro.experiments.figures import QUICK_WORKLOADS, plan_figure
 from repro.experiments.manifest import (MANIFEST_VERSION, MAX_MANIFESTS,
                                         RunManifest, new_run_id)
 from repro.experiments.parallel import run_grid
+from repro.experiments.sharding import ShardMergeError, merge_shards
 
 
 @pytest.fixture
@@ -346,3 +349,56 @@ def test_grid_writes_a_constant_number_of_snapshots(runs, monkeypatch):
     # One snapshot at registration, one at finalize: every one of the
     # 72 running/done transitions went to the log.
     assert len(saves) <= 3
+
+
+def _filled_cache(tmp_path, runs):
+    """A small Fig. 7 grid and a fresh view of a results cache that
+    holds every cell of it."""
+    root = tmp_path / "results"
+    grid, _ = plan_figure("fig7", QUICK_WORKLOADS[:1], tier="tiny",
+                          length=2000)
+    run_grid(grid, cache=rc.ResultsCache(root), manifest_dir=runs)
+    return grid, rc.ResultsCache(root)
+
+
+def test_all_hit_grid_writes_one_snapshot(runs, tmp_path, monkeypatch):
+    """A grid whose every cell is a cache hit has no cell to checkpoint
+    before it runs: its one snapshot is the final one."""
+    grid, cache = _filled_cache(tmp_path, runs)
+    saves = []
+    real_save = RunManifest.save
+
+    def counting_save(self):
+        saves.append(self.data["status"])
+        real_save(self)
+
+    monkeypatch.setattr(RunManifest, "save", counting_save)
+    results = run_grid(grid, cache=cache, run_id="warm", manifest_dir=runs)
+    assert None not in results
+    assert cache.hits == len(grid) and cache.misses == 0
+    assert saves == ["complete"]
+    m = RunManifest.load("warm", runs)
+    assert set(m.counts()) == {"done"}
+    assert not (runs / "warm.json.log").exists()
+
+
+def test_all_hit_shard_keeps_its_checkpoint(runs, tmp_path):
+    """A shard keeps its checkpoint even when every cell it owns is a
+    cache hit: a lost shard leaves its manifest ``running``, and the
+    merge refuses it."""
+    grid, cache = _filled_cache(tmp_path, runs)
+    faults.activate(faults.FaultPlan.parse("seed=7,shard_loss:1.0"))
+    try:
+        for i in (0, 1):
+            with pytest.raises(faults.FaultInjected, match="shard loss"):
+                run_grid(grid, cache=cache, run_id="lost",
+                         manifest_dir=runs, shard=(i, 2))
+            m = RunManifest.load("lost", runs, shard=(i, 2))
+            assert m.data["status"] == "running"
+    finally:
+        faults.deactivate()
+    assert cache.misses == 0
+    with pytest.raises(ShardMergeError) as ei:
+        merge_shards("lost", runs, cache=cache)
+    assert sum("lost or incomplete" in p
+               for p in ei.value.problems) == 2

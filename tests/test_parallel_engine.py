@@ -154,18 +154,43 @@ class TestResultsCache:
         stray.write_text("orphan")
         old = 10_000.0
         os.utime(stray, (old, old))
-        fresh = rc.ResultsCache(cache.root)    # sweeps at construction
+        keep = rc.ResultsCache(cache.root, sweep_stale=False)
+        keep.put("cd" + "6" * 62, {"x": 2})
+        assert keep.swept == 0 and stray.exists()
+        fresh = rc.ResultsCache(cache.root)
+        assert stray.exists()                  # reads sweep nothing
+        fresh.put("ef" + "6" * 62, {"x": 3})   # the first put sweeps
         assert fresh.swept == 1
         assert not stray.exists()
-        assert len(fresh) == 1                 # committed entry survives
+        assert len(fresh) == 3                 # committed entries survive
 
     def test_young_tmp_files_survive_sweep(self, cache):
         stray = cache.root / "ab" / ("aa" + "8" * 62 + ".json.tmp.2")
         stray.parent.mkdir(parents=True, exist_ok=True)
         stray.write_text("live writer")
         fresh = rc.ResultsCache(cache.root)
+        fresh.put("ab" + "9" * 62, {"x": 1})
         assert fresh.swept == 0
         assert stray.exists()
+
+    def test_reading_a_filled_cache_walks_no_directory(
+            self, cache, monkeypatch):
+        import os
+        keys = [f"{i:02x}" + "3" * 62 for i in range(3)]
+        for i, key in enumerate(keys):
+            cache.put(key, {"i": i})
+        walked = []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir",
+                            lambda p: walked.append(p) or scandir(p))
+        fresh = rc.ResultsCache(cache.root)
+        assert [fresh.get(key) for key in keys] == [{"i": i}
+                                                    for i in range(3)]
+        assert walked == []
+        fresh.put("ff" + "3" * 62, {"i": 3})    # the one sweep
+        swept = len(walked)
+        fresh.put("fe" + "3" * 62, {"i": 4})
+        assert swept > 0 and len(walked) == swept
 
 
 class TestRunGrid:
