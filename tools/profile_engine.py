@@ -33,7 +33,9 @@ the grid ``WARM_GRID_REPS`` times; the table reports per-grid medians
 over ``ROUNDS`` rounds of the phases a warm rerun spends its time in
 (``ResultsCache.get``, ``RunManifest.save``, ``ResultsCache``
 construction, ``SystemStats.from_payload``) and of the whole
-``run_grid``, with its interquartile range.
+``run_grid``, with its interquartile range.  A second column times the
+same grid once the cache holds ``WARM_GRID_FILLER`` more entries, so a
+per-grid cost that grows with the cache shows.
 
 Usage::
 
@@ -223,6 +225,8 @@ def time_tracers() -> None:
 
 WARM_GRID_LENGTH = 2_500
 WARM_GRID_REPS = 20
+#: Entries added beside the grid's own for the large-cache column.
+WARM_GRID_FILLER = 20_000
 
 
 def _timing(fn, totals: dict, phase: str):
@@ -239,6 +243,7 @@ def _timing(fn, totals: dict, phase: str):
 
 def time_warm_grid() -> None:
     import contextlib
+    import hashlib
     import os
     import tempfile
     from unittest import mock
@@ -254,22 +259,11 @@ def time_warm_grid() -> None:
              (SystemStats, "from_payload", "decode"))
     phases = [phase for _, _, phase in hooks] + ["run_grid"]
     totals = {phase: [0.0, 0] for phase in phases}
-    rows = []                   # one [per-grid ms per phase] per round
-    with contextlib.ExitStack() as patches:
-        tmp = patches.enter_context(tempfile.TemporaryDirectory())
-        patches.enter_context(
-            mock.patch.dict(os.environ, REPRO_CACHE_DIR=tmp))
-        grid, _ = plan_figure("fig7", QUICK_WORKLOADS, tier="tiny",
-                              length=WARM_GRID_LENGTH)
-        run_grid(grid)                      # fills the results cache
-        for owner, attr, phase in hooks:
-            raw = vars(owner)[attr]
-            if isinstance(raw, classmethod):
-                timed = classmethod(_timing(raw.__func__, totals, phase))
-            else:
-                timed = _timing(raw, totals, phase)
-            patches.enter_context(mock.patch.object(owner, attr, timed))
-        timed_grid = _timing(run_grid, totals, "run_grid")
+    timed_grid = _timing(run_grid, totals, "run_grid")
+
+    def rounds(grid) -> list[list[float]]:
+        """One [per-grid ms per phase] per round."""
+        rows = []
         for _ in range(ROUNDS):
             for cell in totals.values():
                 cell[:] = [0.0, 0]
@@ -277,18 +271,42 @@ def time_warm_grid() -> None:
                 timed_grid(grid)
             rows.append([totals[p][0] * 1e3 / WARM_GRID_REPS
                          for p in phases])
-    calls = [totals[p][1] / WARM_GRID_REPS for p in phases]
+        return rows
+
+    with contextlib.ExitStack() as patches:
+        tmp = patches.enter_context(tempfile.TemporaryDirectory())
+        patches.enter_context(
+            mock.patch.dict(os.environ, REPRO_CACHE_DIR=tmp))
+        grid, _ = plan_figure("fig7", QUICK_WORKLOADS, tier="tiny",
+                              length=WARM_GRID_LENGTH)
+        run_grid(grid)                      # fills the results cache
+        filler = ResultsCache()
+        for owner, attr, phase in hooks:
+            raw = vars(owner)[attr]
+            if isinstance(raw, classmethod):
+                timed = classmethod(_timing(raw.__func__, totals, phase))
+            else:
+                timed = _timing(raw, totals, phase)
+            patches.enter_context(mock.patch.object(owner, attr, timed))
+        small = rounds(grid)
+        calls = [totals[p][1] / WARM_GRID_REPS for p in phases]
+        for i in range(WARM_GRID_FILLER):
+            filler.put(hashlib.sha256(b"%d" % i).hexdigest(), {"i": i})
+        large = rounds(grid)
     print(f"\n== warm grid: quick Fig. 7 ({len(grid)} cells, tiny tier, "
-          f"{WARM_GRID_LENGTH:,} accesses) on a filled cache, per-grid "
-          f"median over {ROUNDS} rounds (ms) " + "=" * 4)
-    print("| phase | calls | ms |")
-    print("|---|---:|---:|")
+          f"{WARM_GRID_LENGTH:,} accesses) on a filled cache, and on one "
+          f"holding {WARM_GRID_FILLER:,} more entries, per-grid median "
+          f"over {ROUNDS} rounds (ms) " + "=" * 4)
+    print(f"| phase | calls | ms | ms, +{WARM_GRID_FILLER:,} entries |")
+    print("|---|---:|---:|---:|")
     for i, phase in enumerate(phases[:-1]):
         print(f"| {phase} | {calls[i]:g} | "
-              f"{statistics.median(r[i] for r in rows):.3f} |")
-    q1, total, q3 = _quartiles([r[-1] for r in rows])
-    print(f"| run_grid | {calls[-1]:g} | {total:.3f} "
-          f"[{q1:.3f}, {q3:.3f}] |")
+              f"{statistics.median(r[i] for r in small):.3f} | "
+              f"{statistics.median(r[i] for r in large):.3f} |")
+    cols = [_quartiles([r[-1] for r in rows]) for rows in (small, large)]
+    print(f"| run_grid | {calls[-1]:g} | " + " | ".join(
+        f"{total:.3f} [{q1:.3f}, {q3:.3f}]" for q1, total, q3 in cols)
+        + " |")
 
 
 def main(argv=None) -> int:
