@@ -151,7 +151,8 @@ class ResultsCache:
         self.quarantined = 0
         self.swept = 0
         self._write_seq: dict[str, int] = {}
-        # The age of temp files the first put sweeps; None once swept.
+        # The first put sweeps temp files at least this old; None once
+        # swept, or when sweeping is off.
         self._sweep_age = stale_tmp_age if sweep_stale else None
 
     def _file(self, key: str) -> str:
@@ -232,8 +233,8 @@ class ResultsCache:
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Store a payload atomically; the first call sweeps stale
-        temp files first.  A concurrent supervisor
+        """Store a payload atomically; the first call also sweeps
+        stale temp files (see ``swept``).  A concurrent supervisor
         ``clear()``-ing the store can rmtree the entry directory between
         the mkdir and the write/rename — transient by construction, so
         the write is retried on a freshly recreated directory."""
