@@ -82,22 +82,19 @@ class Kind:
 
     ``fields`` are the struct codes of the fixed header fields and
     ``sections(*fields)`` lists the ``(dtype, length)`` of each array
-    section in file order; a kind without ``sections`` has none, and
-    :func:`read` reads its files whole, in one call.  ``error`` is
-    raised on validation failures.
+    section in file order.  ``error`` is raised on validation failures.
     Activity is counted in telemetry counters ``<name>_<counter>``:
     ``opens``/``maps``/``writes``/``stale``/``corrupt`` plus the
     caller's ``extra_counters``.
     """
 
     def __init__(self, magic: bytes, version: int, fields: str, name: str,
-                 sections=None, error=ArtifactError,
+                 sections=lambda: [], error=ArtifactError,
                  extra_counters: tuple[str, ...] = ()):
         self.magic = magic
         self.version = version
         self.header = struct.Struct(f"<8sIIQ{fields}32s32s")
-        self.sectioned = sections is not None
-        self.sections = sections if self.sectioned else lambda *_: []
+        self.sections = sections
         self.error = error
         self.counters = {
             c: Counter(f"{name}_{c}") for c in
@@ -187,13 +184,13 @@ def _read_upto(fd: int, n: int) -> bytes:
     return buf
 
 
-def _lead(kind: Kind, fd: int) -> tuple[int, bytes]:
-    """``(file size, leading bytes)`` of the file open at ``fd``: the
-    whole file for a kind without sections, one read, else as much as
-    the largest header."""
+def _lead(fd: int) -> tuple[int, bytes]:
+    """``(file size, leading bytes)`` of the file open at ``fd``: as
+    much as the largest header, so the header and the size equation are
+    checked before any more is read.  A results-cache entry (about
+    1 KB) is whole in its lead."""
     size = os.fstat(fd).st_size
-    return size, _read_upto(fd, min(size, _MAX_HEADER) if kind.sectioned
-                            else size)
+    return size, _read_upto(fd, min(size, _MAX_HEADER))
 
 
 def _authentic_header(kind: Kind, buf: bytes) -> tuple[int, int, bytes]:
@@ -261,7 +258,7 @@ def read_header(kind: Kind, path) -> tuple[int, tuple, bytes]:
     returns ``(meta_len, fields, payload_sha)``."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        size, buf = _lead(kind, fd)
+        size, buf = _lead(fd)
         return _header(kind, buf, size)[:3]
     finally:
         os.close(fd)
@@ -271,16 +268,17 @@ def read(kind: Kind, path, mapped: bool = True
          ) -> tuple[dict, tuple, list[np.ndarray]]:
     """Validate ``path`` and return ``(meta, fields, arrays)``.
 
-    A kind without sections (a results-cache entry) is read whole with
-    one ``os.read`` and checked from those bytes.  Otherwise the
-    metadata and sections stream through sha256 once, a sequential
-    read that doubles as page-cache warming.  With ``mapped=True`` each
-    non-empty section is a read-only ``np.memmap`` view, otherwise a
-    private in-RAM copy.  Any validation failure raises ``kind.error``.
+    The header and the size equation are checked on the lead (see
+    :func:`_lead`), so a results-cache entry is one ``os.read``.  The
+    rest of the metadata and the sections stream through sha256 once,
+    a sequential read that doubles as page-cache warming.  With
+    ``mapped=True`` each non-empty section is a read-only ``np.memmap``
+    view, otherwise a private in-RAM copy.  Any validation failure
+    raises ``kind.error``.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
-        size, buf = _lead(kind, fd)
+        size, buf = _lead(fd)
         meta_len, fields, payload_sha, sections = _header(kind, buf, size)
         start = kind.header.size
         raw = _meta_block(fd, buf, start, meta_len)
@@ -319,7 +317,7 @@ def read_meta(kind: Kind, path) -> dict | None:
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            buf = _lead(kind, fd)[1]
+            buf = _lead(fd)[1]
             _, meta_len, head = _authentic_header(kind, buf)
             return _meta(kind, _meta_block(fd, buf, len(head), meta_len))
         finally:

@@ -5,6 +5,7 @@ trace and graph store bytes, atomic writes, and the cache layout."""
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 from pathlib import Path
 
@@ -136,6 +137,26 @@ class TestDamage:
         assert store.discard(k, path, info.value, qdir) is stale
         assert not path.exists()
         assert len(list(qdir.glob("*.bad"))) == (0 if stale else 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_padding_is_rejected_from_the_lead(self, cache,
+                                                     monkeypatch, kind):
+        """A file padded far past its size equation is rejected after
+        reading no more than the largest header: a stray file of any
+        size is never read whole."""
+        write, open_, k = KINDS[kind]
+        path = cache / f"artifact.{kind}"
+        write(path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(1 << 20))
+        read = []
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read.append(n)
+                            or real_read(fd, n))
+        with pytest.raises(k.error, match="padded") as info:
+            open_(path)
+        assert info.value.stale is False
+        assert 0 < sum(read) <= store._MAX_HEADER
 
 
 # -- byte identity ------------------------------------------------------------
