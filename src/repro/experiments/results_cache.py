@@ -133,13 +133,10 @@ class ResultsCache:
     unlinked, served as a miss), ``stores`` (entries
     written), ``quarantined`` (files moved to ``quarantine/``),
     ``swept`` (stale temp files removed by the sweep that the first
-    ``put`` runs, unless ``sweep_stale`` is off; only writers leave
-    temp files behind).
+    ``put`` runs; only writers leave temp files behind).
     """
 
-    def __init__(self, root: str | os.PathLike | None = None,
-                 sweep_stale: bool = True,
-                 stale_tmp_age: float = STALE_TMP_AGE_SECONDS):
+    def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None \
             else cache_dir() / "results"
         self._root = os.fspath(self.root)
@@ -151,9 +148,7 @@ class ResultsCache:
         self.quarantined = 0
         self.swept = 0
         self._write_seq: dict[str, int] = {}
-        # The first put sweeps temp files at least this old; None once
-        # swept, or when sweeping is off.
-        self._sweep_age = stale_tmp_age if sweep_stale else None
+        self._unswept = True            # until the first put sweeps
 
     def _file(self, key: str) -> str:
         """The entry path of ``key``; a string, so that ``get`` and
@@ -238,9 +233,9 @@ class ResultsCache:
         ``clear()``-ing the store can rmtree the entry directory between
         the mkdir and the write/rename — transient by construction, so
         the write is retried on a freshly recreated directory."""
-        age, self._sweep_age = self._sweep_age, None
-        if age is not None:
-            self.swept = self.sweep_stale_tmp(age)
+        if self._unswept:
+            self._unswept = False
+            self.swept = self.sweep_stale_tmp()
         path = self._file(key)
         for attempt in range(5):
             try:

@@ -267,7 +267,7 @@ def merge_shards(run_id: str, directory: Path | None = None,
 
     if cache is None:
         from repro.experiments import results_cache as rc
-        cache = rc.ResultsCache(sweep_stale=False)
+        cache = rc.ResultsCache()
     if not problems:
         for key, (index, cell) in sorted(owned.items()):
             if cache.get(key) is None:

@@ -154,15 +154,12 @@ class TestResultsCache:
         stray.write_text("orphan")
         old = 10_000.0
         os.utime(stray, (old, old))
-        keep = rc.ResultsCache(cache.root, sweep_stale=False)
-        keep.put("cd" + "6" * 62, {"x": 2})
-        assert keep.swept == 0 and stray.exists()
         fresh = rc.ResultsCache(cache.root)
         assert stray.exists()                  # reads sweep nothing
-        fresh.put("ef" + "6" * 62, {"x": 3})   # the first put sweeps
+        fresh.put("ef" + "6" * 62, {"x": 2})   # the first put sweeps
         assert fresh.swept == 1
         assert not stray.exists()
-        assert len(fresh) == 3                 # committed entries survive
+        assert len(fresh) == 2                 # committed entries survive
 
     def test_young_tmp_files_survive_sweep(self, cache):
         stray = cache.root / "ab" / ("aa" + "8" * 62 + ".json.tmp.2")

@@ -338,8 +338,7 @@ class TestConcurrentSupervisors:
             assert proc.returncode == 0, \
                 f"shard {i} supervisor failed:\n{out}\n{err}"
 
-        cache = rc.ResultsCache(cache_dir / "results",
-                                sweep_stale=False)
+        cache = rc.ResultsCache(cache_dir / "results")
         report = merge_shards("stress", cache_dir / "runs", cache=cache)
         assert report.count == 2
         assert not list(cache.quarantine_dir.glob("*"))
