@@ -4,11 +4,12 @@ Every grid execution keeps a small JSON manifest at
 ``<REPRO_CACHE_DIR>/runs/<run_id>.json`` recording, per unique cell
 (content-addressed cache key): its label, status, attempt count, last
 error, wall seconds and result source.  The manifest lives in two
-files.  The *snapshot* (``<run_id>.json``) is rewritten atomically
-when the cells are registered (unless the grid has no cell to run)
-and when the run is finalized; each cell transition in between
-appends one flushed JSON line to the *log* (``<run_id>.json.log``),
-so a transition costs O(1) however large the grid.  :meth:`RunManifest.load` replays the log past the snapshot, so
+files.  The *snapshot* (``<run_id>.json``) is written atomically
+before the first cell transition and when the run is finalized (a
+shard also writes one when its cells are registered); each cell
+transition appends one flushed JSON line to the *log*
+(``<run_id>.json.log``), so a transition costs O(1) however large the
+grid.  :meth:`RunManifest.load` replays the log past the snapshot, so
 at any instant — including the instant a sweep is OOM-killed or ^C'd —
 the two files on disk record exactly which cells completed.
 

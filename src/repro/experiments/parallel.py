@@ -687,11 +687,11 @@ def run_grid(grid: list[Job], jobs: int = 1, use_cache: bool = True,
             run.register(key, job.label, source, cells.fanout[key],
                          None if shard is None
                          else sharding.shard_of(key, shard[1]))
-    # Checkpoint the registered cells before any runs, so that an
-    # interrupted sweep resumes.  A grid with nothing to run writes
-    # only its final snapshot; a shard keeps the checkpoint, which a
-    # lost shard leaves ``running`` for the merge to refuse.
-    if cells.specs or shard is not None:
+    # The first cell transition writes the first snapshot, so a grid
+    # with nothing to run writes only its final one.  A shard
+    # checkpoints now: a lost shard leaves it ``running`` for the merge
+    # to refuse, even when it owns no cell to run.
+    if shard is not None:
         manifest.save()
 
     # Arm worker-side event emission in this process too, for cells
